@@ -225,7 +225,10 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
     children: dict[str, tuple[str, ...]] = {}
     out_label: dict[tuple[str, str], str] = {}
 
-    def sprout(u: str, side: int, level: int, toward_parent: str | None):
+    # explicit preorder walk: deep trees must not hit the recursion limit
+    stack: list[tuple[str, int, int, str | None]] = [(ROOT, 1, 0, None)]
+    while stack:
+        u, side, level, toward_parent = stack.pop()
         mine = side_labels[side]
         if toward_parent is None:
             free = mine
@@ -242,7 +245,7 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
             free = tuple(k for k in mine if k != back)
         if level == depth:
             children[u] = ()
-            return
+            continue
         kids = []
         other = 2 if side == 1 else 1
         for k in free:
@@ -253,10 +256,8 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
             out_label[(u, w)] = k
             kids.append(w)
         children[u] = tuple(kids)
-        for w in kids:
-            sprout(w, other, level + 1, u)
+        stack.extend((w, other, level + 1, u) for w in reversed(kids))
 
-    sprout(ROOT, 1, 0, None)
     nodes.sort()
     return ConnectingTree(tuple(sorted(labels1)), tuple(sorted(labels2)), depth,
                           tuple(nodes), node_side, parent, children, out_label, J)

@@ -3,15 +3,12 @@ the certificate engine.
 
 Exit codes: 0 means the requested check passed, 1 means it ran and
 failed, 2 means the input documents were unusable, 3 means a
-precondition was violated.  All artifacts are JSON written atomically;
-``ASDIM_FORGE_THREADS`` caps how many worker threads batch commands may
-use (default 1, and results keep their input order either way).
+precondition was violated.  All artifacts are JSON written atomically.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
 from pathlib import Path
@@ -26,26 +23,6 @@ from .theorem import ProofParameters, projection_fit, run_certificate, theorem_b
 
 FIT_SIZE_CAP = 500
 SAMPLED_PAIRS = 2000
-
-
-def thread_budget() -> int:
-    raw = os.environ.get("ASDIM_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def parallel_map(fn, items):
-    """Order-preserving map, threaded only when the budget allows it."""
-    items = list(items)
-    workers = thread_budget()
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=min(workers, len(items))) as pool:
-        return list(pool.map(fn, items))
 
 
 # -- input loading ------------------------------------------------------------
@@ -266,7 +243,7 @@ def cmd_report(args) -> int:
     if not where.is_dir():
         raise ConfigError(f"not a directory: {where}")
     files = sorted(where.glob("*.json"))
-    rows = parallel_map(_report_row, files)
+    rows = [_report_row(f) for f in files]
     widths = {f: max([len(f)] + [len(str(r[f])) for r in rows])
               for f in _ROW_FIELDS}
     header = "  ".join(f.ljust(widths[f]) for f in _ROW_FIELDS)

@@ -15,7 +15,6 @@ vertex set counts as open.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
@@ -24,6 +23,23 @@ from .errors import PreconditionError
 from .graphs import INF, FiniteGraph, MetricView, VertexMap
 
 Member = frozenset
+
+
+def _set_diameter(graph: FiniteGraph, vertices: Iterable[str]) -> int | float:
+    """Largest ambient distance between two vertices of the set.
+
+    The search from each vertex stops once the vertices after it are settled.
+    """
+    order = sorted(vertices)
+    worst = 0
+    for i in range(len(order) - 1):
+        later = order[i + 1:]
+        dv = graph.distances_to_set((order[i],), until=later)
+        for u in later:
+            d = dv.get(u, INF)
+            if d > worst:
+                worst = d
+    return worst
 
 
 class Family:
@@ -49,15 +65,8 @@ class Family:
         return iter(self.members)
 
     def max_diameter(self) -> int | float:
-        best = 0
-        for m in self.members:
-            for x in m:
-                dist = self.space.graph.distances_from(x)
-                for y in m:
-                    d = dist.get(y, INF)
-                    if d > best:
-                        best = d
-        return best
+        g = self.space.graph
+        return max((_set_diameter(g, m) for m in self.members), default=0)
 
     def is_uniformly_bounded(self, bound: int) -> bool:
         return self.max_diameter() <= bound
@@ -66,9 +75,11 @@ class Family:
         if r <= 0:
             raise PreconditionError("need r > 0")
         g = self.space.graph
-        for a, b in itertools.combinations(self.members, 2):
-            if g.set_distance(a, b) < r:
-                return False
+        for i, a in enumerate(self.members[:-1]):
+            dist = g.distances_to_set(a, limit=r - 1)
+            for b in self.members[i + 1:]:
+                if any(dist.get(v, INF) < r for v in b):
+                    return False
         return True
 
     def to_json_dict(self) -> dict:
@@ -247,7 +258,7 @@ def _cluster(points: Iterable[str], graph: FiniteGraph, r: int) -> list[frozense
     todo = sorted(points)
     clusters: list[set[str]] = []
     for v in todo:
-        dist_v = graph.distances_from(v)
+        dist_v = graph.distances_to_set((v,), limit=r - 1)
         hits = [c for c in clusters if any(dist_v.get(u, INF) < r for u in c)]
         if not hits:
             clusters.append({v})
@@ -375,14 +386,17 @@ class GreedyResult:
 def _block_partition(space: MetricView, r: int):
     """Greedy r-net over sorted ids, then nearest-net cells (ties: earlier net point)."""
     g = space.graph
+    near = {v: g.distances_to_set((v,), limit=r - 1) for v in space.points}
     net: list[str] = []
     for v in space.points:
-        dv = g.distances_from(v)
+        dv = near[v]
         if all(dv.get(u, INF) >= r for u in net):
             net.append(v)
+    # every point lies within r-1 of an earlier net point, so its nearest
+    # net points (and all ties) are inside the bounded search
     blocks: list[set[str]] = [set() for _ in net]
     for v in space.points:
-        dv = g.distances_from(v)
+        dv = near[v]
         best = None
         for i, u in enumerate(net):
             d = dv.get(u, INF)
@@ -390,18 +404,6 @@ def _block_partition(space: MetricView, r: int):
                 best = (d, i)
         blocks[best[1]].add(v)
     return net, [frozenset(b) for b in blocks]
-
-
-def _set_diameter(g, vertices) -> int:
-    """Largest ambient distance between two vertices of the set."""
-    worst = 0
-    for v in vertices:
-        dv = g.distances_from(v)
-        for u in vertices:
-            d = dv.get(u, INF)
-            if d > worst:
-                worst = d
-    return worst
 
 
 def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
@@ -430,7 +432,7 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
         raise PreconditionError("empty space")
     g = space.graph
     net, blocks = _block_partition(space, r)
-    root_dist = g.distances_from(net[0])
+    root_dist = g.distances_to_set((net[0],), until=net)
     # working cells carry their anchor net index; a merge keeps the
     # surviving cell's anchor so the coloring order stays stable
     cells: list[tuple[int, Member]] = list(enumerate(blocks))
@@ -438,10 +440,11 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
         order = sorted(
             range(len(cells)),
             key=lambda i: (root_dist.get(net[cells[i][0]], INF), cells[i][0]))
-        # pairwise cell distances via one multi-source sweep per cell
+        # cell separations below r via one bounded sweep per cell; only
+        # sep < r is ever read
         sep = {}
         for i, (_, b) in enumerate(cells):
-            dist = g.distances_to_set(b)
+            dist = g.distances_to_set(b, limit=r - 1)
             for j, (_, b2) in enumerate(cells):
                 if j != i:
                     sep[i, j] = min((dist.get(v, INF) for v in b2), default=INF)
@@ -496,7 +499,7 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
         raise PreconditionError("empty space")
     g = space.graph
     root = space.points[0]
-    level = g.distances_from(root)
+    level = g.distances_to_set((root,), until=space.points)
     buckets: list[set[str]] = [set() for _ in range(n + 1)]
     for v in space.points:
         lv = level.get(v)

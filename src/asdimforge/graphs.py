@@ -31,9 +31,10 @@ class FiniteGraph:
     """Immutable simple undirected graph.
 
     ``annotations`` carries optional per-vertex metadata (copy tags and
-    the like); it never affects the metric.  BFS results are cached per
-    source, which is safe to share across threads because entries are
-    only ever added whole.
+    the like); it never affects the metric.  Only whole-graph
+    single-source results, from ``distances_from``, are cached; bounded
+    and early-stopped searches are not, but a single-source one hands
+    back the cached whole-graph result when there is one.
     """
 
     __slots__ = ("vertices", "vertex_set", "edges", "adjacency",
@@ -96,37 +97,56 @@ class FiniteGraph:
         if source not in self.vertex_set:
             raise GraphFormatError(f"unknown vertex {source!r}")
         hit = self._bfs_cache.get(source)
-        if hit is not None:
-            return hit
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            v = queue.popleft()
-            dv = dist[v]
-            for w in self.adjacency[v]:
-                if w not in dist:
-                    dist[w] = dv + 1
-                    queue.append(w)
-        self._bfs_cache[source] = dist
-        return dist
+        if hit is None:
+            hit = self._bfs_cache[source] = self.distances_to_set((source,))
+        return hit
 
     def distance(self, x: str, y: str) -> int | float:
         if y not in self.vertex_set:
             raise GraphFormatError(f"unknown vertex {y!r}")
         return self.distances_from(x).get(y, INF)
 
-    def distances_to_set(self, targets: Iterable[str]) -> dict[str, int]:
-        """Multi-source BFS: hop count from each vertex to the set."""
-        seeds = sorted(self.require_members(targets))
+    def distances_to_set(self, targets: Iterable[str], limit: int | None = None,
+                         until: Iterable[str] | None = None) -> dict[str, int]:
+        """Multi-source BFS: hop count from each vertex to the set.
+
+        With ``limit`` the search settles only vertices within that many
+        hops; with ``until`` it ends once every vertex of that set is
+        settled.  Every distance returned is exact, but vertices out of
+        range may be present too: a single-source call returns the
+        cached whole-graph result when one exists.  So read
+        ``dist.get(v, INF)`` and compare the value; a present key does
+        not mean "within range".
+        """
+        members = frozenset(targets)
+        if len(members) == 1:
+            (source,) = members
+            hit = self._bfs_cache.get(source)
+            if hit is not None:
+                return hit
+        seeds = sorted(self.require_members(members))
         dist = {v: 0 for v in seeds}
+        pending = None
+        if until is not None:
+            pending = set(self.require_members(until)).difference(dist)
+            if not pending:
+                return dist
+        last = len(self.vertices) if limit is None else limit
+        adjacency = self.adjacency
         queue = deque(seeds)
         while queue:
             v = queue.popleft()
-            dv = dist[v]
-            for w in self.adjacency[v]:
+            dw = dist[v] + 1
+            if dw > last:
+                break
+            for w in adjacency[v]:
                 if w not in dist:
-                    dist[w] = dv + 1
+                    dist[w] = dw
                     queue.append(w)
+                    if pending is not None and w in pending:
+                        pending.discard(w)
+                        if not pending:
+                            return dist
         return dist
 
     def set_distance(self, a: Iterable[str], b: Iterable[str]) -> int | float:
@@ -148,7 +168,7 @@ class FiniteGraph:
         centers = self.require_members(centers)
         if not centers:
             return frozenset()
-        dist = self.distances_to_set(centers)
+        dist = self.distances_to_set(centers, limit=radius)
         return frozenset(v for v, d in dist.items() if d <= radius)
 
     def shell(self, centers: Iterable[str], radius: int) -> frozenset[str]:
@@ -158,7 +178,7 @@ class FiniteGraph:
         centers = self.require_members(centers)
         if not centers:
             return frozenset()
-        dist = self.distances_to_set(centers)
+        dist = self.distances_to_set(centers, limit=radius)
         return frozenset(v for v, d in dist.items() if d == radius)
 
     def diameter(self) -> int | float:

@@ -10,10 +10,12 @@ re-audit from the raw numbers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import deque
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .amalgam import ROOT, BuildResult, ConnectingTree, SumGraph, copy_vertex
+from .amalgam import (ROOT, BuildResult, ConnectingTree, SumGraph, copy_vertex,
+                      split_copy_vertex)
 from .covers import (Cover, band_witness, check_rd_dim, greedy_witness,
                      lebesgue_number, multiplicity)
 from .errors import PreconditionError
@@ -332,6 +334,13 @@ class SymmetryMap:
                 out.add(w)
         return frozenset(out), missing
 
+    def restricted(self, vertices: Iterable[str]) -> "SymmetryMap":
+        """The same map on ``vertices`` only, and on the nodes they lie over."""
+        vmap = {v: self.vertex_map[v] for v in vertices if v in self.vertex_map}
+        nodes = {split_copy_vertex(v)[0] for v in vmap}
+        return replace(self, vertex_map=vmap,
+                       node_map={u: w for u, w in self.node_map.items() if u in nodes})
+
 
 def _neighbor_by_label(tree: ConnectingTree, u: str, label: str) -> str | None:
     if tree.return_label(u) == label:
@@ -378,10 +387,10 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
             f"no factor symmetry carries the {rho!r} boundary set onto the {m_t!r} set")
     node_map: dict[str, str] = {ROOT: t}
     elem: dict[str, Mapping[str, str]] = {ROOT: g_root}
-    queue = [ROOT]
+    queue = deque([ROOT])
     dropped = 0
     while queue:
-        u = queue.pop(0)
+        u = queue.popleft()
         g_u = elem[u]
         u_img = node_map[u]
         side_u = tree.node_side[u]
@@ -538,10 +547,12 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
     empty = tuple(s for s in sites if not shells[s])
     pairs = []
     lowest = INF
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            d = H.set_distance(shells[live[i]], shells[live[j]])
-            pairs.append((live[i], live[j], d))
+    for i in range(len(live) - 1):
+        later = [shells[s] for s in live[i + 1:]]
+        dist = H.distances_to_set(shells[live[i]], until=frozenset().union(*later))
+        for s, shell in zip(live[i + 1:], later):
+            d = min(dist.get(v, INF) for v in shell)
+            pairs.append((live[i], s, d))
             lowest = min(lowest, d)
     return SeparationReport(tuple(pairs), lowest, empty)
 
@@ -663,16 +674,21 @@ def run_certificate(br: BuildResult, params: ProofParameters,
         "shell_fit": _fit_entry(base.shell_fit),
     }))
 
-    maps = [build_symmetry_map(br, t) for t in sites]
-    maps_ok = all(sm.edge_ok and sm.injective for sm in maps)
-    stages.append(Stage("symmetry_maps", maps_ok, {
-        "per_site": {sm.site: {"nodes": len(sm.node_map),
-                               "vertices": len(sm.vertex_map),
-                               "edge_ok": sm.edge_ok,
-                               "injective": sm.injective,
-                               "detail": sm.detail}
-                     for sm in maps},
-    }))
+    # later stages only look maps up on the working block and the shell,
+    # so each map is cut down to those as soon as its row is recorded
+    looked_up = base.w_r.vertices | base.shell
+    maps = []
+    per_site = {}
+    for t in sites:
+        sm = build_symmetry_map(br, t)
+        per_site[sm.site] = {"nodes": len(sm.node_map),
+                             "vertices": len(sm.vertex_map),
+                             "edge_ok": sm.edge_ok,
+                             "injective": sm.injective,
+                             "detail": sm.detail}
+        maps.append(sm.restricted(looked_up))
+    maps_ok = all(row["edge_ok"] and row["injective"] for row in per_site.values())
+    stages.append(Stage("symmetry_maps", maps_ok, {"per_site": per_site}))
 
     part = assemble_partition(br, params, base, maps)
     stages.append(Stage("partition", part.covers_safe and part.interiors_disjoint, {

@@ -41,6 +41,23 @@ def test_tree_node_counts():
     assert tree_size(2, 2, 40) == 81
 
 
+def test_deep_chain_builds_without_recursion():
+    br = build_doc(chain_spec_doc(1500))
+    assert len(br.sum.graph) == 6002
+    assert br.tree.node_depth(max(br.tree.nodes, key=len)) == 1500
+
+
+def test_tree_records_nodes_in_preorder():
+    t = build_connecting_tree(3, 2, 4)
+    walk, stack = [], [ROOT]
+    while stack:
+        u = stack.pop()
+        walk.append(u)
+        stack.extend(reversed(t.children[u]))
+    assert list(t.children) == walk
+    assert [u for u, _ in t.out_label][:4] == [ROOT, ROOT, ROOT, f"{ROOT}/0"]
+
+
 def test_tree_structure_and_metric():
     t = build_connecting_tree(2, 2, 6)
     ok, why = t.is_semiregular()

@@ -156,18 +156,3 @@ def test_report_corrupt_artifact(tmp_path, capsys):
     assert cli.main(["report", str(artifacts)]) == 2
     err = capsys.readouterr().err
     assert "broken.json" in err
-
-
-def test_thread_budget_parsing(monkeypatch):
-    monkeypatch.setenv("ASDIM_FORGE_THREADS", "4")
-    assert cli.thread_budget() == 4
-    monkeypatch.setenv("ASDIM_FORGE_THREADS", "banana")
-    assert cli.thread_budget() == 1
-    monkeypatch.delenv("ASDIM_FORGE_THREADS")
-    assert cli.thread_budget() == 1
-
-
-def test_parallel_map_preserves_order(monkeypatch):
-    monkeypatch.setenv("ASDIM_FORGE_THREADS", "3")
-    values = list(range(20))
-    assert cli.parallel_map(lambda x: x * x, values) == [v * v for v in values]

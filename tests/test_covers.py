@@ -6,7 +6,8 @@ import random
 import pytest
 
 import asdimforge as af
-from asdimforge.covers import band_witness, exact_min_bound, exact_min_families
+from asdimforge.covers import (_block_partition, band_witness, exact_min_bound,
+                               exact_min_families)
 from asdimforge.errors import PreconditionError
 
 from conftest import complete_graph, line_graph, ring_graph
@@ -287,3 +288,37 @@ def test_transport_requires_matching_space():
     w = af.greedy_witness(view(other), 8, 1).witness
     with pytest.raises(PreconditionError):
         af.transport_witness(w, vm, 2, 1)
+
+
+# -- bounded searches and the whole-graph cache -------------------------------------
+
+
+def _greedy_outcome(res):
+    return (res.ok, res.net, res.blocks, res.colors_needed,
+            None if res.witness is None else (res.witness.families, res.witness.bound))
+
+
+def test_bounded_searches_ignore_a_prefilled_cache(chain40, triangle8):
+    rng = random.Random(5)
+    graphs = [chain40.sum.graph, triangle8.sum.graph]
+    for _ in range(30):
+        n_v = rng.randint(4, 16)
+        names = [f"x{i:02d}" for i in range(n_v)]
+        edges = [(names[i], names[rng.randrange(i)]) for i in range(1, n_v)]
+        edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, n_v))]
+        graphs.append(af.FiniteGraph(names, edges))
+    for g in graphs:
+        fresh = af.FiniteGraph(g.vertices, g.edges)
+        warm = af.FiniteGraph(g.vertices, g.edges)
+        for v in warm.vertices:
+            warm.distances_from(v)
+        points = sorted(rng.sample(g.vertices, min(len(g), 40)))
+        members = [frozenset(points[i:i + 3]) for i in range(0, len(points), 5)]
+        for r in (2, 3, 5):
+            assert af.Family(view(fresh), members).is_r_disjoint(r) == \
+                af.Family(view(warm), members).is_r_disjoint(r)
+            assert _block_partition(af.MetricView(fresh, points), r) == \
+                _block_partition(af.MetricView(warm, points), r)
+            for n in (0, 1):
+                assert _greedy_outcome(af.greedy_witness(af.MetricView(fresh, points), r, n)) == \
+                    _greedy_outcome(af.greedy_witness(af.MetricView(warm, points), r, n))

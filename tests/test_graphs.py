@@ -1,5 +1,6 @@
 """Metric core: graphs, views, maps, and distortion tables."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,53 @@ def test_ball_shell_boundary_interior_on_a_path():
     assert g.interior(middle) == {"p2"}
     assert g.boundary(middle) | g.interior(middle) == middle
     assert g.boundary(middle) & g.interior(middle) == set()
+
+
+def random_graph(rng: random.Random) -> af.FiniteGraph:
+    """Sparse random graph on 2-30 vertices; it may be disconnected."""
+    names = [f"v{i:02d}" for i in range(rng.randint(2, 30))]
+    edges = {tuple(sorted(rng.sample(names, 2)))
+             for _ in range(rng.randint(0, 2 * len(names)))}
+    return af.FiniteGraph(names, edges)
+
+
+def test_bounded_bfs_is_the_full_bfs_cut_at_the_limit():
+    rng = random.Random(11)
+    for _ in range(60):
+        g = random_graph(rng)
+        seeds = rng.sample(g.vertices, rng.randint(1, 3))
+        full = g.distances_to_set(seeds)
+        for k in range(6):
+            bounded = g.distances_to_set(seeds, limit=k)
+            assert bounded == {v: d for v, d in full.items() if d <= k}
+        assert g.ball(seeds, 2) == {v for v, d in full.items() if d <= 2}
+        assert g.shell(seeds, 2) == {v for v, d in full.items() if d == 2}
+
+
+def test_early_stopped_bfs_is_exact_on_the_listed_vertices():
+    rng = random.Random(12)
+    for _ in range(60):
+        g = random_graph(rng)
+        seeds = rng.sample(g.vertices, rng.randint(1, 3))
+        until = rng.sample(g.vertices, rng.randint(1, min(5, len(g))))
+        full = g.distances_to_set(seeds)
+        partial = g.distances_to_set(seeds, until=until)
+        assert {v: partial.get(v, af.INF) for v in until} == \
+            {v: full.get(v, af.INF) for v in until}
+        assert all(full[v] == d for v, d in partial.items())
+
+
+def test_single_source_searches_reuse_the_whole_graph_cache():
+    g = line_graph(8)
+    assert g.distances_to_set(["p0"], limit=2) == {"p0": 0, "p1": 1, "p2": 2}
+    whole = g.distances_from("p0")
+    # once cached, a bounded search hands back the whole-graph result:
+    # callers compare values, never key presence
+    assert g.distances_to_set(["p0"], limit=2) is whole
+    assert g.distances_to_set(["p0"], until=["p1"]) is whole
+    assert g.ball(["p0"], 2) == {"p0", "p1", "p2"}
+    assert g.distances_to_set(["p0", "p7"], limit=1) == \
+        {"p0": 0, "p7": 0, "p1": 1, "p6": 1}
 
 
 def test_diameter_and_components():

@@ -209,6 +209,21 @@ def test_separation_on_chain(chain40):
     assert sep.all_at_least(6)
 
 
+@pytest.mark.parametrize("fixture, R, r", [("chain40", 2, 10), ("triangle8", 0, 4)])
+def test_separation_equals_pairwise_set_distance(request, fixture, R, r):
+    br = request.getfixturevalue(fixture)
+    params = ProofParameters(R=R, r=r, depth=br.tree.depth)
+    base = base_blocks(br, params)
+    maps = [build_symmetry_map(br, t) for t in translation_sites(br.tree, params)]
+    shells = assemble_partition(br, params, base, maps).shells
+    H = br.sum.graph
+    live = sorted(s for s in shells if shells[s])
+    pairwise = [(a, b, H.set_distance(shells[a], shells[b]))
+                for i, a in enumerate(live) for b in live[i + 1:]]
+    assert len(pairwise) > 10
+    assert list(verify_separation(H, shells).pairs) == pairwise
+
+
 # -- certificates ------------------------------------------------------------------
 
 
