@@ -16,9 +16,9 @@ from .covers import (Cover, Family, WitnessFamilies, band_witness,
                      witnesses_to_cover)
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
-                     VertexMap, VertexSubset, check_coarse_equivalence,
-                     check_quasi_isometry, fit_qi_constants, load_graph,
-                     nearest_point_map, relabel_sorted)
+                     VertexMap, check_coarse_equivalence, check_quasi_isometry,
+                     fit_qi_constants, load_graph, nearest_point_map,
+                     relabel_sorted)
 from .groups import GroupAction, compute_automorphisms, vertex_orbits
 from .theorem import (BaseBlocks, Block, LemmaStrip, ProofParameters, Stage,
                       SymmetryMap, TheoremCertificate, assemble_partition,

@@ -31,6 +31,8 @@ class AdhesionFamily:
     """Labeled boundary sets of one factor graph."""
 
     def __init__(self, graph: FiniteGraph, sets: Mapping[str, Iterable[str]]):
+        if not isinstance(sets, Mapping):
+            raise ConfigError("an adhesion family must map labels to vertex lists")
         self.graph = graph
         self.labels = tuple(sorted(sets))
         if not self.labels:
@@ -39,6 +41,8 @@ class AdhesionFamily:
         for k in self.labels:
             if "/" in k or ":" in k:
                 raise ConfigError(f"adhesion label {k!r} may not contain '/' or ':'")
+            if not isinstance(sets[k], (list, tuple)):
+                raise ConfigError(f"adhesion set {k!r} must be a list of vertices")
             members = graph.require_members(sets[k])
             if not members:
                 raise ConfigError(f"adhesion set {k!r} is empty")
@@ -883,10 +887,15 @@ class AmalgamationSpec:
         action1, action2 = _parse_actions(doc.get("actions"), g1, g2, same_factor)
         declared = doc.get("asdim")
         if declared is not None:
+            if not isinstance(declared, Mapping):
+                raise ConfigError("asdim must be an object")
             allowed = {"factor1", "factor2", "adhesion"}
             if not set(declared) <= allowed:
                 raise ConfigError(f"asdim declarations limited to {sorted(allowed)}")
-            declared = {k: int(v) for k, v in declared.items()}
+            for k, v in declared.items():
+                if not isinstance(v, int) or isinstance(v, bool):
+                    raise ConfigError(f"asdim {k!r} must be an integer, not {v!r}")
+            declared = dict(declared)
         return cls(name, g1, g2, adh1, adh2, atlas, depth, type2_J,
                    action1, action2, declared)
 

@@ -11,15 +11,17 @@ from __future__ import annotations
 import argparse
 import random
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .amalgam import AmalgamationSpec, BuildResult, build
 from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
-from .graphs import FiniteGraph, INF, MetricView, load_graph, relabel_sorted
+from .graphs import (FiniteGraph, INF, MetricView, _pair_bounds, fit_qi_constants,
+                     load_graph, relabel_sorted)
 from .groups import compute_automorphisms, vertex_orbits
 from .jsonio import dumps, read_json, write_json
-from .theorem import ProofParameters, projection_fit, run_certificate, theorem_bound
+from .theorem import ProofParameters, projection_map, run_certificate, theorem_bound
 
 FIT_SIZE_CAP = 500
 SAMPLED_PAIRS = 2000
@@ -53,53 +55,57 @@ def _emit(doc, out: str | None, quiet: bool = False):
 # -- shared measurements -------------------------------------------------------
 
 
-def projection_report(br: BuildResult, seed: int, exhaustive: bool) -> dict:
+def _projection_failures(br: BuildResult, pairs):
+    """Yield the pairs whose tree distance exceeds their sum-graph distance."""
+    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
+    for x, y in pairs:
+        if tree.distance(node_of(x), node_of(y)) > H.distances_from(x).get(y, INF):
+            yield [x, y]
+
+
+def projection_report(br: BuildResult, seed: int, buckets: tuple | None = None) -> dict:
     """Check the copy-to-node projection never increases distances.
 
-    Every pair is checked on small builds; large ones get a seeded
-    sample unless exhaustive checking is forced.
+    Given ``buckets``, the distance-pair histogram of
+    ``projection_map(br)``, every pair is covered: the check passes iff
+    no bucket has its tree distance above its sum-graph distance.  Only
+    when one does are the pairs walked again, each vertex against the
+    later ids, for the first ten failures.  Without ``buckets`` a seeded
+    sample of pairs is checked.
     """
-    H = br.sum.graph
-    tree = br.tree
-    verts = list(H.vertices)
-    full = exhaustive or len(verts) <= FIT_SIZE_CAP
-    failures = []
-    checked = 0
-    if full:
-        for x in verts:
-            dist = H.distances_from(x)
-            nx = br.sum.node_of(x)
-            for y in verts:
-                if y <= x:
-                    continue
-                checked += 1
-                if tree.distance(nx, br.sum.node_of(y)) > dist.get(y, INF):
-                    failures.append([x, y])
-    else:
-        rng = random.Random(seed)
-        sources = rng.sample(verts, min(len(verts), SAMPLED_PAIRS // 10))
-        for x in sources:
-            dist = H.distances_from(x)
-            nx = br.sum.node_of(x)
-            for y in rng.sample(verts, 10):
-                if y == x:
-                    continue
-                checked += 1
-                if tree.distance(nx, br.sum.node_of(y)) > dist.get(y, INF):
-                    failures.append([x, y])
-    return {"mode": "exhaustive" if full else "sampled",
-            "pairs": checked,
-            "seed": None if full else seed,
-            "ok": not failures,
-            "failures": failures[:10]}
+    verts = br.sum.graph.vertices
+    if buckets is not None:
+        failures = []
+        if any(dt > ds for ds, dt in buckets):
+            pairs = ((x, y) for x in verts for y in verts if y > x)
+            failures = list(islice(_projection_failures(br, pairs), 10))
+        n = len(verts)
+        return {"mode": "exhaustive", "pairs": n * (n - 1) // 2, "seed": None,
+                "ok": not failures, "failures": failures}
+    rng = random.Random(seed)
+    sources = rng.sample(verts, min(len(verts), SAMPLED_PAIRS // 10))
+    pairs = [(x, y) for x in sources for y in rng.sample(verts, 10) if y != x]
+    failures = list(_projection_failures(br, pairs))
+    return {"mode": "sampled", "pairs": len(pairs), "seed": seed,
+            "ok": not failures, "failures": failures[:10]}
 
 
 def build_report(br: BuildResult, seed: int, exhaustive: bool) -> dict:
+    """The build's own report plus the projection check and distortion fit.
+
+    Builds of at most ``FIT_SIZE_CAP`` sum vertices, and any build when
+    ``exhaustive`` is set, get the check over every pair and the fit,
+    both read off one distance-pair histogram.  Larger builds get a
+    sampled check and no fit.
+    """
     report = br.report_dict()
-    report["projection"] = projection_report(br, seed, exhaustive)
-    if len(br.sum.graph) <= FIT_SIZE_CAP:
-        report["projection_fit"] = projection_fit(br).to_json_dict()
+    if exhaustive or len(br.sum.graph) <= FIT_SIZE_CAP:
+        vm = projection_map(br)
+        buckets = _pair_bounds(vm)
+        report["projection"] = projection_report(br, seed, buckets)
+        report["projection_fit"] = fit_qi_constants(vm, buckets=buckets).to_json_dict()
     else:
+        report["projection"] = projection_report(br, seed)
         report["projection_fit"] = None
     return report
 

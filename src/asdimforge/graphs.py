@@ -1,4 +1,4 @@
-"""Finite graphs with shortest-path metrics, vertex subsets, and map-distortion checks.
+"""Finite graphs with shortest-path metrics and map-distortion checks.
 
 Vertices are strings throughout.  Every derived iteration runs in sorted
 id order so repeated runs produce byte-identical output.  Distances are
@@ -13,6 +13,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable, Mapping
 
 from .errors import GraphFormatError, PreconditionError
@@ -226,9 +227,6 @@ class FiniteGraph:
     def is_connected(self) -> bool:
         return len(self.components()) <= 1
 
-    def degree_sequence(self) -> tuple[int, ...]:
-        return tuple(sorted(len(self.adjacency[v]) for v in self.vertices))
-
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -237,15 +235,6 @@ class FiniteGraph:
         if self.annotations:
             doc["annotations"] = {v: self.annotations[v] for v in sorted(self.annotations)}
         return doc
-
-    def to_dot(self, name: str = "G") -> str:
-        lines = [f"graph {name} {{"]
-        for v in self.vertices:
-            lines.append(f'  "{v}";')
-        for x, y in self.edges:
-            lines.append(f'  "{x}" -- "{y}";')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
 
 
 def relabel_sorted(graph: FiniteGraph, prefix: str = "v") -> tuple[FiniteGraph, dict[str, str]]:
@@ -260,38 +249,6 @@ def relabel_sorted(graph: FiniteGraph, prefix: str = "v") -> tuple[FiniteGraph, 
     renamed = FiniteGraph([names[v] for v in sorted(graph.vertices)],
                           [(names[x], names[y]) for x, y in graph.edges])
     return renamed, names
-
-
-@dataclass(frozen=True)
-class VertexSubset:
-    """A set of vertices remembering which graph it lives in."""
-
-    graph: FiniteGraph
-    members: frozenset[str]
-
-    def __post_init__(self):
-        object.__setattr__(self, "members", self.graph.require_members(self.members))
-
-    def __iter__(self):
-        return iter(sorted(self.members))
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __contains__(self, v: str) -> bool:
-        return v in self.members
-
-    def ball(self, radius: int) -> "VertexSubset":
-        return VertexSubset(self.graph, self.graph.ball(self.members, radius))
-
-    def boundary(self) -> "VertexSubset":
-        return VertexSubset(self.graph, self.graph.boundary(self.members))
-
-    def interior(self) -> "VertexSubset":
-        return VertexSubset(self.graph, self.graph.interior(self.members))
-
-    def induced(self) -> FiniteGraph:
-        return self.graph.induced(self.members)
 
 
 def load_graph(doc: dict | str) -> FiniteGraph:
@@ -461,21 +418,28 @@ def nearest_point_map(source: MetricView, target: MetricView) -> VertexMap:
     return VertexMap(source, target, nearest)
 
 
-def _pair_bounds(vm: VertexMap):
-    """Yield (d_source, d_target) over unordered point pairs."""
+def _pair_bounds(vm: VertexMap) -> tuple[tuple[int | float, int | float], ...]:
+    """Distinct (d_source, d_target) values over unordered point pairs.
+
+    Distances are hop counts or INF, so the pairs fall into few
+    buckets.  Pairs are met as (x, y) with y after x in point order, and
+    buckets come in the order of their first pair: a check that stops
+    at its first failing bucket stops where a pair-by-pair walk would.
+    """
     pts = vm.source.points
+    images = [vm.mapping[p] for p in pts]
+    buckets: dict[tuple[int | float, int | float], None] = {}
     tdist_cache: dict[str, dict[str, int]] = {}
     for i, x in enumerate(pts):
         sx = vm.source.graph.distances_from(x)
-        fx = vm.mapping[x]
+        fx = images[i]
         tx = tdist_cache.get(fx)
         if tx is None:
-            tx = vm.target.graph.distances_from(fx)
-            tdist_cache[fx] = tx
-        for y in pts[i + 1:]:
-            ds = sx.get(y, INF)
-            dt = tx.get(vm.mapping[y], INF)
-            yield ds, dt
+            tx = tdist_cache[fx] = vm.target.graph.distances_from(fx)
+        pairs = zip(map(sx.get, pts[i + 1:], repeat(INF)),
+                    map(tx.get, images[i + 1:], repeat(INF)))
+        buckets.update(dict.fromkeys(pairs))
+    return tuple(buckets)
 
 
 def check_quasi_isometry(vm: VertexMap, gamma: Fraction | int, c: Fraction | int) -> bool:
@@ -542,17 +506,22 @@ class QiFit:
         }
 
 
-def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID) -> QiFit:
+def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
+                     buckets: tuple | None = None) -> QiFit:
     """Fit distortion constants for ``vm`` over a fixed stretch grid.
 
     For each stretch the binding constraints are linear in the additive
     constant, so the least constant is a max over pairs; selection picks
     the smallest constant over the grid (then the smallest stretch), and
     infeasible fits (constant beyond both diameters) are dropped.
+    ``buckets`` is ``vm``'s distance-pair histogram when the caller
+    already holds it.
     """
     grid = tuple(Fraction(g) for g in grid)
+    if buckets is None:
+        buckets = _pair_bounds(vm)
     worst: list[Fraction | None] = [Fraction(0) for _ in grid]
-    for ds, dt in _pair_bounds(vm):
+    for ds, dt in buckets:
         if ds is INF and dt is INF:
             continue
         for i, g in enumerate(grid):
@@ -564,7 +533,8 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID) -> 
             need = max(Fraction(ds) / g - dt, Fraction(dt) - g * Fraction(ds))
             if need > worst[i]:
                 worst[i] = need
-    cap = max(vm.source.diameter(), vm.target.diameter())
+    # the source diameter is the largest source distance over the pairs
+    cap = max(max((ds for ds, _ in buckets), default=0), vm.target.diameter())
     table = tuple(zip(grid, worst))
     best = None
     for g, c in table:

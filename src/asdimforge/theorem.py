@@ -835,8 +835,8 @@ def tree_graph(tree: ConnectingTree) -> FiniteGraph:
     return FiniteGraph(list(tree.nodes), list(tree.edges()))
 
 
-def projection_fit(br: BuildResult, margin: int = 0) -> QiFit:
-    """Distortion table of the copy-to-node projection, on the safe core.
+def projection_map(br: BuildResult, margin: int = 0) -> VertexMap:
+    """The copy-to-node projection, restricted to the safe core.
 
     Vertices over nodes deeper than depth minus margin are excluded so
     every measured distance agrees with the untruncated picture.
@@ -850,5 +850,9 @@ def projection_fit(br: BuildResult, margin: int = 0) -> QiFit:
     target = MetricView(tree_graph(tree), list(tree.nodes))
     points = sorted(br.sum.vertices_over(keep))
     source = MetricView(br.sum.graph, points)
-    vm = VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
-    return fit_qi_constants(vm)
+    return VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
+
+
+def projection_fit(br: BuildResult, margin: int = 0) -> QiFit:
+    """Distortion table of the copy-to-node projection, on the safe core."""
+    return fit_qi_constants(projection_map(br, margin))

@@ -185,6 +185,17 @@ def test_adhesion_family_validation():
         AdhesionFamily(g, {"0": ["nope"]})
 
 
+def test_adhesion_family_rejects_non_list_sets():
+    g = af.FiniteGraph(["x", "y", "xy"], [("x", "y"), ("y", "xy")])
+    with pytest.raises(ConfigError):
+        AdhesionFamily(g, {"0": "xy"})  # not read as {"x", "y"}
+    with pytest.raises(ConfigError):
+        AdhesionFamily(g, {"0": 3})
+    with pytest.raises(ConfigError):
+        AdhesionFamily(g, [["x"]])
+    assert AdhesionFamily(g, {"0": ["xy"]})["0"] == frozenset({"xy"})
+
+
 # -- sum graph and contraction ----------------------------------------------------
 
 

@@ -1,13 +1,20 @@
 """Command-line surface, exercised in process through cli.main."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import asdimforge
 from asdimforge import cli, jsonio
 from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
                                  triangle_spec_doc)
+from asdimforge.graphs import INF
+from asdimforge.theorem import projection_fit
 
 from conftest import build_doc
 
@@ -29,6 +36,79 @@ def test_build_command(tmp_path, capsys):
     assert doc["projection"]["ok"]
     assert doc["projection"]["mode"] == "exhaustive"
     assert doc["projection_fit"] is not None
+
+
+def _per_pair_failures(br) -> list:
+    """Every failing pair of the projection check, in vertex order."""
+    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
+    failures = []
+    for x in H.vertices:
+        dist = H.distances_from(x)
+        for y in H.vertices:
+            if y > x and tree.distance(node_of(x), node_of(y)) > dist.get(y, INF):
+                failures.append([x, y])
+    return failures
+
+
+def test_build_report_failures_match_per_pair_walk(monkeypatch):
+    br = build_doc(chain_spec_doc(8))
+    near, far = br.tree.nodes[1], br.tree.nodes[-1]
+    swap = {near: far, far: near}
+    node_of = br.sum.node_of
+    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    expected = _per_pair_failures(br)
+    assert len(expected) > 10
+    report = cli.build_report(br, 0, False)
+    n = len(br.sum.graph)
+    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+                                    "seed": None, "ok": False,
+                                    "failures": expected[:10]}
+    assert report["projection_fit"] == projection_fit(br).to_json_dict()
+
+
+def test_build_exhaustive_above_the_cap(tmp_path):
+    depth = (cli.FIT_SIZE_CAP + 2) // 4  # chain_k2 has 4 * depth + 2 sum vertices
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(depth))
+    sampled, full = tmp_path / "sampled.json", tmp_path / "full.json"
+    assert cli.main(["build", "--spec", spec, "--out", str(sampled)]) == 0
+    assert cli.main(["build", "--spec", spec, "--exhaustive", "--out", str(full)]) == 0
+    sampled, full = json.loads(sampled.read_text()), json.loads(full.read_text())
+    n = full["sum_vertices"]
+    assert n > cli.FIT_SIZE_CAP
+    assert sampled["projection"]["mode"] == "sampled"
+    assert sampled["projection_fit"] is None
+    assert full["projection"]["mode"] == "exhaustive"
+    assert full["projection"]["pairs"] == n * (n - 1) // 2
+    assert full["projection"]["ok"]
+    expected = projection_fit(build_doc(chain_spec_doc(depth))).to_json_dict()
+    assert full["projection_fit"] == expected
+
+
+def _bad_asdim(doc):
+    doc["asdim"] = {"factor1": "one"}
+
+
+def _bool_asdim(doc):
+    doc["asdim"] = {"factor1": True}
+
+
+def _string_adhesion(doc):
+    doc["adhesions"][0] = {"0": "ab", "1": ["b"]}
+
+
+@pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion])
+def test_build_rejects_mistyped_fields(tmp_path, corrupt):
+    doc = chain_spec_doc(8)
+    corrupt(doc)
+    spec = write_doc(tmp_path, "bad.json", doc)
+    assert cli.main(["build", "--spec", spec]) == 2
+    src = str(Path(asdimforge.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    run = subprocess.run([sys.executable, "-m", "asdimforge.cli", "build", "--spec", spec],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert run.returncode == 2
+    assert "Traceback" not in run.stderr
+    assert run.stderr.startswith("error: ")
 
 
 def test_build_depth_override(tmp_path, capsys):
