@@ -10,16 +10,15 @@ from .amalgam import (AdhesionFamily, AmalgamGraph, AmalgamationSpec,
                       validate_bonding_atlas)
 from .covers import (Cover, Family, WitnessFamilies, band_witness,
                      check_rd_dim, check_uniform_asdim, exact_min_bound,
-                     exact_min_families, greedy_witness, is_r_disjoint,
-                     lebesgue_number, max_diameter, multiplicity, refines,
-                     refinement_witness, restrict_witness, transport_witness,
-                     witnesses_to_cover)
+                     exact_min_families, greedy_witness, lebesgue_number,
+                     multiplicity, refines, restrict_witness,
+                     transport_witness, witnesses_to_cover)
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
                      VertexMap, check_coarse_equivalence, check_quasi_isometry,
                      fit_qi_constants, load_graph, nearest_point_map,
                      relabel_sorted)
-from .groups import GroupAction, compute_automorphisms, vertex_orbits
+from .groups import GroupAction, compute_automorphisms
 from .theorem import (BaseBlocks, Block, LemmaStrip, ProofParameters, Stage,
                       SymmetryMap, TheoremCertificate, assemble_partition,
                       base_blocks, build_symmetry_map, lemma_strip,

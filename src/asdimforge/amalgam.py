@@ -101,11 +101,6 @@ class ConnectingTree:
     def p2(self) -> int:
         return len(self.labels2)
 
-    @property
-    def second_root(self) -> str | None:
-        kids = self.children.get(ROOT, ())
-        return kids[0] if kids else None
-
     def node_depth(self, u: str) -> int:
         return u.count("/")
 
@@ -502,27 +497,14 @@ class AmalgamGraph:
         except KeyError:
             raise PreconditionError(f"unknown sum-graph vertex {vid!r}") from None
 
-    def project_set(self, vids: Iterable[str]) -> frozenset[str]:
-        return frozenset(self.project(v) for v in vids)
-
     def fiber(self, amid: str) -> frozenset[str]:
         try:
             return self.fibers[amid]
         except KeyError:
             raise PreconditionError(f"unknown glued vertex {amid!r}") from None
 
-    def preimage(self, amids: Iterable[str]) -> frozenset[str]:
-        out: set[str] = set()
-        for a in amids:
-            out |= self.fiber(a)
-        return frozenset(out)
-
     def identification_nodes(self, amid: str) -> frozenset[str]:
         return frozenset(self.sum.node_of(v) for v in self.fiber(amid))
-
-    def tree_projection(self, amid: str) -> str:
-        """Least tree node carrying the fiber (the canonical tree tag)."""
-        return min(self.identification_nodes(amid))
 
 
 def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
@@ -806,10 +788,14 @@ def classify_type(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
 # -- the assembled input document ---------------------------------------------
 
 
-def _parse_actions(doc, g1: FiniteGraph, g2: FiniteGraph,
+def _require_int(value, what: str) -> int:
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{what} must be an integer, not {value!r}")
+    return value
+
+
+def _parse_actions(doc: Mapping, g1: FiniteGraph, g2: FiniteGraph,
                    same_factor: bool) -> tuple[GroupAction, GroupAction]:
-    if doc is None:
-        doc = {"mode": "full"}
     mode = doc.get("mode", "generators")
     if mode == "full":
         a1 = compute_automorphisms(g1)
@@ -856,6 +842,8 @@ class AmalgamationSpec:
             tree_doc = doc["tree"]
         except KeyError as exc:
             raise ConfigError(f"amalgamation document missing {exc.args[0]!r}") from exc
+        if not isinstance(tree_doc, Mapping):
+            raise ConfigError("tree must be an object")
         type2_raw = tree_doc.get("type2_J")
         if not isinstance(factor_docs, Sequence) or not 1 <= len(factor_docs) <= 2:
             raise ConfigError("factors must list one or two graph documents")
@@ -868,12 +856,8 @@ class AmalgamationSpec:
             raise ConfigError("adhesions must match the factors list")
         adh1 = AdhesionFamily(g1, adhesion_docs[0])
         adh2 = adh1 if same_factor else AdhesionFamily(g2, adhesion_docs[1])
-        try:
-            p1 = int(tree_doc["p1"])
-            p2 = int(tree_doc["p2"])
-            depth = int(tree_doc["depth"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError(f"tree parameters malformed: {exc}") from exc
+        p1, p2, depth = (_require_int(tree_doc.get(k), f"tree.{k}")
+                         for k in ("p1", "p2", "depth"))
         if p1 != len(adh1) or p2 != len(adh2):
             raise ConfigError(
                 f"tree degrees ({p1},{p2}) must equal the adhesion counts "
@@ -882,9 +866,15 @@ class AmalgamationSpec:
         if type2_raw is not None:
             if not same_factor:
                 raise ConfigError("type2_J requires a single shared factor")
-            type2_J = frozenset(str(k) for k in type2_raw)
+            if not isinstance(type2_raw, list) or \
+                    not all(isinstance(k, str) for k in type2_raw):
+                raise ConfigError(f"tree.type2_J must be a list of labels, not {type2_raw!r}")
+            type2_J = frozenset(type2_raw)
         atlas = BondingAtlas.from_json_list(doc.get("atlas", []))
-        action1, action2 = _parse_actions(doc.get("actions"), g1, g2, same_factor)
+        actions = doc.get("actions", {"mode": "full"})
+        if not isinstance(actions, Mapping):
+            raise ConfigError("actions must be an object")
+        action1, action2 = _parse_actions(actions, g1, g2, same_factor)
         declared = doc.get("asdim")
         if declared is not None:
             if not isinstance(declared, Mapping):
@@ -893,8 +883,7 @@ class AmalgamationSpec:
             if not set(declared) <= allowed:
                 raise ConfigError(f"asdim declarations limited to {sorted(allowed)}")
             for k, v in declared.items():
-                if not isinstance(v, int) or isinstance(v, bool):
-                    raise ConfigError(f"asdim {k!r} must be an integer, not {v!r}")
+                _require_int(v, f"asdim {k!r}")
             declared = dict(declared)
         return cls(name, g1, g2, adh1, adh2, atlas, depth, type2_J,
                    action1, action2, declared)
@@ -908,9 +897,6 @@ class AmalgamationSpec:
         if not isinstance(doc, dict):
             raise ConfigError("amalgamation document must be a JSON object")
         return cls.from_json_dict(doc)
-
-    def labels_shared(self) -> bool:
-        return self.type2_J is not None
 
 
 @dataclass(frozen=True)

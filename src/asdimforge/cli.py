@@ -9,7 +9,6 @@ precondition was violated.  All artifacts are JSON written atomically.
 from __future__ import annotations
 
 import argparse
-import random
 import sys
 from itertools import islice
 from pathlib import Path
@@ -19,12 +18,9 @@ from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
 from .graphs import (FiniteGraph, INF, MetricView, _pair_bounds, fit_qi_constants,
                      load_graph, relabel_sorted)
-from .groups import compute_automorphisms, vertex_orbits
+from .groups import compute_automorphisms
 from .jsonio import dumps, read_json, write_json
 from .theorem import ProofParameters, projection_map, run_certificate, theorem_bound
-
-FIT_SIZE_CAP = 500
-SAMPLED_PAIRS = 2000
 
 
 # -- input loading ------------------------------------------------------------
@@ -45,68 +41,53 @@ def _spec_from_file(path: str) -> AmalgamationSpec:
     return AmalgamationSpec.from_json_str(_read_text(path))
 
 
-def _emit(doc, out: str | None, quiet: bool = False):
+def _emit(doc, out: str | None):
     if out:
         write_json(out, doc)
-    elif not quiet:
+    else:
         sys.stdout.write(dumps(doc))
 
 
 # -- shared measurements -------------------------------------------------------
 
 
-def _projection_failures(br: BuildResult, pairs):
-    """Yield the pairs whose tree distance exceeds their sum-graph distance."""
+def _projection_failures(br: BuildResult):
+    """Yield the pairs whose tree distance exceeds their sum-graph distance.
+
+    Each vertex is paired with the later ids; its search fills no cache.
+    """
     H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
-    for x, y in pairs:
-        if tree.distance(node_of(x), node_of(y)) > H.distances_from(x).get(y, INF):
-            yield [x, y]
+    for x in H.vertices:
+        dist = H.distances_to_set((x,))
+        for y in H.vertices:
+            if y > x and tree.distance(node_of(x), node_of(y)) > dist.get(y, INF):
+                yield [x, y]
 
 
-def projection_report(br: BuildResult, seed: int, buckets: tuple | None = None) -> dict:
+def projection_report(br: BuildResult, buckets: tuple) -> dict:
     """Check the copy-to-node projection never increases distances.
 
-    Given ``buckets``, the distance-pair histogram of
-    ``projection_map(br)``, every pair is covered: the check passes iff
-    no bucket has its tree distance above its sum-graph distance.  Only
-    when one does are the pairs walked again, each vertex against the
-    later ids, for the first ten failures.  Without ``buckets`` a seeded
-    sample of pairs is checked.
+    ``buckets`` is the distance-pair histogram of ``projection_map(br)``,
+    so every pair is covered: the check passes iff no bucket has its
+    tree distance above its sum-graph distance.  Only when one does are
+    the pairs walked again for the first ten failures.
     """
-    verts = br.sum.graph.vertices
-    if buckets is not None:
-        failures = []
-        if any(dt > ds for ds, dt in buckets):
-            pairs = ((x, y) for x in verts for y in verts if y > x)
-            failures = list(islice(_projection_failures(br, pairs), 10))
-        n = len(verts)
-        return {"mode": "exhaustive", "pairs": n * (n - 1) // 2, "seed": None,
-                "ok": not failures, "failures": failures}
-    rng = random.Random(seed)
-    sources = rng.sample(verts, min(len(verts), SAMPLED_PAIRS // 10))
-    pairs = [(x, y) for x in sources for y in rng.sample(verts, 10) if y != x]
-    failures = list(_projection_failures(br, pairs))
-    return {"mode": "sampled", "pairs": len(pairs), "seed": seed,
-            "ok": not failures, "failures": failures[:10]}
+    failures = []
+    if any(dt > ds for ds, dt in buckets):
+        failures = list(islice(_projection_failures(br), 10))
+    n = len(br.sum.graph)
+    return {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+            "ok": not failures, "failures": failures}
 
 
-def build_report(br: BuildResult, seed: int, exhaustive: bool) -> dict:
-    """The build's own report plus the projection check and distortion fit.
-
-    Builds of at most ``FIT_SIZE_CAP`` sum vertices, and any build when
-    ``exhaustive`` is set, get the check over every pair and the fit,
-    both read off one distance-pair histogram.  Larger builds get a
-    sampled check and no fit.
-    """
+def build_report(br: BuildResult) -> dict:
+    """The build's own report plus the projection check and distortion fit,
+    both read off one distance-pair histogram over every pair."""
     report = br.report_dict()
-    if exhaustive or len(br.sum.graph) <= FIT_SIZE_CAP:
-        vm = projection_map(br)
-        buckets = _pair_bounds(vm)
-        report["projection"] = projection_report(br, seed, buckets)
-        report["projection_fit"] = fit_qi_constants(vm, buckets=buckets).to_json_dict()
-    else:
-        report["projection"] = projection_report(br, seed)
-        report["projection_fit"] = None
+    vm = projection_map(br)
+    buckets = _pair_bounds(vm)
+    report["projection"] = projection_report(br, buckets)
+    report["projection_fit"] = fit_qi_constants(vm, buckets=buckets).to_json_dict()
     return report
 
 
@@ -123,7 +104,7 @@ def _witness_doc(w, valid: bool) -> dict:
 def cmd_build(args) -> int:
     spec = _spec_from_file(args.spec)
     br = build(spec, args.depth)
-    report = build_report(br, args.seed, args.exhaustive)
+    report = build_report(br)
     _emit(report, args.out)
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     print(f"{'PASS' if ok else 'FAIL'} build {spec.name}: "
@@ -160,11 +141,11 @@ def cmd_oracle(args) -> int:
 def cmd_aut(args) -> int:
     g = _graph_from_file(args.spec)
     action = compute_automorphisms(g)
-    orbits = vertex_orbits(action)
+    orbits = action.orbits()
     doc = {"order": len(action),
            "vertex_orbits": [sorted(o) for o in orbits],
            "elements": action.to_json_dict()["elements"]}
-    _emit(doc, args.out, quiet=not args.exhaustive)
+    _emit(doc, args.out)
     print(f"order={len(action)} orbits={len(orbits)}")
     return 0
 
@@ -174,7 +155,7 @@ def cmd_verify_theorem(args) -> int:
     depth = spec.depth if args.depth is None else args.depth
     params = ProofParameters(R=args.R, r=args.r, depth=depth)
     br = build(spec, depth)
-    cert = run_certificate(br, params, seed=args.seed)
+    cert = run_certificate(br, params)
     out = args.out or "cert.json"
     write_json(out, cert.to_json_dict())
     for st in cert.stages:
@@ -202,7 +183,7 @@ def cmd_iterate(args) -> int:
             raw["factors"] = [renamed.to_json_dict()] + list(factors[1:])
         spec = AmalgamationSpec.from_json_dict(raw)
         br = build(spec, args.depth)
-        report = build_report(br, args.seed, args.exhaustive)
+        report = build_report(br)
         report["stage"] = idx + 1
         write_json(outdir / f"stage{idx + 1:02d}_{spec.name}.json", report)
         decl = spec.declared_asdim
@@ -277,10 +258,6 @@ def _add_common(sub, spec=True, radii=False, n=False, depth=True):
         sub.add_argument("--depth", type=int, default=None,
                          help="truncation depth override")
     sub.add_argument("--out", default=None, help="artifact output path")
-    sub.add_argument("--seed", type=int, default=0,
-                     help="seed for sampled spot checks")
-    sub.add_argument("--exhaustive", action="store_true",
-                     help="force exhaustive checking regardless of size")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -320,8 +297,6 @@ def make_parser() -> argparse.ArgumentParser:
                      help="stage document (repeat per stage, in order)")
     sub.add_argument("--depth", type=int, default=None)
     sub.add_argument("--out", default=None, help="artifact directory")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--exhaustive", action="store_true")
     sub.set_defaults(handler=cmd_iterate)
 
     sub = subs.add_parser("report", help="tabulate a directory of artifacts")

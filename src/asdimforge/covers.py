@@ -25,23 +25,6 @@ from .graphs import INF, FiniteGraph, MetricView, VertexMap
 Member = frozenset
 
 
-def _set_diameter(graph: FiniteGraph, vertices: Iterable[str]) -> int | float:
-    """Largest ambient distance between two vertices of the set.
-
-    The search from each vertex stops once the vertices after it are settled.
-    """
-    order = sorted(vertices)
-    worst = 0
-    for i in range(len(order) - 1):
-        later = order[i + 1:]
-        dv = graph.distances_to_set((order[i],), until=later)
-        for u in later:
-            d = dv.get(u, INF)
-            if d > worst:
-                worst = d
-    return worst
-
-
 class Family:
     """Nonempty vertex sets in one ambient view (union may be partial)."""
 
@@ -66,7 +49,7 @@ class Family:
 
     def max_diameter(self) -> int | float:
         g = self.space.graph
-        return max((_set_diameter(g, m) for m in self.members), default=0)
+        return max((g.diameter(m) for m in self.members), default=0)
 
     def is_uniformly_bounded(self, bound: int) -> bool:
         return self.max_diameter() <= bound
@@ -109,29 +92,11 @@ def multiplicity(cover: Family) -> int:
     return best
 
 
-def max_diameter(family: Family) -> int | float:
-    return family.max_diameter()
-
-
-def is_r_disjoint(family: Family, r: int) -> bool:
-    return family.is_r_disjoint(r)
-
-
 def refines(u: Cover, v: Cover) -> bool:
     """True when every member of u sits inside some member of v."""
     if not u.space.same_space(v.space):
         raise PreconditionError("refinement needs a shared ambient space")
     return all(any(m <= w for w in v.members) for m in u.members)
-
-
-def refinement_witness(u: Cover, v: Cover) -> dict[int, int | None]:
-    """For each member index of u, the index of a containing member of v."""
-    if not u.space.same_space(v.space):
-        raise PreconditionError("refinement needs a shared ambient space")
-    out: dict[int, int | None] = {}
-    for i, m in enumerate(u.members):
-        out[i] = next((j for j, w in enumerate(v.members) if m <= w), None)
-    return out
 
 
 def _complement_reach(cover: Family) -> list[dict[str, int] | None]:
@@ -478,7 +443,7 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
         partners = [j for j in order
                     if pos[j] < pos[blocked] and sep[blocked, j] < r]
         best = min(partners, key=lambda j: (
-            _set_diameter(g, cells[j][1] | cells[blocked][1]), pos[j]))
+            g.diameter(cells[j][1] | cells[blocked][1]), pos[j]))
         merged = (cells[best][0],
                   frozenset(cells[best][1] | cells[blocked][1]))
         cells = [merged if k == best else cell

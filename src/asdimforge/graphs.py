@@ -182,14 +182,26 @@ class FiniteGraph:
         dist = self.distances_to_set(centers, limit=radius)
         return frozenset(v for v, d in dist.items() if d == radius)
 
-    def diameter(self) -> int | float:
-        best = 0
-        for v in self.vertices:
-            dist = self.distances_from(v)
-            if len(dist) != len(self.vertices):
-                return INF
-            best = max(best, max(dist.values()))
-        return best
+    def diameter(self, vertices: Iterable[str] | None = None) -> int | float:
+        """Largest distance between two of ``vertices`` (default: all).
+
+        INF as soon as two of them are disconnected, 0 for fewer than
+        two.  The search from each vertex stops once the vertices after
+        it in sorted order are settled, and fills no cache.
+        """
+        order = sorted(self.vertices if vertices is None
+                       else self.require_members(vertices))
+        worst = 0
+        for i in range(len(order) - 1):
+            later = order[i + 1:]
+            dv = self.distances_to_set((order[i],), until=later)
+            for u in later:
+                d = dv.get(u, INF)
+                if d > worst:
+                    if d is INF:
+                        return INF
+                    worst = d
+        return worst
 
     # -- subsets ----------------------------------------------------------
 
@@ -346,18 +358,6 @@ class MetricView:
             for j in range(i + 1, len(pts)):
                 yield pts[i], pts[j]
 
-    def diameter(self) -> int | float:
-        best = 0
-        for x in self.points:
-            dist = self.graph.distances_from(x)
-            for y in self.points:
-                d = dist.get(y, INF)
-                if d > best:
-                    best = d
-                    if best is INF:
-                        return INF
-        return best
-
     def subview(self, points: Iterable[str]) -> "MetricView":
         members = frozenset(points)
         if not members <= self.point_set:
@@ -428,14 +428,19 @@ def _pair_bounds(vm: VertexMap) -> tuple[tuple[int | float, int | float], ...]:
     """
     pts = vm.source.points
     images = [vm.mapping[p] for p in pts]
+    last_use = {fx: i for i, fx in enumerate(images)}
     buckets: dict[tuple[int | float, int | float], None] = {}
-    tdist_cache: dict[str, dict[str, int]] = {}
+    # rows are searched uncached and a target row is dropped after the
+    # last point mapping to it, so memory stays linear in the graph
+    target_rows: dict[str, dict[str, int]] = {}
     for i, x in enumerate(pts):
-        sx = vm.source.graph.distances_from(x)
+        sx = vm.source.graph.distances_to_set((x,))
         fx = images[i]
-        tx = tdist_cache.get(fx)
+        tx = target_rows.get(fx)
         if tx is None:
-            tx = tdist_cache[fx] = vm.target.graph.distances_from(fx)
+            tx = target_rows[fx] = vm.target.graph.distances_to_set((fx,))
+        if last_use[fx] == i:
+            del target_rows[fx]
         pairs = zip(map(sx.get, pts[i + 1:], repeat(INF)),
                     map(tx.get, images[i + 1:], repeat(INF)))
         buckets.update(dict.fromkeys(pairs))
@@ -534,7 +539,8 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
             if need > worst[i]:
                 worst[i] = need
     # the source diameter is the largest source distance over the pairs
-    cap = max(max((ds for ds, _ in buckets), default=0), vm.target.diameter())
+    cap = max(max((ds for ds, _ in buckets), default=0),
+              vm.target.graph.diameter(vm.target.points))
     table = tuple(zip(grid, worst))
     best = None
     for g, c in table:

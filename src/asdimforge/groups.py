@@ -113,10 +113,6 @@ class GroupAction:
             frontier = nxt
         return cls(graph, found.values(), check=False)
 
-    @classmethod
-    def full(cls, graph: FiniteGraph, cap: int = GROUP_CAP) -> "GroupAction":
-        return compute_automorphisms(graph, cap)
-
     # -- queries -------------------------------------------------------------
 
     def __len__(self) -> int:
@@ -124,18 +120,6 @@ class GroupAction:
 
     def __iter__(self):
         return iter(self.elements)
-
-    def identity(self) -> Perm:
-        return {v: v for v in self.graph.vertices}
-
-    def contains(self, p: Mapping[str, str]) -> bool:
-        try:
-            return _image_tuple(self.graph, p) in self._keys
-        except KeyError:
-            return False
-
-    def is_trivial(self) -> bool:
-        return len(self.elements) == 1
 
     def setwise_stabilizer(self, members: Iterable[str]) -> "GroupAction":
         """Subgroup mapping the given vertex set onto itself."""
@@ -164,10 +148,6 @@ class GroupAction:
         return {"order": len(self.elements),
                 "elements": [[p[v] for v in self.graph.vertices] for p in self.elements],
                 "vertex_order": list(self.graph.vertices)}
-
-
-def vertex_orbits(action: GroupAction) -> tuple[frozenset[str], ...]:
-    return action.orbits()
 
 
 def _refine_colors(graph: FiniteGraph) -> dict[str, int]:

@@ -586,7 +586,6 @@ class TheoremCertificate:
     params: ProofParameters
     n: int
     declared: dict
-    seed: int
     stages: tuple[Stage, ...]
     bound: int
     verdict: str
@@ -606,7 +605,6 @@ class TheoremCertificate:
             "parameters": self.params.to_json_dict(),
             "target_families": self.n,
             "declared_dimensions": dict(sorted(self.declared.items())),
-            "seed": self.seed,
             "stage_order": [st.name for st in self.stages],
             "stages": {st.name: st.to_json_dict() for st in self.stages},
             "bound": self.bound,
@@ -633,8 +631,7 @@ def _witness_for(view: MetricView, r: int, n: int):
     return band_witness(view, r, n), "distance-bands"
 
 
-def run_certificate(br: BuildResult, params: ProofParameters,
-                    seed: int = 0) -> TheoremCertificate:
+def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertificate:
     """Instantiate the whole block construction and measure every claim.
 
     Stages run in a fixed order and later stages consume earlier
@@ -656,7 +653,7 @@ def run_certificate(br: BuildResult, params: ProofParameters,
     stages.append(Stage("parameters", True, {
         "R": R, "r": r, "depth": params.depth, "margin": params.core_margin,
         "sites": list(sites), "safe_nodes": len(safe_nodes(tree, params)),
-        "target_families": n, "seed": seed, "sampling": "exhaustive",
+        "target_families": n, "sampling": "exhaustive",
     }))
 
     base = base_blocks(br, params)
@@ -753,6 +750,7 @@ def run_certificate(br: BuildResult, params: ProofParameters,
     transported_ok = False
     trans_data: dict = {"detail": "no boundary cover"}
     z_cover = None
+    z_mult = z_diam = None
     if fattened and part.shell_union:
         v_members = set(fattened)
         for sm in maps:
@@ -773,13 +771,14 @@ def run_certificate(br: BuildResult, params: ProofParameters,
         except PreconditionError as exc:
             trans_data = {"detail": str(exc), "members": len(ordered)}
         if z_cover is not None:
-            v_mult = multiplicity(z_cover)
-            transported_ok = v_mult <= n
+            z_mult = multiplicity(z_cover)
+            z_diam = z_cover.max_diameter()
+            transported_ok = z_mult <= n
             trans_data = {
                 "members": len(ordered),
-                "multiplicity": v_mult,
-                "multiplicity_within_strict_budget": v_mult <= n - 1,
-                "max_diameter": z_cover.max_diameter(),
+                "multiplicity": z_mult,
+                "multiplicity_within_strict_budget": z_mult <= n - 1,
+                "max_diameter": z_diam,
             }
     stages.append(Stage("transported_cover", transported_ok, trans_data))
 
@@ -806,25 +805,19 @@ def run_certificate(br: BuildResult, params: ProofParameters,
     rd_ok = False
     rd_data: dict = {"detail": "no transported cover"}
     if z_cover is not None and leb_paper is not None:
-        v_mult = multiplicity(z_cover)
-        diam = z_cover.max_diameter()
-        rd_ok = v_mult <= n and leb_paper > R and diam < INF
-        rd_data = {"multiplicity": v_mult, "max_diameter": diam,
+        rd_ok = z_mult <= n and leb_paper > R and z_diam < INF
+        rd_data = {"multiplicity": z_mult, "max_diameter": z_diam,
                    "lebesgue_paper": leb_paper, "shell_radius": R,
                    "families_budget": n}
-        if R >= 1 and diam < INF:
-            strict = check_rd_dim(z_cover, R, int(max(diam, 1)), n - 1)
+        if R >= 1 and z_diam < INF:
+            strict = check_rd_dim(z_cover, R, int(max(z_diam, 1)), n - 1)
             rd_data["strict_recheck"] = strict
             rd_ok = rd_ok and strict
     stages.append(Stage("rd_dim", rd_ok, rd_data))
 
     verdict = "PASS" if all(st.verdict for st in stages) else "FAIL"
-    return TheoremCertificate(br.spec.name, params, n, dict(decl), seed,
-                              tuple(stages),
-                              theorem_bound(decl.get("factor1", 0),
-                                            decl.get("factor2", 0),
-                                            decl.get("adhesion", 0)),
-                              verdict)
+    return TheoremCertificate(br.spec.name, params, n, dict(decl),
+                              tuple(stages), n, verdict)
 
 
 # -- projection bookkeeping ---------------------------------------------------

@@ -233,7 +233,7 @@ def test_type2_build_shapes(type2_6):
     assert len(type2_6.tree.nodes) == 13
     assert len(type2_6.sum.graph) == 26
     assert len(type2_6.amalgam.graph) == 14
-    assert type2_6.spec.labels_shared()
+    assert type2_6.spec.type2_J == frozenset({"0"})
 
 
 def test_sum_graph_accessors(chain6):

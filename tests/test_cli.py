@@ -1,5 +1,6 @@
 """Command-line surface, exercised in process through cli.main."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import asdimforge
 from asdimforge import cli, jsonio
 from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
-                                 triangle_spec_doc)
+                                 type2_spec_doc)
 from asdimforge.graphs import INF
 from asdimforge.theorem import projection_fit
 
@@ -43,7 +44,7 @@ def _per_pair_failures(br) -> list:
     H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
     failures = []
     for x in H.vertices:
-        dist = H.distances_from(x)
+        dist = H.distances_to_set((x,))
         for y in H.vertices:
             if y > x and tree.distance(node_of(x), node_of(y)) > dist.get(y, INF):
                 failures.append([x, y])
@@ -56,50 +57,92 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
     swap = {near: far, far: near}
     node_of = br.sum.node_of
     monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    report = cli.build_report(br)
+    # neither the histogram nor the failure rescan caches a search
+    assert not br.sum.graph._bfs_cache
     expected = _per_pair_failures(br)
     assert len(expected) > 10
-    report = cli.build_report(br, 0, False)
     n = len(br.sum.graph)
     assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
-                                    "seed": None, "ok": False,
-                                    "failures": expected[:10]}
+                                    "ok": False, "failures": expected[:10]}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
 
 
-def test_build_exhaustive_above_the_cap(tmp_path):
-    depth = (cli.FIT_SIZE_CAP + 2) // 4  # chain_k2 has 4 * depth + 2 sum vertices
-    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(depth))
-    sampled, full = tmp_path / "sampled.json", tmp_path / "full.json"
-    assert cli.main(["build", "--spec", spec, "--out", str(sampled)]) == 0
-    assert cli.main(["build", "--spec", spec, "--exhaustive", "--out", str(full)]) == 0
-    sampled, full = json.loads(sampled.read_text()), json.loads(full.read_text())
-    n = full["sum_vertices"]
-    assert n > cli.FIT_SIZE_CAP
-    assert sampled["projection"]["mode"] == "sampled"
-    assert sampled["projection_fit"] is None
-    assert full["projection"]["mode"] == "exhaustive"
-    assert full["projection"]["pairs"] == n * (n - 1) // 2
-    assert full["projection"]["ok"]
-    expected = projection_fit(build_doc(chain_spec_doc(depth))).to_json_dict()
-    assert full["projection_fit"] == expected
+def test_build_checks_every_pair_above_500_vertices():
+    br = build_doc(chain_spec_doc(130))
+    n = len(br.sum.graph)
+    assert n == 522
+    report = cli.build_report(br)
+    # linear memory: no whole-graph search is kept per vertex
+    assert not br.sum.graph._bfs_cache
+    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+                                    "ok": True, "failures": []}
+    assert report["projection_fit"] == projection_fit(br).to_json_dict()
+
+
+@pytest.mark.parametrize("option", [["--seed", "0"], ["--exhaustive"]])
+def test_build_rejects_removed_options(tmp_path, option):
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(8))
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["build", "--spec", spec] + option)
+    assert exc.value.code == 2
+    subs = next(a for a in cli.make_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    for sub in subs.choices.values():
+        assert option[0] not in sub.format_help()
 
 
 def _bad_asdim(doc):
     doc["asdim"] = {"factor1": "one"}
+    return doc
 
 
 def _bool_asdim(doc):
     doc["asdim"] = {"factor1": True}
+    return doc
 
 
 def _string_adhesion(doc):
     doc["adhesions"][0] = {"0": "ab", "1": ["b"]}
+    return doc
 
 
-@pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion])
+def _list_tree(doc):
+    doc["tree"] = []
+    return doc
+
+
+def _list_actions(doc):
+    doc["actions"] = []
+    return doc
+
+
+def _float_depth(doc):
+    doc["tree"]["depth"] = 8.9
+    return doc
+
+
+def _bool_depth(doc):
+    doc["tree"]["depth"] = True
+    return doc
+
+
+def _string_p1(doc):
+    doc["tree"]["p1"] = "2"
+    return doc
+
+
+def _string_type2_J(doc):
+    doc = type2_spec_doc()
+    doc["tree"]["type2_J"] = "01"
+    return doc
+
+
+@pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion,
+                                     _list_tree, _list_actions, _float_depth,
+                                     _bool_depth, _string_p1, _string_type2_J])
 def test_build_rejects_mistyped_fields(tmp_path, corrupt):
-    doc = chain_spec_doc(8)
-    corrupt(doc)
+    doc = corrupt(chain_spec_doc(8))
     spec = write_doc(tmp_path, "bad.json", doc)
     assert cli.main(["build", "--spec", spec]) == 2
     src = str(Path(asdimforge.__file__).resolve().parents[1])
@@ -140,8 +183,12 @@ def test_aut_command(tmp_path, capsys):
     graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
     out = tmp_path / "aut.json"
     assert cli.main(["aut", "--spec", graph, "--out", str(out)]) == 0
-    assert "order=14 orbits=1" in capsys.readouterr().out
-    assert json.loads(out.read_text())["order"] == 14
+    assert capsys.readouterr().out == "order=14 orbits=1\n"
+    doc = json.loads(out.read_text())
+    assert doc["order"] == 14
+    # without --out the document goes to stdout, as for build and witness
+    assert cli.main(["aut", "--spec", graph]) == 0
+    assert capsys.readouterr().out == jsonio.dumps(doc) + "order=14 orbits=1\n"
 
 
 def test_verify_theorem_command(tmp_path, capsys):

@@ -107,9 +107,20 @@ def test_single_source_searches_reuse_the_whole_graph_cache():
 def test_diameter_and_components():
     g = af.FiniteGraph(["a", "b", "c", "d"], [("a", "b"), ("c", "d")])
     assert g.diameter() == af.INF
+    assert g.diameter(["a", "c"]) == af.INF
+    assert g.diameter(["c", "d"]) == 1
+    assert g.diameter(["b"]) == 0
+    assert g.diameter([]) == 0
+    with pytest.raises(GraphFormatError):
+        g.diameter(["zz"])
     assert len(g.components()) == 2
     assert not g.is_connected()
-    assert line_graph(4).diameter() == 3
+    path = line_graph(8)
+    assert path.diameter() == 7
+    # a subset is measured through the whole graph, not its induced part
+    assert path.diameter(["p1", "p3", "p6"]) == 5
+    assert path.diameter(["p4"]) == 0
+    assert not path._bfs_cache
 
 
 def test_load_graph_forms_and_errors():

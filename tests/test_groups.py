@@ -5,7 +5,7 @@ import pytest
 import asdimforge as af
 from asdimforge.errors import PreconditionError
 from asdimforge.groups import (GroupAction, compose, compute_automorphisms,
-                               invert, is_automorphism, vertex_orbits)
+                               invert, is_automorphism)
 
 from conftest import complete_graph, line_graph, ring_graph
 
@@ -31,20 +31,19 @@ def test_full_automorphism_groups():
     assert len(compute_automorphisms(line_graph(2))) == 2
     p3 = compute_automorphisms(line_graph(3))
     assert len(p3) == 2
-    assert set(vertex_orbits(p3)) == {frozenset({"p0", "p2"}),
+    assert set(p3.orbits()) == {frozenset({"p0", "p2"}),
                                       frozenset({"p1"})}
     # Dihedral group of the 7-ring: 7 rotations and 7 reflections.
     c7 = compute_automorphisms(ring_graph(7))
     assert len(c7) == 14
-    assert vertex_orbits(c7) == (frozenset(f"c{i}" for i in range(7)),)
+    assert c7.orbits() == (frozenset(f"c{i}" for i in range(7)),)
 
 
 def test_trivial_action():
     g = line_graph(4)
     t = GroupAction.trivial(g)
     assert len(t) == 1
-    assert t.is_trivial()
-    assert vertex_orbits(t) == tuple(frozenset({v}) for v in sorted(g.vertices))
+    assert t.orbits() == tuple(frozenset({v}) for v in sorted(g.vertices))
 
 
 def test_from_generators_closure():
@@ -52,8 +51,8 @@ def test_from_generators_closure():
     rot = {"c0": "c1", "c1": "c2", "c2": "c3", "c3": "c0"}
     act = GroupAction.from_generators(g, [rot])
     assert len(act) == 4
-    assert act.contains({v: v for v in g.vertices})
-    assert act.contains(compose(rot, rot))
+    assert {v: v for v in g.vertices} in act.elements
+    assert compose(rot, rot) in act.elements
     with pytest.raises(PreconditionError):
         GroupAction.from_generators(g, [{"c0": "c1", "c1": "c0",
                                          "c2": "c2", "c3": "c3"}])
