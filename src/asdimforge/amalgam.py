@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, PreconditionError
@@ -430,7 +431,6 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
         raise ConfigError("tree labels differ from adhesion labels")
     factors = (g1, g2)
     vertices = []
-    edges = []
     annotations = {}
     for node in tree.nodes:
         g = factors[tree.node_side[node] - 1]
@@ -438,7 +438,20 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
             vid = copy_vertex(node, x)
             vertices.append(vid)
             annotations[vid] = {"node": node, "origin": x}
-        for x, y in g.edges:
+    edges, bridges = _laid_edges(tree, factors, (adh1, adh2), atlas, flip_orientations)
+    graph = FiniteGraph(vertices, edges + bridges, annotations=annotations)
+    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
+    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
+
+
+def _laid_edges(tree: ConnectingTree, factors: tuple[FiniteGraph, FiniteGraph],
+                adhesions: tuple[AdhesionFamily, AdhesionFamily], atlas: BondingAtlas,
+                flip_orientations: bool = False) -> tuple[list, list]:
+    """The factor copies' edges and the bridges, as the sum graph lays them."""
+    adh1, adh2 = adhesions
+    edges = []
+    for node in tree.nodes:
+        for x, y in factors[tree.node_side[node] - 1].edges:
             edges.append((copy_vertex(node, x), copy_vertex(node, y)))
     bridges = []
     for u, v in tree.edges():
@@ -453,9 +466,7 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
             m = atlas.map_for(k, l)
             for x in sorted(adh1[k]):
                 bridges.append((copy_vertex(one, x), copy_vertex(two, m[x])))
-    graph = FiniteGraph(vertices, edges + bridges, annotations=annotations)
-    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
-    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
+    return edges, bridges
 
 
 # -- contraction --------------------------------------------------------------
@@ -794,6 +805,17 @@ def _require_int(value, what: str) -> int:
     return value
 
 
+def _generators(doc: Mapping, key: str) -> list[dict[str, str]]:
+    gens = doc.get(key, [])
+    if not isinstance(gens, list) or not all(
+            isinstance(g, Mapping) and all(isinstance(x, str) and isinstance(y, str)
+                                           for x, y in g.items())
+            for g in gens):
+        raise ConfigError(
+            f"actions.{key} must be a list of vertex-to-vertex objects, not {gens!r}")
+    return [dict(g) for g in gens]
+
+
 def _parse_actions(doc: Mapping, g1: FiniteGraph, g2: FiniteGraph,
                    same_factor: bool) -> tuple[GroupAction, GroupAction]:
     mode = doc.get("mode", "generators")
@@ -806,12 +828,10 @@ def _parse_actions(doc: Mapping, g1: FiniteGraph, g2: FiniteGraph,
         a2 = a1 if same_factor else GroupAction.trivial(g2)
         return a1, a2
     if mode == "generators":
-        gens1 = doc.get("factor1", [])
-        a1 = GroupAction.from_generators(g1, [dict(g) for g in gens1])
+        a1 = GroupAction.from_generators(g1, _generators(doc, "factor1"))
         if same_factor and "factor2" not in doc:
             return a1, a1
-        gens2 = doc.get("factor2", [])
-        a2 = GroupAction.from_generators(g2, [dict(g) for g in gens2])
+        a2 = GroupAction.from_generators(g2, _generators(doc, "factor2"))
         return a1, a2
     raise ConfigError(f"unknown actions mode {mode!r}")
 
@@ -915,6 +935,15 @@ class BuildResult:
     id_sizes: dict[str, int]
     max_id_size: int
     trivial: bool
+
+    @cached_property
+    def edges_as_laid(self) -> bool:
+        """Whether the sum graph's edges are exactly the factor copies' edges
+        plus the atlas bridges, as ``build_sum_graph`` lays them down."""
+        edges, bridges = _laid_edges(self.tree, self.sum.factors, self.sum.adhesions,
+                                     self.spec.atlas)
+        laid = {(a, b) if a <= b else (b, a) for a, b in edges + bridges}
+        return laid == set(self.sum.graph.edges)
 
     def report_dict(self) -> dict:
         semi_ok, semi_why = self.tree.is_semiregular()

@@ -16,6 +16,7 @@ vertex set counts as open.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -50,6 +51,29 @@ class Family:
     def max_diameter(self) -> int | float:
         g = self.space.graph
         return max((g.diameter(m) for m in self.members), default=0)
+
+    @cached_property
+    def complement_reach(self) -> tuple[dict[str, int | float] | None, ...]:
+        """Per member m, d(x, P minus m) for each point x of m; None when
+        m is the whole space.  Each x runs one search, stopped at the
+        first point outside m it settles."""
+        g, points = self.space.graph, self.space.point_set
+        table = []
+        for m in self.members:
+            outside = points - m
+            if not outside:
+                table.append(None)
+                continue
+            row = {}
+            for x in m:
+                # a warm whole-graph cache may come back: scan the smaller side
+                dist = g.distances_to_set((x,), stop_at=outside)
+                if len(outside) < len(dist):
+                    row[x] = min(dist.get(v, INF) for v in outside)
+                else:
+                    row[x] = min((d for v, d in dist.items() if v in outside), default=INF)
+            table.append(row)
+        return tuple(table)
 
     def is_uniformly_bounded(self, bound: int) -> bool:
         return self.max_diameter() <= bound
@@ -99,45 +123,32 @@ def refines(u: Cover, v: Cover) -> bool:
     return all(any(m <= w for w in v.members) for m in u.members)
 
 
-def _complement_reach(cover: Family) -> list[dict[str, int] | None]:
-    """Per member, distances to its complement (None when complement empty)."""
-    out = []
-    for m in cover.members:
-        comp = cover.space.point_set - m
-        if not comp:
-            out.append(None)
-        else:
-            out.append(cover.space.graph.distances_to_set(comp))
-    return out
-
-
 def lebesgue_number(cover: Cover, formula: str = "paper") -> int | float:
-    """Lebesgue number under either formula; d(x, empty set) counts as +inf."""
+    """Lebesgue number under either formula; d(x, empty set) counts as +inf.
+
+    Both formulas read only d(x, P minus m) for the points x of each
+    member m (it is 0 elsewhere), which the cover's ``complement_reach``
+    table holds.
+    """
     if formula not in ("paper", "standard"):
         raise PreconditionError(f"unknown Lebesgue formula {formula!r}")
-    reach = _complement_reach(cover)
-    points = cover.space.points
+    reach = cover.complement_reach
     if formula == "paper":
         best = INF
-        for dist in reach:
-            if dist is None:
+        for row in reach:
+            if row is None:
                 continue  # complement empty: this member contributes +inf
-            worst = max(dist.get(x, INF) for x in points)
+            worst = max(row.values())
             if worst < best:
                 best = worst
         return best
-    best = INF
-    for x in points:
-        here = 0
-        for dist in reach:
-            d = INF if dist is None else dist.get(x, INF)
-            if d > here:
-                here = d
-                if here is INF:
-                    break
-        if here < best:
-            best = here
-    return best
+    here = dict.fromkeys(cover.space.points, 0)
+    for m, row in zip(cover.members, reach):
+        for x in m:
+            d = INF if row is None else row[x]
+            if d > here[x]:
+                here[x] = d
+    return min(here.values(), default=INF)
 
 
 def check_rd_dim(cover: Cover, r: int, d: int, n: int) -> bool:

@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -108,16 +108,18 @@ class FiniteGraph:
         return self.distances_from(x).get(y, INF)
 
     def distances_to_set(self, targets: Iterable[str], limit: int | None = None,
-                         until: Iterable[str] | None = None) -> dict[str, int]:
+                         until: Iterable[str] | None = None,
+                         stop_at: Container[str] | None = None) -> dict[str, int]:
         """Multi-source BFS: hop count from each vertex to the set.
 
         With ``limit`` the search settles only vertices within that many
         hops; with ``until`` it ends once every vertex of that set is
-        settled.  Every distance returned is exact, but vertices out of
-        range may be present too: a single-source call returns the
-        cached whole-graph result when one exists.  So read
-        ``dist.get(v, INF)`` and compare the value; a present key does
-        not mean "within range".
+        settled; with ``stop_at`` it ends as soon as one vertex of that
+        collection is settled, which is then a nearest one.  Every
+        distance returned is exact, but vertices out of range may be
+        present too: a single-source call returns the cached whole-graph
+        result when one exists.  So read ``dist.get(v, INF)`` and compare
+        the value; a present key does not mean "within range".
         """
         members = frozenset(targets)
         if len(members) == 1:
@@ -127,6 +129,8 @@ class FiniteGraph:
                 return hit
         seeds = sorted(self.require_members(members))
         dist = {v: 0 for v in seeds}
+        if stop_at is not None and any(v in stop_at for v in seeds):
+            return dist
         pending = None
         if until is not None:
             pending = set(self.require_members(until)).difference(dist)
@@ -148,6 +152,8 @@ class FiniteGraph:
                         pending.discard(w)
                         if not pending:
                             return dist
+                    if stop_at is not None and w in stop_at:
+                        return dist
         return dist
 
     def set_distance(self, a: Iterable[str], b: Iterable[str]) -> int | float:
@@ -286,6 +292,9 @@ def load_graph(doc: dict | str) -> FiniteGraph:
         edges = doc["edges"]
     except KeyError as exc:
         raise GraphFormatError(f"graph document missing {exc.args[0]!r}") from exc
+    for key, value in (("vertices", vertices), ("edges", edges)):
+        if not isinstance(value, (list, tuple)):
+            raise GraphFormatError(f"graph {key} must be a list, not {value!r}")
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
@@ -518,11 +527,15 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
     For each stretch the binding constraints are linear in the additive
     constant, so the least constant is a max over pairs; selection picks
     the smallest constant over the grid (then the smallest stretch), and
-    infeasible fits (constant beyond both diameters) are dropped.
-    ``buckets`` is ``vm``'s distance-pair histogram when the caller
-    already holds it.
+    a stretch with an infinite pair on one side only has no fit.  With
+    every stretch at least 1 a pair never needs more than the larger of
+    its two distances, so a finite constant never exceeds the source or
+    target diameter.  ``buckets`` is ``vm``'s distance-pair histogram
+    when the caller already holds it.
     """
     grid = tuple(Fraction(g) for g in grid)
+    if any(g < 1 for g in grid):
+        raise PreconditionError("need every stretch >= 1")
     if buckets is None:
         buckets = _pair_bounds(vm)
     worst: list[Fraction | None] = [Fraction(0) for _ in grid]
@@ -538,13 +551,10 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
             need = max(Fraction(ds) / g - dt, Fraction(dt) - g * Fraction(ds))
             if need > worst[i]:
                 worst[i] = need
-    # the source diameter is the largest source distance over the pairs
-    cap = max(max((ds for ds, _ in buckets), default=0),
-              vm.target.graph.diameter(vm.target.points))
     table = tuple(zip(grid, worst))
     best = None
     for g, c in table:
-        if c is None or c > cap:
+        if c is None:
             continue
         if best is None or (c, g) < best:
             best = (c, g)

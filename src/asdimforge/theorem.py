@@ -10,12 +10,12 @@ re-audit from the raw numbers.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
 
-from .amalgam import (ROOT, BuildResult, ConnectingTree, SumGraph, copy_vertex,
-                      split_copy_vertex)
+from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
+                      ConnectingTree, SumGraph, copy_vertex, split_copy_vertex)
 from .covers import (Cover, band_witness, check_rd_dim, greedy_witness,
                      lebesgue_number, multiplicity)
 from .errors import PreconditionError
@@ -342,11 +342,47 @@ class SymmetryMap:
                        node_map={u: w for u, w in self.node_map.items() if u in nodes})
 
 
-def _neighbor_by_label(tree: ConnectingTree, u: str, label: str) -> str | None:
-    if tree.return_label(u) == label:
-        return tree.parent[u]
-    child = f"{u}/{label}"
-    return child if child in tree.node_set else None
+class _NodewiseMap(Mapping):
+    """Copy vertex ``u:x`` to ``node_map[u]:g_u(x)``, read off the tree walk.
+
+    Holds one factor symmetry per mapped node instead of one entry per
+    sum vertex; iterates in walk order, then factor vertex order.
+    """
+
+    def __init__(self, node_map: Mapping[str, str], perm: Mapping[str, Mapping[str, str]],
+                 tree: ConnectingTree, factors: tuple[FiniteGraph, FiniteGraph]):
+        self._node_map = node_map
+        self._perm = perm
+        self._side = tree.node_side
+        self._factors = factors
+        per_side = Counter(map(tree.node_side.__getitem__, node_map))
+        self._len = sum(n * len(factors[s - 1]) for s, n in per_side.items())
+
+    def __getitem__(self, vid: str) -> str:
+        node, orig = split_copy_vertex(vid)
+        g = self._perm.get(node)
+        if g is None or orig not in self._factors[self._side[node] - 1].vertex_set:
+            raise KeyError(vid)
+        return copy_vertex(self._node_map[node], g[orig])
+
+    def __iter__(self):
+        for u in self._node_map:
+            for x in self._factors[self._side[u] - 1].vertices:
+                yield copy_vertex(u, x)
+
+    def __len__(self) -> int:
+        return self._len
+
+
+def _image_label(adh: AdhesionFamily, g: Mapping[str, str], k: str, u: str) -> str:
+    """The label whose boundary set is g's image of the k set."""
+    image_set = frozenset(g[x] for x in adh[k])
+    for lab in adh.labels:
+        if adh[lab] == image_set:
+            return lab
+    raise PreconditionError(
+        "no label-respecting tree map exists: a boundary set's "
+        f"image at {u!r} is not itself a boundary set")
 
 
 def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
@@ -359,11 +395,15 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
     side, and extends the walk with a symmetry of the next factor that
     matches the bonding transfer.  No such symmetry means the declared
     actions cannot support the translation and the builder raises.
+
+    Each step depends only on the current symmetry and the four labels
+    involved, so the walk looks steps up in a table filled on first
+    use, and the edge check runs once per distinct symmetry and step.
     """
     tree, h = br.tree, br.sum
     tree.require_node(t)
     H = h.graph
-    actions = (br.spec.action1, br.spec.action2)
+    elements = (br.spec.action1.elements, br.spec.action2.elements)
     adhesions = (br.spec.adh1, br.spec.adh2)
     if t == ROOT:
         vmap = {v: v for v in H.vertices}
@@ -377,77 +417,91 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
         raise PreconditionError(f"no orbit representative recorded for label {m_t!r}")
     adh1 = adhesions[0]
     target = adh1[m_t]
-    g_root = None
-    for g in actions[0]:
-        if frozenset(g[x] for x in adh1[rho]) == target:
-            g_root = g
-            break
-    if g_root is None:
+    e_root = next((i for i, g in enumerate(elements[0])
+                   if frozenset(g[x] for x in adh1[rho]) == target), None)
+    if e_root is None:
         raise PreconditionError(
             f"no factor symmetry carries the {rho!r} boundary set onto the {m_t!r} set")
+    # (side, element, k) -> k_img; (side, element, k, ell, k_img, ell_img)
+    # -> the next element
+    image_label: dict[tuple, str] = {}
+    next_step: dict[tuple, int] = {}
+    side_of, out_label, parent = tree.node_side, tree.out_label, tree.parent
     node_map: dict[str, str] = {ROOT: t}
-    elem: dict[str, Mapping[str, str]] = {ROOT: g_root}
+    elem: dict[str, int] = {ROOT: e_root}
+    perm: dict[str, Mapping[str, str]] = {ROOT: elements[0][e_root]}
     queue = deque([ROOT])
     dropped = 0
     while queue:
         u = queue.popleft()
-        g_u = elem[u]
+        e_u = elem[u]
         u_img = node_map[u]
-        side_u = tree.node_side[u]
-        adh_u = adhesions[side_u - 1]
+        side_u = side_of[u]
         for w in tree.children.get(u, ()):
-            k = tree.out_label[(u, w)]
-            ell = tree.out_label[(w, u)]
-            image_set = frozenset(g_u[x] for x in adh_u[k])
-            k_img = None
-            for lab in adh_u.labels:
-                if adh_u[lab] == image_set:
-                    k_img = lab
-                    break
+            k = out_label[(u, w)]
+            key = (side_u, e_u, k)
+            k_img = image_label.get(key)
             if k_img is None:
-                raise PreconditionError(
-                    "no label-respecting tree map exists: a boundary set's "
-                    f"image at {u!r} is not itself a boundary set")
-            w_img = _neighbor_by_label(tree, u_img, k_img)
-            if w_img is None:
-                dropped += 1
-                continue
-            ell_img = tree.out_label[(w_img, u_img)]
-            beta = br.spec.atlas.map_for(k, ell)
-            beta_img = br.spec.atlas.map_for(k_img, ell_img)
-            transfer = {beta[x]: beta_img[g_u[x]] for x in adh_u[k]}
-            side_w = tree.node_side[w]
-            g_w = None
-            for cand in actions[side_w - 1]:
-                if all(cand[y] == transfer[y] for y in transfer):
-                    g_w = cand
-                    break
-            if g_w is None:
-                raise PreconditionError(
-                    "consistency witnesses missing: no factor symmetry "
-                    f"extends the bonding transfer into {w!r}")
+                k_img = image_label[key] = _image_label(
+                    adhesions[side_u - 1], perm[u], k, u)
+            # the like-labeled edge at the image: up to its parent or down
+            p_img = parent.get(u_img)
+            if p_img is not None and out_label[(u_img, p_img)] == k_img:
+                w_img = p_img
+            else:
+                w_img = f"{u_img}/{k_img}"
+                if w_img not in tree.node_set:
+                    dropped += 1
+                    continue
+            step = key + (out_label[(w, u)], k_img, out_label[(w_img, u_img)])
+            e_w = next_step.get(step)
+            if e_w is None:
+                e_w = next_step[step] = _extend(br.spec, step, w)
             node_map[w] = w_img
-            elem[w] = g_w
+            elem[w] = e_w
+            perm[w] = elements[2 - side_u][e_w]
             queue.append(w)
-    vmap: dict[str, str] = {}
-    for u, u_img in node_map.items():
-        g_u = elem[u]
-        side = tree.node_side[u]
-        for x in h.factors[side - 1].vertices:
-            vmap[copy_vertex(u, x)] = copy_vertex(u_img, g_u[x])
-    injective = len(set(vmap.values())) == len(vmap)
+    vmap = _NodewiseMap(node_map, perm, tree, h.factors)
+    # every factor symmetry is a bijection, so distinct image nodes make
+    # the map injective; otherwise count the images
+    injective = len(set(node_map.values())) == len(node_map)
+    if not injective:
+        injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
-    for a, b in H.edges:
-        fa = vmap.get(a)
-        fb = vmap.get(b)
-        if fa is None or fb is None:
-            continue
-        if fb not in H.adjacency[fa]:
-            edge_ok = False
-            detail = f"edge ({a}, {b}) maps to a non-edge ({fa}, {fb})"
-            break
+    # an image node carries its preimage's factor and an automorphism of
+    # it, and each step's symmetry matches the bonding transfer, so copy
+    # edges and bridges land on copy edges and bridges; only a sum graph
+    # whose edges differ from the laid ones needs the scan
+    if not br.edges_as_laid:
+        for a, b in H.edges:
+            fa = vmap.get(a)
+            fb = vmap.get(b)
+            if fa is None or fb is None:
+                continue
+            if fb not in H.adjacency[fa]:
+                edge_ok = False
+                detail = f"edge ({a}, {b}) maps to a non-edge ({fa}, {fb})"
+                break
     return SymmetryMap(t, node_map, vmap, edge_ok, injective, detail)
+
+
+def _extend(spec: AmalgamationSpec, step: tuple, w: str) -> int:
+    """The first symmetry of the next factor matching one step's bonding
+    transfer."""
+    side_u, e_u, k, ell, k_img, ell_img = step
+    actions = (spec.action1, spec.action2)
+    adh = (spec.adh1, spec.adh2)[side_u - 1]
+    g_u = actions[side_u - 1].elements[e_u]
+    beta = spec.atlas.map_for(k, ell)
+    beta_img = spec.atlas.map_for(k_img, ell_img)
+    transfer = {beta[x]: beta_img[g_u[x]] for x in adh[k]}
+    for e_w, cand in enumerate(actions[2 - side_u].elements):
+        if all(cand[y] == transfer[y] for y in transfer):
+            return e_w
+    raise PreconditionError(
+        "consistency witnesses missing: no factor symmetry "
+        f"extends the bonding transfer into {w!r}")
 
 
 # -- partition ----------------------------------------------------------------
@@ -491,11 +545,11 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     members = [base.w0]
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
-        region = h.vertices_over(tree.separated_region(sm.site))
+        region = tree.separated_region(sm.site)
         image = {}
         for v in base.w_r.vertices:
             w = sm.vertex_map.get(v)
-            if w is not None and w in region:
+            if w is not None and split_copy_vertex(w)[0] in region:
                 image[v] = w
         verts = frozenset(image.values())
         edges = tuple(sorted(_ordered(image[a], image[b])
@@ -503,7 +557,7 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
                              if a in image and b in image))
         members.append(Block(f"W@{sm.site}", verts, edges))
         shell_img, _ = sm.carry(base.shell)
-        shells[sm.site] = shell_img & region
+        shells[sm.site] = frozenset(w for w in shell_img if split_copy_vertex(w)[0] in region)
     shell_union = frozenset().union(*shells.values()) if shells else frozenset()
     safe = safe_vertices(h, params)
     covered = frozenset().union(*(b.vertices for b in members))

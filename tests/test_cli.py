@@ -1,6 +1,7 @@
 """Command-line surface, exercised in process through cli.main."""
 
 import argparse
+import hashlib
 import json
 import os
 import subprocess
@@ -13,7 +14,7 @@ import asdimforge
 from asdimforge import cli, jsonio
 from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
-                                 type2_spec_doc)
+                                 triangle_spec_doc, type2_spec_doc)
 from asdimforge.graphs import INF
 from asdimforge.theorem import projection_fit
 
@@ -138,9 +139,37 @@ def _string_type2_J(doc):
     return doc
 
 
+def _string_generators(doc):
+    doc["actions"] = {"mode": "generators", "factor1": "ab"}
+    return doc
+
+
+def _number_generators(doc):
+    doc["actions"] = {"mode": "generators", "factor1": [1]}
+    return doc
+
+
+def _number_image_generators(doc):
+    doc["actions"] = {"mode": "generators", "factor1": [{"a": "b", "b": 0}]}
+    return doc
+
+
+def _string_factor2_generators(doc):
+    doc["actions"] = {"factor1": [], "factor2": {"a": "b", "b": "a"}}
+    return doc
+
+
+def _string_vertices(doc):
+    doc["factors"][0] = {"vertices": "ab", "edges": [["a", "b"]]}
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion,
                                      _list_tree, _list_actions, _float_depth,
-                                     _bool_depth, _string_p1, _string_type2_J])
+                                     _bool_depth, _string_p1, _string_type2_J,
+                                     _string_generators, _number_generators,
+                                     _number_image_generators,
+                                     _string_factor2_generators, _string_vertices])
 def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     doc = corrupt(chain_spec_doc(8))
     spec = write_doc(tmp_path, "bad.json", doc)
@@ -152,6 +181,21 @@ def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     assert run.returncode == 2
     assert "Traceback" not in run.stderr
     assert run.stderr.startswith("error: ")
+
+
+# sha256 of the certificates as first recorded: a speedup must not move a byte
+@pytest.mark.parametrize("make, depth, R, r, digest", [
+    (chain_spec_doc, 40, 2, 10,
+     "7ac0bf9845db4dcb4c3b1f147cb40520bf6633ce91cef92df5c94b6013edac69"),
+    (triangle_spec_doc, 8, 0, 4,
+     "845ee219b45a41d2807e5a7e5ad3920ef755518760aaca388b59d1b5e2dafb5e"),
+])
+def test_certificate_bytes_are_pinned(tmp_path, make, depth, R, r, digest):
+    spec = write_doc(tmp_path, "spec.json", make(depth))
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify-theorem", "--spec", spec, "--R", str(R), "--r", str(r),
+                     "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_build_depth_override(tmp_path, capsys):

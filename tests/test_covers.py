@@ -320,3 +320,66 @@ def test_bounded_searches_ignore_a_prefilled_cache(chain40, triangle8):
             for n in (0, 1):
                 assert _greedy_outcome(af.greedy_witness(af.MetricView(fresh, points), r, n)) == \
                     _greedy_outcome(af.greedy_witness(af.MetricView(warm, points), r, n))
+
+
+# -- Lebesgue numbers from the complement table ----------------------------------
+
+
+def _reference_lebesgue(cover, formula):
+    """One whole-graph search from each member's complement, read at every point."""
+    g, pts = cover.space.graph, cover.space.points
+    reach = [None if not cover.space.point_set - m
+             else g.distances_to_set(cover.space.point_set - m) for m in cover.members]
+    if formula == "paper":
+        return min((max(dist.get(x, af.INF) for x in pts)
+                    for dist in reach if dist is not None), default=af.INF)
+    return min((max((af.INF if dist is None else dist.get(x, af.INF) for dist in reach),
+                    default=0) for x in pts), default=af.INF)
+
+
+def test_lebesgue_table_matches_whole_graph_complement_search():
+    rng = random.Random(31)
+    seen = {"infinite": 0, "whole_member": 0, "partial_view": 0, "overlap": 0,
+            "finite": 0, "rd_true": 0, "rd_false": 0}
+    for case in range(300):
+        n_v = rng.randint(2, 14)
+        names = [f"x{i:02d}" for i in range(n_v)]
+        # sparse edges: the ambient graph is often disconnected
+        edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2 * n_v))}
+        g = af.FiniteGraph(names, edges)
+        if case % 3 == 0:  # a warm cache hands back whole-graph searches
+            for v in g.vertices:
+                g.distances_from(v)
+        pts = sorted(rng.sample(names, rng.randint(1, n_v)))
+        members = [frozenset(rng.sample(pts, rng.randint(1, len(pts))))
+                   for _ in range(rng.randint(1, 4))]
+        uncovered = frozenset(pts) - frozenset().union(*members)
+        members.append(frozenset(pts) if rng.random() < 0.2
+                       else uncovered or frozenset(pts[:1]))
+        cover = af.Cover(af.MetricView(g, pts), members)
+        paper, standard = (af.lebesgue_number(cover, f) for f in ("paper", "standard"))
+        assert paper == _reference_lebesgue(cover, "paper"), case
+        assert standard == _reference_lebesgue(cover, "standard"), case
+        for r, d, n in ((1, 1, 0), (1, 3, 1), (2, 5, 2)):
+            want = (cover.max_diameter() <= d and af.multiplicity(cover) <= n + 1
+                    and _reference_lebesgue(cover, "paper") > r)
+            assert af.check_rd_dim(cover, r, d, n) == want, case
+            seen["rd_true" if want else "rd_false"] += 1
+        seen["infinite"] += af.INF in (paper, standard) and not any(
+            m == cover.space.point_set for m in members)
+        seen["whole_member"] += any(m == cover.space.point_set for m in members)
+        seen["partial_view"] += len(pts) < n_v
+        seen["overlap"] += af.multiplicity(cover) > 1
+        seen["finite"] += paper < af.INF and standard < af.INF
+    assert all(seen.values()), seen
+
+
+def test_complement_table_is_built_once_per_cover():
+    g = line_graph(6)
+    c = af.Cover(view(g), [frozenset({"p0", "p1", "p2"}), frozenset({"p2", "p3", "p4", "p5"})])
+    table = c.complement_reach
+    assert table == ({"p0": 3, "p1": 2, "p2": 1}, {"p2": 1, "p3": 2, "p4": 3, "p5": 4})
+    af.lebesgue_number(c, "paper")
+    af.check_rd_dim(c, 1, 5, 1)
+    assert c.complement_reach is table
+    assert af.Cover(view(g), [frozenset(g.vertices)]).complement_reach == (None,)

@@ -91,6 +91,21 @@ def test_early_stopped_bfs_is_exact_on_the_listed_vertices():
         assert all(full[v] == d for v, d in partial.items())
 
 
+def test_first_hit_search_finds_a_nearest_listed_vertex():
+    rng = random.Random(13)
+    for _ in range(80):
+        g = random_graph(rng)
+        seeds = rng.sample(g.vertices, rng.randint(1, 3))
+        stop = set(rng.sample(g.vertices, rng.randint(1, min(5, len(g)))))
+        full = g.distances_to_set(seeds)
+        partial = g.distances_to_set(seeds, stop_at=stop)
+        want = min((full.get(v, af.INF) for v in stop), default=af.INF)
+        assert min((d for v, d in partial.items() if v in stop), default=af.INF) == want
+        assert all(full[v] == d for v, d in partial.items())
+        # the search ends at its first hit: nothing farther is settled
+        assert max(partial.values()) <= want
+
+
 def test_single_source_searches_reuse_the_whole_graph_cache():
     g = line_graph(8)
     assert g.distances_to_set(["p0"], limit=2) == {"p0": 0, "p1": 1, "p2": 2}
@@ -136,6 +151,13 @@ def test_load_graph_forms_and_errors():
         af.load_graph('{"vertices": ["a"]}')
     with pytest.raises(GraphFormatError):
         af.load_graph("not { json and not edges")
+    # a string or an object where a list belongs is rejected, not iterated
+    for doc in ({"vertices": "ab", "edges": [["a", "b"]]},
+                {"vertices": ["a", "b"], "edges": "ab"},
+                {"vertices": {"a": 1, "b": 2}, "edges": [["a", "b"]]},
+                {"vertices": ["a", "b"], "edges": {"a": "b"}}):
+        with pytest.raises(GraphFormatError, match="must be a list"):
+            af.load_graph(doc)
 
 
 def test_metric_view_restriction():
@@ -189,6 +211,10 @@ def test_fit_identity_is_tight():
     assert (fit.gamma, fit.c) == (1, 0)
     gamma, c = fit  # unpacking yields the selected pair
     assert (gamma, c) == (1, 0)
+    with pytest.raises(PreconditionError):
+        af.fit_qi_constants(af.VertexMap(af.MetricView(g), af.MetricView(g),
+                                         {v: v for v in g.vertices}),
+                            grid=(Fraction(1, 2), 1))
 
 
 def test_fit_doubling_map():
@@ -332,6 +358,14 @@ def _random_map(rng, kind: str) -> af.VertexMap:
         k = rng.randint(1, len(g) - 1)
         src = af.MetricView(g, rng.sample(g.vertices, rng.randint(2, len(g))))
         return af.nearest_point_map(src, af.MetricView(g, rng.sample(g.vertices, k)))
+    if kind == "onto":  # every target point is an image, torn or not
+        t = _random_graph(rng, rng.randint(2, len(g)), rng.randint(0, 4), "t")
+        if rng.random() < 0.5:
+            t = t.induced(rng.sample(t.vertices, rng.randint(2, len(t))))
+        src, dst = af.MetricView(g), af.MetricView(t)
+        order = rng.sample(src.points, len(src))
+        images = list(dst.points) + [rng.choice(dst.points) for _ in order[len(dst):]]
+        return af.VertexMap(src, dst, dict(zip(order, images)))
     t = _random_graph(rng, rng.randint(2, 9), rng.randint(0, 4), "t")
     if kind == "split":  # torn components on either side give infinite pairs
         g = g.induced(rng.sample(g.vertices, rng.randint(2, len(g))))
@@ -351,13 +385,18 @@ def _random_table(rng, length: int) -> list[int]:
 
 def test_histogram_fits_match_per_pair_reference():
     rng = random.Random(20240603)
-    seen = {"infinite": 0, "non_surjective": 0, "true": 0, "false": 0,
-            "raise": 0, "false_before_short": 0, "raise_before_fail": 0}
-    for case in range(240):
-        vm = _random_map(rng, ("connected", "split", "nearest")[case % 3])
+    seen = {"infinite": 0, "non_surjective": 0, "surjective": 0, "surjective_torn": 0,
+            "true": 0, "false": 0, "raise": 0, "false_before_short": 0,
+            "raise_before_fail": 0}
+    for case in range(320):
+        vm = _random_map(rng, ("connected", "split", "nearest", "onto")[case % 4])
         pairs = list(_ref_pairs(vm))
         seen["infinite"] += any(af.INF in p for p in pairs)
-        seen["non_surjective"] += len(set(vm.mapping.values())) < len(vm.target)
+        onto = len(set(vm.mapping.values())) == len(vm.target)
+        seen["non_surjective"] += not onto
+        seen["surjective"] += onto
+        # the reference's diameter cap then reads an INF target diameter
+        seen["surjective_torn"] += onto and _ref_diameter(vm.target) == af.INF
         table, (gamma, c) = _ref_fit(vm)
         fit = af.fit_qi_constants(vm)
         assert (fit.table, fit.gamma, fit.c) == (table, gamma, c), case

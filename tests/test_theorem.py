@@ -1,12 +1,13 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import asdimforge as af
 from asdimforge import jsonio
-from asdimforge.amalgam import ROOT, AmalgamationSpec
+from asdimforge.amalgam import ROOT, AmalgamationSpec, SumGraph, copy_vertex
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.theorem import (ProofParameters, assemble_partition,
@@ -302,3 +303,100 @@ def test_tree_graph(chain6):
     tg = tree_graph(chain6.tree)
     assert len(tg) == 13
     assert tg.diameter() == 12
+
+
+# -- table-driven symmetry maps against the whole walk ---------------------------
+
+
+def _reference_symmetry_map(br, t):
+    """The whole-tree walk as first written: per-node symmetry search, one
+    dict entry per mapped sum vertex, and a scan of every edge."""
+    tree, h = br.tree, br.sum
+    H = h.graph
+    actions = (br.spec.action1, br.spec.action2)
+    adhesions = (br.spec.adh1, br.spec.adh2)
+    m_t = tree.return_label(t)
+    adh1 = adhesions[0]
+    g_root = next(g for g in actions[0]
+                  if frozenset(g[x] for x in adh1[br.rep_map1[m_t]]) == adh1[m_t])
+    node_map, elem, queue, dropped = {ROOT: t}, {ROOT: g_root}, [ROOT], 0
+    for u in queue:
+        g_u, u_img = elem[u], node_map[u]
+        adh_u = adhesions[tree.node_side[u] - 1]
+        for w in tree.children.get(u, ()):
+            k, ell = tree.out_label[(u, w)], tree.out_label[(w, u)]
+            image_set = frozenset(g_u[x] for x in adh_u[k])
+            k_img = next(lab for lab in adh_u.labels if adh_u[lab] == image_set)
+            if tree.return_label(u_img) == k_img:
+                w_img = tree.parent[u_img]
+            elif f"{u_img}/{k_img}" in tree.node_set:
+                w_img = f"{u_img}/{k_img}"
+            else:
+                dropped += 1
+                continue
+            ell_img = tree.out_label[(w_img, u_img)]
+            beta = br.spec.atlas.map_for(k, ell)
+            beta_img = br.spec.atlas.map_for(k_img, ell_img)
+            transfer = {beta[x]: beta_img[g_u[x]] for x in adh_u[k]}
+            node_map[w] = w_img
+            elem[w] = next(c for c in actions[tree.node_side[w] - 1]
+                           if all(c[y] == transfer[y] for y in transfer))
+            queue.append(w)
+    vmap = {}
+    for u, u_img in node_map.items():
+        for x in h.factors[tree.node_side[u] - 1].vertices:
+            vmap[copy_vertex(u, x)] = copy_vertex(u_img, elem[u][x])
+    injective = len(set(vmap.values())) == len(vmap)
+    edge_ok = True
+    detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
+    for a, b in H.edges:
+        fa, fb = vmap.get(a), vmap.get(b)
+        if fa is not None and fb is not None and fb not in H.adjacency[fa]:
+            edge_ok, detail = False, f"edge ({a}, {b}) maps to a non-edge ({fa}, {fb})"
+            break
+    return node_map, vmap, edge_ok, injective, detail
+
+
+def _assert_maps_match_reference(br) -> list:
+    """Every first-factor node but the root; returns the edge_ok flags."""
+    flags = []
+    for t in br.tree.nodes:
+        if t == ROOT or br.tree.node_side[t] != 1:
+            continue
+        sm = build_symmetry_map(br, t)
+        node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t)
+        assert sm.node_map == node_map, t
+        assert dict(sm.vertex_map) == vmap, t
+        assert list(sm.vertex_map) == list(vmap), t
+        assert len(sm.vertex_map) == len(vmap), t
+        assert (sm.edge_ok, sm.injective, sm.detail) == (edge_ok, injective, detail), t
+        assert sm.vertex_map.get("nowhere:a") is None
+        assert sm.vertex_map.get(f"{t}:no-such-vertex") is None
+        flags.append(edge_ok)
+    return flags
+
+
+@pytest.mark.parametrize("make, depth", [(chain_spec_doc, 40), (triangle_spec_doc, 8),
+                                         (type2_spec_doc, 8)])
+def test_symmetry_maps_match_the_whole_walk(make, depth):
+    br = build_doc(make(depth))
+    assert br.edges_as_laid
+    flags = _assert_maps_match_reference(br)
+    assert len(flags) >= 8 and all(flags)
+
+
+def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
+    br = build_doc(chain_spec_doc(24))
+    h = br.sum
+    site = "t1/0/1/1/1/1/1/1/1/1/1"
+    # drop one bridge at the site: the root's bridges map onto it
+    gone = next(e for e in h.bridges if h.node_of(e[0]) == site or h.node_of(e[1]) == site)
+    H = h.graph
+    doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone],
+                              annotations=H.annotations)
+    br2 = replace(br, sum=SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges))
+    assert not br2.edges_as_laid
+    flags = _assert_maps_match_reference(br2)
+    assert not all(flags)
+    sm = build_symmetry_map(br2, site)
+    assert not sm.edge_ok and "maps to a non-edge" in sm.detail
