@@ -7,10 +7,12 @@ edge yields the glued graph together with its projection.
 
 Truncations are canonical: node ids are label paths like
 ``t1/a/x/b`` — each component is the label of the edge leaving the
-parent — so two builds of the same input are byte-identical.  The cut
-happens at a fixed radius around the root, and downstream checks stay
-inside a safe core where the truncation is indistinguishable from the
-infinite object.
+parent — so two builds of the same input are byte-identical.  The ids
+are names only and are never parsed: depths, distances, paths, balls
+and subtrees are read off the parent, child and depth records the build
+walk leaves behind.  The cut happens at a fixed radius around the root,
+and downstream checks stay inside a safe core where the truncation is
+indistinguishable from the infinite object.
 """
 
 from __future__ import annotations
@@ -42,8 +44,10 @@ class AdhesionFamily:
         for k in self.labels:
             if "/" in k or ":" in k:
                 raise ConfigError(f"adhesion label {k!r} may not contain '/' or ':'")
-            if not isinstance(sets[k], (list, tuple)):
-                raise ConfigError(f"adhesion set {k!r} must be a list of vertices")
+            if not isinstance(sets[k], (list, tuple)) or \
+                    not all(isinstance(x, str) for x in sets[k]):
+                raise ConfigError(f"adhesion set {k!r} must be a list of vertex ids, "
+                                  f"not {sets[k]!r}")
             members = graph.require_members(sets[k])
             if not members:
                 raise ConfigError(f"adhesion set {k!r} is empty")
@@ -76,12 +80,13 @@ class ConnectingTree:
     """A rooted, edge-labeled truncation of a semiregular bipartite tree.
 
     ``node_side[u]`` is 1 or 2; ``out_label[(u, v)]`` is the label the
-    directed edge u->v consumes at u.  Every non-frontier node uses each
-    of its side's labels exactly once across its incident edges.
+    directed edge u->v consumes at u; ``level[u]`` is u's distance from
+    the root.  Every non-frontier node uses each of its side's labels
+    exactly once across its incident edges.
     """
 
     def __init__(self, labels1, labels2, depth, nodes, node_side, parent,
-                 children, out_label, type2_J=None):
+                 children, out_label, level, type2_J=None):
         self.labels1 = labels1
         self.labels2 = labels2
         self.depth = depth
@@ -90,9 +95,10 @@ class ConnectingTree:
         self.parent = parent
         self.children = children
         self.out_label = out_label
+        self.level = level
         self.type2_J = type2_J
         self.node_set = frozenset(nodes)
-        self.frontier = frozenset(u for u in nodes if self.node_depth(u) == depth)
+        self.frontier = frozenset(u for u in nodes if level[u] == depth)
 
     @property
     def p1(self) -> int:
@@ -103,7 +109,7 @@ class ConnectingTree:
         return len(self.labels2)
 
     def node_depth(self, u: str) -> int:
-        return u.count("/")
+        return self.level[u]
 
     def require_node(self, u: str):
         if u not in self.node_set:
@@ -115,6 +121,10 @@ class ConnectingTree:
             p = self.parent.get(u)
             if p is not None:
                 yield (p, u)
+
+    @cached_property
+    def _graph(self) -> FiniteGraph:
+        return FiniteGraph(self.nodes, self.edges())
 
     def return_label(self, u: str) -> str | None:
         """Label of the edge from u toward its parent."""
@@ -130,35 +140,43 @@ class ConnectingTree:
             return None
         return self.out_label[(p, u)]
 
-    def distance(self, u: str, v: str) -> int:
+    def path(self, u: str, v: str) -> tuple[str, ...]:
+        """Tree nodes from u to v, both endpoints included."""
         self.require_node(u)
         self.require_node(v)
-        if u == v:
-            return 0
-        pu = u.split("/")
-        pv = v.split("/")
-        common = 0
-        for a, b in zip(pu, pv):
-            if a != b:
-                break
-            common += 1
-        return (len(pu) - common) + (len(pv) - common)
+        level, parent = self.level, self.parent
+        up, down = [u], [v]
+        while level[up[-1]] > level[down[-1]]:
+            up.append(parent[up[-1]])
+        while level[down[-1]] > level[up[-1]]:
+            down.append(parent[down[-1]])
+        while up[-1] != down[-1]:
+            up.append(parent[up[-1]])
+            down.append(parent[down[-1]])
+        return tuple(up + down[-2::-1])
+
+    def distance(self, u: str, v: str) -> int:
+        return len(self.path(u, v)) - 1
 
     def nodes_within(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)
-        return tuple(u for u in self.nodes if self.distance(center, u) <= radius)
+        dist = self._graph.distances_to_set((center,), limit=radius)
+        return tuple(sorted(u for u, d in dist.items() if d <= radius))
 
     def nodes_at(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)
-        return tuple(u for u in self.nodes if self.distance(center, u) == radius)
+        dist = self._graph.distances_to_set((center,), limit=radius)
+        return tuple(sorted(u for u, d in dist.items() if d == radius))
 
     def separated_region(self, t: str) -> frozenset[str]:
         """Nodes that t separates from the root (t's own subtree); all of T for the root."""
         self.require_node(t)
         if t == ROOT:
             return self.node_set
-        pref = t + "/"
-        return frozenset(u for u in self.nodes if u == t or u.startswith(pref))
+        region = [t]
+        for u in region:  # grows as it is walked: every node below t
+            region.extend(self.children[u])
+        return frozenset(region)
 
     def is_semiregular(self) -> tuple[bool, str]:
         for u in self.nodes:
@@ -224,11 +242,13 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
     parent: dict[str, str] = {}
     children: dict[str, tuple[str, ...]] = {}
     out_label: dict[tuple[str, str], str] = {}
+    levels: dict[str, int] = {}
 
     # explicit preorder walk: deep trees must not hit the recursion limit
     stack: list[tuple[str, int, int, str | None]] = [(ROOT, 1, 0, None)]
     while stack:
         u, side, level, toward_parent = stack.pop()
+        levels[u] = level
         mine = side_labels[side]
         if toward_parent is None:
             free = mine
@@ -260,7 +280,8 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
 
     nodes.sort()
     return ConnectingTree(tuple(sorted(labels1)), tuple(sorted(labels2)), depth,
-                          tuple(nodes), node_side, parent, children, out_label, J)
+                          tuple(nodes), node_side, parent, children, out_label,
+                          levels, J)
 
 
 # -- bonding atlas -----------------------------------------------------------
@@ -291,18 +312,29 @@ class BondingAtlas:
 
     @classmethod
     def from_json_list(cls, doc: Sequence[Mapping]) -> "BondingAtlas":
+        """Read a list of ``{"left", "right", "pairs"}`` objects: string
+        labels and a list of two-string vertex pairs per entry."""
+        if not isinstance(doc, (list, tuple)):
+            raise ConfigError(f"atlas must be a list of entries, not {doc!r}")
         entries = {}
         for item in doc:
+            if not isinstance(item, Mapping):
+                raise ConfigError(f"malformed atlas entry {item!r}")
             try:
-                k, l = str(item["left"]), str(item["right"])
-                pairs = item["pairs"]
-            except (KeyError, TypeError) as exc:
-                raise ConfigError(f"malformed atlas entry: {exc}") from exc
+                k, l, pairs = item["left"], item["right"], item["pairs"]
+            except KeyError as exc:
+                raise ConfigError(f"atlas entry missing {exc.args[0]!r}") from exc
+            if not isinstance(k, str) or not isinstance(l, str):
+                raise ConfigError(f"atlas labels must be strings, not {k!r} and {l!r}")
+            if not isinstance(pairs, (list, tuple)):
+                raise ConfigError(f"atlas entry ({k!r},{l!r}) pairs must be a list, "
+                                  f"not {pairs!r}")
             m = {}
             for xy in pairs:
-                if len(xy) != 2:
+                if not isinstance(xy, (list, tuple)) or len(xy) != 2 or \
+                        not all(isinstance(x, str) for x in xy):
                     raise ConfigError(f"malformed atlas pair {xy!r}")
-                x, y = str(xy[0]), str(xy[1])
+                x, y = xy
                 if x in m:
                     raise ConfigError(f"atlas entry ({k!r},{l!r}) maps {x!r} twice")
                 m[x] = y
@@ -430,16 +462,10 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     if sorted(adh1.labels) != sorted(tree.labels1) or sorted(adh2.labels) != sorted(tree.labels2):
         raise ConfigError("tree labels differ from adhesion labels")
     factors = (g1, g2)
-    vertices = []
-    annotations = {}
-    for node in tree.nodes:
-        g = factors[tree.node_side[node] - 1]
-        for x in g.vertices:
-            vid = copy_vertex(node, x)
-            vertices.append(vid)
-            annotations[vid] = {"node": node, "origin": x}
+    vertices = [copy_vertex(node, x) for node in tree.nodes
+                for x in factors[tree.node_side[node] - 1].vertices]
     edges, bridges = _laid_edges(tree, factors, (adh1, adh2), atlas, flip_orientations)
-    graph = FiniteGraph(vertices, edges + bridges, annotations=annotations)
+    graph = FiniteGraph(vertices, edges + bridges)
     canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
     return SumGraph(graph, tree, factors, (adh1, adh2), canon)
 
@@ -544,9 +570,7 @@ def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
         px, py = projection[x], projection[y]
         if px != py:
             edges.add((px, py) if px <= py else (py, px))
-    annotations = {amid: {"fiber_size": len(members)}
-                   for amid, members in packed.items()}
-    graph = FiniteGraph(sorted(packed), sorted(edges), annotations=annotations)
+    graph = FiniteGraph(sorted(packed), sorted(edges))
     return AmalgamGraph(graph, h, projection, packed)
 
 

@@ -179,6 +179,12 @@ class WitnessFamilies:
     def all_members(self) -> tuple[Member, ...]:
         return tuple(m for fam in self.families for m in fam)
 
+    @cached_property
+    def _measured(self) -> tuple[tuple[bool, int | float] | None, ...]:
+        """Per family, whether it is r-disjoint and its widest member's
+        diameter (None for an empty family), measured once."""
+        return _measure(self.space, self.r, self.families)
+
     def violations(self) -> list[str]:
         problems = []
         if self.r <= 0:
@@ -186,12 +192,11 @@ class WitnessFamilies:
         if not self.families:
             problems.append("no families")
         covered: set[str] = set()
-        for j, fam in enumerate(self.families):
-            famobj = Family(self.space, fam) if fam else None
-            if famobj is not None:
-                if not famobj.is_r_disjoint(self.r):
+        for j, (fam, measured) in enumerate(zip(self.families, self._measured)):
+            if measured is not None:
+                disjoint, dm = measured
+                if not disjoint:
                     problems.append(f"family {j} is not {self.r}-disjoint")
-                dm = famobj.max_diameter()
                 if dm > self.bound:
                     problems.append(f"family {j} has a member of diameter {dm} > {self.bound}")
             for m in fam:
@@ -213,6 +218,25 @@ class WitnessFamilies:
             "bound": self.bound,
             "families": [[sorted(m) for m in fam] for fam in self.families],
         }
+
+
+def _measure(space: MetricView, r: int, families) -> tuple:
+    out = []
+    for fam in families:
+        famobj = Family(space, fam) if fam else None
+        out.append(None if famobj is None
+                   else (famobj.is_r_disjoint(r), famobj.max_diameter()))
+    return tuple(out)
+
+
+def _measured_witness(space: MetricView, r: int, families) -> WitnessFamilies:
+    """The witness whose bound is its widest member's diameter; the
+    measurement that gives the bound also serves its validity checks."""
+    measured = _measure(space, r, families)
+    bound = max((dm for _, dm in filter(None, measured)), default=0)
+    w = WitnessFamilies(space, r, families, int(bound))
+    object.__setattr__(w, "_measured", measured)  # frozen: fill the cache by hand
+    return w
 
 
 def witnesses_to_cover(w: WitnessFamilies) -> Cover:
@@ -444,8 +468,7 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
             for i, c in colors.items():
                 families[c].append(cells[i][1])
             fams = tuple(tuple(sorted(fam, key=sorted)) for fam in families)
-            bound = Family(space, [m for fam in fams for m in fam]).max_diameter()
-            witness = WitnessFamilies(space, r, fams, int(bound)).require_valid()
+            witness = _measured_witness(space, r, fams).require_valid()
             return GreedyResult(True, witness, tuple(net), tuple(blocks), needed)
         if n == 0:
             return GreedyResult(False, None, tuple(net), tuple(blocks), needed,
@@ -485,9 +508,7 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
     fams = []
     for bucket in buckets:
         fams.append(tuple(sorted(_cluster(bucket, g, r), key=sorted)) if bucket else ())
-    all_members = [m for fam in fams for m in fam]
-    bound = Family(space, all_members).max_diameter() if all_members else 0
-    return WitnessFamilies(space, r, tuple(fams), int(bound)).require_valid()
+    return _measured_witness(space, r, tuple(fams)).require_valid()
 
 
 @dataclass(frozen=True)
@@ -566,11 +587,9 @@ def transport_witness(w: WitnessFamilies, vm: VertexMap,
             pushed |= vm.image(m)
         fams.append(tuple(sorted(_cluster(pushed, tspace.graph, r_out), key=sorted))
                     if pushed else ())
-    all_members = [m for fam in fams for m in fam]
-    bound = Family(tspace, all_members).max_diameter() if all_members else 0
+    out = _measured_witness(tspace, r_out, tuple(fams))
     claimed = gamma * w.bound + c
-    if bound > claimed:
+    if out.bound > claimed:
         raise PreconditionError(
-            f"transported bound {bound} exceeds the claimed {claimed}")
-    out = WitnessFamilies(tspace, r_out, tuple(fams), int(bound)).require_valid()
-    return TransportedWitness(out, r_out, claimed)
+            f"transported bound {out.bound} exceeds the claimed {claimed}")
+    return TransportedWitness(out.require_valid(), r_out, claimed)

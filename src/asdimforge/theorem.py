@@ -22,8 +22,6 @@ from .errors import PreconditionError
 from .graphs import (INF, FiniteGraph, MetricView, QiFit, VertexMap,
                      fit_qi_constants, nearest_point_map)
 
-STRIP_PAIR_CAP = 60
-
 
 # -- parameters ---------------------------------------------------------------
 
@@ -112,21 +110,6 @@ def strata(h: SumGraph, t: str, m: int) -> tuple[MetricView, MetricView]:
     return exact, within
 
 
-def _path_toward(tree: ConnectingTree, a: str, b: str) -> list[str]:
-    """Tree nodes from a to b, endpoints included."""
-    up_a = [a]
-    while tree.parent.get(up_a[-1]) is not None:
-        up_a.append(tree.parent[up_a[-1]])
-    up_b = [b]
-    while tree.parent.get(up_b[-1]) is not None:
-        up_b.append(tree.parent[up_b[-1]])
-    on_a = set(up_a)
-    meet = next(x for x in up_b if x in on_a)
-    head = up_a[:up_a.index(meet) + 1]
-    tail = up_b[:up_b.index(meet)]
-    return head + tail[::-1]
-
-
 @dataclass(frozen=True)
 class LemmaStrip:
     """One stratum-to-stratum collapse check around a tree node."""
@@ -167,7 +150,7 @@ def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
 
     The strip is the part of stratum m within distance r of stratum
     m-1; it is retracted by the nearest-point map and the distortion
-    table recorded.  Additionally, distinct copies inside stratum m
+    table recorded.  Additionally, every two copies inside stratum m
     must stay far apart once their pivot copy (the first node both
     tree paths toward t share) is deleted: the construction needs
     every connection between them to run through that pivot.
@@ -188,27 +171,25 @@ def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
     if strip:
         fit = fit_qi_constants(nearest_point_map(
             MetricView(H, strip), MetricView(H, below)))
-    nodes = sorted(h.tree.nodes_at(t, m))
-    pairs = [(nodes[i], nodes[j])
-             for i in range(len(nodes)) for j in range(i + 1, len(nodes))]
-    if len(pairs) > STRIP_PAIR_CAP:
-        step = len(pairs) / STRIP_PAIR_CAP
-        pairs = [pairs[int(i * step)] for i in range(STRIP_PAIR_CAP)]
-    seps = []
-    lowest = INF
-    for u, v in pairs:
-        path_u = _path_toward(h.tree, u, t)
-        on_v = set(_path_toward(h.tree, v, t))
-        pivot = next(x for x in path_u if x in on_v)
+    nodes = h.tree.nodes_at(t, m)
+    paths = [h.tree.path(u, t) for u in nodes]
+    by_pivot: dict[str, list[tuple[int, int]]] = {}
+    for j in range(1, len(nodes)):
+        on_j = set(paths[j])
+        for i in range(j):
+            pivot = next(x for x in paths[i] if x in on_j)
+            by_pivot.setdefault(pivot, []).append((i, j))
+    found = {}
+    for pivot, pairs in by_pivot.items():
         cut = set(h.copy_vertices(pivot))
-        keep = [x for x in H.vertices if x not in cut]
-        sub = H.induced(keep)
-        a = [x for x in h.copy_vertices(u) if x in sub.vertex_set]
-        b = [x for x in h.copy_vertices(v) if x in sub.vertex_set]
-        d = sub.set_distance(a, b)
-        seps.append((u, v, d))
-        lowest = min(lowest, d)
-    return LemmaStrip(t, m, r, len(strip), False, fit, tuple(seps), lowest)
+        sub = H.induced([x for x in H.vertices if x not in cut])
+        for i, j in pairs:
+            a = [x for x in h.copy_vertices(nodes[i]) if x in sub.vertex_set]
+            b = [x for x in h.copy_vertices(nodes[j]) if x in sub.vertex_set]
+            found[i, j] = sub.set_distance(a, b)
+    seps = tuple((nodes[i], nodes[j], d) for (i, j), d in sorted(found.items()))
+    lowest = min((d for _, _, d in seps), default=INF)
+    return LemmaStrip(t, m, r, len(strip), False, fit, seps, lowest)
 
 
 # -- blocks -------------------------------------------------------------------
@@ -878,8 +859,8 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
 
 
 def tree_graph(tree: ConnectingTree) -> FiniteGraph:
-    """The connecting tree itself as a finite metric graph."""
-    return FiniteGraph(list(tree.nodes), list(tree.edges()))
+    """The connecting tree itself as a finite metric graph, built once per tree."""
+    return tree._graph
 
 
 def projection_map(br: BuildResult, margin: int = 0) -> VertexMap:

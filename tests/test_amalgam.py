@@ -14,7 +14,7 @@ from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
                                 select_orbit_representatives,
                                 split_copy_vertex, validate_bonding_atlas)
 from asdimforge.errors import ConfigError, PreconditionError
-from asdimforge.fixtures import chain_spec_doc, type2_spec_doc
+from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.groups import GroupAction, compute_automorphisms
 
 from conftest import build_doc, line_graph, ring_graph
@@ -75,6 +75,58 @@ def test_tree_structure_and_metric():
     # Cutting a depth-1 node separates its whole subtree.
     region = t.separated_region(left)
     assert left in region and deep in region and right not in region
+
+
+# reference answers parsed from the label-path ids
+def _ref_depth(u):
+    return u.count("/")
+
+
+def _ref_distance(u, v):
+    pu, pv = u.split("/"), v.split("/")
+    common = 0
+    for a, b in zip(pu, pv):
+        if a != b:
+            break
+        common += 1
+    return len(pu) + len(pv) - 2 * common
+
+
+def _ref_subtree(tree, t):
+    return frozenset(u for u in tree.nodes
+                     if t == ROOT or u == t or u.startswith(t + "/"))
+
+
+def _kernel_trees():
+    # labels holding "-" and "." sort before "/", so sorted order is not preorder
+    odd = build_connecting_tree(3, 2, 5, labels1=["a", "a-b", "a.c"],
+                                labels2=["x", "x-y"])
+    builds = [build_doc(chain_spec_doc(12)), build_doc(triangle_spec_doc(5)),
+              build_doc(type2_spec_doc(8))]
+    return [br.tree for br in builds] + [odd]
+
+
+@pytest.mark.parametrize("tree", _kernel_trees(),
+                         ids=["chain_k2", "c3_k2", "type2_k2", "dash_dot_labels"])
+def test_tree_kernel_matches_label_path_reference(tree):
+    nodes = tree.nodes
+    assert list(nodes) == sorted(nodes)
+    assert tree.frontier == {u for u in nodes if _ref_depth(u) == tree.depth}
+    for u in nodes:
+        assert tree.node_depth(u) == _ref_depth(u)
+        assert tree.separated_region(u) == _ref_subtree(tree, u)
+        for radius in range(-1, 2 * tree.depth + 2):
+            assert tree.nodes_within(u, radius) == tuple(
+                v for v in nodes if _ref_distance(u, v) <= radius)
+            assert tree.nodes_at(u, radius) == tuple(
+                v for v in nodes if _ref_distance(u, v) == radius)
+        for v in nodes:
+            path = tree.path(u, v)
+            assert tree.distance(u, v) == _ref_distance(u, v) == len(path) - 1
+            assert path[0] == u and path[-1] == v
+            assert all(tree.parent.get(a) == b or tree.parent.get(b) == a
+                       for a, b in zip(path, path[1:]))
+            assert path == tree.path(v, u)[::-1]
 
 
 def test_tree_entry_and_return_labels():

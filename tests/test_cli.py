@@ -164,12 +164,41 @@ def _string_vertices(doc):
     return doc
 
 
+def _number_atlas(doc):
+    doc["atlas"] = 5
+    return doc
+
+
+def _null_atlas_pairs(doc):
+    doc["atlas"][0]["pairs"] = None
+    return doc
+
+
+def _string_atlas_pair(doc):
+    # the ("0","1") entry's one pair is ["a", "b"]: "ab" once read as the same pair
+    doc["atlas"][1]["pairs"] = ["ab"]
+    return doc
+
+
+def _number_atlas_label(doc):
+    doc["atlas"][0]["left"] = 0
+    return doc
+
+
+def _object_adhesion_member(doc):
+    doc["adhesions"][0]["0"] = [{"a": 1}]
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion,
                                      _list_tree, _list_actions, _float_depth,
                                      _bool_depth, _string_p1, _string_type2_J,
                                      _string_generators, _number_generators,
                                      _number_image_generators,
-                                     _string_factor2_generators, _string_vertices])
+                                     _string_factor2_generators, _string_vertices,
+                                     _number_atlas, _null_atlas_pairs,
+                                     _string_atlas_pair, _number_atlas_label,
+                                     _object_adhesion_member])
 def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     doc = corrupt(chain_spec_doc(8))
     spec = write_doc(tmp_path, "bad.json", doc)

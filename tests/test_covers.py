@@ -383,3 +383,22 @@ def test_complement_table_is_built_once_per_cover():
     af.check_rd_dim(c, 1, 5, 1)
     assert c.complement_reach is table
     assert af.Cover(view(g), [frozenset(g.vertices)]).complement_reach == (None,)
+
+
+def test_shipped_witnesses_measure_each_member_once(monkeypatch):
+    calls = []
+    diameter = af.FiniteGraph.diameter
+    monkeypatch.setattr(af.FiniteGraph, "diameter",
+                        lambda self, vs=None: calls.append(vs) or diameter(self, vs))
+    space = view(line_graph(12))
+    greedy = af.greedy_witness(space, 3, 1)
+    band = band_witness(space, 3, 1)
+    for w in (greedy.witness, band):
+        assert w.violations() == []
+        w.require_valid()
+    members = len(greedy.witness.all_members()) + len(band.all_members())
+    assert len(calls) == members
+    # a witness built by hand is measured on its first check, then never again
+    fresh = af.WitnessFamilies(space, band.r, band.families, band.bound)
+    assert fresh.violations() == [] and fresh.violations() == []
+    assert len(calls) == members + len(band.all_members())
