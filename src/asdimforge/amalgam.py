@@ -81,12 +81,16 @@ class ConnectingTree:
 
     ``node_side[u]`` is 1 or 2; ``out_label[(u, v)]`` is the label the
     directed edge u->v consumes at u; ``level[u]`` is u's distance from
-    the root.  Every non-frontier node uses each of its side's labels
-    exactly once across its incident edges.
+    the root.  ``preorder[u]`` is u's index in the build walk and
+    ``subtree_end[u]`` the index just past its last descendant, so v
+    lies in u's subtree exactly when
+    ``preorder[u] <= preorder[v] < subtree_end[u]``.  Every non-frontier
+    node uses each of its side's labels exactly once across its incident
+    edges.
     """
 
     def __init__(self, labels1, labels2, depth, nodes, node_side, parent,
-                 children, out_label, level, type2_J=None):
+                 children, out_label, level, preorder, subtree_end, type2_J=None):
         self.labels1 = labels1
         self.labels2 = labels2
         self.depth = depth
@@ -96,6 +100,8 @@ class ConnectingTree:
         self.children = children
         self.out_label = out_label
         self.level = level
+        self.preorder = preorder
+        self.subtree_end = subtree_end
         self.type2_J = type2_J
         self.node_set = frozenset(nodes)
         self.frontier = frozenset(u for u in nodes if level[u] == depth)
@@ -168,16 +174,6 @@ class ConnectingTree:
         dist = self._graph.distances_to_set((center,), limit=radius)
         return tuple(sorted(u for u, d in dist.items() if d == radius))
 
-    def separated_region(self, t: str) -> frozenset[str]:
-        """Nodes that t separates from the root (t's own subtree); all of T for the root."""
-        self.require_node(t)
-        if t == ROOT:
-            return self.node_set
-        region = [t]
-        for u in region:  # grows as it is walked: every node below t
-            region.extend(self.children[u])
-        return frozenset(region)
-
     def is_semiregular(self) -> tuple[bool, str]:
         for u in self.nodes:
             if u in self.frontier:
@@ -243,12 +239,14 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
     children: dict[str, tuple[str, ...]] = {}
     out_label: dict[tuple[str, str], str] = {}
     levels: dict[str, int] = {}
+    preorder: dict[str, int] = {}
 
     # explicit preorder walk: deep trees must not hit the recursion limit
     stack: list[tuple[str, int, int, str | None]] = [(ROOT, 1, 0, None)]
     while stack:
         u, side, level, toward_parent = stack.pop()
         levels[u] = level
+        preorder[u] = len(preorder)
         mine = side_labels[side]
         if toward_parent is None:
             free = mine
@@ -278,10 +276,16 @@ def build_connecting_tree(p1: int, p2: int, depth: int,
         children[u] = tuple(kids)
         stack.extend((w, other, level + 1, u) for w in reversed(kids))
 
+    # a subtree is a run of the walk: its end is its start plus its size
+    size = dict.fromkeys(preorder, 1)
+    for u in reversed(preorder):
+        if u in parent:
+            size[parent[u]] += size[u]
+    subtree_end = {u: i + size[u] for u, i in preorder.items()}
     nodes.sort()
     return ConnectingTree(tuple(sorted(labels1)), tuple(sorted(labels2)), depth,
                           tuple(nodes), node_side, parent, children, out_label,
-                          levels, J)
+                          levels, preorder, subtree_end, J)
 
 
 # -- bonding atlas -----------------------------------------------------------
@@ -464,17 +468,6 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     factors = (g1, g2)
     vertices = [copy_vertex(node, x) for node in tree.nodes
                 for x in factors[tree.node_side[node] - 1].vertices]
-    edges, bridges = _laid_edges(tree, factors, (adh1, adh2), atlas, flip_orientations)
-    graph = FiniteGraph(vertices, edges + bridges)
-    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
-    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
-
-
-def _laid_edges(tree: ConnectingTree, factors: tuple[FiniteGraph, FiniteGraph],
-                adhesions: tuple[AdhesionFamily, AdhesionFamily], atlas: BondingAtlas,
-                flip_orientations: bool = False) -> tuple[list, list]:
-    """The factor copies' edges and the bridges, as the sum graph lays them."""
-    adh1, adh2 = adhesions
     edges = []
     for node in tree.nodes:
         for x, y in factors[tree.node_side[node] - 1].edges:
@@ -492,7 +485,9 @@ def _laid_edges(tree: ConnectingTree, factors: tuple[FiniteGraph, FiniteGraph],
             m = atlas.map_for(k, l)
             for x in sorted(adh1[k]):
                 bridges.append((copy_vertex(one, x), copy_vertex(two, m[x])))
-    return edges, bridges
+    graph = FiniteGraph(vertices, edges + bridges)
+    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
+    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
 
 
 # -- contraction --------------------------------------------------------------
@@ -880,12 +875,14 @@ class AmalgamationSpec:
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AmalgamationSpec":
         try:
-            name = str(doc.get("name", "unnamed"))
+            name = doc.get("name", "unnamed")
             factor_docs = doc["factors"]
             adhesion_docs = doc["adhesions"]
             tree_doc = doc["tree"]
         except KeyError as exc:
             raise ConfigError(f"amalgamation document missing {exc.args[0]!r}") from exc
+        if not isinstance(name, str):
+            raise ConfigError(f"name must be a string, not {name!r}")
         if not isinstance(tree_doc, Mapping):
             raise ConfigError("tree must be an object")
         type2_raw = tree_doc.get("type2_J")
@@ -959,15 +956,6 @@ class BuildResult:
     id_sizes: dict[str, int]
     max_id_size: int
     trivial: bool
-
-    @cached_property
-    def edges_as_laid(self) -> bool:
-        """Whether the sum graph's edges are exactly the factor copies' edges
-        plus the atlas bridges, as ``build_sum_graph`` lays them down."""
-        edges, bridges = _laid_edges(self.tree, self.sum.factors, self.sum.adhesions,
-                                     self.spec.atlas)
-        laid = {(a, b) if a <= b else (b, a) for a, b in edges + bridges}
-        return laid == set(self.sum.graph.edges)
 
     def report_dict(self) -> dict:
         semi_ok, semi_why = self.tree.is_semiregular()

@@ -3,7 +3,9 @@ the certificate engine.
 
 Exit codes: 0 means the requested check passed, 1 means it ran and
 failed, 2 means the input documents were unusable, 3 means a
-precondition was violated.  All artifacts are JSON written atomically.
+precondition was violated, 4 means the program itself went wrong (a
+one-line ``internal error`` message, no traceback).  All artifacts are
+JSON written atomically.
 """
 
 from __future__ import annotations
@@ -316,6 +318,10 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition: {exc}", file=sys.stderr)
         return 3
+    except Exception as exc:
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"internal error: {message}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -2,8 +2,9 @@
 
 The CLI maps these onto exit codes: configuration problems (bad JSON,
 malformed documents, unknown labels) exit with 2, violated operation
-preconditions (parameter constraints, size caps) with 3.  Verification
-failures are ordinary return values, not exceptions.
+preconditions (parameter constraints, size caps) with 3, and any other
+exception with 4.  Verification failures are ordinary return values,
+not exceptions.
 """
 
 

@@ -295,11 +295,16 @@ def load_graph(doc: dict | str) -> FiniteGraph:
     for key, value in (("vertices", vertices), ("edges", edges)):
         if not isinstance(value, (list, tuple)):
             raise GraphFormatError(f"graph {key} must be a list, not {value!r}")
+    for v in vertices:
+        if not isinstance(v, str):
+            raise GraphFormatError(f"vertex ids must be strings, not {v!r}")
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise GraphFormatError(f"malformed edge {e!r}")
-        pairs.append((str(e[0]), str(e[1])))
+        if not all(isinstance(x, str) for x in e):
+            raise GraphFormatError(f"edge endpoints must be vertex id strings, not {e!r}")
+        pairs.append(tuple(e))
     seen = set()
     for x, y in pairs:
         key = _edge_key(x, y)

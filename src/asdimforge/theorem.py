@@ -254,7 +254,7 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
         raise PreconditionError("no representative boundary copies at the root")
     core = frozenset().union(*pieces)
     shell = H.shell(core, R)
-    reach = H.distances_to_set(core)
+    reach = H.distances_to_set(core, limit=R)
     main = {v for v in h.vertices_over(tree.nodes_within(ROOT, r - 1))
             if reach.get(v, INF) >= R}
     fringe: set[str] = set()
@@ -262,7 +262,7 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
         if tree.node_side[v] != 1:
             raise PreconditionError(
                 "fringe nodes must carry the first factor; is the block radius even?")
-        anchor, _ = build_symmetry_map(br, v).carry(core)
+        anchor, _ = build_symmetry_map(br, v, r).carry(core)
         fringe |= H.ball(anchor, R) & frozenset(h.copy_vertices(v))
     u_vertices = frozenset(main) | fringe
     u_edges = _edges_inside(H, u_vertices)
@@ -292,8 +292,9 @@ class SymmetryMap:
 
     ``node_map`` sends tree nodes near the root to tree nodes near the
     site; ``vertex_map`` refines it vertex-by-vertex using one factor
-    symmetry per node.  Nodes whose image would fall outside the
-    truncation are simply absent, so the map may be partial.
+    symmetry per node.  Nodes below the walk's radius, and nodes whose
+    image would fall outside the truncation, are simply absent, so the
+    map is partial.
     """
 
     site: str
@@ -366,29 +367,33 @@ def _image_label(adh: AdhesionFamily, g: Mapping[str, str], k: str, u: str) -> s
         f"image at {u!r} is not itself a boundary set")
 
 
-def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
+def build_symmetry_map(br: BuildResult, t: str, radius: int) -> SymmetryMap:
     """Recenter the root picture at node t, one factor symmetry per node.
 
     Starting from a symmetry that carries the representative boundary
-    set onto the set t enters through, the builder walks the tree:
-    across each edge it reads off where the current symmetry sends the
-    edge's boundary set, follows the like-labeled edge on the image
-    side, and extends the walk with a symmetry of the next factor that
-    matches the bonding transfer.  No such symmetry means the declared
-    actions cannot support the translation and the builder raises.
+    set onto the set t enters through, the builder walks the tree from
+    the root down to level ``radius``: across each edge it reads off
+    where the current symmetry sends the edge's boundary set, follows
+    the like-labeled edge on the image side, and extends the walk with
+    a symmetry of the next factor that matches the bonding transfer.
+    No such symmetry means the declared actions cannot support the
+    translation and the builder raises.  The map, and its edge and
+    injectivity checks, cover the nodes of level at most ``radius``.
 
     Each step depends only on the current symmetry and the four labels
     involved, so the walk looks steps up in a table filled on first
-    use, and the edge check runs once per distinct symmetry and step.
+    use.
     """
     tree, h = br.tree, br.sum
     tree.require_node(t)
     H = h.graph
     elements = (br.spec.action1.elements, br.spec.action2.elements)
     adhesions = (br.spec.adh1, br.spec.adh2)
+    level = tree.level
     if t == ROOT:
-        vmap = {v: v for v in H.vertices}
-        return SymmetryMap(t, {u: u for u in tree.nodes}, vmap,
+        near = tree.nodes_within(ROOT, radius)
+        vmap = {v: v for u in near for v in h.copy_vertices(u)}
+        return SymmetryMap(t, {u: u for u in near}, vmap,
                            True, True, "identity")
     if tree.node_side[t] != 1:
         raise PreconditionError("translation sites must carry the first factor")
@@ -407,7 +412,8 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
     # -> the next element
     image_label: dict[tuple, str] = {}
     next_step: dict[tuple, int] = {}
-    side_of, out_label, parent = tree.node_side, tree.out_label, tree.parent
+    side_of, out_label, parent, children = (tree.node_side, tree.out_label, tree.parent,
+                                            tree.children)
     node_map: dict[str, str] = {ROOT: t}
     elem: dict[str, int] = {ROOT: e_root}
     perm: dict[str, Mapping[str, str]] = {ROOT: elements[0][e_root]}
@@ -415,10 +421,12 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
     dropped = 0
     while queue:
         u = queue.popleft()
+        if level[u] == radius:
+            continue
         e_u = elem[u]
         u_img = node_map[u]
         side_u = side_of[u]
-        for w in tree.children.get(u, ()):
+        for w in children[u]:
             k = out_label[(u, w)]
             key = (side_u, e_u, k)
             k_img = image_label.get(key)
@@ -430,8 +438,9 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
             if p_img is not None and out_label[(u_img, p_img)] == k_img:
                 w_img = p_img
             else:
-                w_img = f"{u_img}/{k_img}"
-                if w_img not in tree.node_set:
+                w_img = next((c for c in children[u_img] if out_label[(u_img, c)] == k_img),
+                             None)
+                if w_img is None:
                     dropped += 1
                     continue
             step = key + (out_label[(w, u)], k_img, out_label[(w_img, u_img)])
@@ -450,20 +459,16 @@ def build_symmetry_map(br: BuildResult, t: str) -> SymmetryMap:
         injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
-    # an image node carries its preimage's factor and an automorphism of
-    # it, and each step's symmetry matches the bonding transfer, so copy
-    # edges and bridges land on copy edges and bridges; only a sum graph
-    # whose edges differ from the laid ones needs the scan
-    if not br.edges_as_laid:
-        for a, b in H.edges:
-            fa = vmap.get(a)
-            fb = vmap.get(b)
-            if fa is None or fb is None:
-                continue
-            if fb not in H.adjacency[fa]:
-                edge_ok = False
-                detail = f"edge ({a}, {b}) maps to a non-edge ({fa}, {fb})"
-                break
+    # the scan covers the mapped region only and reports its least edge
+    # that lands on a non-edge
+    adjacency = H.adjacency
+    bad = min(((a, b) for a in vmap for b in adjacency[a]
+               if a < b and b in vmap and vmap[b] not in adjacency[vmap[a]]),
+              default=None)
+    if bad is not None:
+        a, b = bad
+        edge_ok = False
+        detail = f"edge ({a}, {b}) maps to a non-edge ({vmap[a]}, {vmap[b]})"
     return SymmetryMap(t, node_map, vmap, edge_ok, injective, detail)
 
 
@@ -523,14 +528,16 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     exactly the statement that block interiors are pairwise disjoint.
     """
     h, tree, H = br.sum, br.tree, br.sum.graph
+    preorder = tree.preorder
     members = [base.w0]
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
-        region = tree.separated_region(sm.site)
+        # the image keeps what lands in the site's subtree, a preorder run
+        lo, hi = preorder[sm.site], tree.subtree_end[sm.site]
         image = {}
         for v in base.w_r.vertices:
             w = sm.vertex_map.get(v)
-            if w is not None and split_copy_vertex(w)[0] in region:
+            if w is not None and lo <= preorder[split_copy_vertex(w)[0]] < hi:
                 image[v] = w
         verts = frozenset(image.values())
         edges = tuple(sorted(_ordered(image[a], image[b])
@@ -538,17 +545,21 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
                              if a in image and b in image))
         members.append(Block(f"W@{sm.site}", verts, edges))
         shell_img, _ = sm.carry(base.shell)
-        shells[sm.site] = frozenset(w for w in shell_img if split_copy_vertex(w)[0] in region)
+        shells[sm.site] = frozenset(
+            w for w in shell_img if lo <= preorder[split_copy_vertex(w)[0]] < hi)
     shell_union = frozenset().union(*shells.values()) if shells else frozenset()
     safe = safe_vertices(h, params)
     covered = frozenset().union(*(b.vertices for b in members))
     missing = safe - covered
-    faults = []
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            meet = members[i].vertices & members[j].vertices
-            if meet - shell_union:
-                faults.append((members[i].name, members[j].name))
+    # two members overlap off the shells exactly when some vertex off the
+    # shells lies in both, so index those vertices by the members holding them
+    holders: dict[str, list[int]] = {}
+    for i, b in enumerate(members):
+        for v in b.vertices - shell_union:
+            holders.setdefault(v, []).append(i)
+    clashes = sorted({(i, j) for held in holders.values() if len(held) > 1
+                      for k, i in enumerate(held) for j in held[k + 1:]})
+    faults = [(members[i].name, members[j].name) for i, j in clashes]
     boundary_union = frozenset().union(
         *(H.boundary(s) for s in shells.values() if s)) if shells else frozenset()
     return PartitionData(tuple(members), shells, shell_union, safe,
@@ -558,11 +569,22 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
 
 @dataclass(frozen=True)
 class SeparationReport:
-    """Pairwise ambient distances between translated shells."""
+    """Each live shell's distance to its nearest other shell.
 
-    pairs: tuple[tuple[str, str, int | float], ...]
+    ``pairs`` holds one (site, nearest other site, distance) triple per
+    live shell in site order; the nearest site is None, and the distance
+    INF, when no other shell shares the shell's component.
+    ``closest_sites`` and ``closest_vertices`` witness ``min_distance``
+    (both None when it is INF): d(x, y) equals it for the vertex pair,
+    with x on the first site's shell and y on the second's.
+    """
+
+    pairs: tuple[tuple[str, str | None, int | float], ...]
     min_distance: int | float
+    closest_sites: tuple[str, str] | None
+    closest_vertices: tuple[str, str] | None
     empty_sites: tuple[str, ...]
+    work: dict
 
     def all_beyond(self, bound: int) -> bool:
         return self.min_distance > bound
@@ -570,26 +592,68 @@ class SeparationReport:
     def all_at_least(self, bound: int) -> bool:
         return self.min_distance >= bound
 
-    def to_json_dict(self) -> dict:
-        return {"pairs": [[a, b, d] for a, b, d in self.pairs],
-                "min_distance": self.min_distance,
-                "empty_sites": list(self.empty_sites)}
-
 
 def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> SeparationReport:
+    """Nearest-shell distances from one search out of every shell at once.
+
+    The search assigns each vertex to a shell nearest to it, through a
+    shortest path that stays inside that shell's cell (a graph Voronoi
+    diagram).  An edge (u, v) joining the cells of shells a and b bounds
+    d(a, b) by d(u, a) + 1 + d(v, b).  The least such bound at a shell
+    is exact: on a shortest path from a to its nearest shell, the first
+    edge leaving a's cell already attains it.  Shells sharing a vertex
+    are at distance 0; the search sees that as it places its seeds.
+    """
     sites = sorted(shells)
     live = [s for s in sites if shells[s]]
     empty = tuple(s for s in sites if not shells[s])
-    pairs = []
-    lowest = INF
-    for i in range(len(live) - 1):
-        later = [shells[s] for s in live[i + 1:]]
-        dist = H.distances_to_set(shells[live[i]], until=frozenset().union(*later))
-        for s, shell in zip(live[i + 1:], later):
-            d = min(dist.get(v, INF) for v in shell)
-            pairs.append((live[i], s, d))
-            lowest = min(lowest, d)
-    return SeparationReport(tuple(pairs), lowest, empty)
+    work = {"searches": 0, "vertices_settled": 0, "boundary_edges": 0}
+    # per shell (distance, other shell's index), and overall (distance, i,
+    # j, x, y) with i < j and x, y witnessing vertices; ties go to the
+    # lowest indices, then to the first bound found
+    best: list[tuple | None] = [None] * len(live)
+    least = None
+
+    def offer(d, i, j, x, y):
+        nonlocal least
+        if i > j:
+            i, j, x, y = j, i, y, x
+        for a, b in ((i, j), (j, i)):
+            if best[a] is None or (d, b) < best[a]:
+                best[a] = (d, b)
+        if least is None or (d, i, j) < least[:3]:
+            least = (d, i, j, x, y)
+
+    if len(live) > 1:
+        cell: dict[str, int] = {}
+        root: dict[str, str] = {}
+        for i, s in enumerate(live):
+            for v in sorted(shells[s]):
+                if v in cell:
+                    offer(0, cell[v], i, v, v)
+                else:
+                    cell[v], root[v] = i, v
+        dist = H.distances_to_set(cell)
+        work["searches"] = 1
+        work["vertices_settled"] = len(dist)
+        adjacency = H.adjacency
+        # settled in order of distance, so each vertex joins the cell of
+        # its first neighbour one step nearer
+        for v, d in dist.items():
+            if d:
+                p = next(w for w in adjacency[v] if dist.get(w) == d - 1)
+                cell[v], root[v] = cell[p], root[p]
+        for u, v in H.edges:
+            i, j = cell.get(u), cell.get(v)
+            if i is not None and j is not None and i != j:
+                work["boundary_edges"] += 1
+                offer(dist[u] + 1 + dist[v], i, j, root[u], root[v])
+    pairs = tuple((s, None, INF) if row is None else (s, live[row[1]], row[0])
+                  for s, row in zip(live, best))
+    if least is None:
+        return SeparationReport(pairs, INF, None, None, empty, work)
+    d, i, j, x, y = least
+    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work)
 
 
 def theorem_bound(factor1_dim: int, factor2_dim: int, adhesion_dim: int) -> int:
@@ -611,6 +675,12 @@ class Stage:
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "verdict": self.verdict, "data": self.data}
+
+
+#: Version of the certificate layout ``TheoremCertificate.to_json_dict``
+#: writes; format 2 records nearest-shell distances in place of every
+#: shell pair, and symmetry-map rows for the walk down to level r.
+CERTIFICATE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -636,6 +706,7 @@ class TheoremCertificate:
 
     def to_json_dict(self) -> dict:
         return {
+            "format_version": CERTIFICATE_FORMAT,
             "name": self.name,
             "parameters": self.params.to_json_dict(),
             "target_families": self.n,
@@ -707,12 +778,13 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     }))
 
     # later stages only look maps up on the working block and the shell,
-    # so each map is cut down to those as soon as its row is recorded
+    # which lie over tree levels at most r, so each walk stops there and
+    # each map is cut down to them as soon as its row is recorded
     looked_up = base.w_r.vertices | base.shell
     maps = []
     per_site = {}
     for t in sites:
-        sm = build_symmetry_map(br, t)
+        sm = build_symmetry_map(br, t, r)
         per_site[sm.site] = {"nodes": len(sm.node_map),
                              "vertices": len(sm.vertex_map),
                              "edge_ok": sm.edge_ok,
@@ -811,6 +883,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
             transported_ok = z_mult <= n
             trans_data = {
                 "members": len(ordered),
+                "member_lists": [sorted(m) for m in ordered],
                 "multiplicity": z_mult,
                 "multiplicity_within_strict_budget": z_mult <= n - 1,
                 "max_diameter": z_diam,
@@ -819,11 +892,14 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
 
     sep = verify_separation(H, part.shells)
     stages.append(Stage("separation", sep.all_beyond(R), {
-        "pairs": [[a, b, d] for a, b, d in sep.pairs],
+        "nearest": {a: [b, d] for a, b, d in sep.pairs},
         "min_distance": sep.min_distance,
+        "closest_sites": sep.closest_sites,
+        "closest_vertices": sep.closest_vertices,
         "beyond_shell_radius": sep.all_beyond(R),
         "at_least_triple_radius": sep.all_at_least(3 * R),
         "empty_sites": list(sep.empty_sites),
+        "work": sep.work,
     }))
 
     leb_ok = False

@@ -49,6 +49,11 @@ def chain40():
 
 
 @pytest.fixture(scope="session")
+def chain160():
+    return build_doc(chain_spec_doc(160))
+
+
+@pytest.fixture(scope="session")
 def triangle8():
     return build_doc(triangle_spec_doc(8))
 
@@ -61,6 +66,11 @@ def triangle12():
 @pytest.fixture(scope="session")
 def type2_6():
     return build_doc(type2_spec_doc(6))
+
+
+@pytest.fixture(scope="session")
+def type2_8():
+    return build_doc(type2_spec_doc(8))
 
 
 @pytest.fixture(scope="session")

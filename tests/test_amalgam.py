@@ -55,6 +55,8 @@ def test_tree_records_nodes_in_preorder():
         walk.append(u)
         stack.extend(reversed(t.children[u]))
     assert list(t.children) == walk
+    assert sorted(t.preorder, key=t.preorder.get) == walk
+    assert t.preorder[ROOT] == 0 and t.subtree_end[ROOT] == len(walk)
     assert [u for u, _ in t.out_label][:4] == [ROOT, ROOT, ROOT, f"{ROOT}/0"]
 
 
@@ -72,8 +74,8 @@ def test_tree_structure_and_metric():
     assert t.distance(deep, right) == 4
     assert set(t.nodes_at(ROOT, 6)) <= set(t.nodes)
     assert len(t.nodes_within(ROOT, 2)) == 5
-    # Cutting a depth-1 node separates its whole subtree.
-    region = t.separated_region(left)
+    # A depth-1 node's subtree is one run of the preorder walk.
+    region = {u for u in t.nodes if _in_subtree(t, u, left)}
     assert left in region and deep in region and right not in region
 
 
@@ -90,6 +92,10 @@ def _ref_distance(u, v):
             break
         common += 1
     return len(pu) + len(pv) - 2 * common
+
+
+def _in_subtree(tree, u, t):
+    return tree.preorder[t] <= tree.preorder[u] < tree.subtree_end[t]
 
 
 def _ref_subtree(tree, t):
@@ -114,7 +120,7 @@ def test_tree_kernel_matches_label_path_reference(tree):
     assert tree.frontier == {u for u in nodes if _ref_depth(u) == tree.depth}
     for u in nodes:
         assert tree.node_depth(u) == _ref_depth(u)
-        assert tree.separated_region(u) == _ref_subtree(tree, u)
+        assert {v for v in nodes if _in_subtree(tree, v, u)} == _ref_subtree(tree, u)
         for radius in range(-1, 2 * tree.depth + 2):
             assert tree.nodes_within(u, radius) == tuple(
                 v for v in nodes if _ref_distance(u, v) <= radius)

@@ -190,6 +190,21 @@ def _object_adhesion_member(doc):
     return doc
 
 
+def _object_name(doc):
+    doc["name"] = {"x": 1}
+    return doc
+
+
+def _number_vertex(doc):
+    doc["factors"][0] = {"vertices": ["a", 1], "edges": [["a", "1"]]}
+    return doc
+
+
+def _number_edge_endpoint(doc):
+    doc["factors"][1] = {"vertices": ["a", "b"], "edges": [["a", 0]]}
+    return doc
+
+
 @pytest.mark.parametrize("corrupt", [_bad_asdim, _bool_asdim, _string_adhesion,
                                      _list_tree, _list_actions, _float_depth,
                                      _bool_depth, _string_p1, _string_type2_J,
@@ -198,7 +213,8 @@ def _object_adhesion_member(doc):
                                      _string_factor2_generators, _string_vertices,
                                      _number_atlas, _null_atlas_pairs,
                                      _string_atlas_pair, _number_atlas_label,
-                                     _object_adhesion_member])
+                                     _object_adhesion_member, _object_name,
+                                     _number_vertex, _number_edge_endpoint])
 def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     doc = corrupt(chain_spec_doc(8))
     spec = write_doc(tmp_path, "bad.json", doc)
@@ -212,12 +228,13 @@ def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     assert run.stderr.startswith("error: ")
 
 
-# sha256 of the certificates as first recorded: a speedup must not move a byte
+# sha256 of the certificates as first recorded in format 2: a speedup must
+# not move a byte
 @pytest.mark.parametrize("make, depth, R, r, digest", [
     (chain_spec_doc, 40, 2, 10,
-     "7ac0bf9845db4dcb4c3b1f147cb40520bf6633ce91cef92df5c94b6013edac69"),
+     "6e89fd59689d6f4bb1af7f2dc45a4059734e2e529d88690f09b082d924ebccd8"),
     (triangle_spec_doc, 8, 0, 4,
-     "845ee219b45a41d2807e5a7e5ad3920ef755518760aaca388b59d1b5e2dafb5e"),
+     "a6ad6fd93e79022fcd1b9943b5c6064ec8334abe74ee98edad53ed86fa9f4360"),
 ])
 def test_certificate_bytes_are_pinned(tmp_path, make, depth, R, r, digest):
     spec = write_doc(tmp_path, "spec.json", make(depth))
@@ -274,7 +291,19 @@ def test_verify_theorem_command(tmp_path, capsys):
     assert "PASS bound=1" in text
     cert = json.loads(out.read_text())
     assert cert["verdict"] == "PASS"
+    assert cert["format_version"] == 2
     assert cert["stage_order"][0] == "parameters"
+
+
+def test_internal_error_exits_4_without_traceback(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("handler broke\non two lines")
+    monkeypatch.setattr(cli, "cmd_aut", broken)
+    graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
+    assert cli.main(["aut", "--spec", graph]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "internal error: RuntimeError: handler broke on two lines\n"
 
 
 def test_verify_theorem_failure_exit(tmp_path, capsys):

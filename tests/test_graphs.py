@@ -158,6 +158,13 @@ def test_load_graph_forms_and_errors():
                 {"vertices": ["a", "b"], "edges": {"a": "b"}}):
         with pytest.raises(GraphFormatError, match="must be a list"):
             af.load_graph(doc)
+    # ids are strings: a number is rejected, not read as its decimal string
+    for doc in ({"vertices": ["a", 1], "edges": [["a", "1"]]},
+                {"vertices": ["a", "b"], "edges": [["a", 0]]},
+                '{"vertices": [0, 1], "edges": [[0, 1]]}',
+                {"vertices": ["a", None], "edges": [["a", None]]}):
+        with pytest.raises(GraphFormatError, match="must be"):
+            af.load_graph(doc)
 
 
 def test_metric_view_restriction():

@@ -1,5 +1,6 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -7,7 +8,8 @@ import pytest
 
 import asdimforge as af
 from asdimforge import jsonio
-from asdimforge.amalgam import ROOT, AmalgamationSpec, SumGraph, copy_vertex
+from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
+                                split_copy_vertex)
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.theorem import (ProofParameters, assemble_partition,
@@ -136,8 +138,10 @@ def test_base_blocks_drop_shell_edges(triangle12):
 
 
 def test_symmetry_map_identity_at_root(chain40):
-    sm = build_symmetry_map(chain40, ROOT)
-    assert sm.node_map[ROOT] == ROOT
+    sm = build_symmetry_map(chain40, ROOT, 10)
+    assert sm.node_map == {u: u for u in chain40.tree.nodes_within(ROOT, 10)}
+    assert sorted(sm.vertex_map) == sorted(
+        chain40.sum.vertices_over(chain40.tree.nodes_within(ROOT, 10)))
     assert all(k == v for k, v in sm.vertex_map.items())
     assert sm.edge_ok and sm.injective
 
@@ -147,7 +151,7 @@ def test_symmetry_map_recenters(chain40):
     site = next(t for t in translation_sites(chain40.tree, params)
                 if chain40.tree.node_depth(t) == 10)
     assert site == "t1/0/1/1/1/1/1/1/1/1/1"
-    sm = build_symmetry_map(chain40, site)
+    sm = build_symmetry_map(chain40, site, 10)
     assert sm.node_map[ROOT] == site
     assert sm.edge_ok and sm.injective
     carried, missing = sm.carry(frozenset({"t1:a", "t1:b"}))
@@ -165,7 +169,7 @@ def test_symmetry_map_needs_witnesses():
     br = build_doc(doc)
     site = "t1/0/1"
     with pytest.raises(PreconditionError) as err:
-        build_symmetry_map(br, site)
+        build_symmetry_map(br, site, 2)
     assert "consistency witnesses missing" in str(err.value)
 
 
@@ -175,7 +179,7 @@ def test_symmetry_map_needs_witnesses():
 def test_partition_covers_and_stays_disjoint(chain20):
     params = ProofParameters(R=2, r=10, depth=20)
     base = base_blocks(chain20, params)
-    maps = [build_symmetry_map(chain20, t)
+    maps = [build_symmetry_map(chain20, t, params.r)
             for t in translation_sites(chain20.tree, params)]
     part = assemble_partition(chain20, params, base, maps)
     assert part.covers_safe
@@ -190,7 +194,7 @@ def test_partition_detects_coverage_gap():
     br = build_doc(chain_spec_doc(22))
     params = ProofParameters(R=2, r=10, depth=22, margin=0)
     base = base_blocks(br, params)
-    maps = [build_symmetry_map(br, t) for t in translation_sites(br.tree, params)]
+    maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
     part = assemble_partition(br, params, base, maps)
     # With no safety margin the deepest vertices fall past every block.
     assert not part.covers_safe
@@ -198,10 +202,26 @@ def test_partition_detects_coverage_gap():
     assert part.interiors_disjoint
 
 
+def test_partition_overlap_faults_match_pairwise_reference(chain40):
+    params = ProofParameters(R=2, r=10, depth=40)
+    base = base_blocks(chain40, params)
+    maps = [build_symmetry_map(chain40, t, params.r)
+            for t in translation_sites(chain40.tree, params)]
+    # three blocks at each site, in two orders: every site's vertices off
+    # the shells lie in three members
+    part = assemble_partition(chain40, params, base, maps + maps[::-1] + maps)
+    members, off = part.members, part.shell_union
+    pairwise = [(members[i].name, members[j].name)
+                for i in range(len(members)) for j in range(i + 1, len(members))
+                if (members[i].vertices & members[j].vertices) - off]
+    assert len(pairwise) == 3 * len(maps)
+    assert list(part.overlap_faults) == pairwise
+
+
 def test_separation_on_chain(chain40):
     params = ProofParameters(R=2, r=10, depth=40)
     base = base_blocks(chain40, params)
-    maps = [build_symmetry_map(chain40, t)
+    maps = [build_symmetry_map(chain40, t, params.r)
             for t in translation_sites(chain40.tree, params)]
     part = assemble_partition(chain40, params, base, maps)
     sep = verify_separation(chain40.sum.graph, part.shells)
@@ -210,19 +230,89 @@ def test_separation_on_chain(chain40):
     assert sep.all_at_least(6)
 
 
-@pytest.mark.parametrize("fixture, R, r", [("chain40", 2, 10), ("triangle8", 0, 4)])
+def _shells(br, params):
+    base = base_blocks(br, params)
+    maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
+    return assemble_partition(br, params, base, maps).shells
+
+
+def _assert_matches_pair_table(H, shells):
+    """verify_separation against the table of every shell pair's set distance."""
+    sep = verify_separation(H, shells)
+    live = sorted(s for s in shells if shells[s])
+    table = {(a, b): H.set_distance(shells[a], shells[b]) for a in live for b in live if a != b}
+    assert [a for a, _, _ in sep.pairs] == live
+    for a, nearest, d in sep.pairs:
+        row = min((table[a, b] for b in live if b != a), default=af.INF)
+        assert d == row, a
+        if row == af.INF:
+            assert nearest is None
+        else:
+            assert table[a, nearest] == d, a
+    lowest = min(table.values(), default=af.INF)
+    assert sep.min_distance == lowest
+    if lowest == af.INF:
+        assert sep.closest_sites is None and sep.closest_vertices is None
+    else:
+        a, b = sep.closest_sites
+        assert a < b and table[a, b] == lowest
+        x, y = sep.closest_vertices
+        assert x in shells[a] and y in shells[b] and H.distance(x, y) == lowest
+    assert sep.empty_sites == tuple(sorted(s for s in shells if not shells[s]))
+    return sep, table
+
+
+@pytest.mark.parametrize("fixture, R, r", [("chain40", 2, 10), ("chain160", 2, 10),
+                                           ("triangle8", 0, 4), ("type2_8", 0, 4)])
 def test_separation_equals_pairwise_set_distance(request, fixture, R, r):
     br = request.getfixturevalue(fixture)
     params = ProofParameters(R=R, r=r, depth=br.tree.depth)
-    base = base_blocks(br, params)
-    maps = [build_symmetry_map(br, t) for t in translation_sites(br.tree, params)]
-    shells = assemble_partition(br, params, base, maps).shells
     H = br.sum.graph
-    live = sorted(s for s in shells if shells[s])
-    pairwise = [(a, b, H.set_distance(shells[a], shells[b]))
-                for i, a in enumerate(live) for b in live[i + 1:]]
-    assert len(pairwise) > 10
-    assert list(verify_separation(H, shells).pairs) == pairwise
+    sep, table = _assert_matches_pair_table(H, _shells(br, params))
+    assert len(table) >= 6  # at least three live shells
+    assert sep.work["searches"] == 1
+    assert sep.work["vertices_settled"] == len(H)
+    # the verdicts the old pair table gave
+    lowest = min(table.values())
+    cert = run_certificate(br, params)
+    data = cert.stage("separation").data
+    assert cert.stage("separation").verdict == (lowest > R) == data["beyond_shell_radius"]
+    assert data["at_least_triple_radius"] == (lowest >= 3 * R)
+    assert data["min_distance"] == lowest
+    assert cert.passed()
+
+
+def test_separation_edge_cases():
+    path = af.FiniteGraph("abcde", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e")])
+    # a shared vertex is distance 0, which no edge between two cells shows
+    sep, _ = _assert_matches_pair_table(path, {"s1": frozenset("ab"), "s2": frozenset("bc"),
+                                               "s3": frozenset("e")})
+    assert sep.pairs == (("s1", "s2", 0), ("s2", "s1", 0), ("s3", "s2", 2))
+    assert sep.closest_vertices == ("b", "b")
+    # a shell alone in its component
+    split = af.FiniteGraph("abcxy", [("a", "b"), ("b", "c"), ("x", "y")])
+    sep, _ = _assert_matches_pair_table(split, {"s1": frozenset("a"), "s2": frozenset("c"),
+                                                "s3": frozenset("y")})
+    assert sep.pairs == (("s1", "s2", 2), ("s2", "s1", 2), ("s3", None, af.INF))
+    assert sep.closest_vertices == ("a", "c")
+    # one live shell, then none at all
+    sep, _ = _assert_matches_pair_table(path, {"s1": frozenset("c"), "s2": frozenset()})
+    assert sep.pairs == (("s1", None, af.INF),) and sep.empty_sites == ("s2",)
+    assert sep.work == {"searches": 0, "vertices_settled": 0, "boundary_edges": 0}
+    sep, _ = _assert_matches_pair_table(path, {"s1": frozenset(), "s2": frozenset()})
+    assert sep.pairs == () and sep.min_distance == af.INF
+
+
+def test_separation_matches_pair_table_on_random_graphs():
+    rng = random.Random(7)
+    for _ in range(300):
+        n = rng.randint(2, 12)
+        names = [f"v{i}" for i in range(n)]
+        edges = {tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(0, 2 * n))}
+        H = af.FiniteGraph(names, edges)
+        shells = {f"s{k}": frozenset(rng.sample(names, rng.randint(0, min(3, n))))
+                  for k in range(rng.randint(0, 5))}
+        _assert_matches_pair_table(H, shells)
 
 
 # -- certificates ------------------------------------------------------------------
@@ -308,9 +398,10 @@ def test_tree_graph(chain6):
 # -- table-driven symmetry maps against the whole walk ---------------------------
 
 
-def _reference_symmetry_map(br, t):
+def _reference_symmetry_map(br, t, radius=None):
     """The whole-tree walk as first written: per-node symmetry search, one
-    dict entry per mapped sum vertex, and a scan of every edge."""
+    dict entry per mapped sum vertex, and a scan of every edge; with a
+    radius, the walk expands no node of that level."""
     tree, h = br.tree, br.sum
     H = h.graph
     actions = (br.spec.action1, br.spec.action2)
@@ -321,6 +412,8 @@ def _reference_symmetry_map(br, t):
                   if frozenset(g[x] for x in adh1[br.rep_map1[m_t]]) == adh1[m_t])
     node_map, elem, queue, dropped = {ROOT: t}, {ROOT: g_root}, [ROOT], 0
     for u in queue:
+        if tree.level[u] == radius:
+            continue
         g_u, u_img = elem[u], node_map[u]
         adh_u = adhesions[tree.node_side[u] - 1]
         for w in tree.children.get(u, ()):
@@ -357,14 +450,14 @@ def _reference_symmetry_map(br, t):
     return node_map, vmap, edge_ok, injective, detail
 
 
-def _assert_maps_match_reference(br) -> list:
+def _assert_maps_match_reference(br, radius) -> list:
     """Every first-factor node but the root; returns the edge_ok flags."""
     flags = []
     for t in br.tree.nodes:
         if t == ROOT or br.tree.node_side[t] != 1:
             continue
-        sm = build_symmetry_map(br, t)
-        node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t)
+        sm = build_symmetry_map(br, t, radius)
+        node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t, radius)
         assert sm.node_map == node_map, t
         assert dict(sm.vertex_map) == vmap, t
         assert list(sm.vertex_map) == list(vmap), t
@@ -376,13 +469,27 @@ def _assert_maps_match_reference(br) -> list:
     return flags
 
 
-@pytest.mark.parametrize("make, depth", [(chain_spec_doc, 40), (triangle_spec_doc, 8),
-                                         (type2_spec_doc, 8)])
-def test_symmetry_maps_match_the_whole_walk(make, depth):
+@pytest.mark.parametrize("make, depth, r", [(chain_spec_doc, 40, 10), (triangle_spec_doc, 8, 4),
+                                            (type2_spec_doc, 8, 4)],
+                         ids=["chain_spec_doc-40", "triangle_spec_doc-8", "type2_spec_doc-8"])
+def test_symmetry_maps_match_the_whole_walk(make, depth, r):
     br = build_doc(make(depth))
-    assert br.edges_as_laid
-    flags = _assert_maps_match_reference(br)
+    flags = _assert_maps_match_reference(br, r)
     assert len(flags) >= 8 and all(flags)
+    level = br.tree.level
+    for t in br.tree.nodes:
+        if t != ROOT and br.tree.node_side[t] == 1:
+            node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t)
+            # radius = depth is the whole walk
+            sm = build_symmetry_map(br, t, depth)
+            assert (sm.node_map, dict(sm.vertex_map), sm.edge_ok, sm.injective, sm.detail) == \
+                (node_map, vmap, edge_ok, injective, detail), t
+            # the walk bounded at the block radius is the whole walk cut to levels <= r
+            cut = {u: w for u, w in node_map.items() if level[u] <= r}
+            sm = build_symmetry_map(br, t, r)
+            assert sm.node_map == cut, t
+            assert dict(sm.vertex_map) == {v: w for v, w in vmap.items()
+                                           if split_copy_vertex(v)[0] in cut}, t
 
 
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
@@ -395,8 +502,8 @@ def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone],
                               annotations=H.annotations)
     br2 = replace(br, sum=SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges))
-    assert not br2.edges_as_laid
-    flags = _assert_maps_match_reference(br2)
-    assert not all(flags)
-    sm = build_symmetry_map(br2, site)
-    assert not sm.edge_ok and "maps to a non-edge" in sm.detail
+    for radius in (10, 24):
+        flags = _assert_maps_match_reference(br2, radius)
+        assert not all(flags)
+        sm = build_symmetry_map(br2, site, radius)
+        assert not sm.edge_ok and "maps to a non-edge" in sm.detail
