@@ -4,20 +4,17 @@ covers, and certify block decompositions end to end."""
 from .amalgam import (AdhesionFamily, AmalgamGraph, AmalgamationSpec,
                       BondingAtlas, BuildResult, ConnectingTree, SumGraph,
                       build, build_connecting_tree, build_sum_graph,
-                      check_consistent, check_respects, check_trivial,
-                      classify_type, contract_to_amalgam,
+                      check_trivial, contract_to_amalgam,
                       identification_sizes, select_orbit_representatives,
                       validate_bonding_atlas)
 from .covers import (Cover, Family, WitnessFamilies, band_witness,
-                     check_rd_dim, check_uniform_asdim, exact_min_bound,
-                     exact_min_families, greedy_witness, lebesgue_number,
-                     multiplicity, refines, restrict_witness,
-                     transport_witness, witnesses_to_cover)
+                     check_rd_dim, exact_min_bound, exact_min_families,
+                     greedy_witness, lebesgue_number, multiplicity,
+                     transport_witness)
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
-                     VertexMap, check_coarse_equivalence, check_quasi_isometry,
-                     fit_qi_constants, load_graph, nearest_point_map,
-                     relabel_sorted)
+                     VertexMap, check_quasi_isometry, fit_qi_constants,
+                     load_graph, nearest_point_map, relabel_sorted)
 from .groups import GroupAction, compute_automorphisms
 from .theorem import (BaseBlocks, Block, LemmaStrip, ProofParameters, Stage,
                       SymmetryMap, TheoremCertificate, assemble_partition,

@@ -24,10 +24,9 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, PreconditionError
 from .graphs import FiniteGraph, load_graph
-from .groups import (GroupAction, Perm, compose, compute_automorphisms, invert)
+from .groups import GroupAction, compute_automorphisms, invert
 
 ROOT = "t1"
-WITNESS_SEARCH_CAP = 10_000
 
 
 class AdhesionFamily:
@@ -65,9 +64,6 @@ class AdhesionFamily:
 
     def __len__(self) -> int:
         return len(self.labels)
-
-    def cardinality(self) -> int:
-        return len(self.sets[self.labels[0]])
 
     def to_json_dict(self) -> dict:
         return {k: sorted(v) for k, v in sorted(self.sets.items())}
@@ -138,13 +134,6 @@ class ConnectingTree:
         if p is None:
             return None
         return self.out_label[(u, p)]
-
-    def entry_label(self, u: str) -> str | None:
-        """Label of the edge from u's parent into u."""
-        p = self.parent.get(u)
-        if p is None:
-            return None
-        return self.out_label[(p, u)]
 
     def path(self, u: str, v: str) -> tuple[str, ...]:
         """Tree nodes from u to v, both endpoints included."""
@@ -301,9 +290,6 @@ class BondingAtlas:
     def __init__(self, entries: Mapping[tuple[str, str], Mapping[str, str]]):
         self.entries = {pair: dict(m) for pair, m in entries.items()}
 
-    def pairs(self) -> tuple[tuple[str, str], ...]:
-        return tuple(sorted(self.entries))
-
     def has(self, k: str, l: str) -> bool:
         return (k, l) in self.entries or (l, k) in self.entries
 
@@ -346,11 +332,6 @@ class BondingAtlas:
                 raise ConfigError(f"duplicate atlas entry ({k!r},{l!r})")
             entries[(k, l)] = m
         return cls(entries)
-
-    def to_json_list(self) -> list:
-        return [{"left": k, "right": l,
-                 "pairs": [[x, self.entries[(k, l)][x]] for x in sorted(self.entries[(k, l)])]}
-                for k, l in self.pairs()]
 
 
 @dataclass(frozen=True)
@@ -430,9 +411,6 @@ class SumGraph:
     def node_of(self, vid: str) -> str:
         return split_copy_vertex(vid)[0]
 
-    def origin_of(self, vid: str) -> str:
-        return split_copy_vertex(vid)[1]
-
     def copy_vertices(self, node: str) -> tuple[str, ...]:
         self.tree.require_node(node)
         side = self.tree.node_side[node]
@@ -442,9 +420,6 @@ class SumGraph:
         self.tree.require_node(node)
         side = self.tree.node_side[node]
         return frozenset(copy_vertex(node, x) for x in self.adhesions[side - 1][label])
-
-    def project_to_tree(self, vids: Iterable[str]) -> frozenset[str]:
-        return frozenset(self.node_of(v) for v in vids)
 
     def vertices_over(self, nodes: Iterable[str]) -> frozenset[str]:
         nodes = frozenset(nodes)
@@ -619,200 +594,6 @@ def select_orbit_representatives(adhesions: AdhesionFamily,
             rep_of[l] = rep
     reps = tuple(sorted(set(rep_of.values())))
     return reps, rep_of
-
-
-def _search_cap(action: GroupAction):
-    if len(action) > WITNESS_SEARCH_CAP:
-        raise PreconditionError(
-            f"witness search capped at group order {WITNESS_SEARCH_CAP}")
-
-
-def check_consistent(atlas: BondingAtlas, target_action: GroupAction,
-                     target_adhesions: AdhesionFamily,
-                     k: str, l: str, l2: str) -> Perm | None:
-    """Find a target-side group element sending the (k,l2)-map to the (k,l)-map.
-
-    Exhaustive over the group: returns the first element (in canonical
-    order) whose composition with the (k,l2)-map equals the (k,l)-map
-    on the whole k-set, or None.
-    """
-    _search_cap(target_action)
-    m1 = atlas.map_for(k, l)
-    m2 = atlas.map_for(k, l2)
-    for lab in (l, l2):
-        if lab not in target_adhesions.sets:
-            raise ConfigError(f"label {lab!r} is not on the target side")
-    for p in target_action.elements:
-        if all(p[m2[x]] == m1[x] for x in m2):
-            return dict(p)
-    return None
-
-
-@dataclass(frozen=True)
-class RespectsWitness:
-    label_permutation: dict[str, str]
-    per_label: dict[str, tuple[str, Perm]]
-
-
-def _set_image(p: Perm, members: frozenset[str]) -> frozenset[str]:
-    return frozenset(p[v] for v in members)
-
-
-def check_respects(gamma: Perm, atlas: BondingAtlas,
-                   own_adhesions: AdhesionFamily, other_adhesions: AdhesionFamily,
-                   other_action: GroupAction) -> RespectsWitness | None:
-    """Witness that one factor automorphism is compatible with the gluing data.
-
-    Searches for a permutation of the factor's labels matching where
-    gamma moves each boundary set, and, per label k, for a partner
-    label l and a stabilizer element tau with
-    ``map(k,l) = tau . map(pi(k),l) . gamma`` on the k-set.  Equal
-    boundary sets make the label permutation ambiguous, so candidates
-    are tried by backtracking; the first full witness wins.
-    """
-    _search_cap(other_action)
-    labels = own_adhesions.labels
-    candidates: dict[str, list[str]] = {}
-    for k in labels:
-        img = _set_image(gamma, own_adhesions[k])
-        cands = [l for l in labels if own_adhesions[l] == img]
-        if not cands:
-            return None
-        candidates[k] = cands
-
-    stab_cache: dict[str, GroupAction] = {}
-
-    def stab(l: str) -> GroupAction:
-        if l not in stab_cache:
-            stab_cache[l] = other_action.setwise_stabilizer(other_adhesions[l])
-        return stab_cache[l]
-
-    def partner_for(k: str, pk: str) -> tuple[str, Perm] | None:
-        for l in other_adhesions.labels:
-            if not (atlas.has(k, l) and atlas.has(pk, l)):
-                continue
-            mkl = atlas.map_for(k, l)
-            mpkl = atlas.map_for(pk, l)
-            want = {x: mkl[x] for x in own_adhesions[k]}
-            base = {x: mpkl[gamma[x]] for x in own_adhesions[k]}
-            for tau in stab(l).elements:
-                if all(tau[base[x]] == want[x] for x in base):
-                    return l, dict(tau)
-        return None
-
-    order = sorted(labels)
-
-    def assign(idx: int, pi: dict[str, str], used: set[str],
-               found: dict[str, tuple[str, Perm]]) -> RespectsWitness | None:
-        if idx == len(order):
-            return RespectsWitness(dict(pi), dict(found))
-        k = order[idx]
-        for pk in candidates[k]:
-            if pk in used:
-                continue
-            partner = partner_for(k, pk)
-            if partner is None:
-                continue
-            pi[k] = pk
-            used.add(pk)
-            found[k] = partner
-            hit = assign(idx + 1, pi, used, found)
-            if hit is not None:
-                return hit
-            del pi[k]
-            used.discard(pk)
-            del found[k]
-        return None
-
-    return assign(0, {}, set(), {})
-
-
-@dataclass(frozen=True)
-class TypeReport:
-    classification: str  # "type1" | "type2" | "neither"
-    checks: tuple[tuple[str, bool, str], ...]
-
-    def passed(self, name: str) -> bool:
-        for n, ok, _ in self.checks:
-            if n == name:
-                return ok
-        raise KeyError(name)
-
-    def to_json_dict(self) -> dict:
-        return {"classification": self.classification,
-                "checks": [{"name": n, "ok": ok, "detail": d} for n, ok, d in self.checks]}
-
-
-def _consistency_check(atlas: BondingAtlas, action: GroupAction,
-                       adhesions: AdhesionFamily, sources: Sequence[str],
-                       targets: Sequence[str]) -> tuple[bool, str]:
-    """All maps out of each source label into the target labels agree up to the group."""
-    for k in sources:
-        for i, l in enumerate(targets):
-            for l2 in targets[i + 1:]:
-                if check_consistent(atlas, action, adhesions, k, l, l2) is None:
-                    return False, f"maps ({k!r},{l!r}) and ({k!r},{l2!r}) differ beyond the group"
-    return True, ""
-
-
-def _respects_check(atlas: BondingAtlas, own: AdhesionFamily, other: AdhesionFamily,
-                    own_action: GroupAction, other_action: GroupAction) -> tuple[bool, str]:
-    for gamma in own_action.elements:
-        if check_respects(gamma, atlas, own, other, other_action) is None:
-            moved = sorted(v for v in gamma if gamma[v] != v)
-            tag = f"moving {moved[0]!r}" if moved else "identity"
-            return False, f"no witness for the element {tag}"
-    return True, ""
-
-
-def classify_type(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
-                  adh2: AdhesionFamily, atlas: BondingAtlas,
-                  action1: GroupAction, action2: GroupAction,
-                  type2_J: frozenset[str] | None = None) -> TypeReport:
-    """Decide which gluing discipline the data satisfies, with per-check detail.
-
-    Without an alternating class the candidate is the two-factor form:
-    the atlas must be complete and valid, maps out of every label must
-    be consistent up to the opposite group, and every group element on
-    either side needs a compatibility witness.  With an alternating
-    class J the same checks run on one factor, with consistency
-    demanded between J and its complement.  Any failed check demotes
-    the classification to "neither".
-    """
-    checks: list[tuple[str, bool, str]] = []
-    atlas_report = validate_bonding_atlas(atlas, adh1, adh2, type2_J)
-    checks.append(("atlas_valid", atlas_report.ok, "; ".join(atlas_report.problems)))
-    if type2_J is None:
-        kind = "type1"
-        if atlas_report.ok:
-            ok, why = _consistency_check(atlas, action2, adh2,
-                                         list(adh1.labels), list(adh2.labels))
-            checks.append(("consistency_forward", ok, why))
-            ok2, why2 = _consistency_check(atlas, action1, adh1,
-                                           list(adh2.labels), list(adh1.labels))
-            checks.append(("consistency_backward", ok2, why2))
-            ok3, why3 = _respects_check(atlas, adh1, adh2, action1, action2)
-            checks.append(("respects_side1", ok3, why3))
-            ok4, why4 = _respects_check(atlas, adh2, adh1, action2, action1)
-            checks.append(("respects_side2", ok4, why4))
-    else:
-        kind = "type2"
-        labels = frozenset(adh1.labels)
-        proper = bool(type2_J) and type2_J < labels
-        checks.append(("alternating_class_proper", proper,
-                       "" if proper else f"class {sorted(type2_J)} of {sorted(labels)}"))
-        if atlas_report.ok and proper:
-            inside = sorted(type2_J)
-            outside = sorted(labels - type2_J)
-            ok, why = _consistency_check(atlas, action2, adh2, inside, outside)
-            checks.append(("consistency_from_class", ok, why))
-            ok2, why2 = _consistency_check(atlas, action1, adh1, outside, inside)
-            checks.append(("consistency_into_class", ok2, why2))
-            ok3, why3 = _respects_check(atlas, adh1, adh2, action1, action2)
-            checks.append(("respects", ok3, why3))
-    if all(ok for _, ok, _ in checks):
-        return TypeReport(kind, tuple(checks))
-    return TypeReport("neither", tuple(checks))
 
 
 # -- the assembled input document ---------------------------------------------

@@ -177,7 +177,7 @@ def cmd_iterate(args) -> int:
             raise ConfigError(f"stage document {path} must be a JSON object")
         if idx > 0:
             factors = raw.get("factors")
-            if not factors or factors[0] != "previous":
+            if not isinstance(factors, list) or factors[:1] != ["previous"]:
                 raise ConfigError(
                     f"stage {idx + 1} must name its first factor \"previous\"")
             renamed, _ = relabel_sorted(prev.amalgam.graph)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import PreconditionError
 from .graphs import INF, FiniteGraph, MetricView, VertexMap
@@ -75,9 +75,6 @@ class Family:
             table.append(row)
         return tuple(table)
 
-    def is_uniformly_bounded(self, bound: int) -> bool:
-        return self.max_diameter() <= bound
-
     def is_r_disjoint(self, r: int) -> bool:
         if r <= 0:
             raise PreconditionError("need r > 0")
@@ -114,13 +111,6 @@ def multiplicity(cover: Family) -> int:
             if tally[v] > best:
                 best = tally[v]
     return best
-
-
-def refines(u: Cover, v: Cover) -> bool:
-    """True when every member of u sits inside some member of v."""
-    if not u.space.same_space(v.space):
-        raise PreconditionError("refinement needs a shared ambient space")
-    return all(any(m <= w for w in v.members) for m in u.members)
 
 
 def lebesgue_number(cover: Cover, formula: str = "paper") -> int | float:
@@ -175,9 +165,6 @@ class WitnessFamilies:
     @property
     def n(self) -> int:
         return len(self.families) - 1
-
-    def all_members(self) -> tuple[Member, ...]:
-        return tuple(m for fam in self.families for m in fam)
 
     @cached_property
     def _measured(self) -> tuple[tuple[bool, int | float] | None, ...]:
@@ -237,15 +224,6 @@ def _measured_witness(space: MetricView, r: int, families) -> WitnessFamilies:
     w = WitnessFamilies(space, r, families, int(bound))
     object.__setattr__(w, "_measured", measured)  # frozen: fill the cache by hand
     return w
-
-
-def witnesses_to_cover(w: WitnessFamilies) -> Cover:
-    """Flatten validated families into one cover and re-check multiplicity."""
-    w.require_valid()
-    cover = Cover(w.space, w.all_members())
-    if multiplicity(cover) > w.n + 1:
-        raise PreconditionError("families overlap inside a layer")  # unreachable for r >= 1
-    return cover
 
 
 # -- exact oracle -----------------------------------------------------------
@@ -511,46 +489,7 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
     return _measured_witness(space, r, tuple(fams)).require_valid()
 
 
-@dataclass(frozen=True)
-class UniformResult:
-    """check_uniform_asdim outcome: one bound good for every subspace."""
-
-    ok: bool
-    common_bound: int | None
-    results: tuple[GreedyResult, ...]
-    failing: tuple[int, ...] = ()
-
-
-def check_uniform_asdim(subspaces: Sequence[MetricView], n: int, r: int) -> UniformResult:
-    """Run the greedy strategy on each subspace; the common bound is the max."""
-    results = []
-    failing = []
-    worst = 0
-    for i, sub in enumerate(subspaces):
-        res = greedy_witness(sub, r, n)
-        results.append(res)
-        if not res.ok:
-            failing.append(i)
-        else:
-            worst = max(worst, res.witness.bound)
-    if failing:
-        return UniformResult(False, None, tuple(results), tuple(failing))
-    return UniformResult(True, worst, tuple(results))
-
-
-# -- witness surgery ---------------------------------------------------------
-
-
-def restrict_witness(w: WitnessFamilies, points: Iterable[str]) -> WitnessFamilies:
-    """Trace a witness onto a subset; r, n and the bound carry over unchanged."""
-    keep = frozenset(points)
-    if not keep <= w.space.point_set:
-        raise PreconditionError("restriction points escape the witness space")
-    sub = w.space.subview(keep)
-    fams = tuple(
-        tuple(sorted((m & keep for m in fam if m & keep), key=sorted))
-        for fam in w.families)
-    return WitnessFamilies(sub, w.r, fams, w.bound)
+# -- witness transport ------------------------------------------------------
 
 
 @dataclass(frozen=True)

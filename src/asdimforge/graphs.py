@@ -31,18 +31,15 @@ def _edge_key(x: str, y: str) -> tuple[str, str]:
 class FiniteGraph:
     """Immutable simple undirected graph.
 
-    ``annotations`` carries optional per-vertex metadata (copy tags and
-    the like); it never affects the metric.  Only whole-graph
-    single-source results, from ``distances_from``, are cached; bounded
-    and early-stopped searches are not, but a single-source one hands
-    back the cached whole-graph result when there is one.
+    Only whole-graph single-source results, from ``distances_from``, are
+    cached; bounded and early-stopped searches are not, but a
+    single-source one hands back the cached whole-graph result when
+    there is one.
     """
 
-    __slots__ = ("vertices", "vertex_set", "edges", "adjacency",
-                 "annotations", "max_degree", "_bfs_cache")
+    __slots__ = ("vertices", "vertex_set", "edges", "adjacency", "_bfs_cache")
 
-    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]],
-                 annotations: Mapping[str, dict] | None = None):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(str(v) for v in vertices)
         if len(set(vs)) != len(vs):
             raise GraphFormatError("duplicate vertex id")
@@ -63,14 +60,6 @@ class FiniteGraph:
         self.vertex_set = vset
         self.edges = tuple(sorted(canon))
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-        if annotations:
-            bad = [v for v in annotations if v not in vset]
-            if bad:
-                raise GraphFormatError(f"annotation for unknown vertex {bad[0]!r}")
-            self.annotations = {v: dict(annotations[v]) for v in annotations}
-        else:
-            self.annotations = {}
-        self.max_degree = max((len(ns) for ns in self.adjacency.values()), default=0)
         self._bfs_cache: dict[str, dict[str, int]] = {}
 
     # -- basic structure ------------------------------------------------
@@ -228,8 +217,7 @@ class FiniteGraph:
             raise PreconditionError("induced subgraph of an empty set")
         verts = [v for v in self.vertices if v in members]
         edges = [e for e in self.edges if e[0] in members and e[1] in members]
-        notes = {v: self.annotations[v] for v in verts if v in self.annotations}
-        return FiniteGraph(verts, edges, annotations=notes)
+        return FiniteGraph(verts, edges)
 
     def components(self) -> tuple[frozenset[str], ...]:
         seen: set[str] = set()
@@ -248,18 +236,14 @@ class FiniteGraph:
     # -- serialization ----------------------------------------------------
 
     def to_json_dict(self) -> dict:
-        doc: dict = {"vertices": list(self.vertices),
-                     "edges": [list(e) for e in self.edges]}
-        if self.annotations:
-            doc["annotations"] = {v: self.annotations[v] for v in sorted(self.annotations)}
-        return doc
+        return {"vertices": list(self.vertices),
+                "edges": [list(e) for e in self.edges]}
 
 
 def relabel_sorted(graph: FiniteGraph, prefix: str = "v") -> tuple[FiniteGraph, dict[str, str]]:
     """Rename vertices to prefix000, prefix001, ... in sorted-id order.
 
-    Annotations are dropped: they describe the old ids.  Returns the
-    renamed graph together with the old-to-new mapping.
+    Returns the renamed graph together with the old-to-new mapping.
     """
     width = max(3, len(str(max(len(graph.vertices) - 1, 0))))
     names = {old: f"{prefix}{i:0{width}d}"
@@ -275,6 +259,7 @@ def load_graph(doc: dict | str) -> FiniteGraph:
     Accepts the JSON object form ``{"vertices": [...], "edges": [[a, b], ...]}``
     (as a dict or a JSON string) or plain text with one ``"id id"`` edge
     per line; blank lines and ``#`` comments are ignored in the text form.
+    Keys other than those two are ignored.
     """
     if isinstance(doc, str):
         stripped = doc.lstrip()
@@ -311,7 +296,7 @@ def load_graph(doc: dict | str) -> FiniteGraph:
         if key in seen:
             raise GraphFormatError(f"duplicate edge {key}")
         seen.add(key)
-    g = FiniteGraph(vertices, pairs, annotations=doc.get("annotations"))
+    g = FiniteGraph(vertices, pairs)
     if len(g) and not g.is_connected():
         raise GraphFormatError("graph document is disconnected")
     return g
@@ -366,20 +351,11 @@ class MetricView:
             raise PreconditionError(f"{x!r} or {y!r} outside this view")
         return self.graph.distance(x, y)
 
-    def pairs(self):
-        pts = self.points
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                yield pts[i], pts[j]
-
     def subview(self, points: Iterable[str]) -> "MetricView":
         members = frozenset(points)
         if not members <= self.point_set:
             raise PreconditionError("subview points escape the view")
         return MetricView(self.graph, members)
-
-    def same_space(self, other: "MetricView") -> bool:
-        return self.graph is other.graph and self.point_set == other.point_set
 
 
 # -- vertex maps and distortion ------------------------------------------
@@ -566,28 +542,3 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
     if best is None:
         return QiFit(table, None, None)
     return QiFit(table, best[1], best[0])
-
-
-def check_coarse_equivalence(vm: VertexMap, rho_lower: list, rho_upper: list) -> bool:
-    """Check rho_lower(d) <= d' <= rho_upper(d) with monotone step tables.
-
-    Tables are indexed by source distance and must be non-decreasing and
-    long enough to cover every finite distance in the source view.
-    """
-    for name, table in (("rho_lower", rho_lower), ("rho_upper", rho_upper)):
-        if any(table[i] > table[i + 1] for i in range(len(table) - 1)):
-            raise PreconditionError(f"{name} is not monotone")
-        if not table:
-            raise PreconditionError(f"{name} is empty")
-    for ds, dt in _pair_bounds(vm):
-        if ds is INF:
-            if dt is not INF:
-                return False
-            continue
-        if dt is INF:
-            return False
-        if ds >= len(rho_lower) or ds >= len(rho_upper):
-            raise PreconditionError("step table shorter than the source diameter")
-        if not (rho_lower[ds] <= dt <= rho_upper[ds]):
-            return False
-    return True

@@ -121,13 +121,6 @@ class GroupAction:
     def __iter__(self):
         return iter(self.elements)
 
-    def setwise_stabilizer(self, members: Iterable[str]) -> "GroupAction":
-        """Subgroup mapping the given vertex set onto itself."""
-        target = self.graph.require_members(members)
-        kept = [p for p in self.elements
-                if frozenset(p[v] for v in target) == target]
-        return GroupAction(self.graph, kept, check=False)
-
     def orbits(self) -> tuple[frozenset[str], ...]:
         """Vertex orbits, listed by least member."""
         remaining = set(self.graph.vertices)

@@ -10,9 +10,9 @@ re-audit from the raw numbers.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import deque
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
                       ConnectingTree, SumGraph, copy_vertex, split_copy_vertex)
@@ -316,45 +316,6 @@ class SymmetryMap:
                 out.add(w)
         return frozenset(out), missing
 
-    def restricted(self, vertices: Iterable[str]) -> "SymmetryMap":
-        """The same map on ``vertices`` only, and on the nodes they lie over."""
-        vmap = {v: self.vertex_map[v] for v in vertices if v in self.vertex_map}
-        nodes = {split_copy_vertex(v)[0] for v in vmap}
-        return replace(self, vertex_map=vmap,
-                       node_map={u: w for u, w in self.node_map.items() if u in nodes})
-
-
-class _NodewiseMap(Mapping):
-    """Copy vertex ``u:x`` to ``node_map[u]:g_u(x)``, read off the tree walk.
-
-    Holds one factor symmetry per mapped node instead of one entry per
-    sum vertex; iterates in walk order, then factor vertex order.
-    """
-
-    def __init__(self, node_map: Mapping[str, str], perm: Mapping[str, Mapping[str, str]],
-                 tree: ConnectingTree, factors: tuple[FiniteGraph, FiniteGraph]):
-        self._node_map = node_map
-        self._perm = perm
-        self._side = tree.node_side
-        self._factors = factors
-        per_side = Counter(map(tree.node_side.__getitem__, node_map))
-        self._len = sum(n * len(factors[s - 1]) for s, n in per_side.items())
-
-    def __getitem__(self, vid: str) -> str:
-        node, orig = split_copy_vertex(vid)
-        g = self._perm.get(node)
-        if g is None or orig not in self._factors[self._side[node] - 1].vertex_set:
-            raise KeyError(vid)
-        return copy_vertex(self._node_map[node], g[orig])
-
-    def __iter__(self):
-        for u in self._node_map:
-            for x in self._factors[self._side[u] - 1].vertices:
-                yield copy_vertex(u, x)
-
-    def __len__(self) -> int:
-        return self._len
-
 
 def _image_label(adh: AdhesionFamily, g: Mapping[str, str], k: str, u: str) -> str:
     """The label whose boundary set is g's image of the k set."""
@@ -451,12 +412,12 @@ def build_symmetry_map(br: BuildResult, t: str, radius: int) -> SymmetryMap:
             elem[w] = e_w
             perm[w] = elements[2 - side_u][e_w]
             queue.append(w)
-    vmap = _NodewiseMap(node_map, perm, tree, h.factors)
-    # every factor symmetry is a bijection, so distinct image nodes make
-    # the map injective; otherwise count the images
-    injective = len(set(node_map.values())) == len(node_map)
-    if not injective:
-        injective = len(set(vmap.values())) == len(vmap)
+    # copy vertex u:x goes to node_map[u]:g_u(x), in walk order, then
+    # factor vertex order
+    vmap = {copy_vertex(u, x): copy_vertex(u_img, perm[u][x])
+            for u, u_img in node_map.items()
+            for x in h.factors[side_of[u] - 1].vertices}
+    injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
     # the scan covers the mapped region only and reports its least edge
@@ -778,9 +739,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     }))
 
     # later stages only look maps up on the working block and the shell,
-    # which lie over tree levels at most r, so each walk stops there and
-    # each map is cut down to them as soon as its row is recorded
-    looked_up = base.w_r.vertices | base.shell
+    # which lie over tree levels at most r, so each walk stops there
     maps = []
     per_site = {}
     for t in sites:
@@ -790,7 +749,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
                              "edge_ok": sm.edge_ok,
                              "injective": sm.injective,
                              "detail": sm.detail}
-        maps.append(sm.restricted(looked_up))
+        maps.append(sm)
     maps_ok = all(row["edge_ok"] and row["injective"] for row in per_site.values())
     stages.append(Stage("symmetry_maps", maps_ok, {"per_site": per_site}))
 

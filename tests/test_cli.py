@@ -1,9 +1,11 @@
 """Command-line surface, exercised in process through cli.main."""
 
 import argparse
+import copy
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -279,6 +281,14 @@ def test_aut_command(tmp_path, capsys):
     # without --out the document goes to stdout, as for build and witness
     assert cli.main(["aut", "--spec", graph]) == 0
     assert capsys.readouterr().out == jsonio.dumps(doc) + "order=14 orbits=1\n"
+    # an ``annotations`` key is not part of a graph document, whatever it holds
+    edge = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
+    assert cli.main(["aut", "--spec", write_doc(tmp_path, "edge.json", edge)]) == 0
+    plain = capsys.readouterr()
+    for notes in ({"a": 5}, ["a"]):
+        noted = write_doc(tmp_path, "noted.json", dict(edge, annotations=notes))
+        assert cli.main(["aut", "--spec", noted]) == 0
+        assert capsys.readouterr() == plain
 
 
 def test_verify_theorem_command(tmp_path, capsys):
@@ -349,6 +359,12 @@ def test_iterate_requires_previous_placeholder(tmp_path):
     spec2 = write_doc(tmp_path, "stage2.json", bad_stage)
     assert cli.main(["iterate", "--spec", spec1, "--spec", spec2,
                      "--out", str(tmp_path / "x")]) == 2
+    # a factors field that is not a list is rejected, not indexed
+    for factors in (-1, {"previous": 1}, "previous"):
+        bad_stage["factors"] = factors
+        spec2 = write_doc(tmp_path, "stage2.json", bad_stage)
+        assert cli.main(["iterate", "--spec", spec1, "--spec", spec2,
+                         "--out", str(tmp_path / "x")]) == 2
 
 
 def test_report_command(tmp_path, capsys):
@@ -385,3 +401,87 @@ def test_report_corrupt_artifact(tmp_path, capsys):
     assert cli.main(["report", str(artifacts)]) == 2
     err = capsys.readouterr().err
     assert "broken.json" in err
+
+
+def test_verify_theorem_exits_3_without_consistency_witnesses(tmp_path, capsys):
+    # with trivial actions no factor symmetry matches a bonding transfer
+    # that swaps the edge's ends, so the symmetry walk cannot recenter
+    doc = dict(chain_spec_doc(24), actions={"mode": "trivial"})
+    spec = write_doc(tmp_path, "chain.json", doc)
+    code = cli.main(["verify-theorem", "--spec", spec, "--R", "2", "--r", "10",
+                     "--out", str(tmp_path / "cert.json")])
+    assert code == 3
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("precondition: consistency witnesses missing")
+    assert not (tmp_path / "cert.json").exists()
+
+
+# -- seeded mutation fuzz -------------------------------------------------------
+
+# replacement values, one of each JSON kind and a few near-misses
+_FUZZ_POOL = (None, True, False, 0, 1, -1, 3, 2.5, "", "a", "0", "t1", "previous",
+              [], ["a"], [["a", "b"]], [1, 2], {}, {"a": "b"}, {"mode": "full"})
+_FUZZ_KEYS = ("x", "annotations", "mode", "depth", "type2_J", "factor2", "pairs")
+
+
+def _fuzz_paths(doc, prefix=()):
+    """The path of every value in a JSON document, the root included."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else \
+        enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _fuzz_paths(value, prefix + (key,))
+
+
+def _fuzz_edit(doc, rng):
+    """One edit: replace a value, delete a key or list item, or add a key."""
+    path = rng.choice(list(_fuzz_paths(doc)))
+    value = copy.deepcopy(rng.choice(_FUZZ_POOL))
+    if not path:
+        return value if rng.random() < 0.5 else doc
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    kind = rng.choice(("replace", "delete", "add"))
+    if kind == "replace":
+        parent[path[-1]] = value
+    elif kind == "delete":
+        del parent[path[-1]]
+    elif isinstance(parent, dict):
+        parent[rng.choice(_FUZZ_KEYS)] = value
+    else:
+        parent.append(value)
+    return doc
+
+
+def test_mutated_documents_never_exit_4(tmp_path, capsys):
+    rng = random.Random(20261018)
+    stage1 = chain_spec_doc(3)
+    specs = {"chain_k2": stage1, "c3_k2": triangle_spec_doc(3),
+             "type2_k2": type2_spec_doc(4),
+             "stage2": next_stage_doc(build_doc(stage1), depth=3)}
+    graphs = {"path10": path_graph_doc(10), "cycle7": cycle_graph_doc(7)}
+    spec1 = write_doc(tmp_path, "stage1.json", stage1)
+    codes = {}
+    for i in range(1000):
+        command = ("build", "iterate", "witness", "aut")[i % 4]
+        pool = specs if command in ("build", "iterate") else graphs
+        name = rng.choice(sorted(pool))
+        doc = copy.deepcopy(pool[name])
+        for _ in range(rng.randint(1, 2)):
+            doc = _fuzz_edit(doc, rng)
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        argv = [command, "--spec", str(path), "--out", str(tmp_path / command)]
+        if command == "witness":
+            argv += ["--r", "3", "--n", "1"]
+        if command == "iterate" and name == "stage2":
+            argv[1:1] = ["--spec", spec1]
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code in (0, 1, 2, 3), (command, name, doc, err)
+        codes[code] = codes.get(code, 0) + 1
+    # the edits reach past the parser: some documents still pass
+    assert codes.get(0) and codes.get(2), codes

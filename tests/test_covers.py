@@ -24,8 +24,6 @@ def test_family_validation_and_measures():
     g = line_graph(4)
     fam = af.Family(view(g), [frozenset({"p0", "p1"}), frozenset({"p3"})])
     assert fam.max_diameter() == 1
-    assert fam.is_uniformly_bounded(1)
-    assert not fam.is_uniformly_bounded(0)
     assert fam.is_r_disjoint(2)
     assert not fam.is_r_disjoint(3)
     with pytest.raises(PreconditionError):
@@ -43,16 +41,6 @@ def test_cover_must_cover():
     c = af.Cover(view(g), [frozenset({"p0", "p1"}), frozenset({"p1", "p2"})])
     assert af.multiplicity(c) == 2
     assert c.max_diameter() == 1
-
-
-def test_refinement():
-    g = line_graph(4)
-    fine = af.Cover(view(g), [frozenset({"p0"}), frozenset({"p1", "p2"}),
-                              frozenset({"p3"})])
-    coarse = af.Cover(view(g), [frozenset({"p0", "p1", "p2"}),
-                                frozenset({"p2", "p3"})])
-    assert af.refines(fine, coarse)
-    assert not af.refines(coarse, fine)
 
 
 def test_lebesgue_numbers_frozen_values():
@@ -110,16 +98,6 @@ def test_witness_validation_catches_violations():
                                    ((frozenset({"p0", "p1", "p2"}),),
                                     (frozenset({"p3", "p4", "p5"}),)), 1)
     assert any("diameter" in v or "bound" in v for v in bad_bound.violations())
-
-
-def test_witnesses_to_cover_multiplicity():
-    g = line_graph(6)
-    w = af.WitnessFamilies(view(g), 3,
-                           ((frozenset({"p0", "p1"}), frozenset({"p4", "p5"})),
-                            (frozenset({"p2", "p3"}),)), 1)
-    cover = af.witnesses_to_cover(w)
-    assert af.multiplicity(cover) <= w.n + 1
-    assert cover.space.point_set == frozenset(g.vertices)
 
 
 # -- the exact oracle ----------------------------------------------------------
@@ -226,30 +204,6 @@ def test_band_witness_always_valid():
                 w = band_witness(view(g), r, n)
                 assert w.violations() == []
                 assert len(w.families) == n + 1
-
-
-def test_check_uniform_asdim():
-    g = line_graph(12)
-    views = [af.MetricView(g, [f"p{i}" for i in range(0, 6)]),
-             af.MetricView(g, [f"p{i}" for i in range(6, 12)])]
-    res = af.check_uniform_asdim(views, 1, 3)
-    assert res.ok
-    assert res.common_bound >= 0
-    assert len(res.results) == 2
-
-
-def test_restrict_witness_random_subsets(path10_view):
-    rng = random.Random(11)
-    w = af.greedy_witness(path10_view, 3, 1).witness
-    pts = list(path10_view.points)
-    for _ in range(25):
-        keep = [p for p in pts if rng.random() < 0.6]
-        if not keep:
-            continue
-        sub = af.restrict_witness(w, keep)
-        assert sub.violations() == []
-        assert sub.r == w.r
-        assert set().union(*(m for fam in sub.families for m in fam)) <= set(keep)
 
 
 # -- transport ------------------------------------------------------------------
@@ -396,9 +350,10 @@ def test_shipped_witnesses_measure_each_member_once(monkeypatch):
     for w in (greedy.witness, band):
         assert w.violations() == []
         w.require_valid()
-    members = len(greedy.witness.all_members()) + len(band.all_members())
+    band_members = sum(len(fam) for fam in band.families)
+    members = sum(len(fam) for fam in greedy.witness.families) + band_members
     assert len(calls) == members
     # a witness built by hand is measured on its first check, then never again
     fresh = af.WitnessFamilies(space, band.r, band.families, band.bound)
     assert fresh.violations() == [] and fresh.violations() == []
-    assert len(calls) == members + len(band.all_members())
+    assert len(calls) == members + band_members

@@ -42,8 +42,6 @@ def test_construction_rejects_bad_edges():
         af.FiniteGraph(["a", "b"], [("a", "z")])
     with pytest.raises(GraphFormatError):
         af.FiniteGraph(["a", "a"], [])
-    with pytest.raises(GraphFormatError):
-        af.FiniteGraph(["a"], [], annotations={"z": {}})
 
 
 def test_ball_shell_boundary_interior_on_a_path():
@@ -173,10 +171,8 @@ def test_metric_view_restriction():
     assert v.distance("p0", "p5") == 5  # ambient metric, not induced
     with pytest.raises(PreconditionError):
         v.distance("p0", "p1")
-    assert len(list(v.pairs())) == 3
     sub = v.subview(["p0", "p2"])
     assert sub.points == ("p0", "p2")
-    assert v.same_space(af.MetricView(g, ["p5", "p2", "p0"]))
 
 
 def test_nearest_point_map_prefers_least_id_on_ties():
@@ -259,21 +255,6 @@ def test_fit_infeasible_when_map_tears_components():
         tuple(fit)
 
 
-def test_coarse_equivalence_tables():
-    src = line_graph(5, "s")
-    dst = line_graph(9, "t")
-    vm = af.VertexMap(af.MetricView(src), af.MetricView(dst),
-                      {f"s{i}": f"t{2 * i}" for i in range(5)})
-    up = [2 * d for d in range(5)]
-    lo = [d for d in range(5)]
-    assert af.check_coarse_equivalence(vm, lo, up)
-    assert not af.check_coarse_equivalence(vm, [1] + [3] * 4, up)
-    with pytest.raises(PreconditionError):
-        af.check_coarse_equivalence(vm, [3, 2, 1, 0, 0], up)
-    with pytest.raises(PreconditionError):
-        af.check_coarse_equivalence(vm, [0, 1], [0, 2])  # table too short
-
-
 # -- histogram fits against a per-pair reference --------------------------------
 
 
@@ -332,23 +313,6 @@ def _ref_qi(vm, gamma, c) -> bool:
     return True
 
 
-def _ref_coarse(vm, lo, up):
-    """The pair walk's outcome ("raise" for a short table), whether some
-    pair fails, and whether some pair outruns a table."""
-    outcome, fails, short = True, False, False
-    for ds, dt in _ref_pairs(vm):
-        if ds == af.INF or dt == af.INF:
-            here = False if ds != dt else None
-        elif ds >= len(lo) or ds >= len(up):
-            here, short = "raise", True
-        else:
-            here = None if lo[ds] <= dt <= up[ds] else False
-        fails = fails or here is False
-        if here is not None and outcome is True:
-            outcome = here
-    return outcome, fails, short
-
-
 def _random_graph(rng, n: int, extra: int, prefix: str) -> af.FiniteGraph:
     names = [f"{prefix}{i}" for i in range(n)]
     edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
@@ -382,19 +346,9 @@ def _random_map(rng, kind: str) -> af.VertexMap:
     return af.VertexMap(src, dst, {v: rng.choice(dst.points) for v in src.points})
 
 
-def _random_table(rng, length: int) -> list[int]:
-    table, value = [], rng.randint(0, 2)
-    for _ in range(length):
-        table.append(value)
-        value += rng.randint(0, 3)
-    return table
-
-
 def test_histogram_fits_match_per_pair_reference():
     rng = random.Random(20240603)
-    seen = {"infinite": 0, "non_surjective": 0, "surjective": 0, "surjective_torn": 0,
-            "true": 0, "false": 0, "raise": 0, "false_before_short": 0,
-            "raise_before_fail": 0}
+    seen = {"infinite": 0, "non_surjective": 0, "surjective": 0, "surjective_torn": 0}
     for case in range(320):
         vm = _random_map(rng, ("connected", "split", "nearest", "onto")[case % 4])
         pairs = list(_ref_pairs(vm))
@@ -409,18 +363,6 @@ def test_histogram_fits_match_per_pair_reference():
         assert (fit.table, fit.gamma, fit.c) == (table, gamma, c), case
         for g, k in ((1, 0), (1, 2), (Fraction(3, 2), 1), (2, 0), (3, 3)):
             assert af.check_quasi_isometry(vm, g, k) == _ref_qi(vm, g, k), (case, g, k)
-        for _ in range(4):
-            lo = _random_table(rng, rng.randint(1, 8))
-            up = _random_table(rng, rng.randint(1, 8))
-            want, fails, short = _ref_coarse(vm, lo, up)
-            try:
-                got = af.check_coarse_equivalence(vm, lo, up)
-            except PreconditionError:
-                got = "raise"
-            assert got == want, (case, lo, up)
-            seen[str(want).lower()] += 1
-            seen["false_before_short"] += want is False and short
-            seen["raise_before_fail"] += want == "raise" and fails
     assert all(seen.values()), seen
 
 
@@ -440,6 +382,11 @@ def test_json_and_dot_round_trips():
 
 
 def test_degree_sequence_and_annotations():
-    g = af.FiniteGraph(["a", "b", "c"], [("a", "b"), ("b", "c")],
-                       annotations={"b": {"role": "middle"}})
-    assert g.annotations["b"]["role"] == "middle"
+    # an ``annotations`` key is not part of a graph document: it is ignored
+    # like any other unknown key, whatever it holds
+    plain = {"vertices": ["a", "b", "c"], "edges": [["a", "b"], ["b", "c"]]}
+    for notes in ({"b": {"role": "middle"}}, {"a": 5}, ["a"], None):
+        g = af.load_graph(dict(plain, annotations=notes))
+        assert g.same_as(af.load_graph(plain))
+        assert [len(g.adjacency[v]) for v in g.vertices] == [1, 2, 1]
+        assert g.to_json_dict() == plain

@@ -77,17 +77,6 @@ def test_action_requires_identity_and_closure():
         GroupAction(g, [flip])  # no identity
 
 
-def test_setwise_stabilizer():
-    g = ring_graph(4)
-    full = compute_automorphisms(g)
-    assert len(full) == 8
-    stab = full.setwise_stabilizer({"c0", "c2"})
-    # Both diagonals are preserved exactly by the axis symmetries.
-    assert len(stab) == 4
-    for p in stab:
-        assert {p["c0"], p["c2"]} == {"c0", "c2"}
-
-
 def test_set_orbit():
     g = ring_graph(4)
     full = compute_automorphisms(g)

@@ -499,8 +499,7 @@ def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     # drop one bridge at the site: the root's bridges map onto it
     gone = next(e for e in h.bridges if h.node_of(e[0]) == site or h.node_of(e[1]) == site)
     H = h.graph
-    doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone],
-                              annotations=H.annotations)
+    doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone])
     br2 = replace(br, sum=SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges))
     for radius in (10, 24):
         flags = _assert_maps_match_reference(br2, radius)
