@@ -8,9 +8,8 @@ from .amalgam import (AdhesionFamily, AmalgamGraph, AmalgamationSpec,
                       identification_sizes, select_orbit_representatives,
                       validate_bonding_atlas)
 from .covers import (Cover, Family, WitnessFamilies, band_witness,
-                     check_rd_dim, exact_min_bound, exact_min_families,
-                     greedy_witness, lebesgue_number, multiplicity,
-                     transport_witness)
+                     exact_min_bound, exact_min_families, greedy_witness,
+                     lebesgue_number, multiplicity, transport_witness)
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
                      VertexMap, check_quasi_isometry, fit_qi_constants,

@@ -188,32 +188,29 @@ class ConnectingTree:
         }
 
 
-def build_connecting_tree(p1: int, p2: int, depth: int,
-                          type2_J: Iterable[str] | None = None,
-                          labels1: Sequence[str] | None = None,
-                          labels2: Sequence[str] | None = None) -> ConnectingTree:
+def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth: int,
+                          type2_J: Iterable[str] | None = None) -> ConnectingTree:
     """Truncate the canonical labeled (p1,p2)-semiregular tree at a radius.
 
-    The truncation is the full ball of the given radius around the root,
-    which keeps the root at full degree.  Toward its parent a node uses
-    the least label still allowed (the least label outright, or the
-    least of the forced class when an alternating class set is given);
-    the remaining labels go to its children in sorted order.
+    Side-1 nodes carry the p1 labels of ``labels1``, side-2 nodes the
+    p2 labels of ``labels2``.  The truncation is the full ball of the
+    given radius around the root, which keeps the root at full degree.
+    Toward its parent a node uses the least label still allowed (the
+    least label outright, or the least of the forced class when an
+    alternating class set is given); the remaining labels go to its
+    children in sorted order.
     """
-    if p1 < 1 or p2 < 1:
-        raise PreconditionError("need p1, p2 >= 1")
+    labels1, labels2 = tuple(labels1), tuple(labels2)
+    if not labels1 or not labels2:
+        raise PreconditionError("need at least one label on each side")
     if depth < 0:
         raise PreconditionError("need depth >= 0")
-    labels1 = tuple(labels1) if labels1 is not None else tuple(str(i) for i in range(p1))
-    labels2 = tuple(labels2) if labels2 is not None else tuple(str(i) for i in range(p2))
-    if len(labels1) != p1 or len(labels2) != p2:
-        raise ConfigError("label list length must match the side's degree")
     for k in labels1 + labels2:
         if "/" in k or ":" in k:
             raise ConfigError(f"tree label {k!r} may not contain '/' or ':'")
     J: frozenset[str] | None = None
     if type2_J is not None:
-        if p1 != p2 or sorted(labels1) != sorted(labels2):
+        if sorted(labels1) != sorted(labels2):
             raise ConfigError("alternating class sets need equal label sets on both sides")
         J = frozenset(type2_J)
         if not J <= frozenset(labels1):
@@ -406,7 +403,6 @@ class SumGraph:
         self.factors = factors
         self.adhesions = adhesions
         self.bridges = bridges
-        self.bridge_set = frozenset(bridges)
 
     def node_of(self, vid: str) -> str:
         return split_copy_vertex(vid)[0]
@@ -763,10 +759,7 @@ def build(spec: AmalgamationSpec, depth: int | None = None) -> BuildResult:
     missing maps); everything else is measured and reported.
     """
     d = spec.depth if depth is None else depth
-    tree = build_connecting_tree(
-        len(spec.adh1), len(spec.adh2), d,
-        type2_J=spec.type2_J,
-        labels1=spec.adh1.labels, labels2=spec.adh2.labels)
+    tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, d, spec.type2_J)
     atlas_report = validate_bonding_atlas(spec.atlas, spec.adh1, spec.adh2, spec.type2_J)
     if not atlas_report.ok:
         raise ConfigError("bonding atlas invalid: " + "; ".join(atlas_report.problems))

@@ -132,7 +132,7 @@ def cmd_witness(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _graph_from_file(args.spec)
-    w = exact_min_bound(MetricView(g), args.r, args.n).as_witness()
+    w = exact_min_bound(MetricView(g), args.r, args.n)
     problems = w.violations()
     _emit(_witness_doc(w, not problems), args.out)
     print(f"D={w.bound}")
@@ -248,14 +248,11 @@ def cmd_report(args) -> int:
 # -- argument wiring -----------------------------------------------------------
 
 
-def _add_common(sub, spec=True, radii=False, n=False, depth=True):
-    if spec:
-        sub.add_argument("--spec", required=True, help="input document path")
+def _add_common(sub, radii=False, depth=True):
+    sub.add_argument("--spec", required=True, help="input document path")
     if radii:
         sub.add_argument("--R", type=int, default=0, help="shell radius")
         sub.add_argument("--r", type=int, required=True, help="block/scale radius")
-    if n:
-        sub.add_argument("--n", type=int, default=1, help="extra family budget")
     if depth:
         sub.add_argument("--depth", type=int, default=None,
                          help="truncation depth override")

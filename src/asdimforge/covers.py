@@ -141,15 +141,6 @@ def lebesgue_number(cover: Cover, formula: str = "paper") -> int | float:
     return min(here.values(), default=INF)
 
 
-def check_rd_dim(cover: Cover, r: int, d: int, n: int) -> bool:
-    """d-bounded, multiplicity <= n+1, Lebesgue (paper formula) > r."""
-    if r <= 0 or d <= 0:
-        raise PreconditionError("need r > 0 and d > 0")
-    return (cover.max_diameter() <= d
-            and multiplicity(cover) <= n + 1
-            and lebesgue_number(cover, "paper") > r)
-
-
 # -- layered witness families ---------------------------------------------
 
 
@@ -248,28 +239,16 @@ def _cluster(points: Iterable[str], graph: FiniteGraph, r: int) -> list[frozense
     return [frozenset(c) for c in clusters]
 
 
-@dataclass(frozen=True)
-class ExactWitness:
-    """Oracle output: the least achievable bound and one optimal layering."""
-
-    space: MetricView
-    r: int
-    n: int
-    bound: int
-    families: tuple[tuple[Member, ...], ...]
-
-    def as_witness(self) -> WitnessFamilies:
-        return WitnessFamilies(self.space, self.r, self.families, self.bound)
-
-
-def exact_min_bound(space: MetricView, r: int, n: int) -> ExactWitness:
+def exact_min_bound(space: MetricView, r: int, n: int) -> WitnessFamilies:
     """Least D so that n+1 r-disjoint D-bounded families cover the space.
 
     Exhaustive over vertex colorings (the first vertex is pinned to
     family 0 since families are interchangeable); each color class is
     grouped into clusters by transitive distance < r and D is the worst
     cluster diameter.  Branches are cut as soon as a partial coloring
-    already reaches the best complete value found.
+    already reaches the best complete value found.  The result is one
+    optimal layering with D as its bound; it is measured only when its
+    violations are asked for.
     """
     if len(space) > EXACT_CAP:
         raise PreconditionError(f"oracle capped at {EXACT_CAP} vertices, got {len(space)}")
@@ -331,7 +310,7 @@ def exact_min_bound(space: MetricView, r: int, n: int) -> ExactWitness:
     first_state, _ = place(pts[0], [[] for _ in range(n + 1)], 0)
     walk(1, first_state)
     assert best_families is not None
-    return ExactWitness(space, r, n, int(best_bound), best_families)
+    return WitnessFamilies(space, r, best_families, int(best_bound))
 
 
 def exact_min_families(space: MetricView, r: int) -> int:

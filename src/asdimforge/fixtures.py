@@ -12,15 +12,15 @@ from pathlib import Path
 from .jsonio import write_json
 
 
-def path_graph_doc(n: int, prefix: str = "p") -> dict:
+def path_graph_doc(n: int) -> dict:
     """A path on n vertices p0 - p1 - ... - p(n-1)."""
-    names = [f"{prefix}{i}" for i in range(n)]
+    names = [f"p{i}" for i in range(n)]
     return {"vertices": names,
             "edges": [[names[i], names[i + 1]] for i in range(n - 1)]}
 
 
-def cycle_graph_doc(n: int, prefix: str = "c") -> dict:
-    names = [f"{prefix}{i}" for i in range(n)]
+def cycle_graph_doc(n: int) -> dict:
+    names = [f"c{i}" for i in range(n)]
     return {"vertices": names,
             "edges": [[names[i], names[(i + 1) % n]] for i in range(n)]}
 

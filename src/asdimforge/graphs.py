@@ -167,25 +167,14 @@ class FiniteGraph:
         dist = self.distances_to_set(centers, limit=radius)
         return frozenset(v for v, d in dist.items() if d <= radius)
 
-    def shell(self, centers: Iterable[str], radius: int) -> frozenset[str]:
-        """Vertices at distance exactly ``radius`` from the center set."""
-        if radius < 0:
-            raise PreconditionError("radius must be >= 0")
-        centers = self.require_members(centers)
-        if not centers:
-            return frozenset()
-        dist = self.distances_to_set(centers, limit=radius)
-        return frozenset(v for v, d in dist.items() if d == radius)
-
-    def diameter(self, vertices: Iterable[str] | None = None) -> int | float:
-        """Largest distance between two of ``vertices`` (default: all).
+    def diameter(self, vertices: Iterable[str]) -> int | float:
+        """Largest distance between two of ``vertices``.
 
         INF as soon as two of them are disconnected, 0 for fewer than
         two.  The search from each vertex stops once the vertices after
         it in sorted order are settled, and fills no cache.
         """
-        order = sorted(self.vertices if vertices is None
-                       else self.require_members(vertices))
+        order = sorted(self.require_members(vertices))
         worst = 0
         for i in range(len(order) - 1):
             later = order[i + 1:]
@@ -240,13 +229,13 @@ class FiniteGraph:
                 "edges": [list(e) for e in self.edges]}
 
 
-def relabel_sorted(graph: FiniteGraph, prefix: str = "v") -> tuple[FiniteGraph, dict[str, str]]:
-    """Rename vertices to prefix000, prefix001, ... in sorted-id order.
+def relabel_sorted(graph: FiniteGraph) -> tuple[FiniteGraph, dict[str, str]]:
+    """Rename vertices to v000, v001, ... in sorted-id order.
 
     Returns the renamed graph together with the old-to-new mapping.
     """
     width = max(3, len(str(max(len(graph.vertices) - 1, 0))))
-    names = {old: f"{prefix}{i:0{width}d}"
+    names = {old: f"v{i:0{width}d}"
              for i, old in enumerate(sorted(graph.vertices))}
     renamed = FiniteGraph([names[v] for v in sorted(graph.vertices)],
                           [(names[x], names[y]) for x, y in graph.edges])
@@ -256,22 +245,17 @@ def relabel_sorted(graph: FiniteGraph, prefix: str = "v") -> tuple[FiniteGraph, 
 def load_graph(doc: dict | str) -> FiniteGraph:
     """Read a graph document and insist on connectivity.
 
-    Accepts the JSON object form ``{"vertices": [...], "edges": [[a, b], ...]}``
-    (as a dict or a JSON string) or plain text with one ``"id id"`` edge
-    per line; blank lines and ``#`` comments are ignored in the text form.
-    Keys other than those two are ignored.
+    Accepts only the JSON object form
+    ``{"vertices": [...], "edges": [[a, b], ...]}``, as a dict or a JSON
+    string.  Keys other than those two are ignored.
     """
     if isinstance(doc, str):
-        stripped = doc.lstrip()
-        if stripped.startswith("{"):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError as exc:
-                raise GraphFormatError(f"bad JSON graph document: {exc}") from exc
-        else:
-            doc = _parse_edge_list(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise GraphFormatError(f"bad JSON graph document: {exc}") from exc
     if not isinstance(doc, dict):
-        raise GraphFormatError("graph document must be a JSON object or edge list")
+        raise GraphFormatError("graph document must be a JSON object")
     try:
         vertices = doc["vertices"]
         edges = doc["edges"]
@@ -300,25 +284,6 @@ def load_graph(doc: dict | str) -> FiniteGraph:
     if len(g) and not g.is_connected():
         raise GraphFormatError("graph document is disconnected")
     return g
-
-
-def _parse_edge_list(text: str) -> dict:
-    vertices: list[str] = []
-    edges = []
-    seen = set()
-    for line in text.splitlines():
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"bad edge line {line!r}")
-        for p in parts:
-            if p not in seen:
-                seen.add(p)
-                vertices.append(p)
-        edges.append(parts)
-    return {"vertices": vertices, "edges": edges}
 
 
 class MetricView:
@@ -501,29 +466,25 @@ class QiFit:
         }
 
 
-def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
-                     buckets: tuple | None = None) -> QiFit:
-    """Fit distortion constants for ``vm`` over a fixed stretch grid.
+def fit_qi_constants(vm: VertexMap, buckets: tuple | None = None) -> QiFit:
+    """Fit distortion constants for ``vm`` over the stretches of ``GAMMA_GRID``.
 
     For each stretch the binding constraints are linear in the additive
     constant, so the least constant is a max over pairs; selection picks
     the smallest constant over the grid (then the smallest stretch), and
-    a stretch with an infinite pair on one side only has no fit.  With
-    every stretch at least 1 a pair never needs more than the larger of
-    its two distances, so a finite constant never exceeds the source or
-    target diameter.  ``buckets`` is ``vm``'s distance-pair histogram
-    when the caller already holds it.
+    a stretch with an infinite pair on one side only has no fit.  Every
+    grid stretch is at least 1, so a pair never needs more than the
+    larger of its two distances, and a finite constant never exceeds the
+    source or target diameter.  ``buckets`` is ``vm``'s distance-pair
+    histogram when the caller already holds it.
     """
-    grid = tuple(Fraction(g) for g in grid)
-    if any(g < 1 for g in grid):
-        raise PreconditionError("need every stretch >= 1")
     if buckets is None:
         buckets = _pair_bounds(vm)
-    worst: list[Fraction | None] = [Fraction(0) for _ in grid]
+    worst: list[Fraction | None] = [Fraction(0) for _ in GAMMA_GRID]
     for ds, dt in buckets:
         if ds is INF and dt is INF:
             continue
-        for i, g in enumerate(grid):
+        for i, g in enumerate(GAMMA_GRID):
             if worst[i] is None:
                 continue
             if ds is INF or dt is INF:
@@ -532,7 +493,7 @@ def fit_qi_constants(vm: VertexMap, grid: tuple[Fraction, ...] = GAMMA_GRID,
             need = max(Fraction(ds) / g - dt, Fraction(dt) - g * Fraction(ds))
             if need > worst[i]:
                 worst[i] = need
-    table = tuple(zip(grid, worst))
+    table = tuple(zip(GAMMA_GRID, worst))
     best = None
     for g, c in table:
         if c is None:

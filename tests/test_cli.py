@@ -291,6 +291,17 @@ def test_aut_command(tmp_path, capsys):
         assert capsys.readouterr() == plain
 
 
+def test_plain_text_edge_list_exits_2(tmp_path, capsys):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("# comment\na b\nb c\n")
+    for argv in (["witness", "--spec", str(edges), "--r", "2", "--n", "1"],
+                 ["aut", "--spec", str(edges)]):
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_verify_theorem_command(tmp_path, capsys):
     spec = write_doc(tmp_path, "chain.json", chain_spec_doc(20))
     out = tmp_path / "cert.json"

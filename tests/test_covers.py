@@ -64,20 +64,6 @@ def test_lebesgue_numbers_frozen_values():
         af.lebesgue_number(c, "median")
 
 
-def test_rd_dim_check():
-    g = line_graph(4)
-    c = af.Cover(view(g), [frozenset({"p0", "p1", "p2"}),
-                           frozenset({"p1", "p2", "p3"})])
-    assert af.check_rd_dim(c, r=2, d=2, n=1)
-    assert not af.check_rd_dim(c, r=3, d=2, n=1)  # Lebesgue 3 is not > 3
-    assert not af.check_rd_dim(c, r=2, d=1, n=1)
-    assert not af.check_rd_dim(c, r=2, d=2, n=0)
-    with pytest.raises(PreconditionError):
-        af.check_rd_dim(c, r=0, d=2, n=1)
-    with pytest.raises(PreconditionError):
-        af.check_rd_dim(c, r=2, d=0, n=1)
-
-
 # -- witness families ----------------------------------------------------------
 
 
@@ -142,7 +128,7 @@ def test_exact_bound_monotone_in_r_and_n():
 
 
 def test_exact_witness_is_valid_witness(path10_view):
-    w = exact_min_bound(path10_view, 3, 1).as_witness()
+    w = exact_min_bound(path10_view, 3, 1)
     assert w.violations() == []
     assert w.bound == 1
 
@@ -294,7 +280,7 @@ def _reference_lebesgue(cover, formula):
 def test_lebesgue_table_matches_whole_graph_complement_search():
     rng = random.Random(31)
     seen = {"infinite": 0, "whole_member": 0, "partial_view": 0, "overlap": 0,
-            "finite": 0, "rd_true": 0, "rd_false": 0}
+            "finite": 0}
     for case in range(300):
         n_v = rng.randint(2, 14)
         names = [f"x{i:02d}" for i in range(n_v)]
@@ -314,11 +300,6 @@ def test_lebesgue_table_matches_whole_graph_complement_search():
         paper, standard = (af.lebesgue_number(cover, f) for f in ("paper", "standard"))
         assert paper == _reference_lebesgue(cover, "paper"), case
         assert standard == _reference_lebesgue(cover, "standard"), case
-        for r, d, n in ((1, 1, 0), (1, 3, 1), (2, 5, 2)):
-            want = (cover.max_diameter() <= d and af.multiplicity(cover) <= n + 1
-                    and _reference_lebesgue(cover, "paper") > r)
-            assert af.check_rd_dim(cover, r, d, n) == want, case
-            seen["rd_true" if want else "rd_false"] += 1
         seen["infinite"] += af.INF in (paper, standard) and not any(
             m == cover.space.point_set for m in members)
         seen["whole_member"] += any(m == cover.space.point_set for m in members)
@@ -334,7 +315,7 @@ def test_complement_table_is_built_once_per_cover():
     table = c.complement_reach
     assert table == ({"p0": 3, "p1": 2, "p2": 1}, {"p2": 1, "p3": 2, "p4": 3, "p5": 4})
     af.lebesgue_number(c, "paper")
-    af.check_rd_dim(c, 1, 5, 1)
+    af.lebesgue_number(c, "standard")
     assert c.complement_reach is table
     assert af.Cover(view(g), [frozenset(g.vertices)]).complement_reach == (None,)
 

@@ -26,8 +26,7 @@ from conftest import build_doc
 
 def test_parameter_validation():
     good = ProofParameters(R=2, r=10, depth=40)
-    assert good.core_margin == 10
-    assert ProofParameters(R=0, r=2, depth=4, margin=1).core_margin == 1
+    assert good.to_json_dict()["margin"] == 10
     with pytest.raises(PreconditionError):
         ProofParameters(R=-1, r=10, depth=40)
     with pytest.raises(PreconditionError):
@@ -38,8 +37,6 @@ def test_parameter_validation():
         ProofParameters(R=3, r=10, depth=40)  # needs r > 4R
     with pytest.raises(PreconditionError):
         ProofParameters(R=2, r=10, depth=-1)
-    with pytest.raises(PreconditionError):
-        ProofParameters(R=2, r=10, depth=40, margin=-1)
 
 
 def test_certificate_grade_needs_depth():
@@ -192,13 +189,14 @@ def test_partition_covers_and_stays_disjoint(chain20):
 
 def test_partition_detects_coverage_gap():
     br = build_doc(chain_spec_doc(22))
-    params = ProofParameters(R=2, r=10, depth=22, margin=0)
+    params = ProofParameters(R=2, r=10, depth=22)
     base = base_blocks(br, params)
     maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
-    part = assemble_partition(br, params, base, maps)
-    # With no safety margin the deepest vertices fall past every block.
+    assert assemble_partition(br, params, base, maps).covers_safe
+    # without the last site's block the safe core under that site is bare
+    part = assemble_partition(br, params, base, maps[:-1])
     assert not part.covers_safe
-    assert len(part.missing) == 8
+    assert part.missing
     assert part.interiors_disjoint
 
 
@@ -392,7 +390,7 @@ def test_projection_fit_margin_errors(chain20):
 def test_tree_graph(chain6):
     tg = tree_graph(chain6.tree)
     assert len(tg) == 13
-    assert tg.diameter() == 12
+    assert tg.diameter(tg.vertices) == 12
 
 
 # -- table-driven symmetry maps against the whole walk ---------------------------
