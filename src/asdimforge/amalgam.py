@@ -86,7 +86,7 @@ class ConnectingTree:
     """
 
     def __init__(self, labels1, labels2, depth, nodes, node_side, parent,
-                 children, out_label, level, preorder, subtree_end, type2_J=None):
+                 children, out_label, level, preorder, subtree_end, type2_J):
         self.labels1 = labels1
         self.labels2 = labels2
         self.depth = depth
@@ -639,7 +639,7 @@ class AmalgamationSpec:
                  adh1: AdhesionFamily, adh2: AdhesionFamily, atlas: BondingAtlas,
                  depth: int, type2_J: frozenset[str] | None,
                  action1: GroupAction, action2: GroupAction,
-                 declared_asdim: dict | None = None):
+                 declared_asdim: dict | None):
         self.name = name
         self.g1, self.g2 = g1, g2
         self.adh1, self.adh2 = adh1, adh2
@@ -719,20 +719,36 @@ class AmalgamationSpec:
 
 @dataclass(frozen=True)
 class BuildResult:
-    """Everything one truncation build produces, ready for reporting."""
+    """Everything one truncation build produces, ready for reporting.
+
+    The contraction to the glued graph and its measurements are computed
+    on first use: reports read them, certificates never do.
+    """
 
     spec: AmalgamationSpec
     tree: ConnectingTree
     sum: SumGraph
-    amalgam: AmalgamGraph
     atlas_report: AtlasReport
     reps1: tuple[str, ...]
     reps2: tuple[str, ...]
     rep_map1: dict[str, str]
     rep_map2: dict[str, str]
-    id_sizes: dict[str, int]
-    max_id_size: int
-    trivial: bool
+
+    @cached_property
+    def amalgam(self) -> AmalgamGraph:
+        return contract_to_amalgam(self.sum)
+
+    @cached_property
+    def id_sizes(self) -> dict[str, int]:
+        return identification_sizes(self.amalgam)[0]
+
+    @cached_property
+    def max_id_size(self) -> int:
+        return max(self.id_sizes.values(), default=0)
+
+    @cached_property
+    def trivial(self) -> bool:
+        return check_trivial(self.amalgam)
 
     def report_dict(self) -> dict:
         semi_ok, semi_why = self.tree.is_semiregular()
@@ -764,10 +780,6 @@ def build(spec: AmalgamationSpec, depth: int | None = None) -> BuildResult:
     if not atlas_report.ok:
         raise ConfigError("bonding atlas invalid: " + "; ".join(atlas_report.problems))
     h = build_sum_graph(spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree)
-    amalgam = contract_to_amalgam(h)
     reps1, rep_map1 = select_orbit_representatives(spec.adh1, spec.action1)
     reps2, rep_map2 = select_orbit_representatives(spec.adh2, spec.action2)
-    sizes, max_size = identification_sizes(amalgam)
-    return BuildResult(spec, tree, h, amalgam, atlas_report,
-                       reps1, reps2, rep_map1, rep_map2,
-                       sizes, max_size, check_trivial(amalgam))
+    return BuildResult(spec, tree, h, atlas_report, reps1, reps2, rep_map1, rep_map2)

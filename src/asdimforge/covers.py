@@ -340,26 +340,37 @@ class GreedyResult:
     detail: str = ""
 
 
+def _close_points(dist: dict[str, int], points: frozenset[str], r: int) -> dict[str, int]:
+    """The points that a search bounded at r-1 puts closer than r.  A warm
+    whole-graph cache may come back, so scan the smaller side."""
+    if len(points) < len(dist):
+        return {v: dist[v] for v in points if dist.get(v, INF) < r}
+    return {v: d for v, d in dist.items() if d < r and v in points}
+
+
 def _block_partition(space: MetricView, r: int):
-    """Greedy r-net over sorted ids, then nearest-net cells (ties: earlier net point)."""
+    """Greedy r-net over sorted ids, then nearest-net cells (ties: earlier net point).
+
+    Only net points are searched, each once as it joins the net.
+    Distance is symmetric, so a net point's r-1 ball holds both the
+    points it keeps out of the net and their distance to it; every point
+    lies within r-1 of some net point, so all its nearest ones are seen.
+    """
     g = space.graph
-    near = {v: g.distances_to_set((v,), limit=r - 1) for v in space.points}
     net: list[str] = []
+    nearest: dict[str, tuple[int, int]] = {}  # point -> (distance, net index)
     for v in space.points:
-        dv = near[v]
-        if all(dv.get(u, INF) >= r for u in net):
-            net.append(v)
-    # every point lies within r-1 of an earlier net point, so its nearest
-    # net points (and all ties) are inside the bounded search
+        if v in nearest:
+            continue
+        i = len(net)
+        net.append(v)
+        ball = _close_points(g.distances_to_set((v,), limit=r - 1), space.point_set, r)
+        for u, d in ball.items():
+            if u not in nearest or d < nearest[u][0]:
+                nearest[u] = (d, i)
     blocks: list[set[str]] = [set() for _ in net]
     for v in space.points:
-        dv = near[v]
-        best = None
-        for i, u in enumerate(net):
-            d = dv.get(u, INF)
-            if best is None or d < best[0]:
-                best = (d, i)
-        blocks[best[1]].add(v)
+        blocks[nearest[v][1]].add(v)
     return net, [frozenset(b) for b in blocks]
 
 
@@ -390,55 +401,47 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
     g = space.graph
     net, blocks = _block_partition(space, r)
     root_dist = g.distances_to_set((net[0],), until=net)
-    # working cells carry their anchor net index; a merge keeps the
+    # working cells are keyed by their anchor net index; a merge keeps the
     # surviving cell's anchor so the coloring order stays stable
-    cells: list[tuple[int, Member]] = list(enumerate(blocks))
+    cells: dict[int, Member] = dict(enumerate(blocks))
+    # per cell, the cells closer than r: one bounded search per cell, once
+    cell_of = {v: a for a, b in cells.items() for v in b}
+    close = [{cell_of[v] for v in _close_points(g.distances_to_set(b, limit=r - 1),
+                                                space.point_set, r)} - {a}
+             for a, b in cells.items()]
     while True:
-        order = sorted(
-            range(len(cells)),
-            key=lambda i: (root_dist.get(net[cells[i][0]], INF), cells[i][0]))
-        # cell separations below r via one bounded sweep per cell; only
-        # sep < r is ever read
-        sep = {}
-        for i, (_, b) in enumerate(cells):
-            dist = g.distances_to_set(b, limit=r - 1)
-            for j, (_, b2) in enumerate(cells):
-                if j != i:
-                    sep[i, j] = min((dist.get(v, INF) for v in b2), default=INF)
+        order = sorted(cells, key=lambda a: (root_dist.get(net[a], INF), a))
         colors: dict[int, int] = {}
         needed = 0
         blocked = None
-        for i in order:
-            used = set()
-            for j, cj in colors.items():
-                if sep[i, j] < r:
-                    used.add(cj)
+        for a in order:
+            used = {colors[b] for b in close[a] if b in colors}
             c = 0
             while c in used:
                 c += 1
-            colors[i] = c
+            colors[a] = c
             needed = max(needed, c + 1)
             if c > n and blocked is None:
-                blocked = i
+                blocked = a
         if blocked is None:
             families: list[list[Member]] = [[] for _ in range(n + 1)]
-            for i, c in colors.items():
-                families[c].append(cells[i][1])
+            for a, c in colors.items():
+                families[c].append(cells[a])
             fams = tuple(tuple(sorted(fam, key=sorted)) for fam in families)
             witness = _measured_witness(space, r, fams).require_valid()
             return GreedyResult(True, witness, tuple(net), tuple(blocks), needed)
         if n == 0:
             return GreedyResult(False, None, tuple(net), tuple(blocks), needed,
                                 detail=f"first-fit needed {needed} colors for {n + 1} slots")
-        pos = {i: k for k, i in enumerate(order)}
-        partners = [j for j in order
-                    if pos[j] < pos[blocked] and sep[blocked, j] < r]
-        best = min(partners, key=lambda j: (
-            g.diameter(cells[j][1] | cells[blocked][1]), pos[j]))
-        merged = (cells[best][0],
-                  frozenset(cells[best][1] | cells[blocked][1]))
-        cells = [merged if k == best else cell
-                 for k, cell in enumerate(cells) if k != blocked]
+        pos = {a: k for k, a in enumerate(order)}
+        partners = [b for b in order if pos[b] < pos[blocked] and b in close[blocked]]
+        best = min(partners, key=lambda b: (g.diameter(cells[b] | cells[blocked]), pos[b]))
+        # the merged cell is closer than r to whatever either part was
+        cells[best] |= cells.pop(blocked)
+        for b in close[blocked] - {best}:
+            close[b].discard(blocked)
+            close[b].add(best)
+        close[best] = (close[best] | close[blocked]) - {best, blocked}
 
 
 def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:

@@ -691,6 +691,41 @@ def _witness_for(view: MetricView, r: int, n: int):
     return band_witness(view, r, n), "distance-bands"
 
 
+def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
+    """A key on which a block's ``uniform_asdim_blocks`` row depends.
+
+    With rho the eccentricity of the least point within P, the key is
+    (|P|, rho, the sorted edges of H inside the ball B(P, rho)), with
+    the points labeled first in sorted order and the rest of the ball in
+    search order.  A block with a point out of reach keys on its ids, so
+    it shares no row.  Equal keys give equal rows:
+
+    (a) the greedy witness, the band fallback and ``violations()`` read
+        distances only at points of P, and compare a bounded search's
+        values only against r, so the row is a function of P's
+        H-distance matrix in sorted-id order;
+    (b) every two points of P are at most 2 rho apart, and a shortest
+        path of that length stays inside B(P, rho);
+    (c) equal keys give an isomorphism of the two induced ball
+        subgraphs that keeps the point order, so by (b) the distance
+        matrices are equal, and by (a) so are the rows.
+    """
+    order = sorted(points)
+    reach = H.distances_to_set((order[0],), until=points)
+    rho = max(reach.get(v, INF) for v in order)
+    if rho == INF:
+        return ("unreachable", tuple(order))
+    label = {v: i for i, v in enumerate(order)}
+    # a single-point search may hand back the whole cached table
+    for v, d in H.distances_to_set(points, limit=rho).items():
+        if d <= rho:
+            label.setdefault(v, len(label))
+    adjacency = H.adjacency
+    edges = sorted((i, j) for v, i in label.items()
+                   for w in adjacency[v] if (j := label.get(w, -1)) > i)
+    return (len(order), rho, tuple(edges))
+
+
 def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertificate:
     """Instantiate the whole block construction and measure every claim.
 
@@ -757,7 +792,10 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
         "boundary_matches_shells": part.boundary_matches_shells,
     }))
 
+    # translates of one block shape share a row, so each shape is
+    # certified once (see block_shape)
     uniform_rows = {}
+    by_shape: dict[tuple, dict] = {}
     uniform_ok = True
     common_bound: int | float = 0
     for b in part.members:
@@ -766,15 +804,19 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
                                     "detail": "empty block"}
             uniform_ok = False
             continue
-        w, strategy = _witness_for(b.view(H), r, n)
-        problems = w.violations()
-        valid = not problems and len(w.families) == n + 1
-        uniform_rows[b.name] = {"strategy": strategy, "bound": w.bound,
-                                "families": len(w.families), "valid": valid}
-        if problems:
-            uniform_rows[b.name]["problems"] = problems
-        uniform_ok = uniform_ok and valid
-        common_bound = max(common_bound, w.bound)
+        key = block_shape(H, b.vertices)
+        row = by_shape.get(key)
+        if row is None:
+            w, strategy = _witness_for(b.view(H), r, n)
+            problems = w.violations()
+            row = by_shape[key] = {"strategy": strategy, "bound": w.bound,
+                                   "families": len(w.families),
+                                   "valid": not problems and len(w.families) == n + 1}
+            if problems:
+                row["problems"] = problems
+        uniform_rows[b.name] = dict(row)
+        uniform_ok = uniform_ok and row["valid"]
+        common_bound = max(common_bound, row["bound"])
     stages.append(Stage("uniform_asdim_blocks", uniform_ok, {
         "per_block": uniform_rows,
         "common_bound": common_bound,

@@ -262,6 +262,75 @@ def test_bounded_searches_ignore_a_prefilled_cache(chain40, triangle8):
                     _greedy_outcome(af.greedy_witness(af.MetricView(warm, points), r, n))
 
 
+def _reference_greedy(space, r, n):
+    """The block strategy as first written: one search from every point for
+    the partition, and every cell separation searched again after each merge."""
+    g = space.graph
+    near = {v: g.distances_to_set((v,), limit=r - 1) for v in space.points}
+    net = []
+    for v in space.points:
+        if all(near[v].get(u, af.INF) >= r for u in net):
+            net.append(v)
+    blocks = [set() for _ in net]
+    for v in space.points:
+        blocks[min(range(len(net)), key=lambda i: (near[v].get(net[i], af.INF), i))].add(v)
+    blocks = [frozenset(b) for b in blocks]
+    root_dist = g.distances_to_set((net[0],), until=net)
+    cells = list(enumerate(blocks))
+    while True:
+        order = sorted(range(len(cells)),
+                       key=lambda i: (root_dist.get(net[cells[i][0]], af.INF), cells[i][0]))
+        sep = {}
+        for i, (_, b) in enumerate(cells):
+            dist = g.distances_to_set(b, limit=r - 1)
+            for j, (_, b2) in enumerate(cells):
+                if j != i:
+                    sep[i, j] = min((dist.get(v, af.INF) for v in b2), default=af.INF)
+        colors, blocked = {}, None
+        for i in order:
+            used = {c for j, c in colors.items() if sep[i, j] < r}
+            colors[i] = min(c for c in range(len(cells) + 1) if c not in used)
+            if colors[i] > n and blocked is None:
+                blocked = i
+        if blocked is None:
+            families = [[] for _ in range(n + 1)]
+            for i, c in colors.items():
+                families[c].append(cells[i][1])
+            return net, blocks, tuple(tuple(sorted(f, key=sorted)) for f in families)
+        if n == 0:
+            return net, blocks, None
+        pos = {i: k for k, i in enumerate(order)}
+        partners = [j for j in order if pos[j] < pos[blocked] and sep[blocked, j] < r]
+        best = min(partners, key=lambda j: (g.diameter(cells[j][1] | cells[blocked][1]), pos[j]))
+        merged = (cells[best][0], cells[best][1] | cells[blocked][1])
+        cells = [merged if k == best else cell for k, cell in enumerate(cells) if k != blocked]
+
+
+def test_greedy_matches_the_search_per_point_reference(triangle8):
+    rng = random.Random(11)
+    graphs = [triangle8.sum.graph, ring_graph(7), complete_graph(5)]
+    for _ in range(60):
+        n_v = rng.randint(3, 18)
+        names = [f"x{i:02d}" for i in range(n_v)]
+        edges = [(names[i], names[rng.randrange(i)]) for i in range(1, n_v)]
+        edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, n_v))]
+        graphs.append(af.FiniteGraph(names, edges))
+    merges = 0
+    for g in graphs:
+        points = sorted(rng.sample(g.vertices, min(len(g), 30)))
+        space = af.MetricView(g, points)
+        for r in (2, 3, 4):
+            assert _block_partition(space, r) == _reference_greedy(space, r, 0)[:2]
+            for n in (0, 1, 2):
+                res = af.greedy_witness(space, r, n)
+                net, blocks, families = _reference_greedy(space, r, n)
+                assert (res.net, res.blocks) == (tuple(net), tuple(blocks))
+                assert (None if res.witness is None else res.witness.families) == families
+                if families is not None and sum(map(len, families)) < len(blocks):
+                    merges += 1
+    assert merges >= 10
+
+
 # -- Lebesgue numbers from the complement table ----------------------------------
 
 

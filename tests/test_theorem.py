@@ -12,11 +12,11 @@ from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
                                 split_copy_vertex)
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
-from asdimforge.theorem import (ProofParameters, assemble_partition,
-                                base_blocks, build_symmetry_map, lemma_strip,
-                                projection_fit, run_certificate, safe_nodes,
-                                strata, theorem_bound, translation_sites,
-                                tree_graph, verify_separation)
+from asdimforge.theorem import (ProofParameters, _witness_for, assemble_partition,
+                                base_blocks, block_shape, build_symmetry_map,
+                                lemma_strip, projection_fit, run_certificate,
+                                safe_nodes, strata, theorem_bound,
+                                translation_sites, tree_graph, verify_separation)
 
 from conftest import build_doc
 
@@ -228,10 +228,10 @@ def test_separation_on_chain(chain40):
     assert sep.all_at_least(6)
 
 
-def _shells(br, params):
+def _partition(br, params):
     base = base_blocks(br, params)
     maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
-    return assemble_partition(br, params, base, maps).shells
+    return assemble_partition(br, params, base, maps)
 
 
 def _assert_matches_pair_table(H, shells):
@@ -266,7 +266,7 @@ def test_separation_equals_pairwise_set_distance(request, fixture, R, r):
     br = request.getfixturevalue(fixture)
     params = ProofParameters(R=R, r=r, depth=br.tree.depth)
     H = br.sum.graph
-    sep, table = _assert_matches_pair_table(H, _shells(br, params))
+    sep, table = _assert_matches_pair_table(H, _partition(br, params).shells)
     assert len(table) >= 6  # at least three live shells
     assert sep.work["searches"] == 1
     assert sep.work["vertices_settled"] == len(H)
@@ -361,6 +361,76 @@ def test_certificate_serialization_is_deterministic():
         texts.append(jsonio.dumps(cert.to_json_dict()))
     assert texts[0] == texts[1]
     assert '"verdict": "PASS"' in texts[0]
+
+
+# -- one witness per block shape ------------------------------------------------------
+
+
+SHAPE_CASES = [(chain_spec_doc, 40, 2, 10), (chain_spec_doc, 160, 2, 10),
+               (triangle_spec_doc, 8, 0, 4), (triangle_spec_doc, 14, 0, 4),
+               (type2_spec_doc, 8, 0, 2)]
+SHAPE_IDS = ["chain_k2-40", "chain_k2-160", "c3_k2-8", "c3_k2-14", "type2_k2-8"]
+
+
+def _sorted_distance_matrix(H, points):
+    order = sorted(points)
+    rows = []
+    for x in order:
+        dist = H.distances_to_set((x,), until=points)
+        rows.append(tuple(dist.get(y, af.INF) for y in order))
+    return tuple(rows)
+
+
+@pytest.mark.parametrize("make, depth, R, r", SHAPE_CASES, ids=SHAPE_IDS)
+def test_block_rows_shared_by_shape_equal_fresh_witness_rows(make, depth, R, r):
+    br = build_doc(make(depth))
+    params = ProofParameters(R=R, r=r, depth=depth)
+    cert = run_certificate(br, params)
+    rows = cert.stage("uniform_asdim_blocks").data["per_block"]
+    H = br.sum.graph
+    members = _partition(br, params).members
+    assert list(rows) == [b.name for b in members]
+    by_key: dict = {}
+    for b in members:
+        w, strategy = _witness_for(b.view(H), r, cert.n)
+        problems = w.violations()
+        fresh = {"strategy": strategy, "bound": w.bound, "families": len(w.families),
+                 "valid": not problems and len(w.families) == cert.n + 1}
+        if problems:
+            fresh["problems"] = problems
+        assert rows[b.name] == fresh, b.name
+        by_key.setdefault(block_shape(H, b.vertices), []).append(b.vertices)
+    # translates share a shape, so some rows are reused
+    assert len(by_key) < len(members)
+    for group in by_key.values():
+        first = _sorted_distance_matrix(H, group[0])
+        for points in group[1:]:
+            assert _sorted_distance_matrix(H, points) == first
+
+
+def test_block_shape_sees_every_edge_of_its_ball(chain20):
+    H = chain20.sum.graph
+    points = _partition(chain20, ProofParameters(R=2, r=10, depth=20)).members[1].vertices
+    key = block_shape(H, points)
+    _, rho, _ = key
+    ball = H.ball(points, rho)
+    inside = [e for e in H.edges if e[0] in ball and e[1] in ball]
+    assert len(inside) > 10
+    for gone in inside:
+        cut = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone])
+        assert block_shape(cut, points) != key, gone
+
+
+def test_block_shape_of_a_disconnected_block_is_its_own():
+    # two copies of one path: the blocks are alike, but each spans both
+    # components, so neither may borrow the other's row
+    g = af.FiniteGraph(["a0", "a1", "a2", "b0", "b1", "b2"],
+                       [("a0", "a1"), ("a1", "a2"), ("b0", "b1"), ("b1", "b2")])
+    one, two = frozenset({"a0", "b0"}), frozenset({"a1", "b1"})
+    assert block_shape(g, one) == ("unreachable", ("a0", "b0"))
+    assert block_shape(g, one) != block_shape(g, two)
+    # connected translates in one component do share a key
+    assert block_shape(g, frozenset({"a0"})) == block_shape(g, frozenset({"b0"}))
 
 
 # -- projection fit -----------------------------------------------------------------
