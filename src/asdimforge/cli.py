@@ -56,7 +56,7 @@ def _emit(doc, out: str | None):
 def _projection_failures(br: BuildResult):
     """Yield the pairs whose tree distance exceeds their sum-graph distance.
 
-    Each vertex is paired with the later ids; its search fills no cache.
+    Each vertex is paired with the later ids.
     """
     H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
     for x in H.vertices:

@@ -66,12 +66,8 @@ class Family:
                 continue
             row = {}
             for x in m:
-                # a warm whole-graph cache may come back: scan the smaller side
                 dist = g.distances_to_set((x,), stop_at=outside)
-                if len(outside) < len(dist):
-                    row[x] = min(dist.get(v, INF) for v in outside)
-                else:
-                    row[x] = min((d for v, d in dist.items() if v in outside), default=INF)
+                row[x] = min((d for v, d in dist.items() if v in outside), default=INF)
             table.append(row)
         return tuple(table)
 
@@ -82,7 +78,7 @@ class Family:
         for i, a in enumerate(self.members[:-1]):
             dist = g.distances_to_set(a, limit=r - 1)
             for b in self.members[i + 1:]:
-                if any(dist.get(v, INF) < r for v in b):
+                if any(v in dist for v in b):
                     return False
         return True
 
@@ -228,7 +224,7 @@ def _cluster(points: Iterable[str], graph: FiniteGraph, r: int) -> list[frozense
     clusters: list[set[str]] = []
     for v in todo:
         dist_v = graph.distances_to_set((v,), limit=r - 1)
-        hits = [c for c in clusters if any(dist_v.get(u, INF) < r for u in c)]
+        hits = [c for c in clusters if any(u in dist_v for u in c)]
         if not hits:
             clusters.append({v})
         else:
@@ -257,8 +253,7 @@ def exact_min_bound(space: MetricView, r: int, n: int) -> WitnessFamilies:
     if not space.points:
         raise PreconditionError("empty space")
     pts = space.points
-    g = space.graph
-    dist = {v: g.distances_from(v) for v in pts}
+    dist = space.point_rows()
 
     def pair_d(x: str, y: str) -> int | float:
         return dist[x].get(y, INF)
@@ -340,14 +335,6 @@ class GreedyResult:
     detail: str = ""
 
 
-def _close_points(dist: dict[str, int], points: frozenset[str], r: int) -> dict[str, int]:
-    """The points that a search bounded at r-1 puts closer than r.  A warm
-    whole-graph cache may come back, so scan the smaller side."""
-    if len(points) < len(dist):
-        return {v: dist[v] for v in points if dist.get(v, INF) < r}
-    return {v: d for v, d in dist.items() if d < r and v in points}
-
-
 def _block_partition(space: MetricView, r: int):
     """Greedy r-net over sorted ids, then nearest-net cells (ties: earlier net point).
 
@@ -364,9 +351,8 @@ def _block_partition(space: MetricView, r: int):
             continue
         i = len(net)
         net.append(v)
-        ball = _close_points(g.distances_to_set((v,), limit=r - 1), space.point_set, r)
-        for u, d in ball.items():
-            if u not in nearest or d < nearest[u][0]:
+        for u, d in g.distances_to_set((v,), limit=r - 1).items():
+            if u in space.point_set and (u not in nearest or d < nearest[u][0]):
                 nearest[u] = (d, i)
     blocks: list[set[str]] = [set() for _ in net]
     for v in space.points:
@@ -406,8 +392,7 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
     cells: dict[int, Member] = dict(enumerate(blocks))
     # per cell, the cells closer than r: one bounded search per cell, once
     cell_of = {v: a for a, b in cells.items() for v in b}
-    close = [{cell_of[v] for v in _close_points(g.distances_to_set(b, limit=r - 1),
-                                                space.point_set, r)} - {a}
+    close = [{cell_of[v] for v in g.distances_to_set(b, limit=r - 1) if v in cell_of} - {a}
              for a, b in cells.items()]
     while True:
         order = sorted(cells, key=lambda a: (root_dist.get(net[a], INF), a))

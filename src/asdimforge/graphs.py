@@ -31,13 +31,11 @@ def _edge_key(x: str, y: str) -> tuple[str, str]:
 class FiniteGraph:
     """Immutable simple undirected graph.
 
-    Only whole-graph single-source results, from ``distances_from``, are
-    cached; bounded and early-stopped searches are not, but a
-    single-source one hands back the cached whole-graph result when
-    there is one.
+    It keeps no search results: every search runs afresh and returns a
+    new dict holding exactly the vertices it settled.
     """
 
-    __slots__ = ("vertices", "vertex_set", "edges", "adjacency", "_bfs_cache")
+    __slots__ = ("vertices", "vertex_set", "edges", "adjacency")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(str(v) for v in vertices)
@@ -60,7 +58,6 @@ class FiniteGraph:
         self.vertex_set = vset
         self.edges = tuple(sorted(canon))
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-        self._bfs_cache: dict[str, dict[str, int]] = {}
 
     # -- basic structure ------------------------------------------------
 
@@ -83,18 +80,8 @@ class FiniteGraph:
     # -- metric ---------------------------------------------------------
 
     def distances_from(self, source: str) -> dict[str, int]:
-        """Hop counts to every vertex reachable from ``source`` (cached)."""
-        if source not in self.vertex_set:
-            raise GraphFormatError(f"unknown vertex {source!r}")
-        hit = self._bfs_cache.get(source)
-        if hit is None:
-            hit = self._bfs_cache[source] = self.distances_to_set((source,))
-        return hit
-
-    def distance(self, x: str, y: str) -> int | float:
-        if y not in self.vertex_set:
-            raise GraphFormatError(f"unknown vertex {y!r}")
-        return self.distances_from(x).get(y, INF)
+        """Hop counts to every vertex reachable from ``source``."""
+        return self.distances_to_set((source,))
 
     def distances_to_set(self, targets: Iterable[str], limit: int | None = None,
                          until: Iterable[str] | None = None,
@@ -104,25 +91,19 @@ class FiniteGraph:
         With ``limit`` the search settles only vertices within that many
         hops; with ``until`` it ends once every vertex of that set is
         settled; with ``stop_at`` it ends as soon as one vertex of that
-        collection is settled, which is then a nearest one.  Every
-        distance returned is exact, but vertices out of range may be
-        present too: a single-source call returns the cached whole-graph
-        result when one exists.  So read ``dist.get(v, INF)`` and compare
-        the value; a present key does not mean "within range".
+        collection is settled, which is then a nearest one.  The result
+        holds exactly the vertices the search settled, each with its
+        exact distance, so a present key means "within range": under
+        ``limit`` the keys are the ball of that radius.
         """
-        members = frozenset(targets)
-        if len(members) == 1:
-            (source,) = members
-            hit = self._bfs_cache.get(source)
-            if hit is not None:
-                return hit
-        seeds = sorted(self.require_members(members))
+        seeds = sorted(self.require_members(targets))
         dist = {v: 0 for v in seeds}
         if stop_at is not None and any(v in stop_at for v in seeds):
             return dist
-        pending = None
+        pending = None  # how many vertices of ``until`` are still unsettled
         if until is not None:
-            pending = set(self.require_members(until)).difference(dist)
+            wanted = self.require_members(until)
+            pending = len(wanted.difference(dist))
             if not pending:
                 return dist
         last = len(self.vertices) if limit is None else limit
@@ -137,8 +118,8 @@ class FiniteGraph:
                 if w not in dist:
                     dist[w] = dw
                     queue.append(w)
-                    if pending is not None and w in pending:
-                        pending.discard(w)
+                    if pending is not None and w in wanted:
+                        pending -= 1
                         if not pending:
                             return dist
                     if stop_at is not None and w in stop_at:
@@ -164,15 +145,14 @@ class FiniteGraph:
         centers = self.require_members(centers)
         if not centers:
             return frozenset()
-        dist = self.distances_to_set(centers, limit=radius)
-        return frozenset(v for v, d in dist.items() if d <= radius)
+        return frozenset(self.distances_to_set(centers, limit=radius))
 
     def diameter(self, vertices: Iterable[str]) -> int | float:
         """Largest distance between two of ``vertices``.
 
         INF as soon as two of them are disconnected, 0 for fewer than
         two.  The search from each vertex stops once the vertices after
-        it in sorted order are settled, and fills no cache.
+        it in sorted order are settled.
         """
         order = sorted(self.require_members(vertices))
         worst = 0
@@ -294,7 +274,7 @@ class MetricView:
     when the intrinsic metric of the subset is wanted instead.
     """
 
-    __slots__ = ("graph", "points", "point_set")
+    __slots__ = ("graph", "points", "point_set", "_rows")
 
     def __init__(self, graph: FiniteGraph, points: Iterable[str] | None = None):
         self.graph = graph
@@ -304,6 +284,7 @@ class MetricView:
             member_set = graph.require_members(points)
         self.points = tuple(sorted(member_set))
         self.point_set = frozenset(member_set)
+        self._rows: dict[str, dict[str, int]] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -311,10 +292,17 @@ class MetricView:
     def __contains__(self, v: str) -> bool:
         return v in self.point_set
 
-    def distance(self, x: str, y: str) -> int | float:
-        if x not in self.point_set or y not in self.point_set:
-            raise PreconditionError(f"{x!r} or {y!r} outside this view")
-        return self.graph.distance(x, y)
+    def point_rows(self) -> dict[str, dict[str, int]]:
+        """Per point, hop counts to every point of the view it reaches.
+
+        Measured on first use, one search per point stopped once all the
+        points are settled, and kept with the view: callers that ask one
+        small view many times search it once.
+        """
+        if self._rows is None:
+            g, pts = self.graph, self.points
+            self._rows = {v: g.distances_to_set((v,), until=pts) for v in pts}
+        return self._rows
 
     def subview(self, points: Iterable[str]) -> "MetricView":
         members = frozenset(points)
@@ -352,24 +340,23 @@ class VertexMap:
 def nearest_point_map(source: MetricView, target: MetricView) -> VertexMap:
     """Send each source point to its nearest target point (ties: least id).
 
-    Both views must live in the same ambient graph.
+    Both views must live in the same ambient graph; a point that reaches
+    no target point goes to the least one.  One search from the target
+    set, stopped once every source point is settled, gives each point's
+    nearest distance d; a search from the point bounded at d then holds
+    exactly the target points at that distance.
     """
     if source.graph is not target.graph:
         raise PreconditionError("nearest-point map needs a shared ambient graph")
     if not target.points:
         raise PreconditionError("empty target")
+    g, tset = source.graph, target.point_set
+    reach = g.distances_to_set(target.points, until=source.points)
     nearest: dict[str, str] = {}
     for v in source.points:
-        if v in target.point_set:
-            nearest[v] = v
-            continue
-        best: tuple[float, str] | None = None
-        dv = source.graph.distances_from(v)
-        for w in target.points:
-            d = dv.get(w, INF)
-            if best is None or d < best[0]:
-                best = (d, w)
-        nearest[v] = best[1]
+        d = reach.get(v)
+        nearest[v] = target.points[0] if d is None else min(
+            w for w in g.distances_to_set((v,), limit=d) if w in tset)
     return VertexMap(source, target, nearest)
 
 
@@ -385,18 +372,21 @@ def _pair_bounds(vm: VertexMap) -> tuple[tuple[int | float, int | float], ...]:
     images = [vm.mapping[p] for p in pts]
     last_use = {fx: i for i, fx in enumerate(images)}
     buckets: dict[tuple[int | float, int | float], None] = {}
-    # rows are searched uncached and a target row is dropped after the
-    # last point mapping to it, so memory stays linear in the graph
+    # a row stops once the later points, or the later images, are
+    # settled; a target row is first searched at its first point, so it
+    # holds every later image, and it is dropped after the last point
+    # mapping to it, so memory stays linear in the graph
     target_rows: dict[str, dict[str, int]] = {}
     for i, x in enumerate(pts):
-        sx = vm.source.graph.distances_to_set((x,))
+        later = pts[i + 1:]
+        sx = vm.source.graph.distances_to_set((x,), until=later)
         fx = images[i]
         tx = target_rows.get(fx)
         if tx is None:
-            tx = target_rows[fx] = vm.target.graph.distances_to_set((fx,))
+            tx = target_rows[fx] = vm.target.graph.distances_to_set((fx,), until=images[i + 1:])
         if last_use[fx] == i:
             del target_rows[fx]
-        pairs = zip(map(sx.get, pts[i + 1:], repeat(INF)),
+        pairs = zip(map(sx.get, later, repeat(INF)),
                     map(tx.get, images[i + 1:], repeat(INF)))
         buckets.update(dict.fromkeys(pairs))
     return tuple(buckets)

@@ -716,10 +716,8 @@ def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
     if rho == INF:
         return ("unreachable", tuple(order))
     label = {v: i for i, v in enumerate(order)}
-    # a single-point search may hand back the whole cached table
-    for v, d in H.distances_to_set(points, limit=rho).items():
-        if d <= rho:
-            label.setdefault(v, len(label))
+    for v in H.distances_to_set(points, limit=rho):
+        label.setdefault(v, len(label))
     adjacency = H.adjacency
     edges = sorted((i, j) for v, i in label.items()
                    for w in adjacency[v] if (j := label.get(w, -1)) > i)

