@@ -66,16 +66,16 @@ def _projection_failures(br: BuildResult):
                 yield [x, y]
 
 
-def projection_report(br: BuildResult, buckets: tuple) -> dict:
+def projection_report(br: BuildResult, bounds: dict) -> dict:
     """Check the copy-to-node projection never increases distances.
 
-    ``buckets`` is the distance-pair histogram of ``projection_map(br)``,
-    so every pair is covered: the check passes iff no bucket has its
-    tree distance above its sum-graph distance.  Only when one does are
-    the pairs walked again for the first ten failures.
+    ``bounds`` is the ``_pair_bounds`` table of ``projection_map(br)``,
+    so every pair is covered: the check passes iff no tree distance in
+    it exceeds the least sum-graph distance met with it.  Only when one
+    does are the pairs walked again for the first ten failures.
     """
     failures = []
-    if any(dt > ds for ds, dt in buckets):
+    if any(dt > lo for dt, (lo, _) in bounds.items()):
         failures = list(islice(_projection_failures(br), 10))
     n = len(br.sum.graph)
     return {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
@@ -84,12 +84,12 @@ def projection_report(br: BuildResult, buckets: tuple) -> dict:
 
 def build_report(br: BuildResult) -> dict:
     """The build's own report plus the projection check and distortion fit,
-    both read off one distance-pair histogram over every pair."""
+    both read off one table of per-tree-distance extremes over every pair."""
     report = br.report_dict()
     vm = projection_map(br)
-    buckets = _pair_bounds(vm)
-    report["projection"] = projection_report(br, buckets)
-    report["projection_fit"] = fit_qi_constants(vm, buckets=buckets).to_json_dict()
+    bounds = _pair_bounds(vm)
+    report["projection"] = projection_report(br, bounds)
+    report["projection_fit"] = fit_qi_constants(vm, bounds=bounds).to_json_dict()
     return report
 
 

@@ -35,7 +35,7 @@ class FiniteGraph:
     new dict holding exactly the vertices it settled.
     """
 
-    __slots__ = ("vertices", "vertex_set", "edges", "adjacency")
+    __slots__ = ("vertices", "vertex_set", "edges", "adjacency", "_int_index")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(str(v) for v in vertices)
@@ -58,6 +58,7 @@ class FiniteGraph:
         self.vertex_set = vset
         self.edges = tuple(sorted(canon))
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        self._int_index = None
 
     # -- basic structure ------------------------------------------------
 
@@ -76,6 +77,19 @@ class FiniteGraph:
         if stray:
             raise GraphFormatError(f"unknown vertex {sorted(stray)[0]!r}")
         return members
+
+    def int_index(self) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
+        """Each vertex's number, its place in ``vertices``, and the
+        adjacency over those numbers with neighbours in ``adjacency``
+        order.  Built on first use and kept with the graph, which it
+        describes as the string form does, so a graph builds it once.
+        """
+        if self._int_index is None:
+            index = {v: i for i, v in enumerate(self.vertices)}
+            adjacency = tuple(tuple(index[w] for w in self.adjacency[v])
+                              for v in self.vertices)
+            self._int_index = (index, adjacency)
+        return self._int_index
 
     # -- metric ---------------------------------------------------------
 
@@ -360,36 +374,83 @@ def nearest_point_map(source: MetricView, target: MetricView) -> VertexMap:
     return VertexMap(source, target, nearest)
 
 
-def _pair_bounds(vm: VertexMap) -> tuple[tuple[int | float, int | float], ...]:
-    """Distinct (d_source, d_target) values over unordered point pairs.
+def _int_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
+    """Hop counts from ``source`` over an int adjacency, -1 where unreached."""
+    dist = [-1] * len(adjacency)
+    dist[source] = 0
+    queue = [source]
+    append = queue.append
+    for v in queue:
+        dw = dist[v] + 1
+        for w in adjacency[v]:
+            if dist[w] < 0:
+                dist[w] = dw
+                append(w)
+    return dist
 
-    Distances are hop counts or INF, so the pairs fall into few
-    buckets.  Pairs are met as (x, y) with y after x in point order, and
-    buckets come in the order of their first pair: a check that stops
-    at its first failing bucket stops where a pair-by-pair walk would.
+
+def _pair_buckets(vm: VertexMap) -> set[tuple[int | float, int | float]]:
+    """Distinct (d_target, d_source) values over unordered point pairs.
+
+    A view that covers its graph, as the ``build`` report's projection
+    does, has one row per vertex: each row is a whole search on the int
+    index, and pairs are met in vertex order, with -1 for unreachable.
+    A view of a few points in a larger graph keeps string rows that stop
+    once the later points are settled, with INF for unreachable.
     """
+    sg, tg = vm.source.graph, vm.target.graph
+    buckets: set[tuple[int | float, int | float]] = set()
+    # a target row is first searched at its first point and dropped after
+    # the last point mapping to it, so memory stays linear in the graph
+    if len(vm.source) == len(sg):
+        _, sadj = sg.int_index()
+        tindex, tadj = tg.int_index()
+        images = [tindex[vm.mapping[v]] for v in sg.vertices]
+        last_use = {fx: i for i, fx in enumerate(images)}
+        int_rows: dict[int, list[int]] = {}
+        for i in range(len(images) - 1):
+            fx = images[i]
+            tx = int_rows.get(fx)
+            if tx is None:
+                tx = int_rows[fx] = _int_row(tadj, fx)
+            if last_use[fx] == i:
+                del int_rows[fx]
+            sx = _int_row(sadj, i)
+            buckets.update(zip(map(tx.__getitem__, images[i + 1:]), sx[i + 1:]))
+        return buckets
     pts = vm.source.points
     images = [vm.mapping[p] for p in pts]
     last_use = {fx: i for i, fx in enumerate(images)}
-    buckets: dict[tuple[int | float, int | float], None] = {}
-    # a row stops once the later points, or the later images, are
-    # settled; a target row is first searched at its first point, so it
-    # holds every later image, and it is dropped after the last point
-    # mapping to it, so memory stays linear in the graph
-    target_rows: dict[str, dict[str, int]] = {}
+    rows: dict[str, dict[str, int]] = {}
     for i, x in enumerate(pts):
         later = pts[i + 1:]
-        sx = vm.source.graph.distances_to_set((x,), until=later)
+        sx = sg.distances_to_set((x,), until=later)
         fx = images[i]
-        tx = target_rows.get(fx)
+        tx = rows.get(fx)
         if tx is None:
-            tx = target_rows[fx] = vm.target.graph.distances_to_set((fx,), until=images[i + 1:])
+            tx = rows[fx] = tg.distances_to_set((fx,), until=images[i + 1:])
         if last_use[fx] == i:
-            del target_rows[fx]
-        pairs = zip(map(sx.get, later, repeat(INF)),
-                    map(tx.get, images[i + 1:], repeat(INF)))
-        buckets.update(dict.fromkeys(pairs))
-    return tuple(buckets)
+            del rows[fx]
+        buckets.update(zip(map(tx.get, images[i + 1:], repeat(INF)),
+                           map(sx.get, later, repeat(INF))))
+    return buckets
+
+
+def _pair_bounds(vm: VertexMap) -> dict[int | float, tuple[int | float, int | float]]:
+    """Per target distance, the least and the largest source distance.
+
+    Over unordered point pairs, each d_target met (INF included, last)
+    maps to (lo, hi), the extremes of d_source over the pairs at that
+    d_target; hi is INF iff one of them has an infinite source distance.
+    That is all a distortion check reads: at a fixed d_target,
+    d_source/g - d_target grows and d_target - g*d_source shrinks with
+    d_source, so both inequalities are tightest at the two extremes, and
+    some pair has d_target > d_source iff d_target > lo.
+    """
+    ordered = sorted((INF if dt < 0 else dt, INF if ds < 0 else ds)
+                     for dt, ds in _pair_buckets(vm))
+    lo, hi = dict(reversed(ordered)), dict(ordered)
+    return {dt: (lo[dt], hi[dt]) for dt in hi}
 
 
 def check_quasi_isometry(vm: VertexMap, gamma: Fraction | int, c: Fraction | int) -> bool:
@@ -398,16 +459,10 @@ def check_quasi_isometry(vm: VertexMap, gamma: Fraction | int, c: Fraction | int
     c = Fraction(c)
     if gamma < 1 or c < 0:
         raise PreconditionError("need gamma >= 1 and c >= 0")
-    for ds, dt in _pair_bounds(vm):
-        if ds is INF:
-            if dt is not INF:
-                return False
-            continue
-        if dt is INF:
-            return False
-        if dt > gamma * ds + c or ds / gamma - c > dt:
-            return False
-    return True
+    # INF computes and compares as a float: a pair infinite on one side
+    # only fails one inequality, and a pair infinite on both passes both
+    return not any(dt > gamma * lo + c or hi / gamma - c > dt
+                   for dt, (lo, hi) in _pair_bounds(vm).items())
 
 
 @dataclass(frozen=True)
@@ -456,33 +511,29 @@ class QiFit:
         }
 
 
-def fit_qi_constants(vm: VertexMap, buckets: tuple | None = None) -> QiFit:
+def fit_qi_constants(vm: VertexMap, bounds: dict | None = None) -> QiFit:
     """Fit distortion constants for ``vm`` over the stretches of ``GAMMA_GRID``.
 
     For each stretch the binding constraints are linear in the additive
-    constant, so the least constant is a max over pairs; selection picks
-    the smallest constant over the grid (then the smallest stretch), and
-    a stretch with an infinite pair on one side only has no fit.  Every
-    grid stretch is at least 1, so a pair never needs more than the
-    larger of its two distances, and a finite constant never exceeds the
-    source or target diameter.  ``buckets`` is ``vm``'s distance-pair
-    histogram when the caller already holds it.
+    constant, so the least constant is a max over pairs, read off the
+    two extremes of ``_pair_bounds`` at each target distance; selection
+    picks the smallest constant over the grid (then the smallest
+    stretch), and a stretch with an infinite pair on one side only has
+    no fit.  Every grid stretch is at least 1, so a pair never needs
+    more than the larger of its two distances, and a finite constant
+    never exceeds the source or target diameter.  ``bounds`` is ``vm``'s
+    ``_pair_bounds`` table when the caller already holds it.
     """
-    if buckets is None:
-        buckets = _pair_bounds(vm)
-    worst: list[Fraction | None] = [Fraction(0) for _ in GAMMA_GRID]
-    for ds, dt in buckets:
-        if ds is INF and dt is INF:
+    if bounds is None:
+        bounds = _pair_bounds(vm)
+    worst: list[Fraction | None] = [Fraction(0)] * len(GAMMA_GRID)
+    for dt, (lo, hi) in bounds.items():
+        if dt is INF and lo is INF:
             continue
-        for i, g in enumerate(GAMMA_GRID):
-            if worst[i] is None:
-                continue
-            if ds is INF or dt is INF:
-                worst[i] = None  # one side infinite: no finite constant fixes it
-                continue
-            need = max(Fraction(ds) / g - dt, Fraction(dt) - g * Fraction(ds))
-            if need > worst[i]:
-                worst[i] = need
+        if dt is INF or hi is INF:
+            worst = [None] * len(GAMMA_GRID)  # one side infinite: no finite constant fixes it
+            break
+        worst = [max(c, Fraction(hi) / g - dt, dt - g * lo) for c, g in zip(worst, GAMMA_GRID)]
     table = tuple(zip(GAMMA_GRID, worst))
     best = None
     for g, c in table:

@@ -17,10 +17,11 @@ from asdimforge import cli, jsonio
 from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
-from asdimforge.graphs import INF
-from asdimforge.theorem import projection_fit
+from asdimforge.graphs import INF, FiniteGraph
+from asdimforge.theorem import projection_fit, projection_map
 
 from conftest import build_doc
+from test_graphs import _ref_fit
 
 
 def write_doc(tmp_path, name, doc):
@@ -67,6 +68,40 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
     assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
                                     "ok": False, "failures": expected[:10]}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
+
+
+def _reference_report(br) -> dict:
+    """The build report from the per-pair walk and the per-pair fit."""
+    report = br.report_dict()
+    failures = _per_pair_failures(br)
+    n = len(br.sum.graph)
+    report["projection"] = {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+                            "ok": not failures, "failures": failures[:10]}
+    table, (gamma, c) = _ref_fit(projection_map(br))
+    report["projection_fit"] = {
+        "table": [[str(g), None if k is None else str(k)] for g, k in table],
+        "gamma": None if gamma is None else str(gamma),
+        "c": None if c is None else str(c)}
+    return report
+
+
+@pytest.mark.parametrize("make, depth, cut", [
+    (chain_spec_doc, 8, False), (chain_spec_doc, 20, False),
+    (triangle_spec_doc, 6, False), (triangle_spec_doc, 8, False),
+    (type2_spec_doc, 6, False), (chain_spec_doc, 8, True),
+])
+def test_build_report_matches_per_pair_reference(monkeypatch, make, depth, cut):
+    br = build_doc(make(depth))
+    if cut:  # one bridge removed: H falls apart and no stretch has a finite fit
+        H, bridge = br.sum.graph, br.sum.bridges[0]
+        monkeypatch.setattr(br.sum, "graph", FiniteGraph(
+            H.vertices, [e for e in H.edges if e != bridge]))
+        assert not br.sum.graph.is_connected()
+    report = cli.build_report(br)
+    assert report == _reference_report(br)
+    if cut:
+        assert report["projection"]["ok"]
+        assert all(c is None for _, c in report["projection_fit"]["table"])
 
 
 def test_build_checks_every_pair_above_500_vertices():
@@ -239,6 +274,19 @@ def test_certificate_bytes_are_pinned(tmp_path, make, depth, R, r, digest):
     out = tmp_path / "cert.json"
     assert cli.main(["verify-theorem", "--spec", spec, "--R", str(R), "--r", str(r),
                      "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+# sha256 of the build reports as the per-bucket histogram wrote them: the
+# projection check and fit must not move a byte
+@pytest.mark.parametrize("make, depth, digest", [
+    (chain_spec_doc, 40, "d9f21e10b9b8f297246b201ba06be5a5cc65e32c7da33ee4c66582c6836248c1"),
+    (triangle_spec_doc, 8, "c3747b3a85f326bae4e5c771cc53c3fc531093521b3571a9dfc7f5014222950e"),
+])
+def test_build_report_bytes_are_pinned(tmp_path, make, depth, digest):
+    spec = write_doc(tmp_path, "spec.json", make(depth))
+    out = tmp_path / "build.json"
+    assert cli.main(["build", "--spec", spec, "--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 

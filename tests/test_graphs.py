@@ -7,6 +7,7 @@ import pytest
 
 import asdimforge as af
 from asdimforge.errors import GraphFormatError, PreconditionError
+from asdimforge.graphs import _pair_bounds
 
 from conftest import complete_graph, line_graph, ring_graph
 
@@ -227,7 +228,7 @@ def test_quasi_isometry_checks():
     ident = af.VertexMap(af.MetricView(g), af.MetricView(g),
                          {v: v for v in g.vertices})
     assert af.check_quasi_isometry(ident, 1, 0)
-    assert not af.check_quasi_isometry(ident, 1, -0) or True  # c=0 is fine
+    assert af.check_quasi_isometry(ident, 1, -0) is True  # c = -0 is c = 0
     with pytest.raises(PreconditionError):
         af.check_quasi_isometry(ident, Fraction(1, 2), 0)
     with pytest.raises(PreconditionError):
@@ -303,8 +304,8 @@ def _ref_pairs(vm):
 
 
 def _ref_diameter(view) -> int | float:
-    return max((_bfs(view.graph, x).get(y, af.INF)
-                for x in view.points for y in view.points), default=0)
+    rows = (_bfs(view.graph, x) for x in view.points)
+    return max((row.get(y, af.INF) for row in rows for y in view.points), default=0)
 
 
 def _ref_fit(vm):
@@ -361,21 +362,37 @@ def _random_map(rng, kind: str) -> af.VertexMap:
         images = list(dst.points) + [rng.choice(dst.points) for _ in order[len(dst):]]
         return af.VertexMap(src, dst, dict(zip(order, images)))
     t = _random_graph(rng, rng.randint(2, 9), rng.randint(0, 4), "t")
-    if kind == "split":  # torn components on either side give infinite pairs
-        g = g.induced(rng.sample(g.vertices, rng.randint(2, len(g))))
+    if kind in ("split", "part"):  # torn components on either side give infinite pairs
+        g = g.induced(rng.sample(g.vertices, rng.randint(3, len(g))))
         if rng.random() < 0.5:
             t = t.induced(rng.sample(t.vertices, rng.randint(2, len(t))))
     src, dst = af.MetricView(g), af.MetricView(t)
+    if kind == "part":  # a view short of its graph takes string rows, not int rows
+        src = src.subview(rng.sample(src.points, rng.randint(2, len(src) - 1)))
     return af.VertexMap(src, dst, {v: rng.choice(dst.points) for v in src.points})
+
+
+def _ref_bounds(vm) -> dict:
+    """Per target distance, the least and largest source distance (INF included)."""
+    table = {}
+    for ds, dt in _ref_pairs(vm):
+        lo, hi = table.get(dt, (ds, ds))
+        table[dt] = (min(lo, ds), max(hi, ds))
+    return table
 
 
 def test_histogram_fits_match_per_pair_reference():
     rng = random.Random(20240603)
-    seen = {"infinite": 0, "non_surjective": 0, "surjective": 0, "surjective_torn": 0}
-    for case in range(320):
-        vm = _random_map(rng, ("connected", "split", "nearest", "onto")[case % 4])
+    seen = {"int_rows_torn": 0, "string_rows_torn": 0, "int_rows": 0, "string_rows": 0,
+            "non_surjective": 0, "surjective": 0, "surjective_torn": 0}
+    for case in range(400):
+        vm = _random_map(rng, ("connected", "split", "nearest", "onto", "part")[case % 5])
         pairs = list(_ref_pairs(vm))
-        seen["infinite"] += any(af.INF in p for p in pairs)
+        # a view covering its source graph is measured on the int index
+        rows = "int_rows" if len(vm.source) == len(vm.source.graph) else "string_rows"
+        seen[rows] += 1
+        seen[rows + "_torn"] += any(af.INF in p for p in pairs)
+        assert _pair_bounds(vm) == _ref_bounds(vm), case
         onto = len(set(vm.mapping.values())) == len(vm.target)
         seen["non_surjective"] += not onto
         seen["surjective"] += onto

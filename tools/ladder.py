@@ -1,15 +1,18 @@
-"""Depth ladder for the certificate engine, one fresh process per rung.
+"""Depth ladders for the certificate engine and the ``build`` report,
+one fresh process per rung.
 
-Each rung builds one shipped document at one depth and runs
+Each certificate rung builds one shipped document at one depth and runs
 ``run_certificate`` on it, in a child process of its own, and reports
 the build and certificate wall times, the child's peak RSS (from
 ``resource``) and the size of the certificate as ``jsonio`` writes it.
-Doubling the depth of ``chain_k2`` doubles its sum graph; two more
-levels of ``c3_k2`` do the same.  ``doubling`` is a rung's certificate
-time over the previous rung's.
+Each report rung does the same with ``cli.build_report``, the projection
+check and distortion fit that ``build`` writes.  Doubling the depth of
+``chain_k2`` doubles its sum graph; two more levels of ``c3_k2`` do the
+same.  ``doubling`` is a rung's certificate (or report) time over the
+previous rung's.
 
-    python tools/ladder.py --run "format 1=../parent-checkout" --run "format 2=." \\
-        --out BENCH_1.json
+    python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
+        --out BENCH_4.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
 import, so one copy of this script compares commits.  The checkouts take
@@ -28,70 +31,107 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (document, depths, R, r)
+# (document, depths, R, r) of the certificate ladder
 LADDER = (
     ("chain_k2", (200, 400, 800, 1600), 2, 10),
     ("c3_k2", (12, 14, 16, 18), 0, 4),
+)
+# (document, depths) of the build report ladder
+REPORT_LADDER = (
+    ("chain_k2", (100, 200, 400, 800)),
+    ("c3_k2", (10, 12, 14, 16)),
 )
 # samples per rung and checkout; a rung's times and RSS are their medians
 REPEAT = 5
 
 
-def run_rung(name: str, depth: int, R: int, r: int) -> dict:
-    """Child side: build, certify and measure one rung in this process."""
-    import resource
-    import time
-
-    from asdimforge import amalgam, fixtures, jsonio, theorem
+def _build(name: str, depth: int):
+    from asdimforge import amalgam, fixtures
 
     make = {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name]
+    return amalgam.build(amalgam.AmalgamationSpec.from_json_dict(make(depth)))
+
+
+def _peak_rss_mb() -> float:
+    import resource
+
+    return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
+
+
+def run_rung(name: str, depth: int, R: int, r: int) -> dict:
+    """Child side: build, certify and measure one rung in this process."""
+    import time
+
+    from asdimforge import jsonio, theorem
+
     t0 = time.perf_counter()
-    br = amalgam.build(amalgam.AmalgamationSpec.from_json_dict(make(depth)))
+    br = _build(name, depth)
     t1 = time.perf_counter()
     cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
     t2 = time.perf_counter()
     text = jsonio.dumps(cert.to_json_dict())
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
-            "certificate_s": round(t2 - t1, 3),
-            "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+            "certificate_s": round(t2 - t1, 3), "peak_rss_mb": _peak_rss_mb(),
             "certificate_bytes": len(text.encode()), "verdict": cert.verdict}
 
 
-def sample(root: Path, name: str, depth: int, R: int, r: int) -> dict:
+def run_report_rung(name: str, depth: int) -> dict:
+    """Child side: build and report one rung as ``build`` does, in this process."""
+    import time
+
+    from asdimforge import cli, jsonio
+
+    t0 = time.perf_counter()
+    br = _build(name, depth)
+    t1 = time.perf_counter()
+    report = cli.build_report(br)
+    t2 = time.perf_counter()
+    text = jsonio.dumps(report)
+    ok = report["projection"]["ok"] and report["atlas"]["ok"]
+    return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
+            "report_s": round(t2 - t1, 3), "peak_rss_mb": _peak_rss_mb(),
+            "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL"}
+
+
+def sample(root: Path, rung: tuple) -> dict:
     """Parent side: one rung in a fresh child importing ``root/src``."""
     out = subprocess.run(
-        [sys.executable, __file__, "--rung", name, str(depth), str(R), str(r)],
+        [sys.executable, __file__, "--rung", *map(str, rung)],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, check=True, timeout=600)
     return json.loads(out.stdout)
 
 
-def run_ladder(roots: dict[str, Path]) -> dict[str, list[dict]]:
+def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict[str, list[dict]]:
+    """Every rung ``(kind, document, depth, ...)`` on every checkout in turn;
+    ``seconds`` names the timing that ``doubling`` compares."""
     rows: dict[str, list[dict]] = {label: [] for label in roots}
-    for name, depths, R, r in LADDER:
-        for depth in depths:
-            samples: dict[str, list[dict]] = {label: [] for label in roots}
-            for _ in range(REPEAT):
-                for label, root in roots.items():
-                    samples[label].append(sample(root, name, depth, R, r))
-            for label, got in samples.items():
-                row = {"build": name, "depth": depth, "R": R, "r": r}
-                for key, value in got[0].items():
-                    row[key] = statistics.median(s[key] for s in got) \
-                        if isinstance(value, float) else value
-                previous = rows[label][-1] if rows[label] else None
-                row["doubling"] = None if previous is None or previous["build"] != name \
-                    else round(row["certificate_s"] / max(previous["certificate_s"], 1e-3), 2)
-                rows[label].append(row)
-                print(label, json.dumps(row), file=sys.stderr, flush=True)
+    for rung in rungs:
+        samples: dict[str, list[dict]] = {label: [] for label in roots}
+        for _ in range(REPEAT):
+            for label, root in roots.items():
+                samples[label].append(sample(root, rung))
+        for label, got in samples.items():
+            row = {"build": rung[1], "depth": rung[2]}
+            if rung[0] == "certificate":
+                row.update(R=rung[3], r=rung[4])
+            for key, value in got[0].items():
+                row[key] = statistics.median(s[key] for s in got) \
+                    if isinstance(value, float) else value
+            previous = rows[label][-1] if rows[label] else None
+            row["doubling"] = None if previous is None or previous["build"] != row["build"] \
+                else round(row[seconds] / max(previous[seconds], 1e-3), 2)
+            rows[label].append(row)
+            print(label, rung[0], json.dumps(row), file=sys.stderr, flush=True)
     return rows
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--rung"]:  # a child: one rung, printed as JSON
-        name, depth, R, r = argv[1:]
-        print(json.dumps(run_rung(name, int(depth), int(R), int(r))))
+        kind, name, *numbers = argv[1:]
+        run = {"certificate": run_rung, "report": run_report_rung}[kind]
+        print(json.dumps(run(name, *map(int, numbers))))
         return 0
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--run", action="append", required=True, metavar="LABEL=ROOT",
@@ -104,11 +144,19 @@ def main(argv=None) -> int:
         if not sep or not label:
             p.error(f"--run wants LABEL=ROOT, not {spec!r}")
         roots[label] = Path(root).resolve()
-    doc = {"ladder": "run_certificate per rung, each sample in a fresh process",
+    certificates = run_ladder(roots, [("certificate", name, depth, R, r)
+                                      for name, depths, R, r in LADDER
+                                      for depth in depths], "certificate_s")
+    reports = run_ladder(roots, [("report", name, depth)
+                                 for name, depths in REPORT_LADDER
+                                 for depth in depths], "report_s")
+    doc = {"ladder": "run_certificate and build_report per rung, "
+                     "each sample in a fresh process",
            "host": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
            "repeat": REPEAT,
-           "runs": {label: {"rungs": rungs} for label, rungs in run_ladder(roots).items()}}
+           "runs": {label: {"rungs": certificates[label], "report_rungs": reports[label]}
+                    for label in roots}}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
