@@ -155,8 +155,9 @@ class ConnectingTree:
 
     def nodes_within(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)
-        dist = self._graph.distances_to_set((center,), limit=radius)
-        return tuple(sorted(u for u, d in dist.items() if d <= radius))
+        # a search bounded at a negative radius still settles its center
+        ball = self._graph.distances_to_set((center,), limit=radius)
+        return tuple(sorted(ball)) if radius >= 0 else ()
 
     def nodes_at(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)
@@ -739,12 +740,8 @@ class BuildResult:
         return contract_to_amalgam(self.sum)
 
     @cached_property
-    def id_sizes(self) -> dict[str, int]:
-        return identification_sizes(self.amalgam)[0]
-
-    @cached_property
     def max_id_size(self) -> int:
-        return max(self.id_sizes.values(), default=0)
+        return identification_sizes(self.amalgam)[1]
 
     @cached_property
     def trivial(self) -> bool:

@@ -18,11 +18,11 @@ from pathlib import Path
 from .amalgam import AmalgamationSpec, BuildResult, build
 from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
-from .graphs import (FiniteGraph, INF, MetricView, _pair_bounds, fit_qi_constants,
-                     load_graph, relabel_sorted)
+from .graphs import FiniteGraph, INF, MetricView, load_graph, relabel_sorted
 from .groups import compute_automorphisms
 from .jsonio import dumps, read_json, write_json
-from .theorem import ProofParameters, projection_map, run_certificate, theorem_bound
+from .theorem import (ProofParameters, projection_fit, run_certificate, theorem_bound,
+                      tree_graph)
 
 
 # -- input loading ------------------------------------------------------------
@@ -56,40 +56,41 @@ def _emit(doc, out: str | None):
 def _projection_failures(br: BuildResult):
     """Yield the pairs whose tree distance exceeds their sum-graph distance.
 
-    Each vertex is paired with the later ids.
+    Each vertex is paired with the later ids; one search in H and one in
+    the tree from each vertex give both distances.
     """
-    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
-    for x in H.vertices:
+    H, tg = br.sum.graph, tree_graph(br.tree)
+    nodes = [br.sum.node_of(v) for v in H.vertices]
+    for x, node in zip(H.vertices, nodes):
         dist = H.distances_to_set((x,))
-        for y in H.vertices:
-            if y > x and tree.distance(node_of(x), node_of(y)) > dist.get(y, INF):
+        tdist = tg.distances_from(node)
+        for y, ny in zip(H.vertices, nodes):
+            if y > x and tdist[ny] > dist.get(y, INF):
                 yield [x, y]
 
 
-def projection_report(br: BuildResult, bounds: dict) -> dict:
+def projection_report(br: BuildResult) -> dict:
     """Check the copy-to-node projection never increases distances.
 
-    ``bounds`` is the ``_pair_bounds`` table of ``projection_map(br)``,
-    so every pair is covered: the check passes iff no tree distance in
-    it exceeds the least sum-graph distance met with it.  Only when one
-    does are the pairs walked again for the first ten failures.
+    Both sides are path metrics, so it never does iff no edge (x, y) of
+    the sum graph has its ends more than one tree step apart; such an
+    edge is itself a failing pair.  Only when one exists are the pairs
+    walked for the first ten failures.
     """
+    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
     failures = []
-    if any(dt > lo for dt, (lo, _) in bounds.items()):
+    if any(tree.distance(node_of(x), node_of(y)) > 1 for x, y in H.edges):
         failures = list(islice(_projection_failures(br), 10))
-    n = len(br.sum.graph)
+    n = len(H)
     return {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
             "ok": not failures, "failures": failures}
 
 
 def build_report(br: BuildResult) -> dict:
-    """The build's own report plus the projection check and distortion fit,
-    both read off one table of per-tree-distance extremes over every pair."""
+    """The build's own report plus the projection check and distortion fit."""
     report = br.report_dict()
-    vm = projection_map(br)
-    bounds = _pair_bounds(vm)
-    report["projection"] = projection_report(br, bounds)
-    report["projection_fit"] = fit_qi_constants(vm, bounds=bounds).to_json_dict()
+    report["projection"] = projection_report(br)
+    report["projection_fit"] = projection_fit(br).to_json_dict()
     return report
 
 

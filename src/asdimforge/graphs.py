@@ -35,7 +35,7 @@ class FiniteGraph:
     new dict holding exactly the vertices it settled.
     """
 
-    __slots__ = ("vertices", "vertex_set", "edges", "adjacency", "_int_index")
+    __slots__ = ("vertices", "vertex_set", "edges", "adjacency")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(str(v) for v in vertices)
@@ -58,7 +58,6 @@ class FiniteGraph:
         self.vertex_set = vset
         self.edges = tuple(sorted(canon))
         self.adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
-        self._int_index = None
 
     # -- basic structure ------------------------------------------------
 
@@ -77,19 +76,6 @@ class FiniteGraph:
         if stray:
             raise GraphFormatError(f"unknown vertex {sorted(stray)[0]!r}")
         return members
-
-    def int_index(self) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
-        """Each vertex's number, its place in ``vertices``, and the
-        adjacency over those numbers with neighbours in ``adjacency``
-        order.  Built on first use and kept with the graph, which it
-        describes as the string form does, so a graph builds it once.
-        """
-        if self._int_index is None:
-            index = {v: i for i, v in enumerate(self.vertices)}
-            adjacency = tuple(tuple(index[w] for w in self.adjacency[v])
-                              for v in self.vertices)
-            self._int_index = (index, adjacency)
-        return self._int_index
 
     # -- metric ---------------------------------------------------------
 
@@ -374,6 +360,13 @@ def nearest_point_map(source: MetricView, target: MetricView) -> VertexMap:
     return VertexMap(source, target, nearest)
 
 
+def _int_graph(g: FiniteGraph) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
+    """Each vertex's number, its place in ``vertices``, and the adjacency
+    over those numbers with neighbours in ``adjacency`` order."""
+    index = {v: i for i, v in enumerate(g.vertices)}
+    return index, tuple(tuple(map(index.__getitem__, g.adjacency[v])) for v in g.vertices)
+
+
 def _int_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     """Hop counts from ``source`` over an int adjacency, -1 where unreached."""
     dist = [-1] * len(adjacency)
@@ -389,22 +382,30 @@ def _int_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
     return dist
 
 
-def _pair_buckets(vm: VertexMap) -> set[tuple[int | float, int | float]]:
-    """Distinct (d_target, d_source) values over unordered point pairs.
+def _pair_bounds(vm: VertexMap) -> dict[int | float, tuple[int | float, int | float]]:
+    """Per target distance, the least and the largest source distance.
+
+    Over unordered point pairs, each d_target met (INF included, last)
+    maps to (lo, hi), the extremes of d_source over the pairs at that
+    d_target; hi is INF iff one of them has an infinite source distance.
+    That is all a distortion check reads: at a fixed d_target,
+    d_source/g - d_target grows and d_target - g*d_source shrinks with
+    d_source, so both inequalities are tightest at the two extremes.
 
     A view that covers its graph, as the ``build`` report's projection
-    does, has one row per vertex: each row is a whole search on the int
-    index, and pairs are met in vertex order, with -1 for unreachable.
-    A view of a few points in a larger graph keeps string rows that stop
-    once the later points are settled, with INF for unreachable.
+    does, has one row per vertex: both graphs are numbered for this walk
+    alone, each row is a whole search on those numbers, and pairs are
+    met in vertex order, with -1 for unreachable.  A view of a few
+    points in a larger graph keeps string rows that stop once the later
+    points are settled, with INF for unreachable.
     """
     sg, tg = vm.source.graph, vm.target.graph
-    buckets: set[tuple[int | float, int | float]] = set()
+    buckets: set[tuple[int | float, int | float]] = set()  # (d_target, d_source)
     # a target row is first searched at its first point and dropped after
     # the last point mapping to it, so memory stays linear in the graph
     if len(vm.source) == len(sg):
-        _, sadj = sg.int_index()
-        tindex, tadj = tg.int_index()
+        _, sadj = _int_graph(sg)
+        tindex, tadj = _int_graph(tg)
         images = [tindex[vm.mapping[v]] for v in sg.vertices]
         last_use = {fx: i for i, fx in enumerate(images)}
         int_rows: dict[int, list[int]] = {}
@@ -417,38 +418,23 @@ def _pair_buckets(vm: VertexMap) -> set[tuple[int | float, int | float]]:
                 del int_rows[fx]
             sx = _int_row(sadj, i)
             buckets.update(zip(map(tx.__getitem__, images[i + 1:]), sx[i + 1:]))
-        return buckets
-    pts = vm.source.points
-    images = [vm.mapping[p] for p in pts]
-    last_use = {fx: i for i, fx in enumerate(images)}
-    rows: dict[str, dict[str, int]] = {}
-    for i, x in enumerate(pts):
-        later = pts[i + 1:]
-        sx = sg.distances_to_set((x,), until=later)
-        fx = images[i]
-        tx = rows.get(fx)
-        if tx is None:
-            tx = rows[fx] = tg.distances_to_set((fx,), until=images[i + 1:])
-        if last_use[fx] == i:
-            del rows[fx]
-        buckets.update(zip(map(tx.get, images[i + 1:], repeat(INF)),
-                           map(sx.get, later, repeat(INF))))
-    return buckets
-
-
-def _pair_bounds(vm: VertexMap) -> dict[int | float, tuple[int | float, int | float]]:
-    """Per target distance, the least and the largest source distance.
-
-    Over unordered point pairs, each d_target met (INF included, last)
-    maps to (lo, hi), the extremes of d_source over the pairs at that
-    d_target; hi is INF iff one of them has an infinite source distance.
-    That is all a distortion check reads: at a fixed d_target,
-    d_source/g - d_target grows and d_target - g*d_source shrinks with
-    d_source, so both inequalities are tightest at the two extremes, and
-    some pair has d_target > d_source iff d_target > lo.
-    """
-    ordered = sorted((INF if dt < 0 else dt, INF if ds < 0 else ds)
-                     for dt, ds in _pair_buckets(vm))
+    else:
+        pts = vm.source.points
+        images = [vm.mapping[p] for p in pts]
+        last_use = {fx: i for i, fx in enumerate(images)}
+        rows: dict[str, dict[str, int]] = {}
+        for i, x in enumerate(pts):
+            later = pts[i + 1:]
+            sx = sg.distances_to_set((x,), until=later)
+            fx = images[i]
+            tx = rows.get(fx)
+            if tx is None:
+                tx = rows[fx] = tg.distances_to_set((fx,), until=images[i + 1:])
+            if last_use[fx] == i:
+                del rows[fx]
+            buckets.update(zip(map(tx.get, images[i + 1:], repeat(INF)),
+                               map(sx.get, later, repeat(INF))))
+    ordered = sorted((INF if dt < 0 else dt, INF if ds < 0 else ds) for dt, ds in buckets)
     lo, hi = dict(reversed(ordered)), dict(ordered)
     return {dt: (lo[dt], hi[dt]) for dt in hi}
 
@@ -511,23 +497,20 @@ class QiFit:
         }
 
 
-def fit_qi_constants(vm: VertexMap, bounds: dict | None = None) -> QiFit:
+def fit_qi_constants(vm: VertexMap) -> QiFit:
     """Fit distortion constants for ``vm`` over the stretches of ``GAMMA_GRID``.
 
     For each stretch the binding constraints are linear in the additive
     constant, so the least constant is a max over pairs, read off the
     two extremes of ``_pair_bounds`` at each target distance; selection
-    picks the smallest constant over the grid (then the smallest
-    stretch), and a stretch with an infinite pair on one side only has
-    no fit.  Every grid stretch is at least 1, so a pair never needs
-    more than the larger of its two distances, and a finite constant
-    never exceeds the source or target diameter.  ``bounds`` is ``vm``'s
-    ``_pair_bounds`` table when the caller already holds it.
+    is ``QiFit.best_within`` over the whole grid, and a stretch with an
+    infinite pair on one side only has no fit.  Every grid stretch is at
+    least 1, so a pair never needs more than the larger of its two
+    distances, and a finite constant never exceeds the source or target
+    diameter.
     """
-    if bounds is None:
-        bounds = _pair_bounds(vm)
     worst: list[Fraction | None] = [Fraction(0)] * len(GAMMA_GRID)
-    for dt, (lo, hi) in bounds.items():
+    for dt, (lo, hi) in _pair_bounds(vm).items():
         if dt is INF and lo is INF:
             continue
         if dt is INF or hi is INF:
@@ -535,12 +518,5 @@ def fit_qi_constants(vm: VertexMap, bounds: dict | None = None) -> QiFit:
             break
         worst = [max(c, Fraction(hi) / g - dt, dt - g * lo) for c, g in zip(worst, GAMMA_GRID)]
     table = tuple(zip(GAMMA_GRID, worst))
-    best = None
-    for g, c in table:
-        if c is None:
-            continue
-        if best is None or (c, g) < best:
-            best = (c, g)
-    if best is None:
-        return QiFit(table, None, None)
-    return QiFit(table, best[1], best[0])
+    gamma, c = QiFit(table, None, None).best_within(GAMMA_GRID[-1]) or (None, None)
+    return QiFit(table, gamma, c)

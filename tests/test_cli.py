@@ -2,6 +2,7 @@
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import os
@@ -44,13 +45,17 @@ def test_build_command(tmp_path, capsys):
 
 
 def _per_pair_failures(br) -> list:
-    """Every failing pair of the projection check, in vertex order."""
-    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
+    """Every failing pair of the projection check, in vertex order.
+
+    Tree distances climb the tree for each pair of nodes, once per pair.
+    """
+    H, node_of = br.sum.graph, br.sum.node_of
+    tree_distance = functools.cache(br.tree.distance)
     failures = []
     for x in H.vertices:
         dist = H.distances_to_set((x,))
         for y in H.vertices:
-            if y > x and tree.distance(node_of(x), node_of(y)) > dist.get(y, INF):
+            if y > x and tree_distance(node_of(x), node_of(y)) > dist.get(y, INF):
                 failures.append([x, y])
     return failures
 
@@ -67,6 +72,24 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
     n = len(br.sum.graph)
     assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
                                     "ok": False, "failures": expected[:10]}
+    assert report["projection_fit"] == projection_fit(br).to_json_dict()
+
+
+@pytest.mark.parametrize("make, depth, count", [
+    (chain_spec_doc, 200, 2), (triangle_spec_doc, 4, 3),
+])
+def test_build_report_walks_all_pairs_when_few_fail(monkeypatch, make, depth, count):
+    """Fewer than ten failing pairs: the failure walk runs to its end."""
+    br = build_doc(make(depth))
+    swap = {"t1": "t1/0", "t1/0": "t1"}
+    node_of = br.sum.node_of
+    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    report = cli.build_report(br)
+    expected = _per_pair_failures(br)
+    assert len(expected) == count
+    n = len(br.sum.graph)
+    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+                                    "ok": False, "failures": expected}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
 
 

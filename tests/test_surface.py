@@ -16,6 +16,10 @@ class; a reached function's body reaches on.  Dunder methods are reached
 with their class.  The test asserts that every top-level function and
 class, and every other method, is reached: an API that nothing calls
 fails here, and a test alone does not count as a caller.
+
+A second check keeps each module's private names its own: no package
+module imports an underscore-prefixed name from another.  Test files
+are not scanned.
 """
 
 from __future__ import annotations
@@ -148,3 +152,23 @@ def test_scan_sees_the_package_and_its_roots():
 def test_every_definition_is_reached():
     missing = unreached()
     assert not missing, "defined but reached from no entry point: " + ", ".join(missing)
+
+
+def private_imports() -> list[str]:
+    """``module: name`` for each underscore-prefixed name that a package
+    module imports from another package module."""
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.level == 0 and not (node.module or "").startswith("asdimforge"):
+                continue
+            found += [f"{path.stem}: {a.name}" for a in node.names
+                      if a.name.startswith("_")]
+    return found
+
+
+def test_no_module_imports_a_private_name():
+    found = private_imports()
+    assert not found, "private names imported across modules: " + ", ".join(found)
