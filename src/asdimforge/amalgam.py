@@ -150,14 +150,9 @@ class ConnectingTree:
             down.append(parent[down[-1]])
         return tuple(up + down[-2::-1])
 
-    def distance(self, u: str, v: str) -> int:
-        return len(self.path(u, v)) - 1
-
     def nodes_within(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)
-        # a search bounded at a negative radius still settles its center
-        ball = self._graph.distances_to_set((center,), limit=radius)
-        return tuple(sorted(ball)) if radius >= 0 else ()
+        return tuple(sorted(self._graph.distances_to_set((center,), limit=radius)))
 
     def nodes_at(self, center: str, radius: int) -> tuple[str, ...]:
         self.require_node(center)

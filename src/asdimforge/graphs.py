@@ -14,7 +14,7 @@ from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError, PreconditionError
 
@@ -89,14 +89,17 @@ class FiniteGraph:
         """Multi-source BFS: hop count from each vertex to the set.
 
         With ``limit`` the search settles only vertices within that many
-        hops; with ``until`` it ends once every vertex of that set is
-        settled; with ``stop_at`` it ends as soon as one vertex of that
-        collection is settled, which is then a nearest one.  The result
-        holds exactly the vertices the search settled, each with its
-        exact distance, so a present key means "within range": under
-        ``limit`` the keys are the ball of that radius.
+        hops, so a negative limit settles nothing; with ``until`` it ends
+        once every vertex of that set is settled; with ``stop_at`` it ends
+        as soon as one vertex of that collection is settled, which is then
+        a nearest one.  The result holds exactly the vertices the search
+        settled, each with its exact distance, so a present key means
+        "within range": under ``limit`` the keys are the ball of that
+        radius.
         """
         seeds = sorted(self.require_members(targets))
+        if limit is not None and limit < 0:
+            return {}
         dist = {v: 0 for v in seeds}
         if stop_at is not None and any(v in stop_at for v in seeds):
             return dist
@@ -360,28 +363,6 @@ def nearest_point_map(source: MetricView, target: MetricView) -> VertexMap:
     return VertexMap(source, target, nearest)
 
 
-def _int_graph(g: FiniteGraph) -> tuple[dict[str, int], tuple[tuple[int, ...], ...]]:
-    """Each vertex's number, its place in ``vertices``, and the adjacency
-    over those numbers with neighbours in ``adjacency`` order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    return index, tuple(tuple(map(index.__getitem__, g.adjacency[v])) for v in g.vertices)
-
-
-def _int_row(adjacency: tuple[tuple[int, ...], ...], source: int) -> list[int]:
-    """Hop counts from ``source`` over an int adjacency, -1 where unreached."""
-    dist = [-1] * len(adjacency)
-    dist[source] = 0
-    queue = [source]
-    append = queue.append
-    for v in queue:
-        dw = dist[v] + 1
-        for w in adjacency[v]:
-            if dist[w] < 0:
-                dist[w] = dw
-                append(w)
-    return dist
-
-
 def _pair_bounds(vm: VertexMap) -> dict[int | float, tuple[int | float, int | float]]:
     """Per target distance, the least and the largest source distance.
 
@@ -392,49 +373,29 @@ def _pair_bounds(vm: VertexMap) -> dict[int | float, tuple[int | float, int | fl
     d_source/g - d_target grows and d_target - g*d_source shrinks with
     d_source, so both inequalities are tightest at the two extremes.
 
-    A view that covers its graph, as the ``build`` report's projection
-    does, has one row per vertex: both graphs are numbered for this walk
-    alone, each row is a whole search on those numbers, and pairs are
-    met in vertex order, with -1 for unreachable.  A view of a few
-    points in a larger graph keeps string rows that stop once the later
-    points are settled, with INF for unreachable.
+    Each point's row is one search that stops once the later points are
+    settled, and an unreachable pair reads INF.
     """
     sg, tg = vm.source.graph, vm.target.graph
     buckets: set[tuple[int | float, int | float]] = set()  # (d_target, d_source)
     # a target row is first searched at its first point and dropped after
     # the last point mapping to it, so memory stays linear in the graph
-    if len(vm.source) == len(sg):
-        _, sadj = _int_graph(sg)
-        tindex, tadj = _int_graph(tg)
-        images = [tindex[vm.mapping[v]] for v in sg.vertices]
-        last_use = {fx: i for i, fx in enumerate(images)}
-        int_rows: dict[int, list[int]] = {}
-        for i in range(len(images) - 1):
-            fx = images[i]
-            tx = int_rows.get(fx)
-            if tx is None:
-                tx = int_rows[fx] = _int_row(tadj, fx)
-            if last_use[fx] == i:
-                del int_rows[fx]
-            sx = _int_row(sadj, i)
-            buckets.update(zip(map(tx.__getitem__, images[i + 1:]), sx[i + 1:]))
-    else:
-        pts = vm.source.points
-        images = [vm.mapping[p] for p in pts]
-        last_use = {fx: i for i, fx in enumerate(images)}
-        rows: dict[str, dict[str, int]] = {}
-        for i, x in enumerate(pts):
-            later = pts[i + 1:]
-            sx = sg.distances_to_set((x,), until=later)
-            fx = images[i]
-            tx = rows.get(fx)
-            if tx is None:
-                tx = rows[fx] = tg.distances_to_set((fx,), until=images[i + 1:])
-            if last_use[fx] == i:
-                del rows[fx]
-            buckets.update(zip(map(tx.get, images[i + 1:], repeat(INF)),
-                               map(sx.get, later, repeat(INF))))
-    ordered = sorted((INF if dt < 0 else dt, INF if ds < 0 else ds) for dt, ds in buckets)
+    pts = vm.source.points
+    images = [vm.mapping[p] for p in pts]
+    last_use = {fx: i for i, fx in enumerate(images)}
+    rows: dict[str, dict[str, int]] = {}
+    for i, x in enumerate(pts):
+        later = pts[i + 1:]
+        sx = sg.distances_to_set((x,), until=later)
+        fx = images[i]
+        tx = rows.get(fx)
+        if tx is None:
+            tx = rows[fx] = tg.distances_to_set((fx,), until=images[i + 1:])
+        if last_use[fx] == i:
+            del rows[fx]
+        buckets.update(zip(map(tx.get, images[i + 1:], repeat(INF)),
+                           map(sx.get, later, repeat(INF))))
+    ordered = sorted(buckets)
     lo, hi = dict(reversed(ordered)), dict(ordered)
     return {dt: (lo[dt], hi[dt]) for dt in hi}
 
@@ -476,6 +437,25 @@ class QiFit:
             raise PreconditionError("no feasible distortion constants to unpack")
         return iter((self.gamma, self.c))
 
+    @classmethod
+    def from_maxima(cls, maxima: Sequence[tuple[int, int]] | None) -> "QiFit":
+        """The fit over ``GAMMA_GRID`` from per-stretch integer maxima.
+
+        For the stretch p/q, ``maxima`` holds (a, b): over the pairs, the
+        largest q*d_source - p*d_target and the largest
+        q*d_target - p*d_source.  Its constant is max(0, a/p, b/q);
+        ``None`` means no finite constant works at any stretch.
+        Selection is ``best_within`` over the whole grid.
+        """
+        if maxima is None:
+            table = tuple((g, None) for g in GAMMA_GRID)
+        else:
+            table = tuple((g, max(Fraction(0), Fraction(a, g.numerator),
+                                  Fraction(b, g.denominator)))
+                          for g, (a, b) in zip(GAMMA_GRID, maxima))
+        gamma, c = cls(table, None, None).best_within(GAMMA_GRID[-1]) or (None, None)
+        return cls(table, gamma, c)
+
     def best_within(self, gamma_cap: Fraction | int) -> tuple[Fraction, Fraction] | None:
         """Least-constant feasible entry with stretch at most ``gamma_cap``."""
         cap = Fraction(gamma_cap)
@@ -502,21 +482,21 @@ def fit_qi_constants(vm: VertexMap) -> QiFit:
 
     For each stretch the binding constraints are linear in the additive
     constant, so the least constant is a max over pairs, read off the
-    two extremes of ``_pair_bounds`` at each target distance; selection
-    is ``QiFit.best_within`` over the whole grid, and a stretch with an
-    infinite pair on one side only has no fit.  Every grid stretch is at
-    least 1, so a pair never needs more than the larger of its two
+    two extremes of ``_pair_bounds`` at each target distance as two
+    integer maxima per stretch (``QiFit.from_maxima``); a stretch with
+    an infinite pair on one side only has no fit.  Every grid stretch is
+    at least 1, so a pair never needs more than the larger of its two
     distances, and a finite constant never exceeds the source or target
     diameter.
     """
-    worst: list[Fraction | None] = [Fraction(0)] * len(GAMMA_GRID)
+    rows = []
     for dt, (lo, hi) in _pair_bounds(vm).items():
         if dt is INF and lo is INF:
             continue
         if dt is INF or hi is INF:
-            worst = [None] * len(GAMMA_GRID)  # one side infinite: no finite constant fixes it
-            break
-        worst = [max(c, Fraction(hi) / g - dt, dt - g * lo) for c, g in zip(worst, GAMMA_GRID)]
-    table = tuple(zip(GAMMA_GRID, worst))
-    gamma, c = QiFit(table, None, None).best_within(GAMMA_GRID[-1]) or (None, None)
-    return QiFit(table, gamma, c)
+            return QiFit.from_maxima(None)  # one side infinite: no finite constant fixes it
+        rows.append((dt, lo, hi))
+    return QiFit.from_maxima([
+        (max((q * hi - p * dt for dt, _, hi in rows), default=0),
+         max((q * dt - p * lo for dt, lo, _ in rows), default=0))
+        for p, q in ((g.numerator, g.denominator) for g in GAMMA_GRID)])

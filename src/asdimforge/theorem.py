@@ -13,13 +13,15 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from itertools import count
+from operator import add
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
                       ConnectingTree, SumGraph, copy_vertex, split_copy_vertex)
 from .covers import (Cover, band_witness, greedy_witness, lebesgue_number,
                      multiplicity)
 from .errors import PreconditionError
-from .graphs import (INF, FiniteGraph, MetricView, QiFit, VertexMap,
+from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit, VertexMap,
                      fit_qi_constants, nearest_point_map)
 
 
@@ -931,24 +933,291 @@ def tree_graph(tree: ConnectingTree) -> FiniteGraph:
     return tree._graph
 
 
+def _safe_nodes_at_margin(tree: ConnectingTree, margin: int) -> list[str]:
+    """Nodes no deeper than depth minus margin, in node order."""
+    if margin < 0:
+        raise PreconditionError("margin must be nonnegative")
+    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
+    if not keep:
+        raise PreconditionError("margin leaves no safe nodes")
+    return keep
+
+
 def projection_map(br: BuildResult, margin: int = 0) -> VertexMap:
     """The copy-to-node projection, restricted to the safe core.
 
     Vertices over nodes deeper than depth minus margin are excluded so
     every measured distance agrees with the untruncated picture.
     """
-    if margin < 0:
-        raise PreconditionError("margin must be nonnegative")
     tree = br.tree
-    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
-    if not keep:
-        raise PreconditionError("margin leaves no safe nodes")
+    keep = _safe_nodes_at_margin(tree, margin)
     target = MetricView(tree_graph(tree), list(tree.nodes))
     points = sorted(br.sum.vertices_over(keep))
     source = MetricView(br.sum.graph, points)
     return VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
 
 
+def projection_nonexpanding(br: BuildResult) -> bool:
+    """Whether the copy-to-node projection never increases a distance.
+
+    Both sides are path metrics, so it never does iff every edge of the
+    sum graph joins nodes at most one tree step apart; an edge whose
+    ends lie further apart is itself a pair the projection stretches.
+    """
+    parent, node_of = br.tree.parent, br.sum.node_of
+    for x, y in br.sum.graph.edges:
+        u, v = node_of(x), node_of(y)
+        if u != v and parent.get(u) != v and parent.get(v) != u:
+            return False
+    return True
+
+
 def projection_fit(br: BuildResult, margin: int = 0) -> QiFit:
-    """Distortion table of the copy-to-node projection, on the safe core."""
+    """Distortion table of the copy-to-node projection, on the safe core.
+
+    When the projection never increases a distance and the sum graph is
+    connected (every real build), dt <= ds for every pair, so the
+    constant for the stretch p/q is max(0, M/p) with M the largest
+    q*ds - p*dt over pairs, and ``_ProjectionCore.maxima`` finds M
+    without walking the pairs.  Any other map (one that stretches an
+    edge, or one on a torn sum graph) takes the pair walk of
+    ``fit_qi_constants``.
+    """
+    keep = _safe_nodes_at_margin(br.tree, margin)
+    if projection_nonexpanding(br):
+        core = _ProjectionCore(br, keep)
+        if core.connected:
+            return QiFit.from_maxima([(m, 0) for m in core.maxima()])
     return fit_qi_constants(projection_map(br, margin))
+
+
+#: GAMMA_GRID as (p, q) pairs, the stretch p/q in lowest terms
+_STEPS = tuple((g.numerator, g.denominator) for g in GAMMA_GRID)
+
+
+class _ProjectionCore:
+    """The sum graph numbered for ``projection_fit``'s centroid walk.
+
+    Vertices are numbered in ``H.vertices`` order and tree nodes in
+    ``tree.nodes`` order.  ``members[k]`` lists node k's vertices and
+    ``portals[k]`` those of them with a neighbour over another node:
+    every path from a copy to anywhere else leaves it through a portal.
+    """
+
+    def __init__(self, br: BuildResult, keep: list[str]):
+        H, tree = br.sum.graph, br.tree
+        index = {v: i for i, v in enumerate(H.vertices)}
+        nid = {u: k for k, u in enumerate(tree.nodes)}
+        self.adjacency = adjacency = [[index[w] for w in H.adjacency[v]] for v in H.vertices]
+        self.node = node = [nid[br.sum.node_of(v)] for v in H.vertices]
+        self.tree_adjacency = [[nid[w] for w in tree.children[u]] +
+                               ([nid[tree.parent[u]]] if u in tree.parent else [])
+                               for u in tree.nodes]
+        kept = frozenset(keep)
+        self.kept = [u in kept for u in tree.nodes]
+        self.members = members = [[] for _ in tree.nodes]
+        for i, k in enumerate(node):
+            members[k].append(i)
+        self.portals = [[i for i in ms if any(node[j] != k for j in adjacency[i])]
+                        for k, ms in enumerate(members)]
+        seen = [False] * len(adjacency)
+        seen[0] = True
+        order = [0]
+        for v in order:
+            for w in adjacency[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    order.append(w)
+        self.connected = len(order) == len(adjacency)
+
+    def maxima(self) -> list[int]:
+        """Per stretch p/q of ``GAMMA_GRID``, max(0, q*ds - p*dt) over pairs of
+        vertices over kept nodes, for a connected sum graph whose
+        projection never increases a distance.
+
+        A centroid decomposition of the tree gives each pair to the first
+        centroid c on its tree path.  A path between the two ends passes
+        a vertex over c, so ds is the least a_x[s] + a_y[s] over the
+        portals s of c (a_x holding H-distances to them) and dt is the
+        sum of the two nodes' tree distances to c.  With m_x = min(a_x)
+        and alpha_x = a_x - m_x, q*ds - p*dt splits into
+        q*min(alpha_x + alpha_y) plus one term per end, so each pattern
+        alpha keeps, per stretch, its best two end terms from distinct
+        branches of c (the copy over c is a branch of its own), and
+        patterns are combined pairwise.  Pairs inside the copy over c
+        also have the path that never leaves it.
+
+        a_x comes from one search per portal over the component, in
+        which the portals of each removed centroid next to it enter at
+        their H-distance from the source: a shortest path that leaves
+        the component last re-enters it from such a portal, so every
+        distance is the one in H.  The rows of the centroids on the
+        current recursion path are kept for that, and no others.
+        """
+        adjacency, members, portals = self.adjacency, self.members, self.portals
+        tree_adjacency, kept = self.tree_adjacency, self.kept
+        best = [0] * len(_STEPS)
+        nodes = len(tree_adjacency)
+        alive = [True] * nodes
+        # per node, working state for the component being split: the token of the
+        # last search that reached it, its search parent, subtree size,
+        # tree distance to the centroid and the centroid's branch it is in
+        seen, up, size = [0] * nodes, [0] * nodes, [0] * nodes
+        depth, branch = [0] * nodes, [0] * nodes
+        mark = [0] * len(adjacency)  # per vertex, the token of its node's last component
+        rows_at: dict[int, list[tuple[int, dict[int, int]]]] = {}
+        tokens = count(1)
+
+        def solve(entry: int):
+            token = next(tokens)
+            seen[entry], up[entry], order = token, -1, [entry]
+            for u in order:
+                for w in tree_adjacency[u]:
+                    if seen[w] != token and alive[w]:
+                        seen[w], up[w] = token, u
+                        order.append(w)
+            if not any([kept[u] for u in order]):
+                return
+            for u in order:
+                size[u] = 1
+            for u in reversed(order):
+                if u != entry:
+                    size[up[u]] += size[u]
+            # walk from the entry toward any piece holding over half the nodes
+            c, total, heavy = entry, len(order), entry
+            while heavy is not None:
+                c, heavy = heavy, None
+                for w in tree_adjacency[c]:
+                    if seen[w] == token and up[w] == c and 2 * size[w] > total:
+                        heavy = w
+            token = next(tokens)
+            seen[c], depth[c], branch[c], ring, boundary = token, 0, c, [c], []
+            for u in ring:
+                for w in tree_adjacency[u]:
+                    if not alive[w]:
+                        boundary.append(w)
+                    elif seen[w] != token:
+                        seen[w], depth[w] = token, depth[u] + 1
+                        branch[w] = w if u == c else branch[u]
+                        ring.append(w)
+            for u in ring:
+                for i in members[u]:
+                    mark[i] = token
+            rows = []
+            for s in portals[c]:
+                seeds = sorted([(row[s], w) for b in boundary for w, row in rows_at[b]])
+                dist, frontier, k, si = {s: 0}, [s], 0, 0
+                while True:
+                    while si < len(seeds) and seeds[si][0] == k:
+                        dist[seeds[si][1]] = k
+                        frontier.append(seeds[si][1])
+                        si += 1
+                    if not frontier:
+                        if si == len(seeds):
+                            break
+                        k = seeds[si][0]
+                        continue
+                    k += 1
+                    later = []
+                    for v in frontier:
+                        for w in adjacency[v]:
+                            if mark[w] == token and w not in dist:
+                                dist[w] = k
+                                later.append(w)
+                    frontier = later
+                rows.append((s, dist))
+            dists = [dist for _, dist in rows]
+            if dists and len(ring) > 1:
+                self._cross_pairs(dists, ring, depth, branch, best)
+            if kept[c] and len(members[c]) > 1:
+                spread = self._copy_spread(c, dists)
+                for k, (_, q) in enumerate(_STEPS):
+                    best[k] = max(best[k], q * spread)
+            rows_at[c] = rows
+            alive[c] = False
+            for w in tree_adjacency[c]:
+                if alive[w]:
+                    solve(w)
+            del rows_at[c]
+
+        solve(0)
+        return best
+
+    def _cross_pairs(self, dists, ring, depth, branch, best):
+        """Raise ``best`` by the pairs that ``maxima`` gives the centroid of
+        ``ring`` and that cross it: ends over kept nodes in distinct branches."""
+        members, kept = self.members, self.kept
+        groups: dict[tuple, dict[int, int]] = {}  # (pattern, branch) -> depth -> best m
+        for u in ring:
+            if not kept[u]:
+                continue
+            b, dep = branch[u], depth[u]
+            for x in members[u]:
+                a = [dist[x] for dist in dists]
+                m = min(a)
+                key = (tuple([v - m for v in a]), b)
+                got = groups.get(key)
+                if got is None:
+                    groups[key] = {dep: m}
+                elif got.get(dep, -1) < m:
+                    got[dep] = m
+        # per pattern and stretch: [best end term, its branch, best from another
+        # branch]; ``only`` holds the branch of a pattern met in one branch alone
+        tops: dict[tuple, list[list]] = {}
+        only: dict[tuple, int | None] = {}
+        for (alpha, b), got in groups.items():
+            terms = [max([q * m - p * dep for dep, m in got.items()])
+                     for p, q in _STEPS]
+            top = tops.get(alpha)
+            if top is None:
+                tops[alpha] = [[t, b, -INF] for t in terms]
+                only[alpha] = b
+                continue
+            only[alpha] = None
+            for entry, t in zip(top, terms):
+                if t > entry[0]:
+                    entry[2], entry[0], entry[1] = entry[0], t, b
+                elif t > entry[2]:
+                    entry[2] = t
+        items = list(tops.items())
+        for i, (alpha, ta) in enumerate(items):
+            mine = only[alpha]
+            for j in range(i if mine is None else i + 1, len(items)):
+                beta, tb = items[j]
+                if mine is not None and only[beta] == mine:
+                    continue  # every pair of these two patterns is inside one branch
+                mm = min(map(add, alpha, beta))
+                for k, (_, q) in enumerate(_STEPS):
+                    v1, b1, v2 = ta[k]
+                    w1, c1, w2 = tb[k]
+                    if i == j:
+                        pair = v1 + v2
+                    elif b1 != c1:
+                        pair = v1 + w1
+                    else:
+                        pair = max(v1 + w2, v2 + w1)
+                    value = q * mm + pair
+                    if value > best[k]:
+                        best[k] = value
+
+    def _copy_spread(self, c: int, dists: list[dict[int, int]]) -> int:
+        """Largest H-distance between two vertices over node c.
+
+        A shortest path between them stays in the copy, or leaves it
+        through a portal s and costs a_x[s] + a_y[s].
+        """
+        adjacency, node, ms = self.adjacency, self.node, self.members[c]
+        avecs = [[dist[x] for dist in dists] for x in ms]
+        spread = 0
+        for t, x in enumerate(ms):
+            reach = {x: 0}
+            queue = [x]
+            for v in queue:
+                for w in adjacency[v]:
+                    if node[w] == c and w not in reach:
+                        reach[w] = reach[v] + 1
+                        queue.append(w)
+            at = avecs[t]
+            for u in range(t + 1, len(ms)):
+                spread = max(spread, min([reach.get(ms[u], INF), *map(add, at, avecs[u])]))
+        return spread

@@ -71,11 +71,11 @@ def test_tree_structure_and_metric():
     assert t.node_depth(ROOT) == 0
     left = ROOT + "/0"
     right = ROOT + "/1"
-    assert t.distance(left, right) == 2
-    assert t.distance(left, left) == 0
+    assert t.path(left, right) == (left, ROOT, right)
+    assert t.path(left, left) == (left,)
     deep = ROOT + "/0/1/1"
     assert t.node_depth(deep) == 3
-    assert t.distance(deep, right) == 4
+    assert len(t.path(deep, right)) == 5
     assert set(t.nodes_at(ROOT, 6)) <= set(t.nodes)
     assert len(t.nodes_within(ROOT, 2)) == 5
     # A depth-1 node's subtree is one run of the preorder walk.
@@ -131,7 +131,7 @@ def test_tree_kernel_matches_label_path_reference(tree):
                 v for v in nodes if _ref_distance(u, v) == radius)
         for v in nodes:
             path = tree.path(u, v)
-            assert tree.distance(u, v) == _ref_distance(u, v) == len(path) - 1
+            assert _ref_distance(u, v) == len(path) - 1
             assert path[0] == u and path[-1] == v
             assert all(tree.parent.get(a) == b or tree.parent.get(b) == a
                        for a, b in zip(path, path[1:]))
@@ -310,7 +310,7 @@ def test_projection_never_stretches(chain6):
     vids = sorted(h.graph.vertices)
     for u, v in itertools.combinations(vids, 2):
         d_h = h.graph.distances_from(u).get(v, af.INF)
-        assert tree.distance(h.node_of(u), h.node_of(v)) <= d_h
+        assert len(tree.path(h.node_of(u), h.node_of(v))) - 1 <= d_h
 
 
 def test_amalgam_fibers(chain6):

@@ -50,7 +50,7 @@ def _per_pair_failures(br) -> list:
     Tree distances climb the tree for each pair of nodes, once per pair.
     """
     H, node_of = br.sum.graph, br.sum.node_of
-    tree_distance = functools.cache(br.tree.distance)
+    tree_distance = functools.cache(lambda u, v: len(br.tree.path(u, v)) - 1)
     failures = []
     for x in H.vertices:
         dist = H.distances_to_set((x,))

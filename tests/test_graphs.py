@@ -75,6 +75,14 @@ def test_bounded_bfs_is_the_full_bfs_cut_at_the_limit():
         assert g.ball(seeds, 2) == {v for v, d in full.items() if d <= 2}
 
 
+def test_negative_limit_settles_nothing():
+    g = line_graph(3, "a")
+    assert g.distances_to_set(["a0"], limit=-1) == {}
+    assert g.distances_to_set(["a0", "a2"], limit=0) == {"a0": 0, "a2": 0}
+    with pytest.raises(GraphFormatError):  # the targets are still validated
+        g.distances_to_set(["zz"], limit=-1)
+
+
 def test_early_stopped_bfs_is_exact_on_the_listed_vertices():
     rng = random.Random(12)
     for _ in range(60):
@@ -367,7 +375,7 @@ def _random_map(rng, kind: str) -> af.VertexMap:
         if rng.random() < 0.5:
             t = t.induced(rng.sample(t.vertices, rng.randint(2, len(t))))
     src, dst = af.MetricView(g), af.MetricView(t)
-    if kind == "part":  # a view short of its graph takes string rows, not int rows
+    if kind == "part":  # a view short of its graph
         src = src.subview(rng.sample(src.points, rng.randint(2, len(src) - 1)))
     return af.VertexMap(src, dst, {v: rng.choice(dst.points) for v in src.points})
 
@@ -383,15 +391,15 @@ def _ref_bounds(vm) -> dict:
 
 def test_histogram_fits_match_per_pair_reference():
     rng = random.Random(20240603)
-    seen = {"int_rows_torn": 0, "string_rows_torn": 0, "int_rows": 0, "string_rows": 0,
+    seen = {"whole_view_torn": 0, "part_view_torn": 0, "whole_view": 0, "part_view": 0,
             "non_surjective": 0, "surjective": 0, "surjective_torn": 0}
     for case in range(400):
         vm = _random_map(rng, ("connected", "split", "nearest", "onto", "part")[case % 5])
         pairs = list(_ref_pairs(vm))
-        # a view covering its source graph is measured on the int index
-        rows = "int_rows" if len(vm.source) == len(vm.source.graph) else "string_rows"
-        seen[rows] += 1
-        seen[rows + "_torn"] += any(af.INF in p for p in pairs)
+        # views covering their source graph and views of a few of its points
+        view = "whole_view" if len(vm.source) == len(vm.source.graph) else "part_view"
+        seen[view] += 1
+        seen[view + "_torn"] += any(af.INF in p for p in pairs)
         assert _pair_bounds(vm) == _ref_bounds(vm), case
         onto = len(set(vm.mapping.values())) == len(vm.target)
         seen["non_surjective"] += not onto

@@ -7,14 +7,16 @@ from fractions import Fraction
 import pytest
 
 import asdimforge as af
-from asdimforge import jsonio
+from asdimforge import jsonio, theorem
 from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
                                 split_copy_vertex)
 from asdimforge.errors import PreconditionError
-from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
+from asdimforge.fixtures import (chain_spec_doc, next_stage_doc, triangle_spec_doc,
+                                 type2_spec_doc)
 from asdimforge.theorem import (ProofParameters, _witness_for, assemble_partition,
                                 base_blocks, block_shape, build_symmetry_map,
-                                lemma_strip, projection_fit, run_certificate,
+                                lemma_strip, projection_fit, projection_map,
+                                projection_nonexpanding, run_certificate,
                                 safe_nodes, strata, theorem_bound,
                                 translation_sites, tree_graph, verify_separation)
 
@@ -157,7 +159,7 @@ def test_symmetry_map_recenters(chain40):
     # Tree adjacency is preserved nodewise.
     for u, w in chain40.tree.edges():
         if u in sm.node_map and w in sm.node_map:
-            assert chain40.tree.distance(sm.node_map[u], sm.node_map[w]) == 1
+            assert len(chain40.tree.path(sm.node_map[u], sm.node_map[w])) == 2
 
 
 def test_symmetry_map_needs_witnesses():
@@ -455,6 +457,115 @@ def test_projection_fit_margin_errors(chain20):
         projection_fit(chain20, margin=-1)
     with pytest.raises(PreconditionError):
         projection_fit(chain20, margin=21)
+
+
+def _random_spec_doc(rng) -> dict:
+    """Two random connected factors glued along random equal-size boundary
+    sets: sets of two or three vertices give paths that leave a copy and
+    come back through a neighbouring one."""
+    def factor(n, extra, prefix):
+        names = [f"{prefix}{i}" for i in range(n)]
+        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+        for _ in range(extra if n > 1 else 0):
+            x, y = rng.sample(names, 2)
+            if (y, x) not in edges:
+                edges.add((x, y))
+        return {"vertices": names, "edges": [list(e) for e in sorted(edges)]}
+
+    k = rng.randint(1, 3)
+    g1 = factor(rng.randint(k, 8), rng.randint(0, 4), "a")
+    g2 = factor(rng.randint(k, 6), rng.randint(0, 3), "b")
+    adh1 = {str(i): rng.sample(g1["vertices"], k) for i in range(rng.randint(1, 3))}
+    adh2 = {chr(ord("x") + i): rng.sample(g2["vertices"], k)
+            for i in range(rng.randint(1, 3))}
+    atlas = [{"left": l1, "right": l2,
+              "pairs": [list(xy) for xy in zip(xs, rng.sample(ys, k))]}
+             for l1, xs in adh1.items() for l2, ys in adh2.items()]
+    return {"name": "random", "factors": [g1, g2], "adhesions": [adh1, adh2],
+            "atlas": atlas, "actions": {"mode": "trivial"},
+            "tree": {"p1": len(adh1), "p2": len(adh2), "depth": rng.randint(0, 4)}}
+
+
+def _shortcut_spec_doc() -> dict:
+    """A chain of copies glued along three vertices, in which two vertices of
+    one copy are closer through the next copy than inside their own; a
+    removed centroid's portals must then seed the searches below it."""
+    return {
+        "name": "shortcut", "actions": {"mode": "trivial"},
+        "factors": [
+            {"vertices": [f"a{i}" for i in range(8)],
+             "edges": [["a1", "a2"], ["a2", "a3"], ["a1", "a5"], ["a0", "a7"], ["a3", "a6"],
+                       ["a5", "a7"], ["a4", "a7"], ["a0", "a4"], ["a0", "a1"], ["a4", "a6"]]},
+            {"vertices": [f"b{i}" for i in range(6)],
+             "edges": [["b1", "b3"], ["b1", "b4"], ["b3", "b5"], ["b0", "b1"], ["b0", "b2"],
+                       ["b5", "b4"]]}],
+        "adhesions": [{"0": ["a3", "a6", "a5"]}, {"x": ["b0", "b2", "b5"]}],
+        "atlas": [{"left": "0", "right": "x",
+                   "pairs": [["a3", "b5"], ["a6", "b2"], ["a5", "b0"]]}],
+        "tree": {"p1": 1, "p2": 1, "depth": 5}}
+
+
+def _stage2_build():
+    """The second stage ``iterate`` builds in the shipped suite."""
+    first = build_doc(chain_spec_doc(6))
+    doc = next_stage_doc(first)
+    doc["factors"] = [af.relabel_sorted(first.amalgam.graph)[0].to_json_dict(),
+                      doc["factors"][1]]
+    return build_doc(doc, 6)
+
+
+def _count_walks(monkeypatch) -> list:
+    """Record each pair walk ``projection_fit`` falls back to."""
+    walks = []
+    monkeypatch.setattr(theorem, "fit_qi_constants",
+                        lambda vm: walks.append(vm) or af.fit_qi_constants(vm))
+    return walks
+
+
+def _as_triple(fit):
+    return fit.table, fit.gamma, fit.c
+
+
+def test_projection_fit_matches_pair_walk(monkeypatch):
+    rng = random.Random(20261018)
+    builds = [build_doc(chain_spec_doc(d)) for d in range(41)]
+    builds += [build_doc(triangle_spec_doc(d)) for d in range(11)]
+    builds += [build_doc(type2_spec_doc(d)) for d in range(2, 9)]
+    builds += [_stage2_build(), build_doc(_shortcut_spec_doc())]
+    builds += [build_doc(_random_spec_doc(rng)) for _ in range(40)]
+    walks = _count_walks(monkeypatch)
+    for br in builds:
+        for margin in range(min(4, br.tree.depth) + 1):
+            want = af.fit_qi_constants(projection_map(br, margin))
+            fit = projection_fit(br, margin)
+            assert _as_triple(fit) == _as_triple(want), (br.spec.name, br.tree.depth, margin)
+    assert not walks
+
+
+@pytest.mark.parametrize("bridge, margin, torn", [(0, 0, True), (-1, 2, True), (0, 2, False)])
+def test_projection_fit_without_a_bridge(monkeypatch, bridge, margin, torn):
+    """A core that meets two components has no finite constant; a core inside
+    one component of a torn graph keeps finite ones."""
+    br = build_doc(chain_spec_doc(8))
+    H, cut = br.sum.graph, br.sum.bridges[bridge]
+    monkeypatch.setattr(br.sum, "graph", af.FiniteGraph(
+        H.vertices, [e for e in H.edges if e != cut]))
+    fit = projection_fit(br, margin)
+    assert _as_triple(fit) == _as_triple(af.fit_qi_constants(projection_map(br, margin)))
+    assert all(c is None for _, c in fit.table) == torn
+
+
+def test_projection_fit_on_a_stretching_map_walks_the_pairs(monkeypatch):
+    br = build_doc(chain_spec_doc(8))
+    swap = {"t1": "t1/0", "t1/0": "t1"}
+    node_of = br.sum.node_of
+    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    assert not projection_nonexpanding(br)
+    walks = _count_walks(monkeypatch)
+    for margin in range(5):
+        fit = projection_fit(br, margin)
+        assert _as_triple(fit) == _as_triple(af.fit_qi_constants(projection_map(br, margin)))
+        assert len(walks) == margin + 1
 
 
 def test_tree_graph(chain6):
