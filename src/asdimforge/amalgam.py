@@ -5,14 +5,18 @@ one factor copy per node; matched boundary sets of adjacent copies are
 joined by bridging edges (the sum graph); contracting every bridging
 edge yields the glued graph together with its projection.
 
-Truncations are canonical: node ids are label paths like
-``t1/a/x/b`` — each component is the label of the edge leaving the
-parent — so two builds of the same input are byte-identical.  The ids
-are names only and are never parsed: depths, distances, paths, balls
-and subtrees are read off the parent, child and depth records the build
-walk leaves behind.  The cut happens at a fixed radius around the root,
-and downstream checks stay inside a safe core where the truncation is
-indistinguishable from the infinite object.
+Truncations are canonical: the root is ``t1`` and every other node is
+``n<k>``, k its postorder index in the build walk (children in sorted
+label order, then the node), zero-padded to one width per build, so two
+builds of the same input are byte-identical and sorted ids list the
+nodes in postorder.  The ids are names only and are never parsed:
+depths, distances, paths, balls and subtrees are read off the parent,
+child and depth records the build walk leaves behind, and the tree's
+``table`` gives back each node's label path (``t1/a/x/b``, each
+component the label of the edge leaving the parent).  The cut happens
+at a fixed radius around the root, and downstream checks stay inside a
+safe core where the truncation is indistinguishable from the infinite
+object.
 """
 
 from __future__ import annotations
@@ -77,7 +81,8 @@ class ConnectingTree:
 
     ``node_side[u]`` is 1 or 2; ``out_label[(u, v)]`` is the label the
     directed edge u->v consumes at u; ``level[u]`` is u's distance from
-    the root.  ``preorder[u]`` is u's index in the build walk and
+    the root.  ``preorder[u]`` is u's index in the build walk (the dict
+    itself lists the nodes in that order) and
     ``subtree_end[u]`` the index just past its last descendant, so v
     lies in u's subtree exactly when
     ``preorder[u] <= preorder[v] < subtree_end[u]``.  Every non-frontier
@@ -177,9 +182,14 @@ class ConnectingTree:
         return out
 
     def to_json_dict(self) -> dict:
+        """The tree's shape plus its ``table``: one ``[parent row, label]``
+        per node in preorder, the root first as ``[null, "t1"]``, from
+        which every label path, and with the postorder every id, follows."""
+        preorder, parent, out_label = self.preorder, self.parent, self.out_label
+        table = [[None, ROOT] if u == ROOT else [preorder[parent[u]], out_label[(parent[u], u)]]
+                 for u in preorder]
         return {
-            "p1": self.p1, "p2": self.p2, "depth": self.depth,
-            "nodes": list(self.nodes),
+            "p1": self.p1, "p2": self.p2, "depth": self.depth, "table": table,
             "type2_J": sorted(self.type2_J) if self.type2_J is not None else None,
         }
 
@@ -194,7 +204,8 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
     Toward its parent a node uses the least label still allowed (the
     least label outright, or the least of the forced class when an
     alternating class set is given); the remaining labels go to its
-    children in sorted order.
+    children in sorted order.  The root is ``t1``; every other node is
+    ``n<k>`` with k its postorder index, so ``nodes`` is the postorder.
     """
     labels1, labels2 = tuple(labels1), tuple(labels2)
     if not labels1 or not labels2:
@@ -215,6 +226,14 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
             raise ConfigError("alternating class must be a proper nonempty label subset")
 
     side_labels = {1: tuple(sorted(labels1)), 2: tuple(sorted(labels2))}
+    # below the root a node has a child for every label but its way back,
+    # down to the cut, so its subtree size hangs on its side and level alone
+    size = {(1, depth): 1, (2, depth): 1}
+    for level in range(depth - 1, 0, -1):
+        for side, other in ((1, 2), (2, 1)):
+            size[side, level] = 1 + (len(side_labels[side]) - 1) * size[other, level + 1]
+    total = 1 + len(side_labels[1]) * size[2, 1] if depth else 1
+    width = len(str(max(total - 2, 0)))
     nodes = [ROOT]
     node_side = {ROOT: 1}
     parent: dict[str, str] = {}
@@ -222,13 +241,16 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
     out_label: dict[tuple[str, str], str] = {}
     levels: dict[str, int] = {}
     preorder: dict[str, int] = {}
+    subtree_end: dict[str, int] = {}
 
-    # explicit preorder walk: deep trees must not hit the recursion limit
-    stack: list[tuple[str, int, int, str | None]] = [(ROOT, 1, 0, None)]
+    # explicit preorder walk: deep trees must not hit the recursion limit;
+    # each entry carries the least postorder index in the node's subtree
+    stack: list[tuple[str, int, int, str | None, int]] = [(ROOT, 1, 0, None, 0)]
     while stack:
-        u, side, level, toward_parent = stack.pop()
+        u, side, level, toward_parent, first = stack.pop()
         levels[u] = level
         preorder[u] = len(preorder)
+        subtree_end[u] = preorder[u] + (total if u == ROOT else size[side, level])
         mine = side_labels[side]
         if toward_parent is None:
             free = mine
@@ -248,22 +270,19 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
             continue
         kids = []
         other = 2 if side == 1 else 1
-        for k in free:
-            w = f"{u}/{k}"
+        step = size[other, level + 1]
+        for i, k in enumerate(free):
+            # the i-th child's subtree follows its elder siblings' in postorder
+            w = f"n{first + (i + 1) * step - 1:0{width}d}"
             nodes.append(w)
             node_side[w] = other
             parent[w] = u
             out_label[(u, w)] = k
             kids.append(w)
         children[u] = tuple(kids)
-        stack.extend((w, other, level + 1, u) for w in reversed(kids))
+        stack.extend((w, other, level + 1, u, first + i * step)
+                     for i, w in reversed(list(enumerate(kids))))
 
-    # a subtree is a run of the walk: its end is its start plus its size
-    size = dict.fromkeys(preorder, 1)
-    for u in reversed(preorder):
-        if u in parent:
-            size[parent[u]] += size[u]
-    subtree_end = {u: i + size[u] for u, i in preorder.items()}
     nodes.sort()
     return ConnectingTree(tuple(sorted(labels1)), tuple(sorted(labels2)), depth,
                           tuple(nodes), node_side, parent, children, out_label,

@@ -11,6 +11,7 @@ JSON written atomically.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import islice
 from pathlib import Path
@@ -80,8 +81,7 @@ def projection_report(br: BuildResult) -> dict:
     if not projection_nonexpanding(br):
         failures = list(islice(_projection_failures(br), 10))
     n = len(br.sum.graph)
-    return {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
-            "ok": not failures, "failures": failures}
+    return {"pairs": n * (n - 1) // 2, "ok": not failures, "failures": failures}
 
 
 def build_report(br: BuildResult) -> dict:
@@ -267,47 +267,45 @@ def make_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("build", help="run one truncation build and report it")
     _add_common(sub)
-    sub.set_defaults(handler=cmd_build)
 
     sub = subs.add_parser("witness", help="greedy block families on a graph")
     _add_common(sub, depth=False)
     sub.add_argument("--r", type=int, required=True, help="separation scale")
     sub.add_argument("--n", type=int, default=1, help="extra family budget")
-    sub.set_defaults(handler=cmd_witness)
 
     sub = subs.add_parser("oracle", help="exact minimal block bound (small graphs)")
     _add_common(sub, depth=False)
     sub.add_argument("--r", type=int, required=True, help="separation scale")
     sub.add_argument("--n", type=int, default=1, help="extra family budget")
-    sub.set_defaults(handler=cmd_oracle)
 
     sub = subs.add_parser("aut", help="symmetries of a graph document")
     _add_common(sub, depth=False)
-    sub.set_defaults(handler=cmd_aut)
 
     sub = subs.add_parser("verify-theorem",
                           help="build, decompose, and certify one document")
     _add_common(sub, radii=True)
-    sub.set_defaults(handler=cmd_verify_theorem)
 
     sub = subs.add_parser("iterate", help="feed each amalgam into the next stage")
     sub.add_argument("--spec", action="append", required=True,
                      help="stage document (repeat per stage, in order)")
     sub.add_argument("--depth", type=int, default=None)
     sub.add_argument("--out", default=None, help="artifact directory")
-    sub.set_defaults(handler=cmd_iterate)
 
     sub = subs.add_parser("report", help="tabulate a directory of artifacts")
     sub.add_argument("artifacts", help="directory holding JSON artifacts")
     sub.add_argument("--out", default=None, help="write the table as JSON too")
-    sub.set_defaults(handler=cmd_report)
     return p
 
 
+# the parser is built on the first call and serves every later one
+_parser = functools.cache(make_parser)
+
+
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        return args.handler(args)
+        # looked up per call, so a handler replaced after import is the one run
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

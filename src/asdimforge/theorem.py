@@ -635,8 +635,9 @@ class Stage:
 
 #: Version of the certificate layout ``TheoremCertificate.to_json_dict``
 #: writes; format 2 records nearest-shell distances in place of every
-#: shell pair, and symmetry-map rows for the walk down to level r.
-CERTIFICATE_FORMAT = 2
+#: shell pair, and symmetry-map rows for the walk down to level r;
+#: format 3 names tree nodes ``n<k>`` and carries the tree's table.
+CERTIFICATE_FORMAT = 3
 
 
 @dataclass(frozen=True)
@@ -645,6 +646,7 @@ class TheoremCertificate:
 
     name: str
     params: ProofParameters
+    tree: ConnectingTree
     n: int
     declared: dict
     stages: tuple[Stage, ...]
@@ -665,6 +667,7 @@ class TheoremCertificate:
             "format_version": CERTIFICATE_FORMAT,
             "name": self.name,
             "parameters": self.params.to_json_dict(),
+            "tree": self.tree.to_json_dict(),
             "target_families": self.n,
             "declared_dimensions": dict(sorted(self.declared.items())),
             "stage_order": [st.name for st in self.stages],
@@ -748,7 +751,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     stages.append(Stage("parameters", True, {
         "R": R, "r": r, "depth": params.depth, "margin": r,
         "sites": list(sites), "safe_nodes": len(safe_nodes(tree, params)),
-        "target_families": n, "sampling": "exhaustive",
+        "target_families": n,
     }))
 
     base = base_blocks(br, params)
@@ -914,14 +917,10 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
         rd_data = {"multiplicity": z_mult, "max_diameter": z_diam,
                    "lebesgue_paper": leb_paper, "shell_radius": R,
                    "families_budget": n}
-        if R >= 1 and z_diam < INF:
-            # z_diam bounds every member by measurement, which leaves the
-            # multiplicity and the paper Lebesgue number to recheck
-            rd_data["strict_recheck"] = z_mult <= n and leb_paper > R
     stages.append(Stage("rd_dim", rd_ok, rd_data))
 
     verdict = "PASS" if all(st.verdict for st in stages) else "FAIL"
-    return TheoremCertificate(br.spec.name, params, n, dict(decl),
+    return TheoremCertificate(br.spec.name, params, tree, n, dict(decl),
                               tuple(stages), n, verdict)
 
 

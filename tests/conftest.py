@@ -33,6 +33,45 @@ def build_doc(doc, depth=None) -> af.BuildResult:
     return af.build(af.AmalgamationSpec.from_json_dict(doc), depth)
 
 
+def node_ids(table) -> dict[str, str]:
+    """Node id -> label path, read from a ``tree`` table.
+
+    The table lists the nodes in preorder, one ``[parent row, label]``
+    per node, the root first as ``[null, "t1"]``.  A node's label path
+    is its parent's, then ``/`` and its label.  A node other than the
+    root is named ``n<k>``, k its postorder index, which is its row plus
+    its subtree size, less one and less its depth; every k is padded to
+    the width of the largest.
+    """
+    paths, depth = [], []
+    for parent, label in table:
+        if parent is None:
+            paths.append(label)
+            depth.append(0)
+        else:
+            paths.append(f"{paths[parent]}/{label}")
+            depth.append(depth[parent] + 1)
+    size = [1] * len(table)
+    for row in range(len(table) - 1, 0, -1):
+        size[table[row][0]] += size[row]
+    width = len(str(max(len(table) - 2, 0)))
+    out = {}
+    for row, (parent, _) in enumerate(table):
+        k = row + size[row] - 1 - depth[row]
+        out[paths[row] if parent is None else f"n{k:0{width}d}"] = paths[row]
+    return out
+
+
+def label_paths(tree: af.ConnectingTree) -> dict[str, str]:
+    """Node id -> label path of a built tree, read through its table."""
+    return node_ids(tree.to_json_dict()["table"])
+
+
+def path_ids(tree: af.ConnectingTree) -> dict[str, str]:
+    """Label path -> node id of a built tree, read through its table."""
+    return {path: u for u, path in label_paths(tree).items()}
+
+
 @pytest.fixture(scope="session")
 def chain6():
     return build_doc(chain_spec_doc(6))

@@ -15,7 +15,7 @@ from asdimforge.errors import ConfigError, PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.groups import GroupAction, compute_automorphisms
 
-from conftest import build_doc, line_graph, ring_graph
+from conftest import build_doc, label_paths, line_graph, path_ids, ring_graph
 
 
 # -- connecting trees ----------------------------------------------------------
@@ -48,7 +48,8 @@ def test_tree_node_counts():
 def test_deep_chain_builds_without_recursion():
     br = build_doc(chain_spec_doc(1500))
     assert len(br.sum.graph) == 6002
-    assert br.tree.node_depth(max(br.tree.nodes, key=len)) == 1500
+    path = label_paths(br.tree)
+    assert br.tree.node_depth(max(br.tree.nodes, key=lambda u: len(path[u]))) == 1500
 
 
 def test_tree_records_nodes_in_preorder():
@@ -61,19 +62,20 @@ def test_tree_records_nodes_in_preorder():
     assert list(t.children) == walk
     assert sorted(t.preorder, key=t.preorder.get) == walk
     assert t.preorder[ROOT] == 0 and t.subtree_end[ROOT] == len(walk)
-    assert [u for u, _ in t.out_label][:4] == [ROOT, ROOT, ROOT, f"{ROOT}/0"]
+    assert [u for u, _ in t.out_label][:4] == [ROOT, ROOT, ROOT, path_ids(t)[f"{ROOT}/0"]]
 
 
 def test_tree_structure_and_metric():
     t = numbered_tree(2, 2, 6)
+    node = path_ids(t)
     ok, why = t.is_semiregular()
     assert ok, why
     assert t.node_depth(ROOT) == 0
-    left = ROOT + "/0"
-    right = ROOT + "/1"
+    left = node[ROOT + "/0"]
+    right = node[ROOT + "/1"]
     assert t.path(left, right) == (left, ROOT, right)
     assert t.path(left, left) == (left,)
-    deep = ROOT + "/0/1/1"
+    deep = node[ROOT + "/0/1/1"]
     assert t.node_depth(deep) == 3
     assert len(t.path(deep, right)) == 5
     assert set(t.nodes_at(ROOT, 6)) <= set(t.nodes)
@@ -83,7 +85,7 @@ def test_tree_structure_and_metric():
     assert left in region and deep in region and right not in region
 
 
-# reference answers parsed from the label-path ids
+# reference answers parsed from the label paths the tree's table gives
 def _ref_depth(u):
     return u.count("/")
 
@@ -102,9 +104,9 @@ def _in_subtree(tree, u, t):
     return tree.preorder[t] <= tree.preorder[u] < tree.subtree_end[t]
 
 
-def _ref_subtree(tree, t):
+def _ref_subtree(tree, path, t):
     return frozenset(u for u in tree.nodes
-                     if t == ROOT or u == t or u.startswith(t + "/"))
+                     if t == ROOT or u == t or path[u].startswith(path[t] + "/"))
 
 
 def _kernel_trees():
@@ -119,19 +121,20 @@ def _kernel_trees():
                          ids=["chain_k2", "c3_k2", "type2_k2", "dash_dot_labels"])
 def test_tree_kernel_matches_label_path_reference(tree):
     nodes = tree.nodes
+    at = label_paths(tree)
     assert list(nodes) == sorted(nodes)
-    assert tree.frontier == {u for u in nodes if _ref_depth(u) == tree.depth}
+    assert tree.frontier == {u for u in nodes if _ref_depth(at[u]) == tree.depth}
     for u in nodes:
-        assert tree.node_depth(u) == _ref_depth(u)
-        assert {v for v in nodes if _in_subtree(tree, v, u)} == _ref_subtree(tree, u)
+        assert tree.node_depth(u) == _ref_depth(at[u])
+        assert {v for v in nodes if _in_subtree(tree, v, u)} == _ref_subtree(tree, at, u)
         for radius in range(-1, 2 * tree.depth + 2):
             assert tree.nodes_within(u, radius) == tuple(
-                v for v in nodes if _ref_distance(u, v) <= radius)
+                v for v in nodes if _ref_distance(at[u], at[v]) <= radius)
             assert tree.nodes_at(u, radius) == tuple(
-                v for v in nodes if _ref_distance(u, v) == radius)
+                v for v in nodes if _ref_distance(at[u], at[v]) == radius)
         for v in nodes:
             path = tree.path(u, v)
-            assert _ref_distance(u, v) == len(path) - 1
+            assert _ref_distance(at[u], at[v]) == len(path) - 1
             assert path[0] == u and path[-1] == v
             assert all(tree.parent.get(a) == b or tree.parent.get(b) == a
                        for a, b in zip(path, path[1:]))
@@ -140,7 +143,7 @@ def test_tree_kernel_matches_label_path_reference(tree):
 
 def test_tree_entry_and_return_labels():
     t = numbered_tree(3, 2, 2)
-    child = ROOT + "/0"
+    child = path_ids(t)[ROOT + "/0"]
     assert t.return_label(ROOT) is None
     assert t.out_label[(ROOT, child)] == "0"
     # The return direction takes the least label still free.

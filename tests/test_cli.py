@@ -21,7 +21,7 @@ from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
 from asdimforge.graphs import INF, FiniteGraph
 from asdimforge.theorem import projection_fit, projection_map
 
-from conftest import build_doc
+from conftest import build_doc, path_ids
 from test_graphs import _ref_fit
 
 
@@ -40,7 +40,7 @@ def test_build_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["sum_vertices"] == 34
     assert doc["projection"]["ok"]
-    assert doc["projection"]["mode"] == "exhaustive"
+    assert sorted(doc["projection"]) == ["failures", "ok", "pairs"]
     assert doc["projection_fit"] is not None
 
 
@@ -62,7 +62,9 @@ def _per_pair_failures(br) -> list:
 
 def test_build_report_failures_match_per_pair_walk(monkeypatch):
     br = build_doc(chain_spec_doc(8))
-    near, far = br.tree.nodes[1], br.tree.nodes[-1]
+    node = path_ids(br.tree)
+    paths = sorted(node)
+    near, far = node[paths[1]], node[paths[-1]]
     swap = {near: far, far: near}
     node_of = br.sum.node_of
     monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
@@ -70,7 +72,7 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
     expected = _per_pair_failures(br)
     assert len(expected) > 10
     n = len(br.sum.graph)
-    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+    assert report["projection"] == {"pairs": n * (n - 1) // 2,
                                     "ok": False, "failures": expected[:10]}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
 
@@ -81,14 +83,15 @@ def test_build_report_failures_match_per_pair_walk(monkeypatch):
 def test_build_report_walks_all_pairs_when_few_fail(monkeypatch, make, depth, count):
     """Fewer than ten failing pairs: the failure walk runs to its end."""
     br = build_doc(make(depth))
-    swap = {"t1": "t1/0", "t1/0": "t1"}
+    child = path_ids(br.tree)["t1/0"]
+    swap = {"t1": child, child: "t1"}
     node_of = br.sum.node_of
     monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
     report = cli.build_report(br)
     expected = _per_pair_failures(br)
     assert len(expected) == count
     n = len(br.sum.graph)
-    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+    assert report["projection"] == {"pairs": n * (n - 1) // 2,
                                     "ok": False, "failures": expected}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
 
@@ -98,7 +101,7 @@ def _reference_report(br) -> dict:
     report = br.report_dict()
     failures = _per_pair_failures(br)
     n = len(br.sum.graph)
-    report["projection"] = {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+    report["projection"] = {"pairs": n * (n - 1) // 2,
                             "ok": not failures, "failures": failures[:10]}
     table, (gamma, c) = _ref_fit(projection_map(br))
     report["projection_fit"] = {
@@ -132,7 +135,7 @@ def test_build_checks_every_pair_above_500_vertices():
     n = len(br.sum.graph)
     assert n == 522
     report = cli.build_report(br)
-    assert report["projection"] == {"mode": "exhaustive", "pairs": n * (n - 1) // 2,
+    assert report["projection"] == {"pairs": n * (n - 1) // 2,
                                     "ok": True, "failures": []}
     assert report["projection_fit"] == projection_fit(br).to_json_dict()
 
@@ -284,14 +287,14 @@ def test_build_rejects_mistyped_fields(tmp_path, corrupt):
     assert run.stderr.startswith("error: ")
 
 
-# sha256 of the certificates as first recorded in format 2: a speedup must
+# sha256 of the certificates as first recorded in format 3: a speedup must
 # not move a byte
 @pytest.mark.parametrize("make, depth, R, r, digest", [
     (chain_spec_doc, 40, 2, 10,
-     "6e89fd59689d6f4bb1af7f2dc45a4059734e2e529d88690f09b082d924ebccd8"),
+     "f50902d086eede648d68f14d874a6c82970558283cb2cf681564db05557160e6"),
     (triangle_spec_doc, 8, 0, 4,
-     "a6ad6fd93e79022fcd1b9943b5c6064ec8334abe74ee98edad53ed86fa9f4360"),
-])
+     "6cea5dbc9b93efde06401b2865af4bc8002e79177442225dadb2bb5e6c05889c"),
+], ids=["chain_k2-40", "c3_k2-8"])
 def test_certificate_bytes_are_pinned(tmp_path, make, depth, R, r, digest):
     spec = write_doc(tmp_path, "spec.json", make(depth))
     out = tmp_path / "cert.json"
@@ -300,12 +303,12 @@ def test_certificate_bytes_are_pinned(tmp_path, make, depth, R, r, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
-# sha256 of the build reports as the per-bucket histogram wrote them: the
+# sha256 of the build reports as first written with the tree table: the
 # projection check and fit must not move a byte
 @pytest.mark.parametrize("make, depth, digest", [
-    (chain_spec_doc, 40, "d9f21e10b9b8f297246b201ba06be5a5cc65e32c7da33ee4c66582c6836248c1"),
-    (triangle_spec_doc, 8, "c3747b3a85f326bae4e5c771cc53c3fc531093521b3571a9dfc7f5014222950e"),
-])
+    (chain_spec_doc, 40, "0212115b0b2e89b0a32715066686800f95fe63f9ba73c04b4ee5cf5f28327a29"),
+    (triangle_spec_doc, 8, "503dfcae8ad3097c560d156cf1a1927a0cf220be3bf74a570745f7dc6824f7bd"),
+], ids=["chain_k2-40", "c3_k2-8"])
 def test_build_report_bytes_are_pinned(tmp_path, make, depth, digest):
     spec = write_doc(tmp_path, "spec.json", make(depth))
     out = tmp_path / "build.json"
@@ -379,7 +382,7 @@ def test_verify_theorem_command(tmp_path, capsys):
     assert "PASS bound=1" in text
     cert = json.loads(out.read_text())
     assert cert["verdict"] == "PASS"
-    assert cert["format_version"] == 2
+    assert cert["format_version"] == 3
     assert cert["stage_order"][0] == "parameters"
 
 
@@ -392,6 +395,19 @@ def test_internal_error_exits_4_without_traceback(tmp_path, monkeypatch, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "internal error: RuntimeError: handler broke on two lines\n"
+
+
+def test_main_builds_its_parser_once(tmp_path, monkeypatch, capsys):
+    graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
+    assert cli.main(["aut", "--spec", graph]) == 0
+    monkeypatch.setattr(argparse, "ArgumentParser",
+                        lambda *a, **kw: pytest.fail("parser rebuilt"))
+    # handlers are still looked up when a command runs
+    calls = []
+    monkeypatch.setattr(cli, "cmd_verify_theorem", lambda args: calls.append(args.r) or 0)
+    for argv in (["aut", "--spec", graph], ["verify-theorem", "--spec", graph, "--r", "4"]):
+        assert cli.main(argv) == 0
+    assert calls == [4]
 
 
 def test_verify_theorem_failure_exit(tmp_path, capsys):

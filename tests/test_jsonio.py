@@ -1,0 +1,81 @@
+"""The artifact writer against the standard library's encoder."""
+
+import json
+import random
+from collections import OrderedDict, namedtuple
+from fractions import Fraction
+
+import pytest
+
+from asdimforge import cli, jsonio, theorem
+from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc
+
+from conftest import build_doc
+
+Pair = namedtuple("Pair", "left right")
+
+
+class Shaped:
+    def __init__(self, doc):
+        self.doc = doc
+
+    def to_json_dict(self):
+        return self.doc
+
+
+def _reference(value) -> str:
+    return json.dumps(jsonio.to_jsonable(value), sort_keys=True, indent=2) + "\n"
+
+
+def _scalar(rng: random.Random):
+    return rng.choice([
+        lambda: rng.randint(-10**20, 10**20),
+        lambda: rng.choice([True, False, None]),
+        lambda: "".join(rng.choice('ab"\\/\n\t\x01é→ :,{}[]') for _ in range(rng.randint(0, 6))),
+        lambda: Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+        lambda: rng.choice([float("inf"), float("-inf"), -0.0, 2.0, 0.1, -3.5e-7, 1e300]),
+    ])()
+
+
+def _value(rng: random.Random, depth: int):
+    if depth == 0 or rng.random() < 0.3:
+        return _scalar(rng)
+    items = [_value(rng, depth - 1) for _ in range(rng.randint(0, 4))]
+    keys = [rng.choice([rng.randint(-3, 3), "k", "K", "a b", "é", True, None, 1.5])
+            for _ in items]
+    return rng.choice([
+        lambda: items,
+        lambda: tuple(items),
+        lambda: dict(zip(keys, items)),
+        lambda: OrderedDict(zip(map(str, keys), items)),
+        lambda: Shaped(dict(zip(map(str, keys), items))),
+        lambda: Shaped(_scalar(rng)),
+        lambda: Pair(items[:1], items[1:]),
+        lambda: frozenset(rng.randint(0, 9) for _ in items),
+        lambda: {str(rng.randint(0, 9)) for _ in items},
+    ])()
+
+
+def test_dumps_matches_the_standard_encoder_on_random_values():
+    rng = random.Random(15)
+    for _ in range(2000):
+        value = _value(rng, 4)
+        assert jsonio.dumps(value) == _reference(value)
+
+
+@pytest.mark.parametrize("make, depth, R, r", [(chain_spec_doc, 40, 2, 10),
+                                               (triangle_spec_doc, 8, 0, 4)],
+                         ids=["chain_k2-40", "c3_k2-8"])
+def test_dumps_matches_the_standard_encoder_on_artifacts(make, depth, R, r):
+    br = build_doc(make(depth))
+    cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
+    for doc in (cert, cert.to_json_dict(), cli.build_report(br)):
+        assert jsonio.dumps(doc) == _reference(doc)
+
+
+def test_dumps_rejects_what_the_standard_path_rejects():
+    for bad in (object(), float("nan"), {"x": [object()]}):
+        with pytest.raises((TypeError, ValueError)):
+            _reference(bad)
+        with pytest.raises((TypeError, ValueError)):
+            jsonio.dumps(bad)

@@ -20,7 +20,7 @@ from asdimforge.theorem import (ProofParameters, _witness_for, assemble_partitio
                                 safe_nodes, strata, theorem_bound,
                                 translation_sites, tree_graph, verify_separation)
 
-from conftest import build_doc
+from conftest import build_doc, label_paths, path_ids
 
 
 # -- parameters ------------------------------------------------------------------
@@ -149,7 +149,7 @@ def test_symmetry_map_recenters(chain40):
     params = ProofParameters(R=2, r=10, depth=40)
     site = next(t for t in translation_sites(chain40.tree, params)
                 if chain40.tree.node_depth(t) == 10)
-    assert site == "t1/0/1/1/1/1/1/1/1/1/1"
+    assert site == path_ids(chain40.tree)["t1/0/1/1/1/1/1/1/1/1/1"]
     sm = build_symmetry_map(chain40, site, 10)
     assert sm.node_map[ROOT] == site
     assert sm.edge_ok and sm.injective
@@ -166,7 +166,7 @@ def test_symmetry_map_needs_witnesses():
     doc = chain_spec_doc(8)
     doc["actions"] = {"mode": "trivial"}
     br = build_doc(doc)
-    site = "t1/0/1"
+    site = path_ids(br.tree)["t1/0/1"]
     with pytest.raises(PreconditionError) as err:
         build_symmetry_map(br, site, 2)
     assert "consistency witnesses missing" in str(err.value)
@@ -557,7 +557,8 @@ def test_projection_fit_without_a_bridge(monkeypatch, bridge, margin, torn):
 
 def test_projection_fit_on_a_stretching_map_walks_the_pairs(monkeypatch):
     br = build_doc(chain_spec_doc(8))
-    swap = {"t1": "t1/0", "t1/0": "t1"}
+    child = path_ids(br.tree)["t1/0"]
+    swap = {"t1": child, child: "t1"}
     node_of = br.sum.node_of
     monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
     assert not projection_nonexpanding(br)
@@ -583,6 +584,7 @@ def _reference_symmetry_map(br, t, radius=None):
     radius, the walk expands no node of that level."""
     tree, h = br.tree, br.sum
     H = h.graph
+    path, node = label_paths(tree), path_ids(tree)
     actions = (br.spec.action1, br.spec.action2)
     adhesions = (br.spec.adh1, br.spec.adh2)
     m_t = tree.return_label(t)
@@ -601,8 +603,8 @@ def _reference_symmetry_map(br, t, radius=None):
             k_img = next(lab for lab in adh_u.labels if adh_u[lab] == image_set)
             if tree.return_label(u_img) == k_img:
                 w_img = tree.parent[u_img]
-            elif f"{u_img}/{k_img}" in tree.node_set:
-                w_img = f"{u_img}/{k_img}"
+            elif f"{path[u_img]}/{k_img}" in node:
+                w_img = node[f"{path[u_img]}/{k_img}"]
             else:
                 dropped += 1
                 continue
@@ -674,7 +676,7 @@ def test_symmetry_maps_match_the_whole_walk(make, depth, r):
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     br = build_doc(chain_spec_doc(24))
     h = br.sum
-    site = "t1/0/1/1/1/1/1/1/1/1/1"
+    site = path_ids(br.tree)["t1/0/1/1/1/1/1/1/1/1/1"]
     # drop one bridge at the site: the root's bridges map onto it
     gone = next(e for e in h.bridges if h.node_of(e[0]) == site or h.node_of(e[1]) == site)
     H = h.graph

@@ -15,9 +15,13 @@ previous rung's.
         --out BENCH_4.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
-import, so one copy of this script compares commits.  The checkouts take
-turns on every rung, ``REPEAT`` times, and the report keeps each run's
-medians: a host whose speed drifts over the ladder moves every run alike.
+import, so one copy of this script compares commits.  Each checkout's
+``src/`` is byte-compiled before its first child, so no child pays for
+compiling stale or missing bytecode.  The checkouts take turns on every
+rung, ``REPEAT`` times, and the report keeps each timing's and RSS's
+median, with ``<key>_range`` holding the least and largest sample: a
+host whose speed drifts over the ladder moves every run alike, and the
+ranges show by how much.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ REPORT_LADDER = (
     ("chain_k2", (100, 200, 400, 800)),
     ("c3_k2", (10, 12, 14, 16)),
 )
-# samples per rung and checkout; a rung's times and RSS are their medians
+# samples per rung and checkout; a rung's times and RSS are their medians,
+# next to their ranges
 REPEAT = 5
 
 
@@ -116,8 +121,12 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
             if rung[0] == "certificate":
                 row.update(R=rung[3], r=rung[4])
             for key, value in got[0].items():
-                row[key] = statistics.median(s[key] for s in got) \
-                    if isinstance(value, float) else value
+                if isinstance(value, float):
+                    values = [s[key] for s in got]
+                    row[key] = statistics.median(values)
+                    row[f"{key}_range"] = [min(values), max(values)]
+                else:
+                    row[key] = value
             previous = rows[label][-1] if rows[label] else None
             row["doubling"] = None if previous is None or previous["build"] != row["build"] \
                 else round(row[seconds] / max(previous[seconds], 1e-3), 2)
@@ -144,6 +153,9 @@ def main(argv=None) -> int:
         if not sep or not label:
             p.error(f"--run wants LABEL=ROOT, not {spec!r}")
         roots[label] = Path(root).resolve()
+    for root in roots.values():
+        subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")],
+                       check=True, timeout=600)
     certificates = run_ladder(roots, [("certificate", name, depth, R, r)
                                       for name, depths, R, r in LADDER
                                       for depth in depths], "certificate_s")
