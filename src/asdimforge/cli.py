@@ -19,11 +19,11 @@ from pathlib import Path
 from .amalgam import AmalgamationSpec, BuildResult, build
 from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
-from .graphs import FiniteGraph, INF, MetricView, load_graph, relabel_sorted
+from .graphs import FiniteGraph, MetricView, load_graph, relabel_sorted
 from .groups import compute_automorphisms
 from .jsonio import dumps, read_json, write_json
-from .theorem import (ProofParameters, projection_fit, projection_nonexpanding,
-                      run_certificate, theorem_bound, tree_graph)
+from .theorem import (ProofParameters, projection_fit, run_certificate,
+                      stretched_edges, theorem_bound)
 
 
 # -- input loading ------------------------------------------------------------
@@ -54,41 +54,25 @@ def _emit(doc, out: str | None):
 # -- shared measurements -------------------------------------------------------
 
 
-def _projection_failures(br: BuildResult):
-    """Yield the pairs whose tree distance exceeds their sum-graph distance.
-
-    Each vertex is paired with the later ids; one search in H and one in
-    the tree from each vertex give both distances.
-    """
-    H, tg = br.sum.graph, tree_graph(br.tree)
-    nodes = [br.sum.node_of(v) for v in H.vertices]
-    for x, node in zip(H.vertices, nodes):
-        dist = H.distances_to_set((x,))
-        tdist = tg.distances_from(node)
-        for y, ny in zip(H.vertices, nodes):
-            if y > x and tdist[ny] > dist.get(y, INF):
-                yield [x, y]
-
-
 def projection_report(br: BuildResult) -> dict:
     """Check the copy-to-node projection never increases distances.
 
-    ``projection_nonexpanding`` decides that from the edges of the sum
-    graph; only when it fails are the pairs walked for the first ten
-    failures.
+    It does not iff some edge of the sum graph is stretched, its ends two
+    or more tree steps apart; each such edge is itself a failing pair,
+    and the first ten in edge order are listed.
     """
-    failures = []
-    if not projection_nonexpanding(br):
-        failures = list(islice(_projection_failures(br), 10))
+    failures = [list(e) for e in islice(stretched_edges(br), 10)]
     n = len(br.sum.graph)
     return {"pairs": n * (n - 1) // 2, "ok": not failures, "failures": failures}
 
 
 def build_report(br: BuildResult) -> dict:
-    """The build's own report plus the projection check and distortion fit."""
+    """The build's own report plus the projection check and distortion fit;
+    the fit is null when the check fails or the sum graph is torn."""
     report = br.report_dict()
-    report["projection"] = projection_report(br)
-    report["projection_fit"] = projection_fit(br).to_json_dict()
+    report["projection"] = projection = projection_report(br)
+    fit = projection_fit(br) if projection["ok"] else None
+    report["projection_fit"] = None if fit is None else fit.to_json_dict()
     return report
 
 

@@ -11,7 +11,7 @@ re-audit from the raw numbers.
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from itertools import count
 from operator import add
@@ -21,7 +21,7 @@ from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
 from .covers import (Cover, band_witness, greedy_witness, lebesgue_number,
                      multiplicity)
 from .errors import PreconditionError
-from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit, VertexMap,
+from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
                      fit_qi_constants, nearest_point_map)
 
 
@@ -932,62 +932,44 @@ def tree_graph(tree: ConnectingTree) -> FiniteGraph:
     return tree._graph
 
 
-def _safe_nodes_at_margin(tree: ConnectingTree, margin: int) -> list[str]:
-    """Nodes no deeper than depth minus margin, in node order."""
-    if margin < 0:
-        raise PreconditionError("margin must be nonnegative")
-    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
-    if not keep:
-        raise PreconditionError("margin leaves no safe nodes")
-    return keep
+def stretched_edges(br: BuildResult) -> Iterator[tuple[str, str]]:
+    """Yield the sum graph's edges whose ends lie two or more tree steps apart.
 
-
-def projection_map(br: BuildResult, margin: int = 0) -> VertexMap:
-    """The copy-to-node projection, restricted to the safe core.
-
-    Vertices over nodes deeper than depth minus margin are excluded so
-    every measured distance agrees with the untruncated picture.
-    """
-    tree = br.tree
-    keep = _safe_nodes_at_margin(tree, margin)
-    target = MetricView(tree_graph(tree), list(tree.nodes))
-    points = sorted(br.sum.vertices_over(keep))
-    source = MetricView(br.sum.graph, points)
-    return VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
-
-
-def projection_nonexpanding(br: BuildResult) -> bool:
-    """Whether the copy-to-node projection never increases a distance.
-
-    Both sides are path metrics, so it never does iff every edge of the
-    sum graph joins nodes at most one tree step apart; an edge whose
-    ends lie further apart is itself a pair the projection stretches.
+    Both the sum graph and the tree carry path metrics, so the
+    copy-to-node projection never increases a distance iff there is no
+    such edge, and each one is itself a pair the projection stretches
+    (ds = 1 < dt).  Edges come in ``H.edges`` order.
     """
     parent, node_of = br.tree.parent, br.sum.node_of
     for x, y in br.sum.graph.edges:
         u, v = node_of(x), node_of(y)
         if u != v and parent.get(u) != v and parent.get(v) != u:
-            return False
-    return True
+            yield x, y
 
 
-def projection_fit(br: BuildResult, margin: int = 0) -> QiFit:
-    """Distortion table of the copy-to-node projection, on the safe core.
+def projection_fit(br: BuildResult, margin: int = 0) -> QiFit | None:
+    """Distortion table of the copy-to-node projection, on the safe core
+    (the vertices over nodes no deeper than depth minus margin).
 
-    When the projection never increases a distance and the sum graph is
-    connected (every real build), dt <= ds for every pair, so the
+    None when the projection stretches an edge or the sum graph is torn;
+    no accepted spec gives either.  The core looks for a stretched edge
+    among its portals' edges, which it reads anyway, so a caller that
+    has run ``stretched_edges`` already (``cli.build_report``) does not
+    scan every edge twice.  Otherwise dt <= ds for every pair, so the
     constant for the stretch p/q is max(0, M/p) with M the largest
     q*ds - p*dt over pairs, and ``_ProjectionCore.maxima`` finds M
-    without walking the pairs.  Any other map (one that stretches an
-    edge, or one on a torn sum graph) takes the pair walk of
-    ``fit_qi_constants``.
+    without walking the pairs.
     """
-    keep = _safe_nodes_at_margin(br.tree, margin)
-    if projection_nonexpanding(br):
-        core = _ProjectionCore(br, keep)
-        if core.connected:
-            return QiFit.from_maxima([(m, 0) for m in core.maxima()])
-    return fit_qi_constants(projection_map(br, margin))
+    tree = br.tree
+    if margin < 0:
+        raise PreconditionError("margin must be nonnegative")
+    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
+    if not keep:
+        raise PreconditionError("margin leaves no safe nodes")
+    core = _ProjectionCore(br, keep)
+    if core.stretched or not br.sum.graph.is_connected():
+        return None
+    return QiFit.from_maxima([(m, 0) for m in core.maxima()])
 
 
 #: GAMMA_GRID as (p, q) pairs, the stretch p/q in lowest terms
@@ -1009,30 +991,24 @@ class _ProjectionCore:
         nid = {u: k for k, u in enumerate(tree.nodes)}
         self.adjacency = adjacency = [[index[w] for w in H.adjacency[v]] for v in H.vertices]
         self.node = node = [nid[br.sum.node_of(v)] for v in H.vertices]
-        self.tree_adjacency = [[nid[w] for w in tree.children[u]] +
-                               ([nid[tree.parent[u]]] if u in tree.parent else [])
-                               for u in tree.nodes]
+        self.tree_adjacency = tree_adjacency = [
+            [nid[w] for w in tree.children[u]] +
+            ([nid[tree.parent[u]]] if u in tree.parent else []) for u in tree.nodes]
         kept = frozenset(keep)
         self.kept = [u in kept for u in tree.nodes]
         self.members = members = [[] for _ in tree.nodes]
         for i, k in enumerate(node):
             members[k].append(i)
-        self.portals = [[i for i in ms if any(node[j] != k for j in adjacency[i])]
-                        for k, ms in enumerate(members)]
-        seen = [False] * len(adjacency)
-        seen[0] = True
-        order = [0]
-        for v in order:
-            for w in adjacency[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    order.append(w)
-        self.connected = len(order) == len(adjacency)
+        self.portals = portals = [[i for i in ms if any(node[j] != k for j in adjacency[i])]
+                                  for k, ms in enumerate(members)]
+        # only a portal has an edge to another copy, so this sees every stretched edge
+        self.stretched = any(node[j] != k and node[j] not in tree_adjacency[k]
+                             for k, ps in enumerate(portals) for i in ps for j in adjacency[i])
 
     def maxima(self) -> list[int]:
         """Per stretch p/q of ``GAMMA_GRID``, max(0, q*ds - p*dt) over pairs of
-        vertices over kept nodes, for a connected sum graph whose
-        projection never increases a distance.
+        vertices over kept nodes, for a connected sum graph with no
+        stretched edge.
 
         A centroid decomposition of the tree gives each pair to the first
         centroid c on its tree path.  A path between the two ends passes

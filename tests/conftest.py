@@ -33,6 +33,26 @@ def build_doc(doc, depth=None) -> af.BuildResult:
     return af.build(af.AmalgamationSpec.from_json_dict(doc), depth)
 
 
+def projection_map(br: af.BuildResult, margin: int = 0) -> af.VertexMap:
+    """The copy-to-node projection on the safe core (vertices over nodes
+    no deeper than depth minus margin), for the pair walk of
+    ``fit_qi_constants``: the reference ``projection_fit`` must match."""
+    tree = br.tree
+    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
+    target = af.MetricView(af.tree_graph(tree), list(tree.nodes))
+    points = sorted(br.sum.vertices_over(keep))
+    source = af.MetricView(br.sum.graph, points)
+    return af.VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
+
+
+def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:
+    """Doctor ``br`` so that ``node_of`` puts the copy over each key of
+    ``moves`` on its value; other copies stay.  No accepted spec builds
+    such a map."""
+    node_of = br.sum.node_of
+    monkeypatch.setattr(br.sum, "node_of", lambda v: moves.get(node_of(v), node_of(v)))
+
+
 def node_ids(table) -> dict[str, str]:
     """Node id -> label path, read from a ``tree`` table.
 

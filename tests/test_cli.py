@@ -19,9 +19,9 @@ from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
 from asdimforge.graphs import INF, FiniteGraph
-from asdimforge.theorem import projection_fit, projection_map
+from asdimforge.theorem import projection_fit
 
-from conftest import build_doc, path_ids
+from conftest import build_doc, path_ids, projection_map, remap_nodes
 from test_graphs import _ref_fit
 
 
@@ -60,54 +60,98 @@ def _per_pair_failures(br) -> list:
     return failures
 
 
-def test_build_report_failures_match_per_pair_walk(monkeypatch):
-    br = build_doc(chain_spec_doc(8))
-    node = path_ids(br.tree)
-    paths = sorted(node)
-    near, far = node[paths[1]], node[paths[-1]]
-    swap = {near: far, far: near}
+def _stretched_reference(br) -> list:
+    """Every edge of the sum graph whose ends lie two or more tree steps
+    apart, in edge order, with tree distances read off ``tree.path``."""
     node_of = br.sum.node_of
-    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    return [[x, y] for x, y in br.sum.graph.edges
+            if len(br.tree.path(node_of(x), node_of(y))) > 2]
+
+
+def test_build_report_failures_match_per_pair_walk(monkeypatch):
+    """The copy over the i-th node in sorted order put on the (3i mod n)-th:
+    the report lists the first ten stretched edges, each a pair the
+    per-pair walk fails."""
+    br = build_doc(chain_spec_doc(8))
+    nodes = sorted(br.tree.nodes)
+    remap_nodes(monkeypatch, br, {u: nodes[3 * i % len(nodes)] for i, u in enumerate(nodes)})
     report = cli.build_report(br)
-    expected = _per_pair_failures(br)
-    assert len(expected) > 10
+    stretched = _stretched_reference(br)
+    assert len(stretched) > 10
     n = len(br.sum.graph)
     assert report["projection"] == {"pairs": n * (n - 1) // 2,
-                                    "ok": False, "failures": expected[:10]}
-    assert report["projection_fit"] == projection_fit(br).to_json_dict()
+                                    "ok": False, "failures": stretched[:10]}
+    failing = _per_pair_failures(br)
+    assert all(pair in failing for pair in report["projection"]["failures"])
+    assert report["projection_fit"] is None
 
 
 @pytest.mark.parametrize("make, depth, count", [
     (chain_spec_doc, 200, 2), (triangle_spec_doc, 4, 3),
 ])
-def test_build_report_walks_all_pairs_when_few_fail(monkeypatch, make, depth, count):
-    """Fewer than ten failing pairs: the failure walk runs to its end."""
+def test_build_report_lists_every_stretched_edge_when_few_fail(monkeypatch, make, depth,
+                                                               count):
+    """Fewer than ten stretched edges: the report lists them all, and the
+    fit is null."""
     br = build_doc(make(depth))
     child = path_ids(br.tree)["t1/0"]
-    swap = {"t1": child, child: "t1"}
-    node_of = br.sum.node_of
-    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
+    remap_nodes(monkeypatch, br, {"t1": child, child: "t1"})
     report = cli.build_report(br)
-    expected = _per_pair_failures(br)
-    assert len(expected) == count
+    stretched = _stretched_reference(br)
+    assert len(stretched) == count
     n = len(br.sum.graph)
     assert report["projection"] == {"pairs": n * (n - 1) // 2,
-                                    "ok": False, "failures": expected}
-    assert report["projection_fit"] == projection_fit(br).to_json_dict()
+                                    "ok": False, "failures": stretched}
+    assert report["projection_fit"] is None
+
+
+def _count_searches(monkeypatch) -> list:
+    """Record each ``FiniteGraph.distances_to_set`` call, in every graph."""
+    calls = []
+    search = FiniteGraph.distances_to_set
+    monkeypatch.setattr(FiniteGraph, "distances_to_set",
+                        lambda self, *a, **k: calls.append(a) or search(self, *a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("swap, depth", [("near-far", 40), ("t1-child", 200)])
+def test_swapped_build_report_lists_failing_edges(monkeypatch, swap, depth):
+    """Two nodes swapped in ``node_of``: every listed failure is an edge of
+    the sum graph and a pair the per-pair walk fails, and the report runs
+    no more searches than on the build left as it is."""
+    br = build_doc(chain_spec_doc(depth))
+    searches = _count_searches(monkeypatch)
+    cli.build_report(br)
+    real = len(searches)
+    node = path_ids(br.tree)
+    paths = sorted(node)
+    a, b = (paths[1], paths[-1]) if swap == "near-far" else ("t1", "t1/0")
+    remap_nodes(monkeypatch, br, {node[a]: node[b], node[b]: node[a]})
+    del searches[:]
+    report = cli.build_report(br)
+    assert len(searches) <= real
+    failures = report["projection"]["failures"]
+    assert failures and not report["projection"]["ok"]
+    edges = set(br.sum.graph.edges)
+    assert all(tuple(pair) in edges for pair in failures)
+    failing = _per_pair_failures(br)
+    assert all(pair in failing for pair in failures)
 
 
 def _reference_report(br) -> dict:
-    """The build report from the per-pair walk and the per-pair fit."""
+    """The build report from the per-pair walk and the per-pair fit, for a
+    build on which no pair fails; the fit is null on a torn sum graph."""
     report = br.report_dict()
-    failures = _per_pair_failures(br)
+    assert not _per_pair_failures(br)
     n = len(br.sum.graph)
-    report["projection"] = {"pairs": n * (n - 1) // 2,
-                            "ok": not failures, "failures": failures[:10]}
-    table, (gamma, c) = _ref_fit(projection_map(br))
-    report["projection_fit"] = {
-        "table": [[str(g), None if k is None else str(k)] for g, k in table],
-        "gamma": None if gamma is None else str(gamma),
-        "c": None if c is None else str(c)}
+    report["projection"] = {"pairs": n * (n - 1) // 2, "ok": True, "failures": []}
+    report["projection_fit"] = None
+    if br.sum.graph.is_connected():
+        table, (gamma, c) = _ref_fit(projection_map(br))
+        report["projection_fit"] = {
+            "table": [[str(g), None if k is None else str(k)] for g, k in table],
+            "gamma": None if gamma is None else str(gamma),
+            "c": None if c is None else str(c)}
     return report
 
 
@@ -118,16 +162,14 @@ def _reference_report(br) -> dict:
 ])
 def test_build_report_matches_per_pair_reference(monkeypatch, make, depth, cut):
     br = build_doc(make(depth))
-    if cut:  # one bridge removed: H falls apart and no stretch has a finite fit
+    if cut:  # one bridge removed: H falls apart, no pair fails and there is no fit
         H, bridge = br.sum.graph, br.sum.bridges[0]
         monkeypatch.setattr(br.sum, "graph", FiniteGraph(
             H.vertices, [e for e in H.edges if e != bridge]))
         assert not br.sum.graph.is_connected()
     report = cli.build_report(br)
     assert report == _reference_report(br)
-    if cut:
-        assert report["projection"]["ok"]
-        assert all(c is None for _, c in report["projection_fit"]["table"])
+    assert (report["projection_fit"] is None) == cut
 
 
 def test_build_checks_every_pair_above_500_vertices():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import asdimforge as af
-from asdimforge import jsonio, theorem
+from asdimforge import jsonio
 from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
                                 split_copy_vertex)
 from asdimforge.errors import PreconditionError
@@ -15,12 +15,11 @@ from asdimforge.fixtures import (chain_spec_doc, next_stage_doc, triangle_spec_d
                                  type2_spec_doc)
 from asdimforge.theorem import (ProofParameters, _witness_for, assemble_partition,
                                 base_blocks, block_shape, build_symmetry_map,
-                                lemma_strip, projection_fit, projection_map,
-                                projection_nonexpanding, run_certificate,
-                                safe_nodes, strata, theorem_bound,
+                                lemma_strip, projection_fit, run_certificate,
+                                safe_nodes, strata, stretched_edges, theorem_bound,
                                 translation_sites, tree_graph, verify_separation)
 
-from conftest import build_doc, label_paths, path_ids
+from conftest import build_doc, label_paths, path_ids, projection_map, remap_nodes
 
 
 # -- parameters ------------------------------------------------------------------
@@ -514,59 +513,53 @@ def _stage2_build():
     return build_doc(doc, 6)
 
 
-def _count_walks(monkeypatch) -> list:
-    """Record each pair walk ``projection_fit`` falls back to."""
-    walks = []
-    monkeypatch.setattr(theorem, "fit_qi_constants",
-                        lambda vm: walks.append(vm) or af.fit_qi_constants(vm))
-    return walks
-
-
 def _as_triple(fit):
     return fit.table, fit.gamma, fit.c
 
 
-def test_projection_fit_matches_pair_walk(monkeypatch):
+def test_projection_fit_matches_pair_walk():
     rng = random.Random(20261018)
     builds = [build_doc(chain_spec_doc(d)) for d in range(41)]
     builds += [build_doc(triangle_spec_doc(d)) for d in range(11)]
     builds += [build_doc(type2_spec_doc(d)) for d in range(2, 9)]
     builds += [_stage2_build(), build_doc(_shortcut_spec_doc())]
     builds += [build_doc(_random_spec_doc(rng)) for _ in range(40)]
-    walks = _count_walks(monkeypatch)
     for br in builds:
         for margin in range(min(4, br.tree.depth) + 1):
             want = af.fit_qi_constants(projection_map(br, margin))
             fit = projection_fit(br, margin)
             assert _as_triple(fit) == _as_triple(want), (br.spec.name, br.tree.depth, margin)
-    assert not walks
 
 
 @pytest.mark.parametrize("bridge, margin, torn", [(0, 0, True), (-1, 2, True), (0, 2, False)])
 def test_projection_fit_without_a_bridge(monkeypatch, bridge, margin, torn):
-    """A core that meets two components has no finite constant; a core inside
-    one component of a torn graph keeps finite ones."""
+    """A torn sum graph has no fit: not where the safe core meets two
+    components (``torn``, no finite constant in the pair walk), and not
+    where it lies in one and the pair walk finds finite constants."""
     br = build_doc(chain_spec_doc(8))
     H, cut = br.sum.graph, br.sum.bridges[bridge]
     monkeypatch.setattr(br.sum, "graph", af.FiniteGraph(
         H.vertices, [e for e in H.edges if e != cut]))
-    fit = projection_fit(br, margin)
-    assert _as_triple(fit) == _as_triple(af.fit_qi_constants(projection_map(br, margin)))
-    assert all(c is None for _, c in fit.table) == torn
+    assert projection_fit(br, margin) is None
+    walked = af.fit_qi_constants(projection_map(br, margin))
+    assert all(c is None for _, c in walked.table) == torn
 
 
-def test_projection_fit_on_a_stretching_map_walks_the_pairs(monkeypatch):
-    br = build_doc(chain_spec_doc(8))
-    child = path_ids(br.tree)["t1/0"]
-    swap = {"t1": child, child: "t1"}
-    node_of = br.sum.node_of
-    monkeypatch.setattr(br.sum, "node_of", lambda v: swap.get(node_of(v), node_of(v)))
-    assert not projection_nonexpanding(br)
-    walks = _count_walks(monkeypatch)
-    for margin in range(5):
-        fit = projection_fit(br, margin)
-        assert _as_triple(fit) == _as_triple(af.fit_qi_constants(projection_map(br, margin)))
-        assert len(walks) == margin + 1
+def test_projection_fit_on_a_stretching_map_is_none(monkeypatch):
+    """``t1`` swapped with its child (two stretched edges), and the copy over
+    the i-th node in sorted order put on the (3i mod n)-th (sixteen)."""
+    for stretched in (2, 16):
+        br = build_doc(chain_spec_doc(8))
+        if stretched == 2:
+            child = path_ids(br.tree)["t1/0"]
+            moves = {"t1": child, child: "t1"}
+        else:
+            nodes = sorted(br.tree.nodes)
+            moves = {u: nodes[3 * i % len(nodes)] for i, u in enumerate(nodes)}
+        remap_nodes(monkeypatch, br, moves)
+        assert len(list(stretched_edges(br))) == stretched
+        for margin in range(5):
+            assert projection_fit(br, margin) is None
 
 
 def test_tree_graph(chain6):

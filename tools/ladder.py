@@ -3,8 +3,9 @@ one fresh process per rung.
 
 Each certificate rung builds one shipped document at one depth and runs
 ``run_certificate`` on it, in a child process of its own, and reports
-the build and certificate wall times, the child's peak RSS (from
-``resource``) and the size of the certificate as ``jsonio`` writes it.
+the build and certificate wall times, the time ``jsonio.dumps`` takes to
+serialise the certificate (``write_s``), the child's peak RSS (from
+``resource``) and the size of what it writes.
 Each report rung does the same with ``cli.build_report``, the projection
 check and distortion fit that ``build`` writes.  Doubling the depth of
 ``chain_k2`` doubles its sum graph; two more levels of ``c3_k2`` do the
@@ -75,8 +76,10 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
     t2 = time.perf_counter()
     text = jsonio.dumps(cert.to_json_dict())
+    t3 = time.perf_counter()
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
-            "certificate_s": round(t2 - t1, 3), "peak_rss_mb": _peak_rss_mb(),
+            "certificate_s": round(t2 - t1, 3), "write_s": round(t3 - t2, 3),
+            "peak_rss_mb": _peak_rss_mb(),
             "certificate_bytes": len(text.encode()), "verdict": cert.verdict}
 
 
@@ -92,9 +95,11 @@ def run_report_rung(name: str, depth: int) -> dict:
     report = cli.build_report(br)
     t2 = time.perf_counter()
     text = jsonio.dumps(report)
+    t3 = time.perf_counter()
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
-            "report_s": round(t2 - t1, 3), "peak_rss_mb": _peak_rss_mb(),
+            "report_s": round(t2 - t1, 3), "write_s": round(t3 - t2, 3),
+            "peak_rss_mb": _peak_rss_mb(),
             "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL"}
 
 
