@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
-from itertools import count
+from heapq import heappop, heappush
 from operator import add
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
@@ -952,247 +952,246 @@ def projection_fit(br: BuildResult, margin: int = 0) -> QiFit | None:
     (the vertices over nodes no deeper than depth minus margin).
 
     None when the projection stretches an edge or the sum graph is torn;
-    no accepted spec gives either.  The core looks for a stretched edge
-    among its portals' edges, which it reads anyway, so a caller that
-    has run ``stretched_edges`` already (``cli.build_report``) does not
-    scan every edge twice.  Otherwise dt <= ds for every pair, so the
+    no accepted spec gives either.  ``_copy_shapes`` looks for a
+    stretched edge among the edges it reads anyway, so a caller that has
+    run ``stretched_edges`` already (``cli.build_report``) does not scan
+    every edge twice.  Otherwise dt <= ds for every pair, so the
     constant for the stretch p/q is max(0, M/p) with M the largest
-    q*ds - p*dt over pairs, and ``_ProjectionCore.maxima`` finds M
-    without walking the pairs.
+    q*ds - p*dt over pairs, and ``_projection_maxima`` finds M without
+    walking the pairs.
     """
     tree = br.tree
     if margin < 0:
         raise PreconditionError("margin must be nonnegative")
-    keep = [u for u in tree.nodes if tree.node_depth(u) <= tree.depth - margin]
-    if not keep:
+    kept = [tree.node_depth(u) <= tree.depth - margin for u in tree.preorder]
+    if not any(kept):
         raise PreconditionError("margin leaves no safe nodes")
-    core = _ProjectionCore(br, keep)
-    if core.stretched or not br.sum.graph.is_connected():
+    read = _copy_shapes(br)
+    if read is None or not br.sum.graph.is_connected():
         return None
-    return QiFit.from_maxima([(m, 0) for m in core.maxima()])
+    return QiFit.from_maxima([(m, 0) for m in _projection_maxima(*read, kept)])
 
 
 #: GAMMA_GRID as (p, q) pairs, the stretch p/q in lowest terms
 _STEPS = tuple((g.numerator, g.denominator) for g in GAMMA_GRID)
 
 
-class _ProjectionCore:
-    """The sum graph numbered for ``projection_fit``'s centroid walk.
+def _copy_shapes(br: BuildResult) -> tuple[list[tuple], list[list[int]]] | None:
+    """What the fit reads of each node's copy in H, and each node's
+    children, with the nodes numbered in preorder; None if an edge of H
+    is stretched.
 
-    Vertices are numbered in ``H.vertices`` order and tree nodes in
-    ``tree.nodes`` order.  ``members[k]`` lists node k's vertices and
-    ``portals[k]`` those of them with a neighbour over another node:
-    every path from a copy to anywhere else leaves it through a portal.
+    The copy over a node is the set of vertices ``node_of`` puts there,
+    read from H, and a vertex is named by its position among them in
+    ``H.vertices`` order (in a built sum graph, its factor vertex's
+    position).  A node's shape is (the copy's size, its edges, its
+    up-portals: the vertices with a neighbour over the parent, and per
+    child the child's up-portal count and the sorted bridges (i, j) from
+    vertex i to the child's j-th up-portal).
     """
+    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
+    nid = {u: k for k, u in enumerate(tree.preorder)}
+    kids = [[nid[w] for w in tree.children[u]] for u in tree.preorder]
+    parent = [nid.get(tree.parent.get(u), -1) for u in tree.preorder]
+    where, sizes = {}, [0] * len(nid)
+    for v in H.vertices:
+        k = nid[node_of(v)]
+        where[v] = (k, sizes[k])
+        sizes[k] += 1
+    edges, ups, down = ([[] for _ in sizes] for _ in range(3))
+    for v, (k, i) in where.items():
+        for w in H.adjacency[v]:
+            l, j = where[w]
+            if l == k:
+                if i < j:
+                    edges[k].append((i, j))
+            elif l == parent[k]:
+                if not ups[k] or ups[k][-1] != i:
+                    ups[k].append(i)
+            elif parent[l] == k:
+                down[k].append((l, i, j))
+            else:
+                return None
+    rank = [{i: t for t, i in enumerate(us)} for us in ups]
+    shapes = []
+    for k, below in enumerate(kids):
+        bridges: dict[int, list] = {l: [] for l in below}
+        for l, i, j in down[k]:
+            bridges[l].append((i, rank[l][j]))
+        shapes.append((sizes[k], tuple(edges[k]), tuple(ups[k]),
+                       tuple((len(ups[l]), tuple(sorted(b))) for l, b in bridges.items())))
+    return shapes, kids
 
-    def __init__(self, br: BuildResult, keep: list[str]):
-        H, tree = br.sum.graph, br.tree
-        index = {v: i for i, v in enumerate(H.vertices)}
-        nid = {u: k for k, u in enumerate(tree.nodes)}
-        self.adjacency = adjacency = [[index[w] for w in H.adjacency[v]] for v in H.vertices]
-        self.node = node = [nid[br.sum.node_of(v)] for v in H.vertices]
-        self.tree_adjacency = tree_adjacency = [
-            [nid[w] for w in tree.children[u]] +
-            ([nid[tree.parent[u]]] if u in tree.parent else []) for u in tree.nodes]
-        kept = frozenset(keep)
-        self.kept = [u in kept for u in tree.nodes]
-        self.members = members = [[] for _ in tree.nodes]
-        for i, k in enumerate(node):
-            members[k].append(i)
-        self.portals = portals = [[i for i in ms if any(node[j] != k for j in adjacency[i])]
-                                  for k, ms in enumerate(members)]
-        # only a portal has an edge to another copy, so this sees every stretched edge
-        self.stretched = any(node[j] != k and node[j] not in tree_adjacency[k]
-                             for k, ps in enumerate(portals) for i in ps for j in adjacency[i])
 
-    def maxima(self) -> list[int]:
-        """Per stretch p/q of ``GAMMA_GRID``, max(0, q*ds - p*dt) over pairs of
-        vertices over kept nodes, for a connected sum graph with no
-        stretched edge.
+def _projection_maxima(shapes: list[tuple], kids: list[list[int]], kept: list[bool]) -> list[int]:
+    """Per stretch p/q of ``GAMMA_GRID``, max(0, q*ds - p*dt) over pairs of
+    vertices over kept nodes, for a connected sum graph with no
+    stretched edge, in three passes over the rooted tree.
 
-        A centroid decomposition of the tree gives each pair to the first
-        centroid c on its tree path.  A path between the two ends passes
-        a vertex over c, so ds is the least a_x[s] + a_y[s] over the
-        portals s of c (a_x holding H-distances to them) and dt is the
-        sum of the two nodes' tree distances to c.  With m_x = min(a_x)
-        and alpha_x = a_x - m_x, q*ds - p*dt splits into
-        q*min(alpha_x + alpha_y) plus one term per end, so each pattern
-        alpha keeps, per stretch, its best two end terms from distinct
-        branches of c (the copy over c is a branch of its own), and
-        patterns are combined pairwise.  Pairs inside the copy over c
-        also have the path that never leaves it.
+    Every edge joins one copy or the copies of a node and its parent, so
+    a path from the subtree of u to the rest of H crosses u's
+    up-portals, and a path between two vertices over u and over u's
+    children's up-portals splits into edges and bridges of those,
+    detours below a child between its up-portals, and detours above u
+    between u's up-portals (the separator argument of distance labels:
+    Gavoille, Peleg, Pérennes & Raz, *J. Algorithms* 53, 2004).  So:
 
-        a_x comes from one search per portal over the component, in
-        which the portals of each removed centroid next to it enter at
-        their H-distance from the source: a shortest path that leaves
-        the component last re-enters it from such a portal, so every
-        distance is the one in H.  The rows of the centroids on the
-        current recursion path are kept for that, and no others.
-        """
-        adjacency, members, portals = self.adjacency, self.members, self.portals
-        tree_adjacency, kept = self.tree_adjacency, self.kept
-        best = [0] * len(_STEPS)
-        nodes = len(tree_adjacency)
-        alive = [True] * nodes
-        # per node, working state for the component being split: the token of the
-        # last search that reached it, its search parent, subtree size,
-        # tree distance to the centroid and the centroid's branch it is in
-        seen, up, size = [0] * nodes, [0] * nodes, [0] * nodes
-        depth, branch = [0] * nodes, [0] * nodes
-        mark = [0] * len(adjacency)  # per vertex, the token of its node's last component
-        rows_at: dict[int, list[tuple[int, dict[int, int]]]] = {}
-        tokens = count(1)
+    1. bottom-up, ``_inner_metric`` gives the H-metric on u's
+       up-portals over paths inside u's subtree, from its children's;
+    2. top-down, ``_node_metric`` gives the whole H-metric on the copy
+       over u and its children's up-portals, from the children's inner
+       metrics and u's outer metric (the whole one on u's up-portals),
+       and with it each child's outer metric;
+    3. bottom-up, ``_node_pairs`` gives the pairs whose lowest common
+       node is u and the aggregate of u's subtree (see there).
 
-        def solve(entry: int):
-            token = next(tokens)
-            seen[entry], up[entry], order = token, -1, [entry]
-            for u in order:
-                for w in tree_adjacency[u]:
-                    if seen[w] != token and alive[w]:
-                        seen[w], up[w] = token, u
-                        order.append(w)
-            if not any([kept[u] for u in order]):
-                return
-            for u in order:
-                size[u] = 1
-            for u in reversed(order):
-                if u != entry:
-                    size[up[u]] += size[u]
-            # walk from the entry toward any piece holding over half the nodes
-            c, total, heavy = entry, len(order), entry
-            while heavy is not None:
-                c, heavy = heavy, None
-                for w in tree_adjacency[c]:
-                    if seen[w] == token and up[w] == c and 2 * size[w] > total:
-                        heavy = w
-            token = next(tokens)
-            seen[c], depth[c], branch[c], ring, boundary = token, 0, c, [c], []
-            for u in ring:
-                for w in tree_adjacency[u]:
-                    if not alive[w]:
-                        boundary.append(w)
-                    elif seen[w] != token:
-                        seen[w], depth[w] = token, depth[u] + 1
-                        branch[w] = w if u == c else branch[u]
-                        ring.append(w)
-            for u in ring:
-                for i in members[u]:
-                    mark[i] = token
-            rows = []
-            for s in portals[c]:
-                seeds = sorted([(row[s], w) for b in boundary for w, row in rows_at[b]])
-                dist, frontier, k, si = {s: 0}, [s], 0, 0
-                while True:
-                    while si < len(seeds) and seeds[si][0] == k:
-                        dist[seeds[si][1]] = k
-                        frontier.append(seeds[si][1])
-                        si += 1
-                    if not frontier:
-                        if si == len(seeds):
-                            break
-                        k = seeds[si][0]
-                        continue
-                    k += 1
-                    later = []
-                    for v in frontier:
-                        for w in adjacency[v]:
-                            if mark[w] == token and w not in dist:
-                                dist[w] = k
-                                later.append(w)
-                    frontier = later
-                rows.append((s, dist))
-            dists = [dist for _, dist in rows]
-            if dists and len(ring) > 1:
-                self._cross_pairs(dists, ring, depth, branch, best)
-            if kept[c] and len(members[c]) > 1:
-                spread = self._copy_spread(c, dists)
-                for k, (_, q) in enumerate(_STEPS):
-                    best[k] = max(best[k], q * spread)
-            rows_at[c] = rows
-            alive[c] = False
-            for w in tree_adjacency[c]:
-                if alive[w]:
-                    solve(w)
-            del rows_at[c]
+    Each step is memoised for the one call, keyed on its arguments.
+    Equal keys give equal outputs, each the node's own:
 
-        solve(0)
-        return best
+    (a) a step reads nothing but its arguments: step 1 the node's shape
+        (``_copy_shapes``) and its children's inner metrics, step 2
+        those and the node's outer metric, step 3 step 2's output and
+        the children's aggregates;
+    (b) by the separator argument, the shortest paths that a step
+        reads run in a weighted graph built from the shape and those
+        metrics alone, and step 3 adds nothing but tree steps counted
+        from the node, so the node's level, side and name enter nowhere;
+    (c) vertices are named by position, so nodes with equal keys have
+        equal weighted graphs, and an output stated in positions is
+        each node's own.
+    """
+    first, second, third = {}, {}, {}
+    inner, outer, node, aggregate = ([()] * len(kids) for _ in range(4))
+    for k in reversed(range(len(kids))):
+        inner[k] = _memo(first, _inner_metric, shapes[k], tuple([inner[l] for l in kids[k]]))
+    for k, below in enumerate(kids):
+        node[k], passed = _memo(second, _node_metric, shapes[k],
+                                tuple([inner[l] for l in below]), outer[k])
+        for l, metric in zip(below, passed):
+            outer[l] = metric
+    for k in reversed(range(len(kids))):
+        if kept[k]:
+            _, aggregate[k] = _memo(third, _node_pairs, node[k],
+                                    tuple([aggregate[l] for l in kids[k]]))
+    return [max(column) for column in zip(*[best for best, _ in third.values()])]
 
-    def _cross_pairs(self, dists, ring, depth, branch, best):
-        """Raise ``best`` by the pairs that ``maxima`` gives the centroid of
-        ``ring`` and that cross it: ends over kept nodes in distinct branches."""
-        members, kept = self.members, self.kept
-        groups: dict[tuple, dict[int, int]] = {}  # (pattern, branch) -> depth -> best m
-        for u in ring:
-            if not kept[u]:
-                continue
-            b, dep = branch[u], depth[u]
-            for x in members[u]:
-                a = [dist[x] for dist in dists]
-                m = min(a)
-                key = (tuple([v - m for v in a]), b)
-                got = groups.get(key)
-                if got is None:
-                    groups[key] = {dep: m}
-                elif got.get(dep, -1) < m:
-                    got[dep] = m
-        # per pattern and stretch: [best end term, its branch, best from another
-        # branch]; ``only`` holds the branch of a pattern met in one branch alone
-        tops: dict[tuple, list[list]] = {}
-        only: dict[tuple, int | None] = {}
-        for (alpha, b), got in groups.items():
-            terms = [max([q * m - p * dep for dep, m in got.items()])
-                     for p, q in _STEPS]
-            top = tops.get(alpha)
-            if top is None:
-                tops[alpha] = [[t, b, -INF] for t in terms]
-                only[alpha] = b
-                continue
-            only[alpha] = None
-            for entry, t in zip(top, terms):
-                if t > entry[0]:
-                    entry[2], entry[0], entry[1] = entry[0], t, b
-                elif t > entry[2]:
-                    entry[2] = t
-        items = list(tops.items())
-        for i, (alpha, ta) in enumerate(items):
-            mine = only[alpha]
-            for j in range(i if mine is None else i + 1, len(items)):
-                beta, tb = items[j]
-                if mine is not None and only[beta] == mine:
-                    continue  # every pair of these two patterns is inside one branch
+
+def _memo(table: dict, step, *key):
+    got = table.get(key)
+    if got is None:
+        got = table[key] = step(*key)
+    return got
+
+
+def _gadget_distances(shape: tuple, inner: tuple, outer: tuple, sources: Iterable[int]) -> list[list]:
+    """Shortest-path rows from ``sources`` (Dijkstra) over the copy's
+    vertices, then each child's up-portals in turn: the copy's edges and
+    bridges at length 1, and each child's inner metric and the copy's
+    outer metric as shortcuts."""
+    size, edges, ups, kids = shape
+    arcs: list[list] = [[] for _ in range(size + sum(n for n, _ in kids))]
+    for i, j in edges:
+        arcs[i].append((j, 1))
+        arcs[j].append((i, 1))
+    spans, base = [(ups, outer)], size
+    for (n, bridges), metric in zip(kids, inner):
+        for i, j in bridges:
+            arcs[i].append((base + j, 1))
+            arcs[base + j].append((i, 1))
+        spans.append((range(base, base + n), metric))
+        base += n
+    for span, metric in spans:
+        for a, row in zip(span, metric):
+            arcs[a].extend([(b, d) for b, d in zip(span, row) if b != a and d != INF])
+    rows = []
+    for s in sources:
+        dist = [INF] * len(arcs)
+        dist[s], heap = 0, [(0, s)]
+        while heap:
+            d, v = heappop(heap)
+            if d == dist[v]:
+                for w, length in arcs[v]:
+                    if d + length < dist[w]:
+                        dist[w] = d + length
+                        heappush(heap, (d + length, w))
+        rows.append(dist)
+    return rows
+
+
+def _inner_metric(shape: tuple, inner: tuple) -> tuple:
+    """The H-metric on a node's up-portals over paths inside its subtree."""
+    ups = shape[2]
+    return tuple(tuple([row[j] for j in ups]) for row in _gadget_distances(shape, inner, (), ups))
+
+
+def _node_metric(shape: tuple, inner: tuple, outer: tuple) -> tuple[tuple, tuple]:
+    """(a_x per vertex x of the copy, its distances to the copy's portals,
+    the vertices with a bridge; per child and portal, the distances to
+    the child's up-portals; the copy's largest distance; the up-portals'
+    places among the portals), which ``_node_pairs`` reads, and each
+    child's outer metric."""
+    size, _, ups, kids = shape
+    rows = _gadget_distances(shape, inner, outer, range(size + sum(n for n, _ in kids)))
+    portals = sorted({*ups, *[i for _, bridges in kids for i, _ in bridges]})
+    own = tuple(tuple([row[s] for s in portals]) for row in rows[:size]) if portals else ()
+    spread = max([max(row[:size]) for row in rows[:size]], default=0)
+    moves, passed, base = [], [], size
+    for n, _ in kids:
+        span = range(base, base + n)
+        moves.append(tuple(tuple([rows[s][t] for t in span]) for s in portals))
+        passed.append(tuple(tuple([rows[t][b] for b in span]) for t in span))
+        base += n
+    return (own, tuple(moves), spread, tuple([portals.index(i) for i in ups])), tuple(passed)
+
+
+def _node_pairs(data: tuple, aggregates: tuple) -> tuple[tuple, tuple]:
+    """Per stretch, the best q*ds - p*dt over pairs whose lowest common
+    node is c, and c's aggregate, from ``_node_metric``'s data for c and
+    its children's aggregates.
+
+    A node's aggregate maps each pattern a_x - min(a_x) over the vertices
+    x of its subtree, with a_x their distances to its up-portals, to its
+    best end term q*min(a_x) - p*dt_x per stretch, dt_x the tree
+    distance from x's node.  A child's aggregate moves to c's portals by
+    min-plus through its distances to them, at one more tree step; the
+    copy over c gives its own a_x.  A path between two of these branches
+    passes a portal s of c, so ds is the least a_x[s] + a_y[s], and q*ds
+    - p*dt splits into q*min(alpha_x + alpha_y) plus the two end terms,
+    and each branch's patterns meet the best terms of the branches
+    before it.  Pairs inside the copy take its largest distance.  c's
+    aggregate is every branch's patterns restricted to its up-portals.
+    """
+    own, moves, spread, up_cols = data
+    branches: list[dict] = [{}]
+    for a in own:
+        m = min(a)
+        _raise(branches[0], tuple([v - m for v in a]), [q * m for _, q in _STEPS])
+    for move, aggregate in zip(moves, aggregates):
+        got: dict = {}
+        for alpha, terms in aggregate:
+            beta = [min(map(add, alpha, row)) for row in move]
+            mb = min(beta)
+            _raise(got, tuple([v - mb for v in beta]),
+                   [t + q * mb - p for t, (p, q) in zip(terms, _STEPS)])
+        branches.append(got)
+    best = [q * spread for _, q in _STEPS]
+    seen: dict = {}  # pattern -> best end terms in the branches so far
+    for got in branches:
+        for beta, tb in got.items():
+            for alpha, ta in seen.items():
                 mm = min(map(add, alpha, beta))
-                for k, (_, q) in enumerate(_STEPS):
-                    v1, b1, v2 = ta[k]
-                    w1, c1, w2 = tb[k]
-                    if i == j:
-                        pair = v1 + v2
-                    elif b1 != c1:
-                        pair = v1 + w1
-                    else:
-                        pair = max(v1 + w2, v2 + w1)
-                    value = q * mm + pair
-                    if value > best[k]:
-                        best[k] = value
+                best = list(map(max, best, [q * mm + a + b for (_, q), a, b in zip(_STEPS, ta, tb)]))
+        for beta, tb in got.items():
+            _raise(seen, beta, tb)
+    up: dict = {}
+    if up_cols:
+        for alpha, terms in seen.items():
+            r = [alpha[j] for j in up_cols]
+            mr = min(r)
+            _raise(up, tuple([v - mr for v in r]), [t + q * mr for t, (_, q) in zip(terms, _STEPS)])
+    return tuple(best), tuple(sorted([(alpha, tuple(terms)) for alpha, terms in up.items()]))
 
-    def _copy_spread(self, c: int, dists: list[dict[int, int]]) -> int:
-        """Largest H-distance between two vertices over node c.
 
-        A shortest path between them stays in the copy, or leaves it
-        through a portal s and costs a_x[s] + a_y[s].
-        """
-        adjacency, node, ms = self.adjacency, self.node, self.members[c]
-        avecs = [[dist[x] for dist in dists] for x in ms]
-        spread = 0
-        for t, x in enumerate(ms):
-            reach = {x: 0}
-            queue = [x]
-            for v in queue:
-                for w in adjacency[v]:
-                    if node[w] == c and w not in reach:
-                        reach[w] = reach[v] + 1
-                        queue.append(w)
-            at = avecs[t]
-            for u in range(t + 1, len(ms)):
-                spread = max(spread, min([reach.get(ms[u], INF), *map(add, at, avecs[u])]))
-        return spread
+def _raise(table: dict, pattern: tuple, terms: list):
+    got = table.get(pattern)
+    table[pattern] = terms if got is None else list(map(max, got, terms))

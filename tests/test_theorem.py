@@ -1,13 +1,14 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import asdimforge as af
-from asdimforge import jsonio
+from asdimforge import jsonio, theorem
 from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
                                 split_copy_vertex)
 from asdimforge.errors import PreconditionError
@@ -487,8 +488,8 @@ def _random_spec_doc(rng) -> dict:
 
 def _shortcut_spec_doc() -> dict:
     """A chain of copies glued along three vertices, in which two vertices of
-    one copy are closer through the next copy than inside their own; a
-    removed centroid's portals must then seed the searches below it."""
+    one copy are closer through the next copy than inside their own; the
+    fit must then measure them with paths that leave the copy."""
     return {
         "name": "shortcut", "actions": {"mode": "trivial"},
         "factors": [
@@ -560,6 +561,43 @@ def test_projection_fit_on_a_stretching_map_is_none(monkeypatch):
         assert len(list(stretched_edges(br))) == stretched
         for margin in range(5):
             assert projection_fit(br, margin) is None
+
+
+def test_projection_fit_reads_the_sum_graph(monkeypatch):
+    """A chord inside one copy of the stage-2 build: no edge is stretched
+    and H stays connected, so the fit is the pair walk's, which sees the
+    chord that the other copies of the same factor lack."""
+    br = _stage2_build()
+    H, leaf = br.sum.graph, br.tree.nodes[0]  # the first node in postorder
+    before = projection_fit(br)
+    copy = [v for v in H.vertices if br.sum.node_of(v) == leaf]
+    chord = (copy[0], copy[-1])
+    assert chord[1] not in H.adjacency[chord[0]]
+    monkeypatch.setattr(br.sum, "graph", af.FiniteGraph(H.vertices, [*H.edges, chord]))
+    assert not list(stretched_edges(br))
+    assert br.sum.graph.is_connected()
+    fit = projection_fit(br)
+    assert _as_triple(fit) == _as_triple(af.fit_qi_constants(projection_map(br)))
+    assert fit.table != before.table
+
+
+def test_projection_fit_work_follows_the_levels(monkeypatch):
+    """Every node of one level of ``c3_k2`` has the same subtree, so from
+    d=8 to d=16, where the tree grows from 91 to 1,531 nodes, the fit's
+    memoised steps run at most once more per extra level."""
+    steps = ("_inner_metric", "_node_metric", "_node_pairs")
+    calls = Counter()
+    for name in steps:
+        step = getattr(theorem, name)
+        monkeypatch.setattr(theorem, name,
+                            lambda *key, step=step, name=name: calls.update([name]) or step(*key))
+    misses = {}
+    for depth in (8, 16):
+        calls.clear()
+        projection_fit(build_doc(triangle_spec_doc(depth)))
+        misses[depth] = dict(calls)
+    assert set(misses[8]) == set(misses[16]) == set(steps)
+    assert sum(misses[16].values()) - sum(misses[8].values()) <= 16 - 8
 
 
 def test_tree_graph(chain6):

@@ -7,13 +7,15 @@ the build and certificate wall times, the time ``jsonio.dumps`` takes to
 serialise the certificate (``write_s``), the child's peak RSS (from
 ``resource``) and the size of what it writes.
 Each report rung does the same with ``cli.build_report``, the projection
-check and distortion fit that ``build`` writes.  Doubling the depth of
-``chain_k2`` doubles its sum graph; two more levels of ``c3_k2`` do the
-same.  ``doubling`` is a rung's certificate (or report) time over the
+check and distortion fit that ``build`` writes, and splits out the parts
+of its time spent in the check (``check_s``, ``cli.projection_report``)
+and in the fit (``fit_s``, ``theorem.projection_fit``).  Doubling the
+depth of ``chain_k2`` doubles its sum graph; two more levels of
+``c3_k2`` do the same.  ``doubling`` is a rung's certificate (or report) time over the
 previous rung's.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
-        --out BENCH_4.json
+        --out BENCH_7.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
 import, so one copy of this script compares commits.  Each checkout's
@@ -43,8 +45,8 @@ LADDER = (
 )
 # (document, depths) of the build report ladder
 REPORT_LADDER = (
-    ("chain_k2", (100, 200, 400, 800)),
-    ("c3_k2", (10, 12, 14, 16)),
+    ("chain_k2", (100, 200, 400, 800, 1600, 3200, 6400)),
+    ("c3_k2", (10, 12, 14, 16, 18, 20)),
 )
 # samples per rung and checkout; a rung's times and RSS are their medians,
 # next to their ranges
@@ -89,6 +91,20 @@ def run_report_rung(name: str, depth: int) -> dict:
 
     from asdimforge import cli, jsonio
 
+    spent = {"check_s": 0.0, "fit_s": 0.0}
+
+    def timed(key, step):
+        def run(*args):
+            start = time.perf_counter()
+            try:
+                return step(*args)
+            finally:
+                spent[key] += time.perf_counter() - start
+        return run
+
+    # ``build_report`` reaches both through ``cli``'s own names
+    cli.projection_report = timed("check_s", cli.projection_report)
+    cli.projection_fit = timed("fit_s", cli.projection_fit)
     t0 = time.perf_counter()
     br = _build(name, depth)
     t1 = time.perf_counter()
@@ -98,7 +114,8 @@ def run_report_rung(name: str, depth: int) -> dict:
     t3 = time.perf_counter()
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
-            "report_s": round(t2 - t1, 3), "write_s": round(t3 - t2, 3),
+            "report_s": round(t2 - t1, 3), "check_s": round(spent["check_s"], 3),
+            "fit_s": round(spent["fit_s"], 3), "write_s": round(t3 - t2, 3),
             "peak_rss_mb": _peak_rss_mb(),
             "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL"}
 
