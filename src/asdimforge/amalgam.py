@@ -155,14 +155,20 @@ class ConnectingTree:
             down.append(parent[down[-1]])
         return tuple(up + down[-2::-1])
 
-    def nodes_within(self, center: str, radius: int) -> tuple[str, ...]:
+    def _ball(self, center: str, radius: int) -> dict[str, int]:
+        """Each node within radius of center and its distance, by the tree's records."""
         self.require_node(center)
-        return tuple(sorted(self._graph.distances_to_set((center,), limit=radius)))
+        ball, ring = {}, [center]
+        for d in range(radius + 1):
+            ball.update(dict.fromkeys(ring, d))
+            ring = [w for u in ring for w in self._incident(u) if w not in ball]
+        return ball
+
+    def nodes_within(self, center: str, radius: int) -> tuple[str, ...]:
+        return tuple(sorted(self._ball(center, radius)))
 
     def nodes_at(self, center: str, radius: int) -> tuple[str, ...]:
-        self.require_node(center)
-        dist = self._graph.distances_to_set((center,), limit=radius)
-        return tuple(sorted(u for u, d in dist.items() if d == radius))
+        return tuple(sorted(u for u, d in self._ball(center, radius).items() if d == radius))
 
     def is_semiregular(self) -> tuple[bool, str]:
         for u in self.nodes:

@@ -18,6 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
+from itertools import accumulate
+from operator import or_
 from typing import Iterable
 
 from .errors import PreconditionError
@@ -55,8 +57,9 @@ class Family:
     @cached_property
     def complement_reach(self) -> tuple[dict[str, int | float] | None, ...]:
         """Per member m, d(x, P minus m) for each point x of m; None when
-        m is the whole space.  Each x runs one search, stopped at the
-        first point outside m it settles."""
+        m is the whole space.  Each x runs one search, which ends as soon
+        as it settles a point outside m, the last one it settled; if that
+        last point is not outside m, the search found none."""
         g, points = self.space.graph, self.space.point_set
         table = []
         for m in self.members:
@@ -67,7 +70,8 @@ class Family:
             row = {}
             for x in m:
                 dist = g.distances_to_set((x,), stop_at=outside)
-                row[x] = min((d for v, d in dist.items() if v in outside), default=INF)
+                last = next(reversed(dist))
+                row[x] = dist[last] if last in outside else INF
             table.append(row)
         return tuple(table)
 
@@ -238,86 +242,110 @@ def _cluster(points: Iterable[str], graph: FiniteGraph, r: int) -> list[frozense
 def exact_min_bound(space: MetricView, r: int, n: int) -> WitnessFamilies:
     """Least D so that n+1 r-disjoint D-bounded families cover the space.
 
-    Exhaustive over vertex colorings (the first vertex is pinned to
-    family 0 since families are interchangeable); each color class is
-    grouped into clusters by transitive distance < r and D is the worst
-    cluster diameter.  Branches are cut as soon as a partial coloring
-    already reaches the best complete value found.  The result is one
-    optimal layering with D as its bound; it is measured only when its
-    violations are asked for.
+    Exhaustive over vertex colorings, the points in ``space.points``
+    order each trying the colors in increasing order; each color class
+    is grouped into clusters by transitive distance < r and D is the
+    worst cluster diameter.  The result, as a layering measured only
+    when its violations are asked for, is the first coloring in that
+    order to reach the least D.  Neither cut loses it: a branch is cut
+    once it reaches the best value found, and a point tries only the
+    first empty color, as a coloring giving it a later one mirrors,
+    under a swap, one with the same D earlier in the order.
     """
+    close, far = _oracle_tables(space, r, n)
+    bound, colors = _first_layering(close, far, n, INF, False)
+    families = tuple(tuple(sorted((frozenset(v for j, v in enumerate(space.points) if mask >> j & 1)
+                                   for mask, _ in clusters), key=sorted)) for clusters in colors)
+    return WitnessFamilies(space, r, families, bound)
+
+
+def exact_min_families(space: MetricView, r: int) -> int:
+    """Least n with exact_min_bound(space, r, n) below r: the first n whose
+    search, cut at r, completes a coloring at all.  Always terminates: with
+    one family per vertex every cluster is a singleton and the bound is 0.
+    """
+    if space.points:
+        close, far = _oracle_tables(space, r, 0)
+        for n in range(len(space)):
+            if _first_layering(close, far, n, r, True) is not None:
+                return n
+    return len(space) - 1
+
+
+def _oracle_tables(space: MetricView, r: int, n: int) -> tuple[list[int], list[list[int]]]:
+    """Per point a, by index in ``space.points``: ``close[a]`` masks the
+    points closer than r to a, and ``far[a][d]`` the reachable points
+    further than d from it, for d below the furthest one's distance."""
     if len(space) > EXACT_CAP:
         raise PreconditionError(f"oracle capped at {EXACT_CAP} vertices, got {len(space)}")
     if r <= 0 or n < 0:
         raise PreconditionError("need r > 0 and n >= 0")
     if not space.points:
         raise PreconditionError("empty space")
-    pts = space.points
-    dist = space.point_rows()
-
-    def pair_d(x: str, y: str) -> int | float:
-        return dist[x].get(y, INF)
-
-    best_bound: int | float = INF
-    best_families: tuple[tuple[Member, ...], ...] | None = None
-
-    # state: per color, list of (cluster frozenset, diameter)
-    def place(v: str, state, color):
-        merged = set([v])
-        diam = 0
-        rest = []
-        for cluster, cdiam in state[color]:
-            if any(pair_d(v, u) < r for u in cluster):
-                merged |= cluster
-                diam = max(diam, cdiam)
-            else:
-                rest.append((cluster, cdiam))
-        for u in merged:
-            du = dist[u]
-            for w in merged:
-                d = du.get(w, INF)
-                if d > diam:
-                    diam = d
-        new_state = list(state)
-        new_state[color] = rest + [(frozenset(merged), diam)]
-        return new_state, diam
-
-    def worst(state) -> int:
-        return max((cd for fam in state for _, cd in fam), default=0)
-
-    def walk(idx: int, state):
-        nonlocal best_bound, best_families
-        if idx == len(pts):
-            w = worst(state)
-            if w < best_bound:
-                best_bound = w
-                best_families = tuple(
-                    tuple(sorted((c for c, _ in fam), key=sorted))
-                    for fam in state)
-            return
-        v = pts[idx]
-        for color in range(n + 1):
-            new_state, diam = place(v, state, color)
-            if max(diam, worst(new_state)) >= best_bound and best_bound is not INF:
-                continue
-            walk(idx + 1, new_state)
-
-    first_state, _ = place(pts[0], [[] for _ in range(n + 1)], 0)
-    walk(1, first_state)
-    assert best_families is not None
-    return WitnessFamilies(space, r, best_families, int(best_bound))
+    close, far = [], []
+    for row in space.point_rows():
+        shells = [0] * (max(filter(INF.__gt__, row)) + 1)  # by finite distance
+        for j, d in enumerate(row):
+            if d < len(shells):
+                shells[d] |= 1 << j
+        close.append(sum(shells[:r]))
+        far.append(list(accumulate(reversed(shells[1:]), or_))[::-1])
+    return close, far
 
 
-def exact_min_families(space: MetricView, r: int) -> int:
-    """Least n with exact_min_bound(space, r, n) below r.
+def _first_layering(close: list[int], far: list[list[int]], n: int,
+                    cap: int | float, first: bool) -> tuple[int, list] | None:
+    """The first coloring in the oracle's order, over n+1 colors, with the
+    least worst diameter below ``cap`` (with ``first``, the first below
+    it), as (bound, per color its clusters); None if there is none.
 
-    Always terminates: with one family per vertex every cluster is a
-    singleton and the bound is 0.
+    A cluster is a bitmask of point indices and its diameter.  Placing
+    point i merges the clusters of its color that meet ``close[i]``; the
+    merged diameter is the largest of the parts' and their cross pairs',
+    read off ``far``.  No merge lowers a diameter, so the worst is carried.
     """
-    for n in range(len(space)):
-        if exact_min_bound(space, r, n).bound < r:
-            return n
-    return len(space) - 1
+    colors: list[list[tuple[int, int]]] = [[] for _ in range(n + 1)]
+    unions = [0] * (n + 1)  # per color, the points it holds
+    best: list = [cap, None]
+
+    def walk(i: int, used: int, worst: int) -> bool:
+        if i == len(close):
+            best[0], best[1] = worst, list(colors)
+            return first
+        near, bit, far_i = close[i], 1 << i, far[i]
+        for c in range(min(used + 1, n + 1)):
+            clusters = colors[c]
+            if unions[c] & near:
+                rest, merged, diam = [], 0, 0
+                for mask, cdiam in clusters:
+                    if not mask & near:
+                        rest.append((mask, cdiam))
+                        continue
+                    diam = cdiam if cdiam > diam else diam
+                    todo = mask if merged else 0  # cross pairs with the earlier parts
+                    while todo:
+                        low = todo & -todo
+                        todo ^= low
+                        far_a = far[low.bit_length() - 1]
+                        while diam < len(far_a) and far_a[diam] & merged:
+                            diam += 1
+                    merged |= mask
+                while diam < len(far_i) and far_i[diam] & merged:
+                    diam += 1
+                rest.append((merged | bit, diam))
+            else:
+                diam, rest = 0, clusters + [(bit, 0)]
+            reach = diam if diam > worst else worst
+            if reach >= best[0]:
+                continue
+            colors[c], unions[c] = rest, unions[c] | bit
+            if walk(i + 1, used + (c == used), reach):
+                return True
+            colors[c], unions[c] = clusters, unions[c] ^ bit
+        return False
+
+    walk(0, 0, 0)
+    return None if best[1] is None else tuple(best)
 
 
 # -- greedy search -----------------------------------------------------------

@@ -287,7 +287,7 @@ class MetricView:
             member_set = graph.require_members(points)
         self.points = tuple(sorted(member_set))
         self.point_set = frozenset(member_set)
-        self._rows: dict[str, dict[str, int]] | None = None
+        self._rows: list[list[int | float]] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -295,8 +295,8 @@ class MetricView:
     def __contains__(self, v: str) -> bool:
         return v in self.point_set
 
-    def point_rows(self) -> dict[str, dict[str, int]]:
-        """Per point, hop counts to every point of the view it reaches.
+    def point_rows(self) -> list[list[int | float]]:
+        """Per point, its hop count to every point, in ``points`` order (INF: none).
 
         Measured on first use, one search per point stopped once all the
         points are settled, and kept with the view: callers that ask one
@@ -304,7 +304,8 @@ class MetricView:
         """
         if self._rows is None:
             g, pts = self.graph, self.points
-            self._rows = {v: g.distances_to_set((v,), until=pts) for v in pts}
+            self._rows = [[dist.get(u, INF) for u in pts]
+                          for dist in (g.distances_to_set((v,), until=pts) for v in pts)]
         return self._rows
 
     def subview(self, points: Iterable[str]) -> "MetricView":

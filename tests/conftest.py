@@ -45,6 +45,65 @@ def projection_map(br: af.BuildResult, margin: int = 0) -> af.VertexMap:
     return af.VertexMap(source, target, {v: br.sum.node_of(v) for v in points})
 
 
+def reference_exact_min_bound(space: af.MetricView, r: int, n: int):
+    """The exact oracle's search as first written, for ``exact_min_bound``
+    to match: (bound, families).  Every coloring with the first point in
+    family 0, each cluster a frozenset re-walked over string-keyed
+    distance rows on every placement, and a branch cut only once it
+    reaches the best complete value found."""
+    pts = space.points
+    dist = {v: space.graph.distances_to_set((v,), until=pts) for v in pts}
+
+    def pair_d(x, y):
+        return dist[x].get(y, af.INF)
+
+    best_bound, best_families = af.INF, None
+
+    def place(v, state, color):
+        merged, diam, rest = {v}, 0, []
+        for cluster, cdiam in state[color]:
+            if any(pair_d(v, u) < r for u in cluster):
+                merged |= cluster
+                diam = max(diam, cdiam)
+            else:
+                rest.append((cluster, cdiam))
+        for u in merged:
+            for w in merged:
+                diam = max(diam, pair_d(u, w))
+        new_state = list(state)
+        new_state[color] = rest + [(frozenset(merged), diam)]
+        return new_state, diam
+
+    def worst(state):
+        return max((cd for fam in state for _, cd in fam), default=0)
+
+    def walk(idx, state):
+        nonlocal best_bound, best_families
+        if idx == len(pts):
+            w = worst(state)
+            if w < best_bound:
+                best_bound = w
+                best_families = tuple(tuple(sorted((c for c, _ in fam), key=sorted))
+                                      for fam in state)
+            return
+        for color in range(n + 1):
+            new_state, diam = place(pts[idx], state, color)
+            if max(diam, worst(new_state)) >= best_bound and best_bound is not af.INF:
+                continue
+            walk(idx + 1, new_state)
+
+    walk(1, place(pts[0], [[] for _ in range(n + 1)], 0)[0])
+    return best_bound, best_families
+
+
+def reference_exact_min_families(space: af.MetricView, r: int) -> int:
+    """Least n whose reference bound is below r, asking every n in turn."""
+    for n in range(len(space)):
+        if reference_exact_min_bound(space, r, n)[0] < r:
+            return n
+    return len(space) - 1
+
+
 def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:
     """Doctor ``br`` so that ``node_of`` puts the copy over each key of
     ``moves`` on its value; other copies stay.  No accepted spec builds

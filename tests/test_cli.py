@@ -383,6 +383,25 @@ def test_oracle_command(tmp_path, capsys):
     assert "D=1" in text and "PASS" in text
 
 
+# sha256 of the oracle's witness documents as the first search wrote them:
+# a faster search must find the same layering
+@pytest.mark.parametrize("doc, r, n, digest", [
+    (path_graph_doc(10), 3, 1,
+     "b8b3a21d13dc1e7ff01a90dc3f5d2304a3c050160adb2970baab92ae77b4716c"),
+    (cycle_graph_doc(12), 2, 1,
+     "24cfc6e3b2d417432d23ddb8b3a5f8f22941b75bc7d764a875ad0a2200d9803d"),
+    (cycle_graph_doc(7), 3, 2,
+     "e07d13195f6b068c6151230a8d0079fb5122c6dd83852ef88e5fb87d4255072c"),
+], ids=["path10", "cycle12", "cycle7"])
+def test_oracle_bytes_are_pinned(tmp_path, capsys, doc, r, n, digest):
+    graph = write_doc(tmp_path, "graph.json", doc)
+    out = tmp_path / "oracle.json"
+    assert cli.main(["oracle", "--spec", graph, "--r", str(r), "--n", str(n),
+                     "--out", str(out)]) == 0
+    assert capsys.readouterr().out.endswith("PASS\n")
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 def test_aut_command(tmp_path, capsys):
     graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
     out = tmp_path / "aut.json"

@@ -10,7 +10,8 @@ from asdimforge.covers import (_block_partition, band_witness, exact_min_bound,
                                exact_min_families)
 from asdimforge.errors import PreconditionError
 
-from conftest import complete_graph, line_graph, ring_graph
+from conftest import (complete_graph, line_graph, reference_exact_min_bound,
+                      reference_exact_min_families, ring_graph)
 
 
 def view(g):
@@ -131,6 +132,48 @@ def test_exact_witness_is_valid_witness(path10_view):
     w = exact_min_bound(path10_view, 3, 1)
     assert w.violations() == []
     assert w.bound == 1
+
+
+def _random_connected_graph(rng, size):
+    """A random spanning tree plus up to ``size`` chords, its vertices handed
+    to the graph in shuffled order under names whose sorted order is not
+    the order the tree grew in."""
+    names = rng.sample([f"x{i:02d}" for i in range(40)], size)
+    edges = [(names[i], names[rng.randrange(i)]) for i in range(1, size)]
+    edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, size))]
+    return af.FiniteGraph(rng.sample(names, size), edges)
+
+
+def _assert_oracle_matches_reference(space):
+    for r in (1, 2, 3, 4):
+        below = []  # the n whose reference bound is below r
+        for n in (0, 1, 2):
+            w = exact_min_bound(space, r, n)
+            bound, families = reference_exact_min_bound(space, r, n)
+            assert (w.bound, w.families) == (bound, families), (space.points, r, n)
+            if bound < r:
+                below.append(n)
+        least = below[0] if below else reference_exact_min_families(space, r)
+        assert exact_min_families(space, r) == least, (space.points, r)
+
+
+def test_exact_oracle_matches_the_reference_search():
+    rng = random.Random(18)
+    for _ in range(300):
+        g = _random_connected_graph(rng, rng.randint(6, 12))
+        assert list(g.vertices) != sorted(g.vertices)
+        _assert_oracle_matches_reference(view(g))
+    # a proper sub-view, measured through the whole graph
+    g = _random_connected_graph(rng, 16)
+    _assert_oracle_matches_reference(af.MetricView(g, rng.sample(g.vertices, 10)))
+    # a view of a disconnected graph: no cluster spans two components
+    parts = line_graph(4), ring_graph(5), complete_graph(2)
+    g = af.FiniteGraph([v for p in parts for v in p.vertices],
+                       [e for p in parts for e in p.edges])
+    assert not g.is_connected()
+    _assert_oracle_matches_reference(view(g))
+    # one point
+    _assert_oracle_matches_reference(view(line_graph(1)))
 
 
 # -- greedy and banded construction ---------------------------------------------

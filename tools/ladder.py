@@ -11,11 +11,16 @@ check and distortion fit that ``build`` writes, and splits out the parts
 of its time spent in the check (``check_s``, ``cli.projection_report``)
 and in the fit (``fit_s``, ``theorem.projection_fit``).  Doubling the
 depth of ``chain_k2`` doubles its sum graph; two more levels of
-``c3_k2`` do the same.  ``doubling`` is a rung's certificate (or report) time over the
-previous rung's.
+``c3_k2`` do the same.  Each oracle rung runs the exact oracle as the
+``small_covers`` workload does, ``covers.exact_min_families`` and then
+``covers.exact_min_bound`` at that family count, at r = 2 and 3, over a
+fixed seeded batch of random connected graphs of one size
+(``oracle_s``); ``answers`` is a sha256 of every answer, so checkouts
+that agree show the same digest.  ``doubling`` is a rung's certificate
+(report, oracle) time over the previous rung's.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
-        --out BENCH_7.json
+        --out BENCH_8.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
 import, so one copy of this script compares commits.  Each checkout's
@@ -30,6 +35,7 @@ ranges show by how much.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -48,6 +54,9 @@ REPORT_LADDER = (
     ("chain_k2", (100, 200, 400, 800, 1600, 3200, 6400)),
     ("c3_k2", (10, 12, 14, 16, 18, 20)),
 )
+# (vertices, graphs) of the oracle ladder: batches of seeded random
+# connected graphs, each sized to take at least 0.2 s at commit 4e0eec5
+ORACLE_LADDER = ((8, 240), (10, 120), (12, 80))
 # samples per rung and checkout; a rung's times and RSS are their medians,
 # next to their ranges
 REPEAT = 5
@@ -120,6 +129,37 @@ def run_report_rung(name: str, depth: int) -> dict:
             "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL"}
 
 
+def _random_connected_graph(rng, size: int):
+    """A random spanning tree on ``size`` vertices plus up to ``size`` chords."""
+    from asdimforge import graphs
+
+    names = [f"v{i:02d}" for i in range(size)]
+    edges = [(names[i], names[rng.randrange(i)]) for i in range(1, size)]
+    edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, size))]
+    return graphs.FiniteGraph(names, edges)
+
+
+def run_oracle_rung(name: str, vertices: int, count: int) -> dict:
+    """Child side: the exact oracle on one batch of random graphs, in this process."""
+    import random
+    import time
+
+    from asdimforge import covers, graphs
+
+    rng = random.Random(vertices)
+    views = [graphs.MetricView(_random_connected_graph(rng, vertices)) for _ in range(count)]
+    answers = []
+    t0 = time.perf_counter()
+    for view in views:
+        for r in (2, 3):
+            n = covers.exact_min_families(view, r)
+            answers.append((r, n, covers.exact_min_bound(view, r, n)))
+    t1 = time.perf_counter()
+    text = json.dumps([(r, n, w.to_json_dict()) for r, n, w in answers])
+    return {"oracle_s": round(t1 - t0, 3), "peak_rss_mb": _peak_rss_mb(),
+            "answers": hashlib.sha256(text.encode()).hexdigest()}
+
+
 def sample(root: Path, rung: tuple) -> dict:
     """Parent side: one rung in a fresh child importing ``root/src``."""
     out = subprocess.run(
@@ -139,7 +179,10 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
             for label, root in roots.items():
                 samples[label].append(sample(root, rung))
         for label, got in samples.items():
-            row = {"build": rung[1], "depth": rung[2]}
+            if rung[0] == "oracle":
+                row = {"build": rung[1], "vertices": rung[2], "graphs": rung[3]}
+            else:
+                row = {"build": rung[1], "depth": rung[2]}
             if rung[0] == "certificate":
                 row.update(R=rung[3], r=rung[4])
             for key, value in got[0].items():
@@ -161,7 +204,8 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--rung"]:  # a child: one rung, printed as JSON
         kind, name, *numbers = argv[1:]
-        run = {"certificate": run_rung, "report": run_report_rung}[kind]
+        run = {"certificate": run_rung, "report": run_report_rung,
+               "oracle": run_oracle_rung}[kind]
         print(json.dumps(run(name, *map(int, numbers))))
         return 0
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
@@ -184,12 +228,15 @@ def main(argv=None) -> int:
     reports = run_ladder(roots, [("report", name, depth)
                                  for name, depths in REPORT_LADDER
                                  for depth in depths], "report_s")
-    doc = {"ladder": "run_certificate and build_report per rung, "
+    oracles = run_ladder(roots, [("oracle", "random_connected", vertices, count)
+                                 for vertices, count in ORACLE_LADDER], "oracle_s")
+    doc = {"ladder": "run_certificate, build_report and the exact oracle per rung, "
                      "each sample in a fresh process",
            "host": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
            "repeat": REPEAT,
-           "runs": {label: {"rungs": certificates[label], "report_rungs": reports[label]}
+           "runs": {label: {"rungs": certificates[label], "report_rungs": reports[label],
+                            "oracle_rungs": oracles[label]}
                     for label in roots}}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
