@@ -16,7 +16,7 @@ from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
                      load_graph, nearest_point_map, relabel_sorted)
 from .groups import GroupAction, compute_automorphisms
 from .theorem import (BaseBlocks, Block, LemmaStrip, ProofParameters, Stage,
-                      SymmetryMap, TheoremCertificate, assemble_partition,
+                      SymmetryMap, SymmetryWalk, TheoremCertificate, assemble_partition,
                       base_blocks, build_symmetry_map, lemma_strip,
                       projection_fit, run_certificate, safe_vertices, strata,
                       theorem_bound, translation_sites, tree_graph,

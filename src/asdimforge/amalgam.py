@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .errors import ConfigError, PreconditionError
@@ -132,6 +133,17 @@ class ConnectingTree:
     @cached_property
     def _graph(self) -> FiniteGraph:
         return FiniteGraph(self.nodes, self.edges())
+
+    @cached_property
+    def neighbour(self) -> dict[tuple[str, str], str]:
+        """(node, label) -> the node across the edge that label leaves by.
+        Where a node uses a label twice, the parent edge comes first, then
+        the first child."""
+        out = {(u, self.out_label[(u, p)]): p for u, p in self.parent.items()}
+        for u in self.nodes:
+            for w in self.children.get(u, ()):
+                out.setdefault((u, self.out_label[(u, w)]), w)
+        return out
 
     def return_label(self, u: str) -> str | None:
         """Label of the edge from u toward its parent."""
@@ -413,7 +425,12 @@ def split_copy_vertex(vid: str) -> tuple[str, str]:
 
 
 class SumGraph:
-    """Disjoint factor copies on the tree nodes plus bridging edges."""
+    """Disjoint factor copies on the tree nodes plus bridging edges.
+
+    ``copies`` lists each node's copy, the vertices of its own graph that
+    ``node_of`` puts over the node, in the graph's order: in a built sum
+    graph, position i of a copy holds the i-th vertex of its factor.
+    """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
                  factors: tuple[FiniteGraph, FiniteGraph],
@@ -428,10 +445,17 @@ class SumGraph:
     def node_of(self, vid: str) -> str:
         return split_copy_vertex(vid)[0]
 
+    @cached_property
+    def copies(self) -> dict[str, tuple[str, ...]]:
+        out: dict[str, list[str]] = {}
+        node_of = self.node_of
+        for v in self.graph.vertices:
+            out.setdefault(node_of(v), []).append(v)
+        return {u: tuple(vs) for u, vs in out.items()}
+
     def copy_vertices(self, node: str) -> tuple[str, ...]:
         self.tree.require_node(node)
-        side = self.tree.node_side[node]
-        return tuple(copy_vertex(node, x) for x in self.factors[side - 1].vertices)
+        return self.copies.get(node, ())
 
     def adhesion_copy(self, node: str, label: str) -> frozenset[str]:
         self.tree.require_node(node)
@@ -439,8 +463,8 @@ class SumGraph:
         return frozenset(copy_vertex(node, x) for x in self.adhesions[side - 1][label])
 
     def vertices_over(self, nodes: Iterable[str]) -> frozenset[str]:
-        nodes = frozenset(nodes)
-        return frozenset(v for v in self.graph.vertices if self.node_of(v) in nodes)
+        copies = self.copies
+        return frozenset(chain.from_iterable(copies.get(u, ()) for u in frozenset(nodes)))
 
 
 def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,

@@ -263,12 +263,12 @@ def exact_min_families(space: MetricView, r: int) -> int:
     """Least n with exact_min_bound(space, r, n) below r: the first n whose
     search, cut at r, completes a coloring at all.  Always terminates: with
     one family per vertex every cluster is a singleton and the bound is 0.
+    An empty space raises, as ``exact_min_bound`` does.
     """
-    if space.points:
-        close, far = _oracle_tables(space, r, 0)
-        for n in range(len(space)):
-            if _first_layering(close, far, n, r, True) is not None:
-                return n
+    close, far = _oracle_tables(space, r, 0)
+    for n in range(len(space)):
+        if _first_layering(close, far, n, r, True) is not None:
+            return n
     return len(space) - 1
 
 

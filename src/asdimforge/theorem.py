@@ -10,14 +10,13 @@ re-audit from the raw numbers.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
-                      ConnectingTree, SumGraph, copy_vertex, split_copy_vertex)
+                      ConnectingTree, SumGraph)
 from .covers import (Cover, band_witness, greedy_witness, lebesgue_number,
                      multiplicity)
 from .errors import PreconditionError
@@ -81,7 +80,8 @@ def translation_sites(tree: ConnectingTree, params: ProofParameters) -> tuple[st
 
 def safe_nodes(tree: ConnectingTree, params: ProofParameters) -> tuple[str, ...]:
     keep = tree.depth - params.r
-    return tuple(u for u in tree.nodes if tree.node_depth(u) <= keep)
+    level = tree.level
+    return tuple(u for u in tree.nodes if level[u] <= keep)
 
 
 def safe_vertices(h: SumGraph, params: ProofParameters) -> frozenset[str]:
@@ -209,7 +209,9 @@ class Block:
 
 
 def _edges_inside(graph: FiniteGraph, members: frozenset[str]) -> tuple[tuple[str, str], ...]:
-    return tuple((a, b) for a, b in graph.edges if a in members and b in members)
+    """The edges of the graph with both ends in members, in ``graph.edges`` order."""
+    adjacency = graph.adjacency
+    return tuple(sorted((a, b) for a in members for b in adjacency[a] if a < b and b in members))
 
 
 @dataclass(frozen=True)
@@ -225,7 +227,7 @@ class BaseBlocks:
     shell_fit: QiFit | None
 
 
-def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
+def base_blocks(walk: SymmetryWalk, params: ProofParameters) -> BaseBlocks:
     """Carve the root block out of the glued truncation.
 
     The core is the union of representative boundary copies at the
@@ -237,12 +239,16 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
     working block then forgets edges running inside the shell, so that
     translated blocks can only interface through shell material.
 
-    Frontier nodes therefore need recentering maps; the same
-    precondition failures as ``build_symmetry_map`` apply when the
-    symmetry data cannot be transported that far.
+    Frontier nodes therefore need recentering maps, read off the walk
+    (whose radius is r) as every site's are; the same precondition
+    failures as ``build_symmetry_map`` apply when the symmetry data
+    cannot be transported that far.
     """
+    br = walk.br
     h, tree, H = br.sum, br.tree, br.sum.graph
     R, r = params.R, params.r
+    if walk.radius != r:
+        raise PreconditionError("the symmetry walk must stop at the block radius")
     pieces = [h.adhesion_copy(ROOT, k) for k in br.reps1]
     if not pieces:
         raise PreconditionError("no representative boundary copies at the root")
@@ -258,7 +264,7 @@ def base_blocks(br: BuildResult, params: ProofParameters) -> BaseBlocks:
         if tree.node_side[v] != 1:
             raise PreconditionError(
                 "fringe nodes must carry the first factor; is the block radius even?")
-        anchor, _ = build_symmetry_map(br, v, r).carry(core)
+        anchor, _ = build_symmetry_map(walk, v).carry(core)
         fringe |= H.ball(anchor, R) & frozenset(h.copy_vertices(v))
     u_vertices = frozenset(main) | fringe
     u_edges = _edges_inside(H, u_vertices)
@@ -323,36 +329,78 @@ def _image_label(adh: AdhesionFamily, g: Mapping[str, str], k: str, u: str) -> s
         f"image at {u!r} is not itself a boundary set")
 
 
-def build_symmetry_map(br: BuildResult, t: str, radius: int) -> SymmetryMap:
+class SymmetryWalk:
+    """What every symmetry map of one build down to one tree level reads.
+
+    The walk from the root to level ``radius`` is the same at every site;
+    only the symmetries along it differ.  So the root ball's walk program
+    (its nodes in walk order, each with its parent and the labels of the
+    edge between them), its sorted edges in H, and the step tables are
+    built once and shared by every site and fringe node.  A step depends
+    only on the current symmetry and the four labels involved, so the
+    tables hold (side, element index, k) -> k_img and (side, element
+    index, k, ell, k_img, ell_img) -> the next element index, each filled
+    on first use, and per (side, element index) the permutation of copy
+    positions the element induces.
+    """
+
+    def __init__(self, br: BuildResult, radius: int):
+        tree = br.tree
+        self.br, self.radius = br, radius
+        self.near = tree.nodes_within(ROOT, radius)
+        side_of, out_label, level = tree.node_side, tree.out_label, tree.level
+        # (w, its parent u, u's side, k = u's label for w, ell = w's for u),
+        # level by level as a breadth-first walk from the root meets them
+        self.program: list[tuple[str, str, int, str, str]] = []
+        ring = [ROOT]
+        while ring and level[ring[0]] < radius:
+            steps = [(w, u, side_of[u], out_label[(u, w)], out_label[(w, u)])
+                     for u in ring for w in tree.children[u]]
+            self.program += steps
+            ring = [w for w, *_ in steps]
+        self.edges = _edges_inside(br.sum.graph, br.sum.vertices_over(self.near))
+        self.elements = (br.spec.action1.elements, br.spec.action2.elements)
+        self.image_label: dict[tuple, str] = {}
+        self.next_step: dict[tuple, int] = {}
+        self.positions: dict[tuple[int, int], tuple[int, ...]] = {}
+
+    def permutation(self, side: int, e: int) -> tuple[int, ...]:
+        """Position i of a side's copy -> the position its element image takes."""
+        got = self.positions.get((side, e))
+        if got is None:
+            factor = self.br.sum.factors[side - 1].vertices
+            where = {x: i for i, x in enumerate(factor)}
+            g = self.elements[side - 1][e]
+            got = self.positions[side, e] = tuple([where[g[x]] for x in factor])
+        return got
+
+
+def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
     """Recenter the root picture at node t, one factor symmetry per node.
 
     Starting from a symmetry that carries the representative boundary
     set onto the set t enters through, the builder walks the tree from
-    the root down to level ``radius``: across each edge it reads off
-    where the current symmetry sends the edge's boundary set, follows
-    the like-labeled edge on the image side, and extends the walk with
-    a symmetry of the next factor that matches the bonding transfer.
-    No such symmetry means the declared actions cannot support the
-    translation and the builder raises.  The map, and its edge and
-    injectivity checks, cover the nodes of level at most ``radius``.
-
-    Each step depends only on the current symmetry and the four labels
-    involved, so the walk looks steps up in a table filled on first
-    use.
+    the root down to level ``walk.radius``: across each edge it reads
+    off where the current symmetry sends the edge's boundary set,
+    follows the like-labeled edge on the image side, and extends the
+    walk with a symmetry of the next factor that matches the bonding
+    transfer.  No such symmetry means the declared actions cannot
+    support the translation and the builder raises.  The map, and its
+    edge and injectivity checks, cover the nodes of level at most the
+    radius.  Every step, and each copy's image, is read off the walk's
+    shared tables (see ``SymmetryWalk``).
     """
+    br = walk.br
     tree, h = br.tree, br.sum
     tree.require_node(t)
-    H = h.graph
-    elements = (br.spec.action1.elements, br.spec.action2.elements)
-    adhesions = (br.spec.adh1, br.spec.adh2)
-    level = tree.level
+    copies = h.copies
     if t == ROOT:
-        near = tree.nodes_within(ROOT, radius)
-        vmap = {v: v for u in near for v in h.copy_vertices(u)}
-        return SymmetryMap(t, {u: u for u in near}, vmap,
-                           True, True, "identity")
+        vmap = {v: v for u in walk.near for v in copies.get(u, ())}
+        return SymmetryMap(t, {u: u for u in walk.near}, vmap, True, True, "identity")
     if tree.node_side[t] != 1:
         raise PreconditionError("translation sites must carry the first factor")
+    elements = walk.elements
+    adhesions = (br.spec.adh1, br.spec.adh2)
     m_t = tree.return_label(t)
     rho = br.rep_map1.get(m_t)
     if rho is None:
@@ -364,67 +412,51 @@ def build_symmetry_map(br: BuildResult, t: str, radius: int) -> SymmetryMap:
     if e_root is None:
         raise PreconditionError(
             f"no factor symmetry carries the {rho!r} boundary set onto the {m_t!r} set")
-    # (side, element, k) -> k_img; (side, element, k, ell, k_img, ell_img)
-    # -> the next element
-    image_label: dict[tuple, str] = {}
-    next_step: dict[tuple, int] = {}
-    side_of, out_label, parent, children = (tree.node_side, tree.out_label, tree.parent,
-                                            tree.children)
+    image_label, next_step = walk.image_label, walk.next_step
+    neighbour, out_label = tree.neighbour, tree.out_label
     node_map: dict[str, str] = {ROOT: t}
     elem: dict[str, int] = {ROOT: e_root}
-    perm: dict[str, Mapping[str, str]] = {ROOT: elements[0][e_root]}
-    queue = deque([ROOT])
     dropped = 0
-    while queue:
-        u = queue.popleft()
-        if level[u] == radius:
+    for w, u, side_u, k, ell in walk.program:
+        u_img = node_map.get(u)
+        if u_img is None:  # under a truncated subtree
             continue
-        e_u = elem[u]
-        u_img = node_map[u]
-        side_u = side_of[u]
-        for w in children[u]:
-            k = out_label[(u, w)]
-            key = (side_u, e_u, k)
-            k_img = image_label.get(key)
-            if k_img is None:
-                k_img = image_label[key] = _image_label(
-                    adhesions[side_u - 1], perm[u], k, u)
-            # the like-labeled edge at the image: up to its parent or down
-            p_img = parent.get(u_img)
-            if p_img is not None and out_label[(u_img, p_img)] == k_img:
-                w_img = p_img
-            else:
-                w_img = next((c for c in children[u_img] if out_label[(u_img, c)] == k_img),
-                             None)
-                if w_img is None:
-                    dropped += 1
-                    continue
-            step = key + (out_label[(w, u)], k_img, out_label[(w_img, u_img)])
-            e_w = next_step.get(step)
-            if e_w is None:
-                e_w = next_step[step] = _extend(br.spec, step, w)
-            node_map[w] = w_img
-            elem[w] = e_w
-            perm[w] = elements[2 - side_u][e_w]
-            queue.append(w)
-    # copy vertex u:x goes to node_map[u]:g_u(x), in walk order, then
-    # factor vertex order
-    vmap = {copy_vertex(u, x): copy_vertex(u_img, perm[u][x])
-            for u, u_img in node_map.items()
-            for x in h.factors[side_of[u] - 1].vertices}
+        key = (side_u, elem[u], k)
+        k_img = image_label.get(key)
+        if k_img is None:
+            k_img = image_label[key] = _image_label(
+                adhesions[side_u - 1], elements[side_u - 1][key[1]], k, u)
+        # the like-labeled edge at the image: up to its parent or down
+        w_img = neighbour.get((u_img, k_img))
+        if w_img is None:
+            dropped += 1
+            continue
+        step = key + (ell, k_img, out_label[(w_img, u_img)])
+        e_w = next_step.get(step)
+        if e_w is None:
+            e_w = next_step[step] = _extend(br.spec, step, w)
+        node_map[w] = w_img
+        elem[w] = e_w
+    # copy vertex i over u goes to vertex g_u(i) over node_map[u], in walk
+    # order, then copy order
+    vmap: dict[str, str] = {}
+    side_of = tree.node_side
+    for u, u_img in node_map.items():
+        image = copies[u_img]
+        vmap.update(zip(copies[u], map(image.__getitem__,
+                                       walk.permutation(side_of[u], elem[u]))))
     injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
-    # the scan covers the mapped region only and reports its least edge
-    # that lands on a non-edge
-    adjacency = H.adjacency
-    bad = min(((a, b) for a in vmap for b in adjacency[a]
-               if a < b and b in vmap and vmap[b] not in adjacency[vmap[a]]),
-              default=None)
-    if bad is not None:
-        a, b = bad
-        edge_ok = False
-        detail = f"edge ({a}, {b}) maps to a non-edge ({vmap[a]}, {vmap[b]})"
+    # the root ball's edges in sorted order: the first that lands on a
+    # non-edge is the least such edge of the mapped region
+    adjacency = h.graph.adjacency
+    for a, b in walk.edges:
+        fa, fb = vmap.get(a), vmap.get(b)
+        if fa is not None and fb is not None and fb not in adjacency[fa]:
+            edge_ok = False
+            detail = f"edge ({a}, {b}) maps to a non-edge ({fa}, {fb})"
+            break
     return SymmetryMap(t, node_map, vmap, edge_ok, injective, detail)
 
 
@@ -451,6 +483,13 @@ def _extend(spec: AmalgamationSpec, step: tuple, w: str) -> int:
 
 def _ordered(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a <= b else (b, a)
+
+
+def _by_node(h: SumGraph, vids: Iterable[str]) -> dict[str, list[str]]:
+    out: dict[str, list[str]] = {}
+    for v in vids:
+        out.setdefault(h.node_of(v), []).append(v)
+    return out
 
 
 @dataclass(frozen=True)
@@ -485,24 +524,23 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     """
     h, tree, H = br.sum, br.tree, br.sum.graph
     preorder = tree.preorder
+    # a map sends a copy to a copy, so the block and the shell are clipped
+    # node by node: each is grouped by node once
+    block_over, shell_over = _by_node(h, base.w_r.vertices), _by_node(h, base.shell)
     members = [base.w0]
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
         # the image keeps what lands in the site's subtree, a preorder run
         lo, hi = preorder[sm.site], tree.subtree_end[sm.site]
-        image = {}
-        for v in base.w_r.vertices:
-            w = sm.vertex_map.get(v)
-            if w is not None and lo <= preorder[split_copy_vertex(w)[0]] < hi:
-                image[v] = w
-        verts = frozenset(image.values())
+        node_map, vmap = sm.node_map, sm.vertex_map
+        kept = {u for u, u_img in node_map.items() if lo <= preorder[u_img] < hi}
+        image = {v: vmap[v] for u in kept.intersection(block_over) for v in block_over[u]}
         edges = tuple(sorted(_ordered(image[a], image[b])
                              for a, b in base.w_r.edges
                              if a in image and b in image))
-        members.append(Block(f"W@{sm.site}", verts, edges))
-        shell_img, _ = sm.carry(base.shell)
-        shells[sm.site] = frozenset(
-            w for w in shell_img if lo <= preorder[split_copy_vertex(w)[0]] < hi)
+        members.append(Block(f"W@{sm.site}", frozenset(image.values()), edges))
+        shells[sm.site] = frozenset(vmap[v] for u in kept.intersection(shell_over)
+                                    for v in shell_over[u])
     shell_union = frozenset().union(*shells.values()) if shells else frozenset()
     safe = safe_vertices(h, params)
     covered = frozenset().union(*(b.vertices for b in members))
@@ -699,7 +737,7 @@ def _witness_for(view: MetricView, r: int, n: int):
 def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
     """A key on which a block's ``uniform_asdim_blocks`` row depends.
 
-    With rho the eccentricity of the least point within P, the key is
+    With rho the eccentricity of the greatest point within P, the key is
     (|P|, rho, the sorted edges of H inside the ball B(P, rho)), with
     the points labeled first in sorted order and the rest of the ball in
     search order.  A block with a point out of reach keys on its ids, so
@@ -709,14 +747,18 @@ def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
         distances only at points of P, and compare a bounded search's
         values only against r, so the row is a function of P's
         H-distance matrix in sorted-id order;
-    (b) every two points of P are at most 2 rho apart, and a shortest
-        path of that length stays inside B(P, rho);
+    (b) every two points x, y of P are at most 2 rho apart, through the
+        greatest point p, and each vertex of a shortest x-y path is
+        within rho of x or of y, so the path stays inside B(P, rho); any
+        point of P would do, and the greatest is taken because postorder
+        names a site's own copy last, so p sits at the block's centre
+        and rho is about half the eccentricity of a deepest leaf;
     (c) equal keys give an isomorphism of the two induced ball
         subgraphs that keeps the point order, so by (b) the distance
         matrices are equal, and by (a) so are the rows.
     """
     order = sorted(points)
-    reach = H.distances_to_set((order[0],), until=points)
+    reach = H.distances_to_set((order[-1],), until=points)
     rho = max(reach.get(v, INF) for v in order)
     if rho == INF:
         return ("unreachable", tuple(order))
@@ -754,7 +796,8 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
         "target_families": n,
     }))
 
-    base = base_blocks(br, params)
+    walk = SymmetryWalk(br, r)
+    base = base_blocks(walk, params)
     base_ok = (bool(base.shell)
                and _fit_small(base.core_fit, R)
                and _fit_small(base.shell_fit, R))
@@ -774,7 +817,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     maps = []
     per_site = {}
     for t in sites:
-        sm = build_symmetry_map(br, t, r)
+        sm = build_symmetry_map(walk, t)
         per_site[sm.site] = {"nodes": len(sm.node_map),
                              "vertices": len(sm.vertex_map),
                              "edge_ok": sm.edge_ok,

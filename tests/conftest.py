@@ -6,11 +6,15 @@ the same objects, which also exercises result reuse.
 
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 import asdimforge as af
+from asdimforge.amalgam import ROOT, copy_vertex, split_copy_vertex
 from asdimforge.fixtures import (chain_spec_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
+from asdimforge.theorem import _extend, _image_label
 
 
 def line_graph(n: int, prefix: str = "p") -> af.FiniteGraph:
@@ -102,6 +106,101 @@ def reference_exact_min_families(space: af.MetricView, r: int) -> int:
         if reference_exact_min_bound(space, r, n)[0] < r:
             return n
     return len(space) - 1
+
+
+def reference_symmetry_map(br: af.BuildResult, t: str, radius: int):
+    """One site's walk on tables of its own, for ``build_symmetry_map`` to
+    match: (node_map, vertex_map, edge_ok, injective, detail).
+
+    The walk fills its own step tables, scans the image's children for
+    each label, writes two id strings per mapped vertex and takes the
+    least edge of the mapped region that lands on a non-edge.
+    """
+    tree, h = br.tree, br.sum
+    H = h.graph
+    elements = (br.spec.action1.elements, br.spec.action2.elements)
+    adhesions = (br.spec.adh1, br.spec.adh2)
+    level = tree.level
+    if t == ROOT:
+        near = tree.nodes_within(ROOT, radius)
+        vmap = {v: v for u in near for v in h.copy_vertices(u)}
+        return {u: u for u in near}, vmap, True, True, "identity"
+    m_t = tree.return_label(t)
+    rho = br.rep_map1[m_t]
+    adh1 = adhesions[0]
+    e_root = next(i for i, g in enumerate(elements[0])
+                  if frozenset(g[x] for x in adh1[rho]) == adh1[m_t])
+    image_label: dict[tuple, str] = {}
+    next_step: dict[tuple, int] = {}
+    side_of, out_label, parent, children = (tree.node_side, tree.out_label, tree.parent,
+                                            tree.children)
+    node_map, elem = {ROOT: t}, {ROOT: e_root}
+    perm = {ROOT: elements[0][e_root]}
+    queue = deque([ROOT])
+    dropped = 0
+    while queue:
+        u = queue.popleft()
+        if level[u] == radius:
+            continue
+        e_u, u_img, side_u = elem[u], node_map[u], side_of[u]
+        for w in children[u]:
+            k = out_label[(u, w)]
+            key = (side_u, e_u, k)
+            k_img = image_label.get(key)
+            if k_img is None:
+                k_img = image_label[key] = _image_label(adhesions[side_u - 1], perm[u], k, u)
+            p_img = parent.get(u_img)
+            if p_img is not None and out_label[(u_img, p_img)] == k_img:
+                w_img = p_img
+            else:
+                w_img = next((c for c in children[u_img] if out_label[(u_img, c)] == k_img),
+                             None)
+                if w_img is None:
+                    dropped += 1
+                    continue
+            step = key + (out_label[(w, u)], k_img, out_label[(w_img, u_img)])
+            e_w = next_step.get(step)
+            if e_w is None:
+                e_w = next_step[step] = _extend(br.spec, step, w)
+            node_map[w], elem[w] = w_img, e_w
+            perm[w] = elements[2 - side_u][e_w]
+            queue.append(w)
+    vmap = {copy_vertex(u, x): copy_vertex(u_img, perm[u][x])
+            for u, u_img in node_map.items()
+            for x in h.factors[side_of[u] - 1].vertices}
+    injective = len(set(vmap.values())) == len(vmap)
+    edge_ok = True
+    detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
+    adjacency = H.adjacency
+    bad = min(((a, b) for a in vmap for b in adjacency[a]
+               if a < b and b in vmap and vmap[b] not in adjacency[vmap[a]]),
+              default=None)
+    if bad is not None:
+        a, b = bad
+        edge_ok = False
+        detail = f"edge ({a}, {b}) maps to a non-edge ({vmap[a]}, {vmap[b]})"
+    return node_map, vmap, edge_ok, injective, detail
+
+
+def reference_partition(br: af.BuildResult, base, maps) -> tuple[list, dict]:
+    """Each map's image of the working block and of the shell, clipped to
+    the site's subtree vertex by vertex, each image id split for its
+    node, for ``assemble_partition`` to match: the members after W0 as
+    ``Block``s, and the shells."""
+    tree = br.tree
+    members, shells = [], {}
+    for sm in maps:
+        lo, hi = tree.preorder[sm.site], tree.subtree_end[sm.site]
+
+        def inside(w):
+            return lo <= tree.preorder[split_copy_vertex(w)[0]] < hi
+        image = {v: w for v in base.w_r.vertices
+                 if (w := sm.vertex_map.get(v)) is not None and inside(w)}
+        edges = tuple(sorted(tuple(sorted((image[a], image[b])))
+                             for a, b in base.w_r.edges if a in image and b in image))
+        members.append(af.Block(f"W@{sm.site}", frozenset(image.values()), edges))
+        shells[sm.site] = frozenset(w for w in sm.carry(base.shell)[0] if inside(w))
+    return members, shells
 
 
 def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:

@@ -153,6 +153,27 @@ def test_tree_entry_and_return_labels():
     assert t.parent[grand] == child
 
 
+def test_tree_neighbour_by_label():
+    for tree in (numbered_tree(3, 2, 4), numbered_tree(2, 2, 5, type2_J=["0"])):
+        for u, w in tree.edges():
+            assert tree.neighbour[(u, tree.out_label[(u, w)])] == w
+            assert tree.neighbour[(w, tree.out_label[(w, u)])] == u
+        assert len(tree.neighbour) == 2 * (len(tree.nodes) - 1)
+    # a hand-built tree whose nodes use a label twice: the parent edge
+    # comes first, then the first child
+    nodes = ("n0", "n1", "n2", "t1")
+    parent = {"n0": "n1", "n1": "t1", "n2": "t1"}
+    children = {"t1": ("n1", "n2"), "n1": ("n0",), "n0": (), "n2": ()}
+    out_label = {("t1", "n1"): "0", ("t1", "n2"): "0", ("n1", "t1"): "0",
+                 ("n1", "n0"): "0", ("n0", "n1"): "0", ("n2", "t1"): "0"}
+    tree = af.ConnectingTree(("0",), ("0",), 2, nodes, {"t1": 1, "n1": 2, "n2": 2, "n0": 1},
+                             parent, children, out_label, {"t1": 0, "n1": 1, "n2": 1, "n0": 2},
+                             {"t1": 0, "n1": 1, "n0": 2, "n2": 3},
+                             {"t1": 4, "n1": 3, "n0": 3, "n2": 4}, None)
+    assert tree.neighbour == {("t1", "0"): "n1", ("n1", "0"): "t1", ("n0", "0"): "n1",
+                              ("n2", "0"): "t1"}
+
+
 def test_tree_rejects_bad_labels():
     with pytest.raises(ConfigError):
         build_connecting_tree(["a/b", "c"], ["0", "1"], 2)

@@ -176,6 +176,14 @@ def test_exact_oracle_matches_the_reference_search():
     _assert_oracle_matches_reference(view(line_graph(1)))
 
 
+def test_exact_oracle_and_greedy_reject_an_empty_view():
+    empty = af.MetricView(line_graph(3), [])
+    for ask in (lambda: exact_min_families(empty, 2), lambda: exact_min_bound(empty, 2, 0),
+                lambda: af.greedy_witness(empty, 2, 0)):
+        with pytest.raises(PreconditionError, match="empty space"):
+            ask()
+
+
 # -- greedy and banded construction ---------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
+import copy
 import random
 from collections import Counter
 from dataclasses import replace
@@ -14,13 +15,15 @@ from asdimforge.amalgam import (ROOT, AmalgamationSpec, SumGraph, copy_vertex,
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import (chain_spec_doc, next_stage_doc, triangle_spec_doc,
                                  type2_spec_doc)
-from asdimforge.theorem import (ProofParameters, _witness_for, assemble_partition,
-                                base_blocks, block_shape, build_symmetry_map,
-                                lemma_strip, projection_fit, run_certificate,
-                                safe_nodes, strata, stretched_edges, theorem_bound,
-                                translation_sites, tree_graph, verify_separation)
+from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
+                                assemble_partition, base_blocks, block_shape,
+                                build_symmetry_map, lemma_strip, projection_fit,
+                                run_certificate, safe_nodes, strata, stretched_edges,
+                                theorem_bound, translation_sites, tree_graph,
+                                verify_separation)
 
-from conftest import build_doc, label_paths, path_ids, projection_map, remap_nodes
+from conftest import (build_doc, label_paths, path_ids, projection_map, reference_partition,
+                      reference_symmetry_map, remap_nodes)
 
 
 # -- parameters ------------------------------------------------------------------
@@ -108,7 +111,7 @@ def test_lemma_strip_on_triangle(triangle8):
 
 def test_base_blocks_chain(chain20):
     params = ProofParameters(R=2, r=10, depth=20)
-    base = base_blocks(chain20, params)
+    base = base_blocks(SymmetryWalk(chain20, params.r), params)
     assert base.core == frozenset({"t1:a"})
     assert len(base.shell) == 2
     assert len(base.w0.vertices) == 5
@@ -117,18 +120,20 @@ def test_base_blocks_chain(chain20):
     assert base.w_r.edges == base.u_r.edges
     assert base.core_fit.feasible and base.core_fit.c <= 2
     assert base.shell_fit.feasible and base.shell_fit.c <= 2
+    with pytest.raises(PreconditionError, match="block radius"):
+        base_blocks(SymmetryWalk(chain20, 8), params)
 
 
 def test_base_blocks_zero_radius(chain20):
     params = ProofParameters(R=0, r=2, depth=20)
-    base = base_blocks(chain20, params)
+    base = base_blocks(SymmetryWalk(chain20, params.r), params)
     assert base.w0.vertices == base.core
     assert base.shell == base.core
 
 
 def test_base_blocks_drop_shell_edges(triangle12):
     params = ProofParameters(R=1, r=6, depth=12)
-    base = base_blocks(triangle12, params)
+    base = base_blocks(SymmetryWalk(triangle12, params.r), params)
     # The R-sphere around a triangle corner contains the opposite edge.
     assert len(base.w_r.edges) < len(base.u_r.edges)
 
@@ -137,7 +142,7 @@ def test_base_blocks_drop_shell_edges(triangle12):
 
 
 def test_symmetry_map_identity_at_root(chain40):
-    sm = build_symmetry_map(chain40, ROOT, 10)
+    sm = build_symmetry_map(SymmetryWalk(chain40, 10), ROOT)
     assert sm.node_map == {u: u for u in chain40.tree.nodes_within(ROOT, 10)}
     assert sorted(sm.vertex_map) == sorted(
         chain40.sum.vertices_over(chain40.tree.nodes_within(ROOT, 10)))
@@ -150,7 +155,7 @@ def test_symmetry_map_recenters(chain40):
     site = next(t for t in translation_sites(chain40.tree, params)
                 if chain40.tree.node_depth(t) == 10)
     assert site == path_ids(chain40.tree)["t1/0/1/1/1/1/1/1/1/1/1"]
-    sm = build_symmetry_map(chain40, site, 10)
+    sm = build_symmetry_map(SymmetryWalk(chain40, 10), site)
     assert sm.node_map[ROOT] == site
     assert sm.edge_ok and sm.injective
     carried, missing = sm.carry(frozenset({"t1:a", "t1:b"}))
@@ -168,7 +173,7 @@ def test_symmetry_map_needs_witnesses():
     br = build_doc(doc)
     site = path_ids(br.tree)["t1/0/1"]
     with pytest.raises(PreconditionError) as err:
-        build_symmetry_map(br, site, 2)
+        build_symmetry_map(SymmetryWalk(br, 2), site)
     assert "consistency witnesses missing" in str(err.value)
 
 
@@ -177,8 +182,9 @@ def test_symmetry_map_needs_witnesses():
 
 def test_partition_covers_and_stays_disjoint(chain20):
     params = ProofParameters(R=2, r=10, depth=20)
-    base = base_blocks(chain20, params)
-    maps = [build_symmetry_map(chain20, t, params.r)
+    walk = SymmetryWalk(chain20, params.r)
+    base = base_blocks(walk, params)
+    maps = [build_symmetry_map(walk, t)
             for t in translation_sites(chain20.tree, params)]
     part = assemble_partition(chain20, params, base, maps)
     assert part.covers_safe
@@ -192,8 +198,9 @@ def test_partition_covers_and_stays_disjoint(chain20):
 def test_partition_detects_coverage_gap():
     br = build_doc(chain_spec_doc(22))
     params = ProofParameters(R=2, r=10, depth=22)
-    base = base_blocks(br, params)
-    maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
+    walk = SymmetryWalk(br, params.r)
+    base = base_blocks(walk, params)
+    maps = [build_symmetry_map(walk, t) for t in translation_sites(br.tree, params)]
     assert assemble_partition(br, params, base, maps).covers_safe
     # without the last site's block the safe core under that site is bare
     part = assemble_partition(br, params, base, maps[:-1])
@@ -204,8 +211,9 @@ def test_partition_detects_coverage_gap():
 
 def test_partition_overlap_faults_match_pairwise_reference(chain40):
     params = ProofParameters(R=2, r=10, depth=40)
-    base = base_blocks(chain40, params)
-    maps = [build_symmetry_map(chain40, t, params.r)
+    walk = SymmetryWalk(chain40, params.r)
+    base = base_blocks(walk, params)
+    maps = [build_symmetry_map(walk, t)
             for t in translation_sites(chain40.tree, params)]
     # three blocks at each site, in two orders: every site's vertices off
     # the shells lie in three members
@@ -220,8 +228,9 @@ def test_partition_overlap_faults_match_pairwise_reference(chain40):
 
 def test_separation_on_chain(chain40):
     params = ProofParameters(R=2, r=10, depth=40)
-    base = base_blocks(chain40, params)
-    maps = [build_symmetry_map(chain40, t, params.r)
+    walk = SymmetryWalk(chain40, params.r)
+    base = base_blocks(walk, params)
+    maps = [build_symmetry_map(walk, t)
             for t in translation_sites(chain40.tree, params)]
     part = assemble_partition(chain40, params, base, maps)
     sep = verify_separation(chain40.sum.graph, part.shells)
@@ -231,8 +240,9 @@ def test_separation_on_chain(chain40):
 
 
 def _partition(br, params):
-    base = base_blocks(br, params)
-    maps = [build_symmetry_map(br, t, params.r) for t in translation_sites(br.tree, params)]
+    walk = SymmetryWalk(br, params.r)
+    base = base_blocks(walk, params)
+    maps = [build_symmetry_map(walk, t) for t in translation_sites(br.tree, params)]
     return assemble_partition(br, params, base, maps)
 
 
@@ -518,6 +528,55 @@ def _as_triple(fit):
     return fit.table, fit.gamma, fit.c
 
 
+def test_equal_block_keys_give_equal_distance_matrices_on_random_specs():
+    """Each node's copy with its neighbours' copies, keyed by ``block_shape``
+    on seeded random builds: members of one key have one distance matrix."""
+    rng = random.Random(20261019)
+    shared = 0
+    for _ in range(40):
+        doc = _random_spec_doc(rng)
+        br = build_doc(doc, max(doc["tree"]["depth"], 2))
+        H, tree = br.sum.graph, br.tree
+        by_key: dict = {}
+        for u in tree.nodes:
+            points = br.sum.vertices_over(tree.nodes_within(u, 1))
+            by_key.setdefault(block_shape(H, points), []).append(points)
+        for group in by_key.values():
+            first = _sorted_distance_matrix(H, group[0])
+            for points in group[1:]:
+                assert _sorted_distance_matrix(H, points) == first
+            shared += len(group) - 1
+    assert shared > 50
+
+
+def _assert_copy_tables_match_a_scan(h: SumGraph):
+    scan: dict = {}
+    for v in h.graph.vertices:
+        scan.setdefault(h.node_of(v), []).append(v)
+    for u in h.tree.nodes:
+        assert h.copy_vertices(u) == tuple(scan.get(u, ())), u
+    nodes = list(h.tree.nodes)
+    for chosen in (nodes, nodes[::3], nodes[:1], [], nodes[-5:] + nodes[-5:]):
+        assert h.vertices_over(chosen) == frozenset(
+            v for v in h.graph.vertices if h.node_of(v) in set(chosen))
+
+
+def test_copy_tables_match_a_node_of_scan(chain40, triangle8, type2_8):
+    rng = random.Random(20261020)
+    randoms = [build_doc(_random_spec_doc(rng)) for _ in range(20)]
+    for br in [chain40, triangle8, type2_8, *randoms]:
+        _assert_copy_tables_match_a_scan(br.sum)
+    # a hand-built sum graph: one vertex gone and the rest listed backwards
+    h = triangle8.sum
+    H = h.graph
+    gone = H.vertices[5]
+    doctored = af.FiniteGraph([v for v in reversed(H.vertices) if v != gone],
+                              [e for e in H.edges if gone not in e])
+    hand = SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges)
+    _assert_copy_tables_match_a_scan(hand)
+    assert len(hand.copy_vertices(h.node_of(gone))) == len(h.copy_vertices(h.node_of(gone))) - 1
+
+
 def test_projection_fit_matches_pair_walk():
     rng = random.Random(20261018)
     builds = [build_doc(chain_spec_doc(d)) for d in range(41)]
@@ -665,10 +724,11 @@ def _reference_symmetry_map(br, t, radius=None):
 def _assert_maps_match_reference(br, radius) -> list:
     """Every first-factor node but the root; returns the edge_ok flags."""
     flags = []
+    walk = SymmetryWalk(br, radius)
     for t in br.tree.nodes:
         if t == ROOT or br.tree.node_side[t] != 1:
             continue
-        sm = build_symmetry_map(br, t, radius)
+        sm = build_symmetry_map(walk, t)
         node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t, radius)
         assert sm.node_map == node_map, t
         assert dict(sm.vertex_map) == vmap, t
@@ -689,19 +749,107 @@ def test_symmetry_maps_match_the_whole_walk(make, depth, r):
     flags = _assert_maps_match_reference(br, r)
     assert len(flags) >= 8 and all(flags)
     level = br.tree.level
+    whole, bounded = SymmetryWalk(br, depth), SymmetryWalk(br, r)
     for t in br.tree.nodes:
         if t != ROOT and br.tree.node_side[t] == 1:
             node_map, vmap, edge_ok, injective, detail = _reference_symmetry_map(br, t)
             # radius = depth is the whole walk
-            sm = build_symmetry_map(br, t, depth)
+            sm = build_symmetry_map(whole, t)
             assert (sm.node_map, dict(sm.vertex_map), sm.edge_ok, sm.injective, sm.detail) == \
                 (node_map, vmap, edge_ok, injective, detail), t
             # the walk bounded at the block radius is the whole walk cut to levels <= r
             cut = {u: w for u, w in node_map.items() if level[u] <= r}
-            sm = build_symmetry_map(br, t, r)
+            sm = build_symmetry_map(bounded, t)
             assert sm.node_map == cut, t
             assert dict(sm.vertex_map) == {v: w for v, w in vmap.items()
                                            if split_copy_vertex(v)[0] in cut}, t
+
+
+WALK_CASES = [(chain_spec_doc, 40, 2, 10), (chain_spec_doc, 400, 2, 10),
+              (triangle_spec_doc, 8, 0, 4), (triangle_spec_doc, 14, 0, 4),
+              (type2_spec_doc, 8, 0, 4)]
+WALK_IDS = ["chain_k2-40", "chain_k2-400", "c3_k2-8", "c3_k2-14", "type2_k2-8"]
+
+
+def _assert_walk_matches_reference(br, radius, nodes) -> list:
+    """Each node's map from the shared walk against its own walk; returns
+    the maps."""
+    walk = SymmetryWalk(br, radius)
+    maps = []
+    for t in nodes:
+        sm = build_symmetry_map(walk, t)
+        want = reference_symmetry_map(br, t, radius)
+        assert (sm.node_map, sm.vertex_map, sm.edge_ok, sm.injective, sm.detail) == want, \
+            (radius, t)
+        assert list(sm.node_map) == list(want[0]) and list(sm.vertex_map) == list(want[1])
+        maps.append(sm)
+    return maps
+
+
+@pytest.mark.parametrize("make, depth, R, r", WALK_CASES, ids=WALK_IDS)
+def test_shared_walk_matches_the_per_site_walk(make, depth, R, r):
+    """Every site and fringe node at every walk radius from 2 to r; then
+    the partition of the maps at r against clipping vertex by vertex."""
+    br = build_doc(make(depth))
+    params = ProofParameters(R=R, r=r, depth=depth)
+    sites = translation_sites(br.tree, params)
+    fringe = br.tree.nodes_at(ROOT, r)
+    for radius in range(2, r + 1):
+        maps = _assert_walk_matches_reference(br, radius, [*sites, *fringe])
+    assert all(sm.edge_ok and sm.injective for sm in maps)
+    base = base_blocks(SymmetryWalk(br, r), params)
+    part = assemble_partition(br, params, base, maps[:len(sites)])
+    members, shells = reference_partition(br, base, maps[:len(sites)])
+    assert list(part.members) == [base.w0, *members]
+    assert part.shells == shells
+    assert len(shells) == len(sites) and any(shells.values())
+
+
+@pytest.mark.parametrize("make, depth, r", [(chain_spec_doc, 40, 10), (triangle_spec_doc, 8, 4)],
+                         ids=["chain_k2-40", "c3_k2-8"])
+def test_shared_walk_matches_truncated_sites(make, depth, r):
+    """First-factor nodes too deep for a whole block: their walks drop the
+    subtrees whose images fall off the truncation."""
+    br = build_doc(make(depth))
+    deep = [t for t in br.tree.nodes
+            if br.tree.node_side[t] == 1 and br.tree.level[t] > depth - r]
+    maps = _assert_walk_matches_reference(br, r, deep)
+    assert all("skipped 0 " not in sm.detail for sm in maps)
+    base = base_blocks(SymmetryWalk(br, r), ProofParameters(R=0, r=r, depth=depth))
+    part = assemble_partition(br, ProofParameters(R=0, r=r, depth=depth), base, maps)
+    members, shells = reference_partition(br, base, maps)
+    assert list(part.members[1:]) == members and part.shells == shells
+
+
+def _star_spec_doc(depth: int) -> dict:
+    """A star with centre c and leaves a, b, d, glued by a and b to single
+    edges; the star's action is left trivial."""
+    star = {"vertices": ["a", "b", "c", "d"], "edges": [["a", "c"], ["b", "c"], ["c", "d"]]}
+    edge = {"vertices": ["x", "y"], "edges": [["x", "y"]]}
+    return {"name": "star", "factors": [star, edge],
+            "adhesions": [{"0": ["a"], "1": ["b"]}, {"x": ["x"], "y": ["y"]}],
+            "atlas": [{"left": k, "right": l, "pairs": [[v, w]]}
+                      for k, v in (("0", "a"), ("1", "b")) for l, w in (("x", "x"), ("y", "y"))],
+            "actions": {"mode": "generators", "factor2": [{"x": "y", "y": "x"}]},
+            "tree": {"p1": 2, "p2": 2, "depth": depth}}
+
+
+def test_shared_walk_matches_an_action_that_breaks_an_edge():
+    """The star's elements swap c and d, one of them a and b too: they
+    permute the boundary sets, so each walk goes through, but each sends
+    an edge to a non-edge."""
+    br = build_doc(_star_spec_doc(12))
+    spec = copy.copy(br.spec)
+    spec.action1 = af.GroupAction(br.spec.g1, [{"a": "a", "b": "b", "c": "d", "d": "c"},
+                                               {"a": "b", "b": "a", "c": "d", "d": "c"}])
+    doctored = replace(br, spec=spec)
+    params = ProofParameters(R=0, r=4, depth=12)
+    sites = translation_sites(br.tree, params)
+    for radius in (2, 3, 4):
+        maps = _assert_walk_matches_reference(doctored, radius, sites)
+        assert all(not sm.edge_ok and "maps to a non-edge" in sm.detail
+                   for sm in maps if sm.site != ROOT)
+    assert len(sites) > 3
 
 
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
@@ -716,5 +864,5 @@ def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     for radius in (10, 24):
         flags = _assert_maps_match_reference(br2, radius)
         assert not all(flags)
-        sm = build_symmetry_map(br2, site, radius)
+        sm = build_symmetry_map(SymmetryWalk(br2, radius), site)
         assert not sm.edge_ok and "maps to a non-edge" in sm.detail

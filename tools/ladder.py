@@ -5,7 +5,15 @@ Each certificate rung builds one shipped document at one depth and runs
 ``run_certificate`` on it, in a child process of its own, and reports
 the build and certificate wall times, the time ``jsonio.dumps`` takes to
 serialise the certificate (``write_s``), the child's peak RSS (from
-``resource``) and the size of what it writes.
+``resource``) and the size of what it writes.  It splits out the parts
+of the certificate's time spent in the symmetry maps (``maps_s``,
+``theorem.build_symmetry_map``, the fringe maps of ``base_blocks``
+included), the block keys (``shapes_s``, ``theorem.block_shape``) and
+the partition (``partition_s``, ``theorem.assemble_partition``), and
+counts the greedy witnesses it runs (``greedy_runs``: one per block
+shape, and one for the boundary cover); ``sha256`` digests the
+certificate's bytes, so checkouts that write the same certificate show
+the same digest.
 Each report rung does the same with ``cli.build_report``, the projection
 check and distortion fit that ``build`` writes, and splits out the parts
 of its time spent in the check (``check_s``, ``cli.projection_report``)
@@ -75,12 +83,33 @@ def _peak_rss_mb() -> float:
     return round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1)
 
 
+def _timer(spent: dict, key: str, step):
+    """``step`` wrapped to add its wall time to ``spent[key]``."""
+    import time
+
+    def run(*args):
+        start = time.perf_counter()
+        try:
+            return step(*args)
+        finally:
+            spent[key] += time.perf_counter() - start
+    return run
+
+
 def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     """Child side: build, certify and measure one rung in this process."""
     import time
 
     from asdimforge import jsonio, theorem
 
+    spent = {"maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0}
+    greedy = theorem.greedy_witness
+    runs = []
+    # ``run_certificate`` reaches all four through ``theorem``'s own names
+    theorem.build_symmetry_map = _timer(spent, "maps_s", theorem.build_symmetry_map)
+    theorem.block_shape = _timer(spent, "shapes_s", theorem.block_shape)
+    theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
+    theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
     t0 = time.perf_counter()
     br = _build(name, depth)
     t1 = time.perf_counter()
@@ -89,9 +118,12 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     text = jsonio.dumps(cert.to_json_dict())
     t3 = time.perf_counter()
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
-            "certificate_s": round(t2 - t1, 3), "write_s": round(t3 - t2, 3),
+            "certificate_s": round(t2 - t1, 3),
+            **{key: round(value, 4) for key, value in spent.items()},
+            "greedy_runs": len(runs), "write_s": round(t3 - t2, 3),
             "peak_rss_mb": _peak_rss_mb(),
-            "certificate_bytes": len(text.encode()), "verdict": cert.verdict}
+            "certificate_bytes": len(text.encode()), "verdict": cert.verdict,
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def run_report_rung(name: str, depth: int) -> dict:
@@ -101,19 +133,9 @@ def run_report_rung(name: str, depth: int) -> dict:
     from asdimforge import cli, jsonio
 
     spent = {"check_s": 0.0, "fit_s": 0.0}
-
-    def timed(key, step):
-        def run(*args):
-            start = time.perf_counter()
-            try:
-                return step(*args)
-            finally:
-                spent[key] += time.perf_counter() - start
-        return run
-
     # ``build_report`` reaches both through ``cli``'s own names
-    cli.projection_report = timed("check_s", cli.projection_report)
-    cli.projection_fit = timed("fit_s", cli.projection_fit)
+    cli.projection_report = _timer(spent, "check_s", cli.projection_report)
+    cli.projection_fit = _timer(spent, "fit_s", cli.projection_fit)
     t0 = time.perf_counter()
     br = _build(name, depth)
     t1 = time.perf_counter()
