@@ -6,12 +6,12 @@ joined by bridging edges (the sum graph); contracting every bridging
 edge yields the glued graph together with its projection.
 
 Truncations are canonical: the root is ``t1`` and every other node is
-``n<k>``, k its postorder index in the build walk (children in sorted
+``n<k>``, k its postorder index in the tree walk (children in sorted
 label order, then the node), zero-padded to one width per build, so two
 builds of the same input are byte-identical and sorted ids list the
 nodes in postorder.  The ids are names only and are never parsed:
 depths, distances, paths, balls and subtrees are read off the parent,
-child and depth records the build walk leaves behind, and the tree's
+child and depth records the build leaves behind, and the tree's
 ``table`` gives back each node's label path (``t1/a/x/b``, each
 component the label of the edge leaving the parent).  The cut happens
 at a fixed radius around the root, and downstream checks stay inside a
@@ -24,10 +24,11 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import accumulate, chain, repeat
+from operator import add, itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from .errors import ConfigError, PreconditionError
+from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import FiniteGraph, load_graph
 from .groups import GroupAction, compute_automorphisms, invert
 
@@ -82,7 +83,7 @@ class ConnectingTree:
 
     ``node_side[u]`` is 1 or 2; ``out_label[(u, v)]`` is the label the
     directed edge u->v consumes at u; ``level[u]`` is u's distance from
-    the root.  ``preorder[u]`` is u's index in the build walk (the dict
+    the root.  ``preorder[u]`` is u's index in the tree walk (the dict
     itself lists the nodes in that order) and
     ``subtree_end[u]`` the index just past its last descendant, so v
     lies in u's subtree exactly when
@@ -243,68 +244,49 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
         if not J or J == frozenset(labels1):
             raise ConfigError("alternating class must be a proper nonempty label subset")
 
-    side_labels = {1: tuple(sorted(labels1)), 2: tuple(sorted(labels2))}
+    mine = (tuple(sorted(labels1)), tuple(sorted(labels2)))  # by level parity
+    # (level parity, label the parent sends) -> the node's labels: the one
+    # back toward its parent, then one per child in order
+    rule = {}
+    for s in (0, 1):
+        for entry in mine[1 - s]:
+            back = mine[s][0] if J is None else min(frozenset(mine[s]) - J if entry in J else J)
+            rule[s, entry] = (back, *(k for k in mine[s] if k != back))
     # below the root a node has a child for every label but its way back,
-    # down to the cut, so its subtree size hangs on its side and level alone
-    size = {(1, depth): 1, (2, depth): 1}
-    for level in range(depth - 1, 0, -1):
-        for side, other in ((1, 2), (2, 1)):
-            size[side, level] = 1 + (len(side_labels[side]) - 1) * size[other, level + 1]
-    total = 1 + len(side_labels[1]) * size[2, 1] if depth else 1
-    width = len(str(max(total - 2, 0)))
-    nodes = [ROOT]
-    node_side = {ROOT: 1}
-    parent: dict[str, str] = {}
-    children: dict[str, tuple[str, ...]] = {}
-    out_label: dict[tuple[str, str], str] = {}
-    levels: dict[str, int] = {}
-    preorder: dict[str, int] = {}
-    subtree_end: dict[str, int] = {}
-
-    # explicit preorder walk: deep trees must not hit the recursion limit;
-    # each entry carries the least postorder index in the node's subtree
-    stack: list[tuple[str, int, int, str | None, int]] = [(ROOT, 1, 0, None, 0)]
-    while stack:
-        u, side, level, toward_parent, first = stack.pop()
-        levels[u] = level
-        preorder[u] = len(preorder)
-        subtree_end[u] = preorder[u] + (total if u == ROOT else size[side, level])
-        mine = side_labels[side]
-        if toward_parent is None:
-            free = mine
-        else:
-            if J is None:
-                back = mine[0]
-            else:
-                entry = out_label[(parent[u], u)]
-                allowed = sorted(frozenset(mine) - J if entry in J else J)
-                if not allowed:
-                    raise ConfigError("alternating condition unsatisfiable at a node")
-                back = allowed[0]
-            out_label[(u, toward_parent)] = back
-            free = tuple(k for k in mine if k != back)
-        if level == depth:
-            children[u] = ()
-            continue
-        kids = []
-        other = 2 if side == 1 else 1
-        step = size[other, level + 1]
-        for i, k in enumerate(free):
-            # the i-th child's subtree follows its elder siblings' in postorder
-            w = f"n{first + (i + 1) * step - 1:0{width}d}"
-            nodes.append(w)
-            node_side[w] = other
-            parent[w] = u
-            out_label[(u, w)] = k
-            kids.append(w)
-        children[u] = tuple(kids)
-        stack.extend((w, other, level + 1, u, first + i * step)
-                     for i, w in reversed(list(enumerate(kids))))
-
-    nodes.sort()
-    return ConnectingTree(tuple(sorted(labels1)), tuple(sorted(labels2)), depth,
-                          tuple(nodes), node_side, parent, children, out_label,
-                          levels, preorder, subtree_end, J)
+    # down to the cut, so its subtree size hangs on its level alone
+    size = [1] * (depth + 2)
+    for level in range(depth - 1, -1, -1):
+        size[level] = 1 + (len(mine[level % 2]) - (level > 0)) * size[level + 1]
+    total = size[0]
+    name = f"n%0{len(str(max(total - 2, 0)))}d"
+    # level by level, each node's id, parent, labels and level, by preorder
+    # index: the i-th child of the node at index p sits at p + 1 + i * (its
+    # subtree size), and in postorder at that index less its level, plus
+    # its subtree size less one
+    ids, ups, labs, levels = [ROOT] * total, [-1] * total, [(None, *mine[0])] * total, [0] * total
+    ring = [0]
+    for level in range(1, depth + 1):
+        step, parity, shift = size[level], level % 2, size[level] - level - 1
+        fresh = []
+        for p in ring:
+            for q, k in zip(range(p + 1, p + size[level - 1], step), labs[p][1:]):
+                ids[q], ups[q], labs[q], levels[q] = name % (q + shift), p, rule[parity, k], level
+                fresh.append(q)
+        ring = fresh
+    # every record lists the nodes in preorder, and a node's children, every
+    # step-th node of its subtree's run, under it in order
+    kids = [tuple(ids[p + 1:p + size[lv]:size[lv + 1]]) for p, lv in enumerate(levels)]
+    node_side = {ROOT: 1, **{w: 2 - lv % 2 for lv, ks in zip(levels, kids) for w in ks}}
+    parent = {w: u for u, ks in zip(ids, kids) for w in ks}
+    # each node's edges in order, back toward its parent (none at the root)
+    # and then to its children, with as many of its labels
+    labs[0] = mine[0]
+    out_label = {(u, w): k for p, u, ks, labels in zip(ups, ids, kids, labs)
+                 for w, k in zip((ids[p], *ks) if p >= 0 else ks, labels)}
+    return ConnectingTree(mine[0], mine[1], depth, tuple(sorted(ids)), node_side, parent,
+                          dict(zip(ids, kids)), out_label, dict(zip(ids, levels)),
+                          dict(zip(ids, range(total))),
+                          {u: p + size[lv] for p, u, lv in zip(range(total), ids, levels)}, J)
 
 
 # -- bonding atlas -----------------------------------------------------------
@@ -430,6 +412,8 @@ class SumGraph:
     ``copies`` lists each node's copy, the vertices of its own graph that
     ``node_of`` puts over the node, in the graph's order: in a built sum
     graph, position i of a copy holds the i-th vertex of its factor.
+    ``build_sum_graph`` records the copies as it lays them out; a sum
+    graph built by hand derives them from its graph on first use.
     """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
@@ -478,32 +462,96 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     builds every bridge from the side-2 end instead; because stored and
     reverse maps are mutually inverse the edge set must come out equal,
     and tests pin that down.
+
+    A node's copy and bridges hang only on its side and the label pairs
+    of its edges.  Nodes are grouped by that shape, each group's rows
+    and bridges are worked out once at its first node, as (slot,
+    position) pairs in id order, and then read off H's vertex list at
+    every member's copy offsets, one column per neighbour.  Postorder ids
+    put a node's children before it and its parent after it, and a copy
+    orders its ids by factor name, so every member of a group lists its
+    neighbours in the same order.  The ids are distinct (node ids hold no
+    ``:``) and no bridge is a loop, so the graph is taken from its
+    adjacency unchecked; a bridge end outside its factor raises
+    ``GraphFormatError``.
     """
     if sorted(adh1.labels) != sorted(tree.labels1) or sorted(adh2.labels) != sorted(tree.labels2):
         raise ConfigError("tree labels differ from adhesion labels")
     factors = (g1, g2)
-    vertices = [copy_vertex(node, x) for node in tree.nodes
-                for x in factors[tree.node_side[node] - 1].vertices]
-    edges = []
-    for node in tree.nodes:
-        for x, y in factors[tree.node_side[node] - 1].edges:
-            edges.append((copy_vertex(node, x), copy_vertex(node, y)))
-    bridges = []
-    for u, v in tree.edges():
-        one, two = (u, v) if tree.node_side[u] == 1 else (v, u)
-        k = tree.out_label[(one, two)]
-        l = tree.out_label[(two, one)]
-        if flip_orientations:
-            m = atlas.map_for(l, k)
-            for x in sorted(adh2[l]):
-                bridges.append((copy_vertex(two, x), copy_vertex(one, m[x])))
-        else:
-            m = atlas.map_for(k, l)
-            for x in sorted(adh1[k]):
-                bridges.append((copy_vertex(one, x), copy_vertex(two, m[x])))
-    graph = FiniteGraph(vertices, edges + bridges)
-    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
-    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
+    nodes, side_of, parent, children = tree.nodes, tree.node_side, tree.parent, tree.children
+    vertices = tuple([u + ":" + x for u in nodes for x in factors[side_of[u] - 1].vertices])
+    starts = list(accumulate([len(factors[side_of[u] - 1]) for u in nodes], initial=0))
+    copies = dict(zip(nodes, map(vertices.__getitem__, map(slice, starts, starts[1:]))))
+    start = dict(zip(nodes, starts))
+    out_label = tree.out_label
+    # the (k, l) pair of the edge from each node up to its parent
+    up = {w: (out_label[w, p], out_label[p, w]) if side_of[w] == 1 else
+          (out_label[p, w], out_label[w, p]) for w, p in parent.items()}
+    groups: dict[tuple, list[str]] = {}
+    for u in nodes:
+        groups.setdefault((side_of[u], up.get(u), tuple([up[w] for w in children[u]])),
+                          []).append(u)
+    where = [{x: i for i, x in enumerate(g.vertices)} for g in factors]
+    ends: dict[tuple[str, str], list[tuple[int, int]]] = {}
+
+    def bridge_ends(lower: str) -> list[tuple[int, int]]:
+        """(side-1, side-2) copy positions of the bridges from ``lower`` up."""
+        kl = up[lower]
+        if kl not in ends:
+            k, l = kl
+            if flip_orientations:
+                m = atlas.map_for(l, k)
+                named = [(m[y], y) for y in sorted(adh2[l])]
+            else:
+                m = atlas.map_for(k, l)
+                named = [(x, m[x]) for x in sorted(adh1[k])]
+            for x, y in named:
+                if x not in where[0] or y not in where[1]:
+                    one, two = sorted((lower, parent[lower]), key=side_of.__getitem__)
+                    a, b = copy_vertex(one, x), copy_vertex(two, y)
+                    raise GraphFormatError("edge endpoint %r/%r not a vertex"
+                                           % ((b, a) if flip_orientations else (a, b)))
+            ends[kl] = [(where[0][x], where[1][y]) for x, y in named]
+        return ends[kl]
+
+    rows: dict[str, tuple[str, ...]] = {}
+    rises_of: dict[str, tuple] = {}
+    for (side, _, _), members in groups.items():
+        u = members[0]
+        # u's tree edges as (the node across, the edge's lower end)
+        links = ([(parent[u], u)] if u in parent else []) + [(w, w) for w in children[u]]
+        spot = {v: (s, j) for s, w in enumerate([u] + [w for w, _ in links])
+                for j, v in enumerate(copies[w])}
+        own, mine, g = side - 1, copies[u], factors[side - 1]
+        near = [[mine[where[own][y]] for y in g.adjacency[x]] for x in g.vertices]
+        rises = []
+        for w, lower in links:  # the parent first: its edge names a stray end
+            for e in bridge_ends(lower):
+                a, b = mine[e[own]], copies[w][e[1 - own]]
+                near[e[own]].append(b)
+                if lower == u:
+                    rises.append((a, b))
+        # per slot, each member's offset in H's vertex list: its own copy's,
+        # its parent's, then its children's
+        slots = [members] + ([list(map(parent.__getitem__, members))] if u in parent else [])
+        slots += (list(map(itemgetter(c), map(children.__getitem__, members)))
+                  for c in range(len(children[u])))
+        at = [list(map(start.__getitem__, slot)) for slot in slots]
+
+        def column(slot: int, j: int):
+            return map(vertices.__getitem__, map(add, at[slot], repeat(j)))
+
+        for i, row in enumerate(near):
+            rows.update(zip(column(0, i), zip(*[column(*spot[v]) for v in sorted(row)])
+                            if row else repeat(())))
+        rises_of.update(zip(members, zip(*[zip(column(*spot[a]), column(*spot[b]))
+                                           for a, b in sorted(rises)])
+                            if rises else repeat(())))
+    adjacency = dict(zip(vertices, map(rows.__getitem__, vertices)))
+    h = SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, factors, (adh1, adh2),
+                 tuple(chain.from_iterable(map(rises_of.__getitem__, nodes))))
+    h.copies = copies  # laid out here; a hand-built sum graph derives them on first use
+    return h
 
 
 # -- contraction --------------------------------------------------------------
@@ -594,13 +642,8 @@ def identification_sizes(a: AmalgamGraph) -> tuple[dict[str, int], int]:
 def check_trivial(a: AmalgamGraph) -> bool:
     """True when one copy already surjects onto the glued graph."""
     total = len(a.graph)
-    for node in a.sum.tree.nodes:
-        copy = a.sum.copy_vertices(node)
-        if len(copy) != total:
-            continue
-        if len({a.project(v) for v in copy}) == total:
-            return True
-    return False
+    return any(len(copy) == total and len({a.project(v) for v in copy}) == total
+               for copy in a.sum.copies.values())
 
 
 # -- action-respecting checks -------------------------------------------------

@@ -54,10 +54,27 @@ class FiniteGraph:
         for x, y in canon:
             adjacency[x].append(y)
             adjacency[y].append(x)
-        self.vertices = vs
-        self.vertex_set = vset
-        self.edges = tuple(sorted(canon))
-        self.adjacency = {v: tuple(sorted(ns)) for v, ns in adjacency.items()}
+        self._adopt(vs, {v: tuple(sorted(ns)) for v, ns in adjacency.items()})
+
+    @classmethod
+    def from_adjacency(cls, vertices: tuple[str, ...],
+                       adjacency: dict[str, tuple[str, ...]]) -> "FiniteGraph":
+        """The graph whose neighbours ``adjacency`` lists, unchecked.
+
+        The caller vouches that the ids are distinct, that ``adjacency``
+        has one entry per vertex in ``vertices`` order, each a sorted
+        tuple of other vertices, and that every edge shows at both ends.
+        """
+        g = cls.__new__(cls)
+        g._adopt(vertices, adjacency)
+        return g
+
+    def _adopt(self, vertices: tuple[str, ...], adjacency: dict[str, tuple[str, ...]]):
+        self.vertices = vertices
+        self.vertex_set = frozenset(vertices)
+        self.adjacency = adjacency
+        # sorted rows read in sorted vertex order give the edges in order
+        self.edges = tuple([(v, w) for v in sorted(vertices) for w in adjacency[v] if v < w])
 
     # -- basic structure ------------------------------------------------
 

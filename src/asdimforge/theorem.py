@@ -10,6 +10,7 @@ re-audit from the raw numbers.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -191,21 +192,29 @@ def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
 
 @dataclass(frozen=True)
 class Block:
-    """A named vertex set with its own edge list (not always induced)."""
+    """A named vertex set with its own edges (not always induced).
+
+    ``edges`` lists them; a translate of the working block only counts
+    them, which is all its certificate entry writes.
+    """
 
     name: str
     vertices: frozenset[str]
-    edges: tuple[tuple[str, str], ...]
+    edges: tuple[tuple[str, str], ...] | int
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    @property
+    def edge_count(self) -> int:
+        return self.edges if isinstance(self.edges, int) else len(self.edges)
 
     def view(self, ambient: FiniteGraph) -> MetricView:
         return MetricView(ambient, sorted(self.vertices))
 
     def to_json_dict(self) -> dict:
         return {"name": self.name, "vertices": len(self.vertices),
-                "edges": len(self.edges)}
+                "edges": self.edge_count}
 
 
 def _edges_inside(graph: FiniteGraph, members: frozenset[str]) -> tuple[tuple[str, str], ...]:
@@ -264,7 +273,7 @@ def base_blocks(walk: SymmetryWalk, params: ProofParameters) -> BaseBlocks:
         if tree.node_side[v] != 1:
             raise PreconditionError(
                 "fringe nodes must carry the first factor; is the block radius even?")
-        anchor, _ = build_symmetry_map(walk, v).carry(core)
+        anchor, _ = walk.map_at(v).carry(core)
         fringe |= H.ball(anchor, R) & frozenset(h.copy_vertices(v))
     u_vertices = frozenset(main) | fringe
     u_edges = _edges_inside(H, u_vertices)
@@ -341,7 +350,8 @@ class SymmetryWalk:
     tables hold (side, element index, k) -> k_img and (side, element
     index, k, ell, k_img, ell_img) -> the next element index, each filled
     on first use, and per (side, element index) the permutation of copy
-    positions the element induces.
+    positions the element induces.  ``map_at`` keeps each node's map, so
+    ``base_blocks`` and the site loop build a node's map once.
     """
 
     def __init__(self, br: BuildResult, radius: int):
@@ -363,6 +373,15 @@ class SymmetryWalk:
         self.image_label: dict[tuple, str] = {}
         self.next_step: dict[tuple, int] = {}
         self.positions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.maps: dict[str, SymmetryMap] = {}
+
+    def map_at(self, t: str) -> SymmetryMap:
+        """t's symmetry map, built on first use and kept: a fringe node of
+        the root block is also a translation site."""
+        sm = self.maps.get(t)
+        if sm is None:
+            sm = self.maps[t] = build_symmetry_map(self, t)
+        return sm
 
     def permutation(self, side: int, e: int) -> tuple[int, ...]:
         """Position i of a side's copy -> the position its element image takes."""
@@ -481,10 +500,6 @@ def _extend(spec: AmalgamationSpec, step: tuple, w: str) -> int:
 # -- partition ----------------------------------------------------------------
 
 
-def _ordered(a: str, b: str) -> tuple[str, str]:
-    return (a, b) if a <= b else (b, a)
-
-
 def _by_node(h: SumGraph, vids: Iterable[str]) -> dict[str, list[str]]:
     out: dict[str, list[str]] = {}
     for v in vids:
@@ -527,6 +542,10 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     # a map sends a copy to a copy, so the block and the shell are clipped
     # node by node: each is grouped by node once
     block_over, shell_over = _by_node(h, base.w_r.vertices), _by_node(h, base.shell)
+    # an image keeps an edge of W when it keeps both ends' nodes, so W's
+    # edges are counted once per pair of nodes
+    node_of = h.node_of
+    edges_between = Counter((node_of(a), node_of(b)) for a, b in base.w_r.edges)
     members = [base.w0]
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
@@ -534,11 +553,9 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
         lo, hi = preorder[sm.site], tree.subtree_end[sm.site]
         node_map, vmap = sm.node_map, sm.vertex_map
         kept = {u for u, u_img in node_map.items() if lo <= preorder[u_img] < hi}
-        image = {v: vmap[v] for u in kept.intersection(block_over) for v in block_over[u]}
-        edges = tuple(sorted(_ordered(image[a], image[b])
-                             for a, b in base.w_r.edges
-                             if a in image and b in image))
-        members.append(Block(f"W@{sm.site}", frozenset(image.values()), edges))
+        image = frozenset(vmap[v] for u in kept.intersection(block_over) for v in block_over[u])
+        edges = sum(n for (a, b), n in edges_between.items() if a in kept and b in kept)
+        members.append(Block(f"W@{sm.site}", image, edges))
         shells[sm.site] = frozenset(vmap[v] for u in kept.intersection(shell_over)
                                     for v in shell_over[u])
     shell_union = frozenset().union(*shells.values()) if shells else frozenset()
@@ -817,7 +834,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     maps = []
     per_site = {}
     for t in sites:
-        sm = build_symmetry_map(walk, t)
+        sm = walk.map_at(t)
         per_site[sm.site] = {"nodes": len(sm.node_map),
                              "vertices": len(sm.vertex_map),
                              "edge_ok": sm.edge_ok,

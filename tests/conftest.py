@@ -11,7 +11,7 @@ from collections import deque
 import pytest
 
 import asdimforge as af
-from asdimforge.amalgam import ROOT, copy_vertex, split_copy_vertex
+from asdimforge.amalgam import ROOT, SumGraph, copy_vertex, split_copy_vertex
 from asdimforge.fixtures import (chain_spec_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
 from asdimforge.theorem import _extend, _image_label
@@ -201,6 +201,83 @@ def reference_partition(br: af.BuildResult, base, maps) -> tuple[list, dict]:
         members.append(af.Block(f"W@{sm.site}", frozenset(image.values()), edges))
         shells[sm.site] = frozenset(w for w in sm.carry(base.shell)[0] if inside(w))
     return members, shells
+
+
+def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.ConnectingTree:
+    """The connecting tree as the explicit preorder stack walk built it,
+    for ``build_connecting_tree`` to match record by record, dict
+    insertion order included.  Inputs are taken as valid."""
+    J = None if type2_J is None else frozenset(type2_J)
+    side_labels = {1: tuple(sorted(labels1)), 2: tuple(sorted(labels2))}
+    size = {(1, depth): 1, (2, depth): 1}
+    for level in range(depth - 1, 0, -1):
+        for side, other in ((1, 2), (2, 1)):
+            size[side, level] = 1 + (len(side_labels[side]) - 1) * size[other, level + 1]
+    total = 1 + len(side_labels[1]) * size[2, 1] if depth else 1
+    width = len(str(max(total - 2, 0)))
+    nodes, node_side = [ROOT], {ROOT: 1}
+    parent, children, out_label, levels, preorder, subtree_end = {}, {}, {}, {}, {}, {}
+    stack = [(ROOT, 1, 0, None, 0)]
+    while stack:
+        u, side, level, toward_parent, first = stack.pop()
+        levels[u] = level
+        preorder[u] = len(preorder)
+        subtree_end[u] = preorder[u] + (total if u == ROOT else size[side, level])
+        mine = side_labels[side]
+        if toward_parent is None:
+            free = mine
+        else:
+            if J is None:
+                back = mine[0]
+            else:
+                entry = out_label[(parent[u], u)]
+                back = sorted(frozenset(mine) - J if entry in J else J)[0]
+            out_label[(u, toward_parent)] = back
+            free = tuple(k for k in mine if k != back)
+        if level == depth:
+            children[u] = ()
+            continue
+        kids = []
+        other = 2 if side == 1 else 1
+        step = size[other, level + 1]
+        for i, k in enumerate(free):
+            w = f"n{first + (i + 1) * step - 1:0{width}d}"
+            nodes.append(w)
+            node_side[w] = other
+            parent[w] = u
+            out_label[(u, w)] = k
+            kids.append(w)
+        children[u] = tuple(kids)
+        stack.extend((w, other, level + 1, u, first + i * step)
+                     for i, w in reversed(list(enumerate(kids))))
+    nodes.sort()
+    return af.ConnectingTree(side_labels[1], side_labels[2], depth, tuple(nodes), node_side,
+                             parent, children, out_label, levels, preorder, subtree_end, J)
+
+
+def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False) -> SumGraph:
+    """The sum graph with every copy edge and bridge written out as an id
+    pair for the edge-list ``FiniteGraph`` to check, sort and index, and
+    the copies left for ``node_of`` to derive, for ``build_sum_graph``
+    to match field by field."""
+    factors = (g1, g2)
+    vertices = [copy_vertex(node, x) for node in tree.nodes
+                for x in factors[tree.node_side[node] - 1].vertices]
+    edges = [(copy_vertex(node, x), copy_vertex(node, y)) for node in tree.nodes
+             for x, y in factors[tree.node_side[node] - 1].edges]
+    bridges = []
+    for u, v in tree.edges():
+        one, two = (u, v) if tree.node_side[u] == 1 else (v, u)
+        k, l = tree.out_label[(one, two)], tree.out_label[(two, one)]
+        if flip_orientations:
+            m = atlas.map_for(l, k)
+            bridges += [(copy_vertex(two, x), copy_vertex(one, m[x])) for x in sorted(adh2[l])]
+        else:
+            m = atlas.map_for(k, l)
+            bridges += [(copy_vertex(one, x), copy_vertex(two, m[x])) for x in sorted(adh1[k])]
+    graph = af.FiniteGraph(vertices, edges + bridges)
+    canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
+    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
 
 
 def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:

@@ -1,6 +1,7 @@
 """Tree truncations, bonding atlases, sum graphs, and contraction."""
 
 import itertools
+import random
 
 import pytest
 
@@ -11,11 +12,12 @@ from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
                                 identification_sizes,
                                 select_orbit_representatives,
                                 split_copy_vertex, validate_bonding_atlas)
-from asdimforge.errors import ConfigError, PreconditionError
+from asdimforge.errors import ConfigError, GraphFormatError, PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.groups import GroupAction, compute_automorphisms
 
-from conftest import build_doc, label_paths, line_graph, path_ids, ring_graph
+from conftest import (build_doc, label_paths, line_graph, path_ids,
+                      reference_connecting_tree, reference_sum_graph, ring_graph)
 
 
 # -- connecting trees ----------------------------------------------------------
@@ -359,6 +361,107 @@ def test_orientation_flip_same_edges(chain6):
                           flip_orientations=True)
     assert fwd.graph.same_as(rev.graph)
     assert fwd.bridges == rev.bridges
+
+
+def _random_build_doc(rng, alternating: bool) -> dict:
+    """A random spec with the factor vertices listed in shuffled order,
+    some of their names holding ``:``, and bijections between random
+    equal-size boundary sets; ``alternating`` gives one shared factor
+    under a random alternating class."""
+    def factor(n, prefix):
+        names = [f"{prefix}{i}" if rng.random() < 0.5 else f"{prefix}:{i}:{prefix}"
+                 for i in range(n)]
+        edges = {tuple(sorted((names[rng.randrange(i)], names[i]))) for i in range(1, n)}
+        for _ in range(rng.randint(0, n) if n > 1 else 0):
+            edges.add(tuple(sorted(rng.sample(names, 2))))
+        rng.shuffle(names)
+        return {"vertices": names, "edges": [list(e) for e in edges]}
+
+    k = rng.randint(1, 3)
+    p1 = rng.randint(2 if alternating else 1, 4)
+    g1 = factor(rng.randint(k, 7), "a")
+    adh1 = {str(i): rng.sample(g1["vertices"], k) for i in range(p1)}
+    tree = {"p1": p1, "depth": rng.randint(0, 6)}
+    if alternating:
+        labels = sorted(adh1)
+        J = rng.sample(labels, rng.randint(1, p1 - 1))
+        pairs = [(l1, l2) for l1 in J for l2 in labels if l2 not in J]
+        factors, adhesions, sets2 = [g1], [adh1], adh1
+        tree.update(p2=p1, type2_J=J)
+    else:
+        g2 = factor(rng.randint(k, 6), "b")
+        sets2 = {chr(ord("x") - i): rng.sample(g2["vertices"], k)
+                 for i in range(rng.randint(1, 3))}
+        pairs = [(l1, l2) for l1 in adh1 for l2 in sets2]
+        factors, adhesions = [g1, g2], [adh1, sets2]
+        tree.update(p2=len(sets2))
+    atlas = [{"left": l1, "right": l2,
+              "pairs": [list(xy) for xy in zip(adh1[l1], rng.sample(sets2[l2], k))]}
+             for l1, l2 in pairs]
+    return {"name": "random", "factors": factors, "adhesions": adhesions, "atlas": atlas,
+            "actions": {"mode": "trivial"}, "tree": tree}
+
+
+TREE_FIELDS = ("labels1", "labels2", "depth", "nodes", "node_side", "parent", "children",
+               "out_label", "level", "preorder", "subtree_end", "type2_J", "node_set",
+               "frontier")
+
+
+def _assert_same_records(got, want, fields):
+    for name in fields:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a == b, name
+        if isinstance(a, dict):
+            assert list(a) == list(b), name
+
+
+def test_build_matches_the_edge_list_reference():
+    """Seeded random specs, alternating ones among them, against the stack
+    walk and the edge-list sum graph, both orientations, record by record
+    and in dict insertion order."""
+    rng = random.Random(20261019)
+    # a one-vertex first factor: at depth 0 the root's vertex has no neighbour
+    lone = {"name": "lone", "factors": [{"vertices": ["w"], "edges": []},
+                                        {"vertices": ["c", "d"], "edges": [["c", "d"]]}],
+            "adhesions": [{"z": ["w"]}, {"0": ["c"], "1": ["c"]}],
+            "atlas": [{"left": "z", "right": k, "pairs": [["w", "c"]]} for k in "01"],
+            "tree": {"p1": 1, "p2": 2, "depth": 0}}
+    docs = [chain_spec_doc(0), chain_spec_doc(9), triangle_spec_doc(6), type2_spec_doc(8), lone,
+            {**lone, "tree": {"p1": 1, "p2": 2, "depth": 3}}]
+    docs += [_random_build_doc(rng, alternating=i % 3 == 0) for i in range(60)]
+    assert any(":" in v for doc in docs for f in doc["factors"] for v in f["vertices"])
+    for doc in docs:
+        spec = AmalgamationSpec.from_json_dict(doc)
+        assert validate_bonding_atlas(spec.atlas, spec.adh1, spec.adh2, spec.type2_J).ok
+        args = (spec.adh1.labels, spec.adh2.labels, spec.depth, spec.type2_J)
+        tree = build_connecting_tree(*args)
+        _assert_same_records(tree, reference_connecting_tree(*args), TREE_FIELDS)
+        for flip in (False, True):
+            parts = (spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree)
+            got, want = build_sum_graph(*parts, flip), reference_sum_graph(*parts, flip)
+            _assert_same_records(got.graph, want.graph,
+                                 ("vertices", "vertex_set", "edges", "adjacency"))
+            _assert_same_records(got, want, ("factors", "adhesions", "bridges", "copies"))
+
+
+@pytest.mark.parametrize("flip", [False, True])
+def test_sum_graph_rejects_a_bridge_off_the_factor(flip):
+    """An atlas doctored past validation, handed straight to the builder:
+    the stray bridge raises as the edge-list graph does."""
+    spec = AmalgamationSpec.from_json_dict(triangle_spec_doc(3))
+    tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, 3)
+    entries = {pair: dict(m) for pair, m in spec.atlas.entries.items()}
+    if flip:
+        entries[("x", "2")] = {"x": "5"}
+    else:
+        entries[("2", "x")] = {"2": "z"}
+    atlas = BondingAtlas(entries)
+    parts = (spec.g1, spec.g2, spec.adh1, spec.adh2, atlas, tree, flip)
+    with pytest.raises(GraphFormatError) as want:
+        reference_sum_graph(*parts)
+    with pytest.raises(GraphFormatError) as got:
+        build_sum_graph(*parts)
+    assert str(got.value) == str(want.value)
 
 
 def test_single_gluing_and_trivial_projection():

@@ -3,7 +3,9 @@ one fresh process per rung.
 
 Each certificate rung builds one shipped document at one depth and runs
 ``run_certificate`` on it, in a child process of its own, and reports
-the build and certificate wall times, the time ``jsonio.dumps`` takes to
+the build and certificate wall times, the build's parts in the
+connecting tree (``tree_s``) and the sum graph (``sum_s``), which
+report rungs split out too, the time ``jsonio.dumps`` takes to
 serialise the certificate (``write_s``), the child's peak RSS (from
 ``resource``) and the size of what it writes.  It splits out the parts
 of the certificate's time spent in the symmetry maps (``maps_s``,
@@ -28,7 +30,7 @@ that agree show the same digest.  ``doubling`` is a rung's certificate
 (report, oracle) time over the previous rung's.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
-        --out BENCH_8.json
+        --out BENCH_10.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
 import, so one copy of this script compares commits.  Each checkout's
@@ -70,10 +72,15 @@ ORACLE_LADDER = ((8, 240), (10, 120), (12, 80))
 REPEAT = 5
 
 
-def _build(name: str, depth: int):
+def _build(name: str, depth: int, spent: dict):
+    """Build one rung, adding the tree's and the sum graph's build times to
+    ``spent`` as ``tree_s`` and ``sum_s``."""
     from asdimforge import amalgam, fixtures
 
     make = {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name]
+    # ``build`` reaches both through ``amalgam``'s own names
+    amalgam.build_connecting_tree = _timer(spent, "tree_s", amalgam.build_connecting_tree)
+    amalgam.build_sum_graph = _timer(spent, "sum_s", amalgam.build_sum_graph)
     return amalgam.build(amalgam.AmalgamationSpec.from_json_dict(make(depth)))
 
 
@@ -102,7 +109,7 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
 
     from asdimforge import jsonio, theorem
 
-    spent = {"maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0}
+    spent = {"tree_s": 0.0, "sum_s": 0.0, "maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0}
     greedy = theorem.greedy_witness
     runs = []
     # ``run_certificate`` reaches all four through ``theorem``'s own names
@@ -111,7 +118,7 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
     theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
     t0 = time.perf_counter()
-    br = _build(name, depth)
+    br = _build(name, depth, spent)
     t1 = time.perf_counter()
     cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
     t2 = time.perf_counter()
@@ -132,12 +139,12 @@ def run_report_rung(name: str, depth: int) -> dict:
 
     from asdimforge import cli, jsonio
 
-    spent = {"check_s": 0.0, "fit_s": 0.0}
+    spent = {"tree_s": 0.0, "sum_s": 0.0, "check_s": 0.0, "fit_s": 0.0}
     # ``build_report`` reaches both through ``cli``'s own names
     cli.projection_report = _timer(spent, "check_s", cli.projection_report)
     cli.projection_fit = _timer(spent, "fit_s", cli.projection_fit)
     t0 = time.perf_counter()
-    br = _build(name, depth)
+    br = _build(name, depth, spent)
     t1 = time.perf_counter()
     report = cli.build_report(br)
     t2 = time.perf_counter()
@@ -145,6 +152,7 @@ def run_report_rung(name: str, depth: int) -> dict:
     t3 = time.perf_counter()
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
+            "tree_s": round(spent["tree_s"], 4), "sum_s": round(spent["sum_s"], 4),
             "report_s": round(t2 - t1, 3), "check_s": round(spent["check_s"], 3),
             "fit_s": round(spent["fit_s"], 3), "write_s": round(t3 - t2, 3),
             "peak_rss_mb": _peak_rss_mb(),
