@@ -11,7 +11,8 @@ label order, then the node), zero-padded to one width per build, so two
 builds of the same input are byte-identical and sorted ids list the
 nodes in postorder.  The ids are names only and are never parsed:
 depths, distances, paths, balls and subtrees are read off the parent,
-child and depth records the build leaves behind, and the tree's
+child and depth records the build leaves behind, a vertex's copy off
+the sum graph's ``copies`` (see ``SumGraph``), and the tree's
 ``table`` gives back each node's label path (``t1/a/x/b``, each
 component the label of the edge leaving the parent).  The cut happens
 at a fixed radius around the root, and downstream checks stay inside a
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import FiniteGraph, load_graph
@@ -137,14 +138,10 @@ class ConnectingTree:
 
     @cached_property
     def neighbour(self) -> dict[tuple[str, str], str]:
-        """(node, label) -> the node across the edge that label leaves by.
-        Where a node uses a label twice, the parent edge comes first, then
-        the first child."""
-        out = {(u, self.out_label[(u, p)]): p for u, p in self.parent.items()}
-        for u in self.nodes:
-            for w in self.children.get(u, ()):
-                out.setdefault((u, self.out_label[(u, w)]), w)
-        return out
+        """(node, label) -> the node across the edge that label leaves by.  A label
+        used twice leads to the node's first edge in ``out_label``: the parent, then
+        the first child (the earliest entry is written last)."""
+        return {(u, k): w for (u, w), k in reversed(self.out_label.items())}
 
     def return_label(self, u: str) -> str | None:
         """Label of the edge from u toward its parent."""
@@ -231,6 +228,8 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
         raise PreconditionError("need at least one label on each side")
     if depth < 0:
         raise PreconditionError("need depth >= 0")
+    if len(set(labels1)) < len(labels1) or len(set(labels2)) < len(labels2):
+        raise PreconditionError("a side repeats a label")
     for k in labels1 + labels2:
         if "/" in k or ":" in k:
             raise ConfigError(f"tree label {k!r} may not contain '/' or ':'")
@@ -409,11 +408,12 @@ def split_copy_vertex(vid: str) -> tuple[str, str]:
 class SumGraph:
     """Disjoint factor copies on the tree nodes plus bridging edges.
 
-    ``copies`` lists each node's copy, the vertices of its own graph that
-    ``node_of`` puts over the node, in the graph's order: in a built sum
-    graph, position i of a copy holds the i-th vertex of its factor.
-    ``build_sum_graph`` records the copies as it lays them out; a sum
-    graph built by hand derives them from its graph on first use.
+    ``copies`` lists each node's copy, the vertices of its own graph over
+    the node, in the graph's order: in a built sum graph, position i of a
+    copy holds the i-th vertex of its factor.  It is the one record of
+    the layout, which ``node_of`` reads.  ``build_sum_graph`` records the
+    copies as it lays them out; a sum graph built by hand derives them
+    on first use by splitting its vertex ids, and no other code does.
     """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
@@ -426,16 +426,17 @@ class SumGraph:
         self.adhesions = adhesions
         self.bridges = bridges
 
-    def node_of(self, vid: str) -> str:
-        return split_copy_vertex(vid)[0]
-
     @cached_property
     def copies(self) -> dict[str, tuple[str, ...]]:
         out: dict[str, list[str]] = {}
-        node_of = self.node_of
         for v in self.graph.vertices:
-            out.setdefault(node_of(v), []).append(v)
+            out.setdefault(split_copy_vertex(v)[0], []).append(v)
         return {u: tuple(vs) for u, vs in out.items()}
+
+    @cached_property
+    def node_of(self) -> Callable[[str], str]:
+        """Vertex -> the node whose copy holds it, read off ``copies``."""
+        return {v: u for u, vs in self.copies.items() for v in vs}.__getitem__
 
     def copy_vertices(self, node: str) -> tuple[str, ...]:
         self.tree.require_node(node)
@@ -557,26 +558,6 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
 # -- contraction --------------------------------------------------------------
 
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, x: str, y: str):
-        rx, ry = self.find(x), self.find(y)
-        if rx != ry:
-            if ry < rx:
-                rx, ry = ry, rx
-            self.parent[ry] = rx
-
-
 class AmalgamGraph:
     """The contraction of a sum graph along its bridging edges."""
 
@@ -599,43 +580,42 @@ class AmalgamGraph:
         except KeyError:
             raise PreconditionError(f"unknown glued vertex {amid!r}") from None
 
-    def identification_nodes(self, amid: str) -> frozenset[str]:
-        return frozenset(self.sum.node_of(v) for v in self.fiber(amid))
-
 
 def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
     """Contract every bridging edge; fibers become the glued vertices.
 
-    Contraction of a simple graph can create loops and parallel edges;
-    both are dropped (loops cannot actually occur here because each
-    fiber meets every copy at most once, and edge de-duplication is a
-    set union).  Each glued vertex is named after its least member.
+    Precondition, met by every built sum graph: each bridge runs from a
+    vertex up to one that ``H.vertices`` lists later (from a copy up to
+    its parent's, which postorder lists after it, by a bijective bonding
+    map), and no vertex has two bridges up; an input that breaks it
+    raises.  So, reading H's vertices backwards, each joins the fiber of
+    its bridge's upper end or starts a new one.  A fiber climbs the tree
+    without turning back, so it meets each copy at most once.  Loops and
+    parallel edges are dropped; a glued vertex is named by its least member.
     """
-    uf = _UnionFind(h.graph.vertices)
-    for a, b in h.bridges:
-        uf.union(a, b)
-    fibers: dict[str, set[str]] = {}
-    for v in h.graph.vertices:
-        fibers.setdefault(uf.find(v), set()).add(v)
-    projection = {}
-    packed = {}
-    for root, members in fibers.items():
-        amid = min(members)
-        packed[amid] = frozenset(members)
-        for v in members:
-            projection[v] = amid
-    edges = set()
-    for x, y in h.graph.edges:
-        px, py = projection[x], projection[y]
-        if px != py:
-            edges.add((px, py) if px <= py else (py, px))
-    graph = FiniteGraph(sorted(packed), sorted(edges))
-    return AmalgamGraph(graph, h, projection, packed)
+    vertices, up = h.graph.vertices, dict(h.bridges)
+    top: dict[str, str] = {}
+    for v in reversed(vertices):
+        w = up.get(v)
+        if w is not None and w not in top:
+            raise PreconditionError(f"bridge {v!r}-{w!r} does not run up H's vertex list")
+        top[v] = v if w is None else top[w]
+    members: dict[str, list[str]] = {}
+    for v, t in top.items():
+        members.setdefault(t, []).append(v)
+    if len(members) + len(h.bridges) != len(vertices):
+        raise PreconditionError("a bridge end is no vertex, or a vertex has two bridges up")
+    fibers = {min(vs): frozenset(vs) for vs in members.values()}
+    projection = {v: amid for amid, vs in fibers.items() for v in vs}
+    amids, adjacency = tuple(sorted(fibers)), h.graph.adjacency
+    rows = {amid: tuple(sorted({projection[w] for v in fibers[amid] for w in adjacency[v]}
+                               - {amid})) for amid in amids}
+    return AmalgamGraph(FiniteGraph.from_adjacency(amids, rows), h, projection, fibers)
 
 
 def identification_sizes(a: AmalgamGraph) -> tuple[dict[str, int], int]:
-    """Per glued vertex, how many tree nodes its fiber spans; plus the max."""
-    sizes = {amid: len(a.identification_nodes(amid)) for amid in a.graph.vertices}
+    """Per glued vertex, how many tree nodes its fiber spans (its size); plus the max."""
+    sizes = {amid: len(a.fiber(amid)) for amid in a.graph.vertices}
     return sizes, max(sizes.values(), default=0)
 
 

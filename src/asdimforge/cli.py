@@ -153,7 +153,7 @@ def cmd_iterate(args) -> int:
     outdir = Path(args.out or "artifacts")
     prev: BuildResult | None = None
     names = []
-    bound = 1
+    bound, ok = 1, True
     for idx, path in enumerate(args.spec):
         raw = read_json(path)
         if not isinstance(raw, dict):
@@ -170,6 +170,7 @@ def cmd_iterate(args) -> int:
         br = build(spec, args.depth)
         report = build_report(br)
         report["stage"] = idx + 1
+        ok = ok and report["projection"]["ok"] and report["atlas"]["ok"]
         write_json(outdir / f"stage{idx + 1:02d}_{spec.name}.json", report)
         decl = spec.declared_asdim
         bound = max(bound, theorem_bound(decl.get("factor1", 0),
@@ -179,8 +180,8 @@ def cmd_iterate(args) -> int:
         prev = br
     write_json(outdir / "iterate_summary.json",
                {"stages": names, "bound": bound})
-    print(f"PASS stages={len(names)} bound={bound} -> {outdir}")
-    return 0
+    print(f"{'PASS' if ok else 'FAIL'} stages={len(names)} bound={bound} -> {outdir}")
+    return 0 if ok else 1
 
 
 _ROW_FIELDS = ("file", "kind", "name", "verdict", "bound")

@@ -544,8 +544,7 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     block_over, shell_over = _by_node(h, base.w_r.vertices), _by_node(h, base.shell)
     # an image keeps an edge of W when it keeps both ends' nodes, so W's
     # edges are counted once per pair of nodes
-    node_of = h.node_of
-    edges_between = Counter((node_of(a), node_of(b)) for a, b in base.w_r.edges)
+    edges_between = Counter((h.node_of(a), h.node_of(b)) for a, b in base.w_r.edges)
     members = [base.w0]
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
@@ -1041,23 +1040,19 @@ def _copy_shapes(br: BuildResult) -> tuple[list[tuple], list[list[int]]] | None:
     children, with the nodes numbered in preorder; None if an edge of H
     is stretched.
 
-    The copy over a node is the set of vertices ``node_of`` puts there,
-    read from H, and a vertex is named by its position among them in
-    ``H.vertices`` order (in a built sum graph, its factor vertex's
-    position).  A node's shape is (the copy's size, its edges, its
-    up-portals: the vertices with a neighbour over the parent, and per
-    child the child's up-portal count and the sorted bridges (i, j) from
-    vertex i to the child's j-th up-portal).
+    A vertex is named by its position in its node's copy (in a built sum
+    graph, its factor vertex's position), and its edges are read from H.
+    A node's shape is (the copy's size, its edges, its up-portals: the
+    vertices with a neighbour over the parent, and per child the child's
+    up-portal count and the sorted bridges (i, j) from vertex i to the
+    child's j-th up-portal).
     """
-    H, tree, node_of = br.sum.graph, br.tree, br.sum.node_of
+    H, tree, copies = br.sum.graph, br.tree, br.sum.copies
     nid = {u: k for k, u in enumerate(tree.preorder)}
     kids = [[nid[w] for w in tree.children[u]] for u in tree.preorder]
     parent = [nid.get(tree.parent.get(u), -1) for u in tree.preorder]
-    where, sizes = {}, [0] * len(nid)
-    for v in H.vertices:
-        k = nid[node_of(v)]
-        where[v] = (k, sizes[k])
-        sizes[k] += 1
+    sizes = [len(copies.get(u, ())) for u in tree.preorder]
+    where = {v: (nid[u], i) for u, copy in copies.items() for i, v in enumerate(copy)}
     edges, ups, down = ([[] for _ in sizes] for _ in range(3))
     for v, (k, i) in where.items():
         for w in H.adjacency[v]:

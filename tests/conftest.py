@@ -280,12 +280,65 @@ def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False
     return SumGraph(graph, tree, factors, (adh1, adh2), canon)
 
 
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x: str) -> str:
+        root = x
+        while self.parent[root] != root:
+            root = self.parent[root]
+        while self.parent[x] != root:
+            self.parent[x], x = root, self.parent[x]
+        return root
+
+    def union(self, x: str, y: str):
+        rx, ry = self.find(x), self.find(y)
+        if rx != ry:
+            if ry < rx:
+                rx, ry = ry, rx
+            self.parent[ry] = rx
+
+
+def reference_contract_to_amalgam(h: SumGraph) -> af.AmalgamGraph:
+    """The contraction as a string union-find over the bridges, whatever
+    their direction and the vertex order, with the glued edges handed to
+    the validating ``FiniteGraph`` as a sorted list, for
+    ``contract_to_amalgam`` to match."""
+    uf = _UnionFind(h.graph.vertices)
+    for a, b in h.bridges:
+        uf.union(a, b)
+    fibers: dict[str, set[str]] = {}
+    for v in h.graph.vertices:
+        fibers.setdefault(uf.find(v), set()).add(v)
+    projection, packed = {}, {}
+    for members in fibers.values():
+        amid = min(members)
+        packed[amid] = frozenset(members)
+        for v in members:
+            projection[v] = amid
+    edges = set()
+    for x, y in h.graph.edges:
+        px, py = projection[x], projection[y]
+        if px != py:
+            edges.add((px, py) if px <= py else (py, px))
+    graph = af.FiniteGraph(sorted(packed), sorted(edges))
+    return af.AmalgamGraph(graph, h, projection, packed)
+
+
 def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:
-    """Doctor ``br`` so that ``node_of`` puts the copy over each key of
-    ``moves`` on its value; other copies stay.  No accepted spec builds
-    such a map."""
-    node_of = br.sum.node_of
-    monkeypatch.setattr(br.sum, "node_of", lambda v: moves.get(node_of(v), node_of(v)))
+    """Doctor ``br``'s layout so that the copy over each key of ``moves``
+    lies over its value; other copies stay, and copies moved onto one
+    node join in ``H.vertices`` order.  Every reader of ``copies`` and
+    ``node_of`` sees it.  No accepted spec builds such a layout."""
+    h = br.sum
+    # ``node_of`` is derived from the copies on first use: its table is
+    # derived from the true copies here, dropped, and put back afterwards
+    monkeypatch.delattr(h, "node_of")
+    moved: dict[str, list[str]] = {}
+    for u, vs in h.copies.items():
+        moved.setdefault(moves.get(u, u), []).extend(vs)
+    monkeypatch.setattr(h, "copies", {u: tuple(vs) for u, vs in moved.items()})
 
 
 def node_ids(table) -> dict[str, str]:

@@ -7,9 +7,9 @@ import pytest
 
 import asdimforge as af
 from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
-                                BondingAtlas, build_connecting_tree,
-                                build_sum_graph, check_trivial, copy_vertex,
-                                identification_sizes,
+                                BondingAtlas, SumGraph, build_connecting_tree,
+                                build_sum_graph, check_trivial, contract_to_amalgam,
+                                copy_vertex, identification_sizes,
                                 select_orbit_representatives,
                                 split_copy_vertex, validate_bonding_atlas)
 from asdimforge.errors import ConfigError, GraphFormatError, PreconditionError
@@ -17,7 +17,9 @@ from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_do
 from asdimforge.groups import GroupAction, compute_automorphisms
 
 from conftest import (build_doc, label_paths, line_graph, path_ids,
-                      reference_connecting_tree, reference_sum_graph, ring_graph)
+                      reference_connecting_tree, reference_contract_to_amalgam,
+                      reference_sum_graph, ring_graph)
+from test_theorem import _random_spec_doc
 
 
 # -- connecting trees ----------------------------------------------------------
@@ -185,6 +187,11 @@ def test_tree_rejects_bad_labels():
         build_connecting_tree([], ["0", "1"], 2)
     with pytest.raises(PreconditionError):
         numbered_tree(2, 2, -1)
+    # a repeated label would give one node two edges by it
+    with pytest.raises(PreconditionError):
+        build_connecting_tree(("0", "0"), ("1",), 3)
+    with pytest.raises(PreconditionError):
+        build_connecting_tree(("0", "1"), ("x", "y", "x"), 3)
 
 
 def test_tree_alternating_class_must_be_proper():
@@ -345,12 +352,61 @@ def test_amalgam_fibers(chain6):
         fiber = a.fiber(amid)
         assert fiber
         assert {a.project(v) for v in fiber} == {amid}
-        assert a.identification_nodes(amid) <= set(chain6.tree.nodes)
+        assert {chain6.sum.node_of(v) for v in fiber} <= set(chain6.tree.nodes)
     sizes, biggest = identification_sizes(a)
     assert biggest == 2
     assert set(sizes.values()) <= {1, 2}
     # Interior identifications glue exactly two copies.
     assert sum(1 for s in sizes.values() if s == 2) == 12
+
+
+def _assert_contraction_matches_the_union_find(h: SumGraph) -> int:
+    """The contraction against the union-find reference, field by field;
+    returns the largest fiber."""
+    got, want = contract_to_amalgam(h), reference_contract_to_amalgam(h)
+    assert got.projection == want.projection
+    assert got.fibers == want.fibers
+    assert got.graph.vertices == want.graph.vertices
+    assert got.graph.edges == want.graph.edges
+    assert list(got.graph.adjacency.items()) == list(want.graph.adjacency.items())
+    # a fiber meets each copy at most once, so its size counts its nodes
+    sizes, biggest = identification_sizes(got)
+    assert sizes == {amid: len({h.node_of(v) for v in fiber})
+                     for amid, fiber in sorted(want.fibers.items())}
+    return biggest
+
+
+def test_contraction_matches_the_union_find_reference():
+    """The ladder documents, ``type2_k2``, builds bridged from the side-2 end,
+    and seeded random specs, among them the class whose fibers grow with the
+    depth (a boundary set repeated on both sides)."""
+    docs = [chain_spec_doc(d) for d in (0, 1, 40, 400)]
+    docs += [triangle_spec_doc(d) for d in (0, 1, 8, 12)] + [type2_spec_doc(8)]
+    for doc in docs:
+        _assert_contraction_matches_the_union_find(build_doc(doc).sum)
+    rng = random.Random(2026)
+    randoms = [_random_spec_doc(rng) for _ in range(120)]
+    for doc in [triangle_spec_doc(6), *randoms[:10]]:
+        spec = AmalgamationSpec.from_json_dict(doc)
+        tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, 4)
+        _assert_contraction_matches_the_union_find(build_sum_graph(
+            spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree, flip_orientations=True))
+    biggest = [_assert_contraction_matches_the_union_find(build_doc(doc, 6).sum)
+               for doc in randoms]
+    assert max(biggest) >= 31 and sum(b >= 31 for b in biggest) >= 4
+
+
+def test_contraction_rejects_bridges_it_cannot_follow(chain6):
+    """Bridges that run down the vertex list, a vertex with two bridges up,
+    and a bridge from no vertex all raise instead of gluing wrongly."""
+    h = chain6.sum
+    last = h.graph.vertices[-1]
+    low = next(a for a, b in h.bridges if b != last)
+    for bridges in ([(b, a) for a, b in h.bridges], [*h.bridges, (low, last)],
+                    [*h.bridges, ("nowhere", last)]):
+        with pytest.raises(PreconditionError):
+            contract_to_amalgam(SumGraph(h.graph, h.tree, h.factors, h.adhesions,
+                                         tuple(bridges)))
 
 
 def test_orientation_flip_same_edges(chain6):

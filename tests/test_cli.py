@@ -506,6 +506,22 @@ def test_iterate_command(tmp_path, capsys):
     assert any(name.startswith("stage02_") for name in files)
 
 
+def test_iterate_fails_when_a_stage_fails(tmp_path, monkeypatch, capsys):
+    """A stage whose report is doctored to a failed atlas: every stage still
+    runs and writes, and ``iterate`` prints FAIL and exits 1."""
+    first = chain_spec_doc(6)
+    spec1 = write_doc(tmp_path, "stage1.json", first)
+    spec2 = write_doc(tmp_path, "stage2.json", next_stage_doc(build_doc(first), depth=4))
+    report = cli.build_report
+    monkeypatch.setattr(cli, "build_report", lambda br: {
+        **report(br), **({"atlas": {"ok": False, "problems": ["doctored"]}}
+                         if br.spec.name == "chain_k2" else {})})
+    outdir = tmp_path / "artifacts"
+    assert cli.main(["iterate", "--spec", spec1, "--spec", spec2, "--out", str(outdir)]) == 1
+    assert "FAIL stages=2" in capsys.readouterr().out
+    assert len(list(outdir.glob("stage*.json"))) == 2
+
+
 def test_iterate_requires_previous_placeholder(tmp_path):
     first = chain_spec_doc(6)
     bad_stage = next_stage_doc(build_doc(first), depth=4)

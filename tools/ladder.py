@@ -18,8 +18,11 @@ certificate's bytes, so checkouts that write the same certificate show
 the same digest.
 Each report rung does the same with ``cli.build_report``, the projection
 check and distortion fit that ``build`` writes, and splits out the parts
-of its time spent in the check (``check_s``, ``cli.projection_report``)
-and in the fit (``fit_s``, ``theorem.projection_fit``).  Doubling the
+of its time spent in the contraction to the glued graph (``contract_s``,
+``amalgam.contract_to_amalgam``), in the check (``check_s``,
+``cli.projection_report``) and in the fit (``fit_s``,
+``theorem.projection_fit``); ``sha256`` digests the report's bytes.
+Doubling the
 depth of ``chain_k2`` doubles its sum graph; two more levels of
 ``c3_k2`` do the same.  Each oracle rung runs the exact oracle as the
 ``small_covers`` workload does, ``covers.exact_min_families`` and then
@@ -30,7 +33,7 @@ that agree show the same digest.  ``doubling`` is a rung's certificate
 (report, oracle) time over the previous rung's.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
-        --out BENCH_10.json
+        --out BENCH_11.json
 
 Each ``--run LABEL=ROOT`` names a checkout whose ``src/`` the children
 import, so one copy of this script compares commits.  Each checkout's
@@ -137,10 +140,12 @@ def run_report_rung(name: str, depth: int) -> dict:
     """Child side: build and report one rung as ``build`` does, in this process."""
     import time
 
-    from asdimforge import cli, jsonio
+    from asdimforge import amalgam, cli, jsonio
 
-    spent = {"tree_s": 0.0, "sum_s": 0.0, "check_s": 0.0, "fit_s": 0.0}
-    # ``build_report`` reaches both through ``cli``'s own names
+    spent = {"tree_s": 0.0, "sum_s": 0.0, "contract_s": 0.0, "check_s": 0.0, "fit_s": 0.0}
+    # ``build_report`` reaches the check and the fit through ``cli``'s own
+    # names, and the build result its contraction through ``amalgam``'s
+    amalgam.contract_to_amalgam = _timer(spent, "contract_s", amalgam.contract_to_amalgam)
     cli.projection_report = _timer(spent, "check_s", cli.projection_report)
     cli.projection_fit = _timer(spent, "fit_s", cli.projection_fit)
     t0 = time.perf_counter()
@@ -153,10 +158,12 @@ def run_report_rung(name: str, depth: int) -> dict:
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
             "tree_s": round(spent["tree_s"], 4), "sum_s": round(spent["sum_s"], 4),
-            "report_s": round(t2 - t1, 3), "check_s": round(spent["check_s"], 3),
+            "report_s": round(t2 - t1, 3), "contract_s": round(spent["contract_s"], 3),
+            "check_s": round(spent["check_s"], 3),
             "fit_s": round(spent["fit_s"], 3), "write_s": round(t3 - t2, 3),
             "peak_rss_mb": _peak_rss_mb(),
-            "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL"}
+            "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL",
+            "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def _random_connected_graph(rng, size: int):
