@@ -188,24 +188,29 @@ _ROW_FIELDS = ("file", "kind", "name", "verdict", "bound")
 
 
 def _report_row(path: Path) -> dict:
+    """One artifact's row.  A verdict is read only from a field of its
+    documented type (``verdict`` "PASS" or "FAIL", ``valid`` and each
+    ``ok`` a boolean); an artifact with any other shape is ``other``."""
     doc = read_json(path)
     row = {"file": path.name, "kind": "other", "name": "-",
            "verdict": "-", "bound": "-"}
     if not isinstance(doc, dict):
         return row
     if "stages" in doc and "verdict" in doc:
-        row.update(kind="certificate", name=doc.get("name", "-"),
-                   verdict=doc["verdict"], bound=doc.get("bound", "-"))
+        if doc["verdict"] in ("PASS", "FAIL"):
+            row.update(kind="certificate", name=doc.get("name", "-"),
+                       verdict=doc["verdict"], bound=doc.get("bound", "-"))
     elif "D" in doc and "families" in doc:
-        row.update(kind="witness",
-                   verdict="PASS" if doc.get("valid") else "FAIL",
-                   bound=doc["D"])
+        if isinstance(doc.get("valid"), bool):
+            row.update(kind="witness", verdict="PASS" if doc["valid"] else "FAIL",
+                       bound=doc["D"])
     elif "sum_vertices" in doc:
-        ok = doc.get("projection", {}).get("ok", False) and \
-            doc.get("atlas", {}).get("ok", False)
-        row.update(kind="build", name=doc.get("name", "-"),
-                   verdict="PASS" if ok else "FAIL",
-                   bound=doc.get("amalgam_vertices", "-"))
+        oks = [part.get("ok") if isinstance(part, dict) else None
+               for part in (doc.get("projection"), doc.get("atlas"))]
+        if all(isinstance(ok, bool) for ok in oks):
+            row.update(kind="build", name=doc.get("name", "-"),
+                       verdict="PASS" if all(oks) else "FAIL",
+                       bound=doc.get("amalgam_vertices", "-"))
     elif "stages" in doc and "bound" in doc:
         row.update(kind="summary", bound=doc["bound"], verdict="PASS")
     return row

@@ -18,12 +18,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from itertools import accumulate
-from operator import or_
 from typing import Iterable
 
 from .errors import PreconditionError
-from .graphs import INF, FiniteGraph, MetricView, VertexMap
+from .graphs import INF, MetricView, VertexMap
 
 Member = frozenset
 
@@ -74,17 +72,6 @@ class Family:
                 row[x] = dist[last] if last in outside else INF
             table.append(row)
         return tuple(table)
-
-    def is_r_disjoint(self, r: int) -> bool:
-        if r <= 0:
-            raise PreconditionError("need r > 0")
-        g = self.space.graph
-        for i, a in enumerate(self.members[:-1]):
-            dist = g.distances_to_set(a, limit=r - 1)
-            for b in self.members[i + 1:]:
-                if any(v in dist for v in b):
-                    return False
-        return True
 
     def to_json_dict(self) -> dict:
         return {"members": [sorted(m) for m in self.members]}
@@ -141,6 +128,69 @@ def lebesgue_number(cover: Cover, formula: str = "paper") -> int | float:
     return min(here.values(), default=INF)
 
 
+# -- distance questions -----------------------------------------------------
+
+#: The exact oracle takes only views of at most this many points, and
+#: the witness routines read such a view's distances off its table.
+EXACT_CAP = 12
+
+
+class _TableDistances:
+    """Distance questions at scale r on a small view, read off the table
+    (``point_rows``, ``point_shells``) that the view builds once."""
+
+    def __init__(self, space: MetricView, r: int):
+        self.space, self.r = space, r
+        self.index = {v: i for i, v in enumerate(space.points)}
+        self.rows = space.point_rows()
+        self.close = [sum(by_d[:r]) for by_d in space.point_shells()[0]]
+
+    def ball(self, v: str) -> dict[str, int]:
+        return {u: d for u, d in zip(self.space.points, self.rows[self.index[v]]) if d < self.r}
+
+    def row(self, v: str, targets: Iterable[str]) -> dict[str, int]:
+        return {u: d for u, d in zip(self.space.points, self.rows[self.index[v]]) if d < INF}
+
+    def near(self, members: Iterable[str]) -> set[str]:
+        mask = 0
+        for v in members:
+            mask |= self.close[self.index[v]]
+        return {u for j, u in enumerate(self.space.points) if mask >> j & 1}
+
+    def diameter(self, members: Iterable[str]) -> int | float:
+        rows, ix = self.rows, [self.index[v] for v in members]
+        return max((rows[i][j] for i in ix for j in ix), default=0)
+
+
+class _SearchDistances:
+    """The same questions on a larger view, each one bounded search, so
+    memory stays linear in the graph.  ``ball``: the view's points closer
+    than r to v, with distances; ``row``: distances from v, at least to
+    each reachable target; ``near``: what lies closer than r to members."""
+
+    def __init__(self, space: MetricView, r: int):
+        self.space, self.r = space, r
+
+    def ball(self, v: str) -> dict[str, int]:
+        found = self.space.graph.distances_to_set((v,), limit=self.r - 1)
+        return {u: d for u, d in found.items() if u in self.space.point_set}
+
+    def row(self, v: str, targets: Iterable[str]) -> dict[str, int]:
+        return self.space.graph.distances_to_set((v,), until=targets)
+
+    def near(self, members: Iterable[str]) -> dict[str, int]:
+        return self.space.graph.distances_to_set(members, limit=self.r - 1)
+
+    def diameter(self, members: Iterable[str]) -> int | float:
+        return self.space.graph.diameter(members)
+
+
+def _distances(space: MetricView, r: int) -> _TableDistances | _SearchDistances:
+    """The view's distance questions at scale r: off its table when it is
+    small, else searched, as the table's memory is quadratic in the view."""
+    return (_TableDistances if len(space) <= EXACT_CAP else _SearchDistances)(space, r)
+
+
 # -- layered witness families ---------------------------------------------
 
 
@@ -161,7 +211,7 @@ class WitnessFamilies:
     def _measured(self) -> tuple[tuple[bool, int | float] | None, ...]:
         """Per family, whether it is r-disjoint and its widest member's
         diameter (None for an empty family), measured once."""
-        return _measure(self.space, self.r, self.families)
+        return _measure(_distances(self.space, self.r), self.families)
 
     def violations(self) -> list[str]:
         problems = []
@@ -198,37 +248,47 @@ class WitnessFamilies:
         }
 
 
-def _measure(space: MetricView, r: int, families) -> tuple:
+def _measure(dist, families) -> tuple:
+    """Per family, whether it is r-disjoint and its widest member's
+    diameter, None for an empty family; raises on a member outside the
+    view or on a scale below 1."""
     out = []
     for fam in families:
-        famobj = Family(space, fam) if fam else None
-        out.append(None if famobj is None
-                   else (famobj.is_r_disjoint(r), famobj.max_diameter()))
+        if not fam:
+            out.append(None)
+            continue
+        members = Family(dist.space, fam).members
+        if dist.r <= 0:
+            raise PreconditionError("need r > 0")
+        # the last member holding each point: some later member comes
+        # closer than r to member i iff a point near it is held after i
+        owner = {v: k for k, m in enumerate(members) for v in m}
+        disjoint = not any(owner.get(v, -1) > i
+                           for i, near in enumerate(map(dist.near, members[:-1])) for v in near)
+        out.append((disjoint, max(map(dist.diameter, members))))
     return tuple(out)
 
 
-def _measured_witness(space: MetricView, r: int, families) -> WitnessFamilies:
+def _measured_witness(dist, families) -> WitnessFamilies:
     """The witness whose bound is its widest member's diameter; the
     measurement that gives the bound also serves its validity checks."""
-    measured = _measure(space, r, families)
+    measured = _measure(dist, families)
     bound = max((dm for _, dm in filter(None, measured)), default=0)
-    w = WitnessFamilies(space, r, families, int(bound))
+    w = WitnessFamilies(dist.space, dist.r, families, int(bound))
     object.__setattr__(w, "_measured", measured)  # frozen: fill the cache by hand
     return w
 
 
 # -- exact oracle -----------------------------------------------------------
 
-EXACT_CAP = 12
 
-
-def _cluster(points: Iterable[str], graph: FiniteGraph, r: int) -> list[frozenset[str]]:
+def _cluster(points: Iterable[str], dist) -> list[frozenset[str]]:
     """Group points by the transitive closure of ambient distance < r."""
     todo = sorted(points)
     clusters: list[set[str]] = []
     for v in todo:
-        dist_v = graph.distances_to_set((v,), limit=r - 1)
-        hits = [c for c in clusters if any(u in dist_v for u in c)]
+        near = dist.near((v,))
+        hits = [c for c in clusters if any(u in near for u in c)]
         if not hits:
             clusters.append({v})
         else:
@@ -282,15 +342,8 @@ def _oracle_tables(space: MetricView, r: int, n: int) -> tuple[list[int], list[l
         raise PreconditionError("need r > 0 and n >= 0")
     if not space.points:
         raise PreconditionError("empty space")
-    close, far = [], []
-    for row in space.point_rows():
-        shells = [0] * (max(filter(INF.__gt__, row)) + 1)  # by finite distance
-        for j, d in enumerate(row):
-            if d < len(shells):
-                shells[d] |= 1 << j
-        close.append(sum(shells[:r]))
-        far.append(list(accumulate(reversed(shells[1:]), or_))[::-1])
-    return close, far
+    shells, far = space.point_shells()
+    return [sum(by_d[:r]) for by_d in shells], far
 
 
 def _first_layering(close: list[int], far: list[list[int]], n: int,
@@ -363,15 +416,15 @@ class GreedyResult:
     detail: str = ""
 
 
-def _block_partition(space: MetricView, r: int):
+def _block_partition(dist):
     """Greedy r-net over sorted ids, then nearest-net cells (ties: earlier net point).
 
-    Only net points are searched, each once as it joins the net.
+    Only net points' balls are asked for, each once as it joins the net.
     Distance is symmetric, so a net point's r-1 ball holds both the
     points it keeps out of the net and their distance to it; every point
     lies within r-1 of some net point, so all its nearest ones are seen.
     """
-    g = space.graph
+    space = dist.space
     net: list[str] = []
     nearest: dict[str, tuple[int, int]] = {}  # point -> (distance, net index)
     for v in space.points:
@@ -379,8 +432,8 @@ def _block_partition(space: MetricView, r: int):
             continue
         i = len(net)
         net.append(v)
-        for u, d in g.distances_to_set((v,), limit=r - 1).items():
-            if u in space.point_set and (u not in nearest or d < nearest[u][0]):
+        for u, d in dist.ball(v).items():
+            if u not in nearest or d < nearest[u][0]:
                 nearest[u] = (d, i)
     blocks: list[set[str]] = [set() for _ in net]
     for v in space.points:
@@ -412,15 +465,15 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
         raise PreconditionError("need r > 0 and n >= 0")
     if not space.points:
         raise PreconditionError("empty space")
-    g = space.graph
-    net, blocks = _block_partition(space, r)
-    root_dist = g.distances_to_set((net[0],), until=net)
+    dist = _distances(space, r)
+    net, blocks = _block_partition(dist)
+    root_dist = dist.row(net[0], net)
     # working cells are keyed by their anchor net index; a merge keeps the
     # surviving cell's anchor so the coloring order stays stable
     cells: dict[int, Member] = dict(enumerate(blocks))
-    # per cell, the cells closer than r: one bounded search per cell, once
+    # per cell, the cells closer than r: asked once per cell
     cell_of = {v: a for a, b in cells.items() for v in b}
-    close = [{cell_of[v] for v in g.distances_to_set(b, limit=r - 1) if v in cell_of} - {a}
+    close = [{cell_of[v] for v in dist.near(b) if v in cell_of} - {a}
              for a, b in cells.items()]
     while True:
         order = sorted(cells, key=lambda a: (root_dist.get(net[a], INF), a))
@@ -441,14 +494,14 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
             for a, c in colors.items():
                 families[c].append(cells[a])
             fams = tuple(tuple(sorted(fam, key=sorted)) for fam in families)
-            witness = _measured_witness(space, r, fams).require_valid()
+            witness = _measured_witness(dist, fams).require_valid()
             return GreedyResult(True, witness, tuple(net), tuple(blocks), needed)
         if n == 0:
             return GreedyResult(False, None, tuple(net), tuple(blocks), needed,
                                 detail=f"first-fit needed {needed} colors for {n + 1} slots")
         pos = {a: k for k, a in enumerate(order)}
         partners = [b for b in order if pos[b] < pos[blocked] and b in close[blocked]]
-        best = min(partners, key=lambda b: (g.diameter(cells[b] | cells[blocked]), pos[b]))
+        best = min(partners, key=lambda b: (dist.diameter(cells[b] | cells[blocked]), pos[b]))
         # the merged cell is closer than r to whatever either part was
         cells[best] |= cells.pop(blocked)
         for b in close[blocked] - {best}:
@@ -469,9 +522,9 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
         raise PreconditionError("need r > 0 and n >= 0")
     if not space.points:
         raise PreconditionError("empty space")
-    g = space.graph
+    dist = _distances(space, r)
     root = space.points[0]
-    level = g.distances_to_set((root,), until=space.points)
+    level = dist.row(root, space.points)
     buckets: list[set[str]] = [set() for _ in range(n + 1)]
     for v in space.points:
         lv = level.get(v)
@@ -480,8 +533,8 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
         buckets[(lv // r) % (n + 1)].add(v)
     fams = []
     for bucket in buckets:
-        fams.append(tuple(sorted(_cluster(bucket, g, r), key=sorted)) if bucket else ())
-    return _measured_witness(space, r, tuple(fams)).require_valid()
+        fams.append(tuple(sorted(_cluster(bucket, dist), key=sorted)) if bucket else ())
+    return _measured_witness(dist, tuple(fams)).require_valid()
 
 
 # -- witness transport ------------------------------------------------------
@@ -513,15 +566,14 @@ def transport_witness(w: WitnessFamilies, vm: VertexMap,
         raise PreconditionError(f"transported scale {r_out_frac} below 1; nothing to certify")
     r_out = int(r_out_frac // 1)
     image_points = vm.image(vm.source.points)
-    tspace = vm.target.subview(image_points)
+    tdist = _distances(vm.target.subview(image_points), r_out)
     fams = []
     for fam in w.families:
         pushed: set[str] = set()
         for m in fam:
             pushed |= vm.image(m)
-        fams.append(tuple(sorted(_cluster(pushed, tspace.graph, r_out), key=sorted))
-                    if pushed else ())
-    out = _measured_witness(tspace, r_out, tuple(fams))
+        fams.append(tuple(sorted(_cluster(pushed, tdist), key=sorted)) if pushed else ())
+    out = _measured_witness(tdist, tuple(fams))
     claimed = gamma * w.bound + c
     if out.bound > claimed:
         raise PreconditionError(

@@ -13,7 +13,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
+from operator import or_
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError, PreconditionError
@@ -294,7 +295,7 @@ class MetricView:
     when the intrinsic metric of the subset is wanted instead.
     """
 
-    __slots__ = ("graph", "points", "point_set", "_rows")
+    __slots__ = ("graph", "points", "point_set", "_rows", "_shells")
 
     def __init__(self, graph: FiniteGraph, points: Iterable[str] | None = None):
         self.graph = graph
@@ -305,6 +306,7 @@ class MetricView:
         self.points = tuple(sorted(member_set))
         self.point_set = frozenset(member_set)
         self._rows: list[list[int | float]] | None = None
+        self._shells: tuple[list[list[int]], list[list[int]]] | None = None
 
     def __len__(self) -> int:
         return len(self.points)
@@ -324,6 +326,24 @@ class MetricView:
             self._rows = [[dist.get(u, INF) for u in pts]
                           for dist in (g.distances_to_set((v,), until=pts) for v in pts)]
         return self._rows
+
+    def point_shells(self) -> tuple[list[list[int]], list[list[int]]]:
+        """Per point a, by index in ``points``, bitmasks over that index:
+        ``shells[a][d]`` the points at distance d from a, and ``far[a][d]``
+        the reachable ones further than d, for d below the furthest one's.
+        Read off ``point_rows`` once and kept, so every scale shares it:
+        the points closer than r to a are its first r shells."""
+        if self._shells is None:
+            shells, far = [], []
+            for row in self.point_rows():
+                by_d = [0] * (max(filter(INF.__gt__, row)) + 1)
+                for j, d in enumerate(row):
+                    if d < len(by_d):
+                        by_d[d] |= 1 << j
+                shells.append(by_d)
+                far.append(list(accumulate(reversed(by_d[1:]), or_))[::-1])
+            self._shells = shells, far
+        return self._shells
 
     def subview(self, points: Iterable[str]) -> "MetricView":
         members = frozenset(points)

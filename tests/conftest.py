@@ -33,6 +33,41 @@ def complete_graph(n: int, prefix: str = "k") -> af.FiniteGraph:
                                   for i in range(n) for j in range(i + 1, n)])
 
 
+def torus_spec_doc(m: int, depth: int, declared: int) -> dict:
+    """The m-by-m torus glued to an edge at (0,0) and at (m/2,m/2), with
+    the edge's labels kept apart from the torus's.
+
+    The torus acts by the shift by (m/2,m/2), the negation and the
+    transpose, the symmetries that keep the two glued corners as a pair
+    (translations alone are rejected); the edge by its swap.  The torus
+    is declared of asdim ``declared``.  Kept out of ``fixtures.emit_all``,
+    so the shipped documents do not change.
+    """
+    h = m // 2
+
+    def at(i: int, j: int) -> str:
+        return f"t{i % m}_{j % m}"
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    torus = {"vertices": [at(i, j) for i, j in cells],
+             "edges": [[at(i, j), at(i + di, j + dj)] for i, j in cells
+                       for di, dj in ((1, 0), (0, 1))]}
+    corners = {"0": at(0, 0), "1": at(h, h)}
+    return {
+        "name": f"torus{m}_k2",
+        "factors": [torus, {"vertices": ["x", "y"], "edges": [["x", "y"]]}],
+        "adhesions": [{k: [v] for k, v in corners.items()}, {"x": ["x"], "y": ["y"]}],
+        "atlas": [{"left": k, "right": l, "pairs": [[v, l]]}
+                  for k, v in corners.items() for l in ("x", "y")],
+        "tree": {"p1": 2, "p2": 2, "depth": depth},
+        "actions": {"mode": "generators",
+                    "factor1": [{at(i, j): at(i + h, j + h) for i, j in cells},
+                                {at(i, j): at(-i, -j) for i, j in cells},
+                                {at(i, j): at(j, i) for i, j in cells}],
+                    "factor2": [{"x": "y", "y": "x"}]},
+        "asdim": {"factor1": declared, "factor2": 0, "adhesion": 0},
+    }
+
+
 def build_doc(doc, depth=None) -> af.BuildResult:
     return af.build(af.AmalgamationSpec.from_json_dict(doc), depth)
 

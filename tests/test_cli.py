@@ -574,6 +574,24 @@ def test_report_corrupt_artifact(tmp_path, capsys):
     assert "broken.json" in err
 
 
+def test_report_reads_verdicts_only_from_documented_fields(tmp_path, capsys):
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    docs = {"build_int_projection.json": {"sum_vertices": 1, "projection": 5},
+            "build_list_ok.json": {"sum_vertices": 1, "projection": {"ok": [1]},
+                                   "atlas": {"ok": True}},
+            "cert_dict_verdict.json": {"stages": [], "verdict": {"x": 1}},
+            "witness_text_valid.json": {"D": 1, "families": [], "valid": "yes"}}
+    for name, doc in docs.items():
+        (artifacts / name).write_text(json.dumps(doc))
+    out = tmp_path / "table.json"
+    assert cli.main(["report", str(artifacts), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())["rows"]
+    assert [(row["file"], row["kind"], row["verdict"]) for row in rows] == \
+        [(name, "other", "-") for name in sorted(docs)]
+    assert "{'x': 1}" not in capsys.readouterr().out
+
+
 def test_verify_theorem_exits_3_without_consistency_witnesses(tmp_path, capsys):
     # with trivial actions no factor symmetry matches a bonding transfer
     # that swaps the edge's ends, so the symmetry walk cannot recenter

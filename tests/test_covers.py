@@ -6,7 +6,9 @@ import random
 import pytest
 
 import asdimforge as af
-from asdimforge.covers import (_block_partition, band_witness, exact_min_bound,
+from asdimforge import covers
+from asdimforge.covers import (EXACT_CAP, _block_partition, _distances, _measure,
+                               _TableDistances, band_witness, exact_min_bound,
                                exact_min_families)
 from asdimforge.errors import PreconditionError
 
@@ -25,14 +27,28 @@ def test_family_validation_and_measures():
     g = line_graph(4)
     fam = af.Family(view(g), [frozenset({"p0", "p1"}), frozenset({"p3"})])
     assert fam.max_diameter() == 1
-    assert fam.is_r_disjoint(2)
-    assert not fam.is_r_disjoint(3)
-    with pytest.raises(PreconditionError):
-        fam.is_r_disjoint(0)
     with pytest.raises(PreconditionError):
         af.Family(view(g), [frozenset()])
     with pytest.raises(PreconditionError):
         af.Family(view(g), [frozenset({"zz"})])
+    # a witness family is measured from the view's table at or under the
+    # cap, and by searching above it, with the same answers
+    for size in (4, EXACT_CAP, EXACT_CAP + 1, 40):
+        space = view(line_graph(size))
+        assert isinstance(_distances(space, 2), _TableDistances) == (size <= EXACT_CAP)
+        members = (frozenset({"p0", "p1"}), frozenset({"p3"}))
+        assert _measure(_distances(space, 2), (members, ())) == ((True, 1), None)
+        assert _measure(_distances(space, 3), (members,)) == ((False, 1),)
+        assert _measure(_distances(space, 3), ((frozenset({"p0", "p2"}),),)) == ((True, 2),)
+        adjacent = (frozenset({"p1"}), frozenset({"p0"}), frozenset({"p2", "p3"}))
+        assert _measure(_distances(space, 1), (adjacent,)) == ((True, 1),)
+        assert _measure(_distances(space, 2), (adjacent,)) == ((False, 1),)
+        overlapping = (frozenset({"p1", "p2"}), frozenset({"p0", "p1"}))
+        assert _measure(_distances(space, 1), (overlapping,)) == ((False, 1),)
+        with pytest.raises(PreconditionError, match="need r > 0"):
+            _measure(_distances(space, 0), (members,))
+        with pytest.raises(PreconditionError, match="outside the space"):
+            _measure(_distances(space, 2), ((frozenset({"zz"}),),))
 
 
 def test_cover_must_cover():
@@ -332,20 +348,64 @@ def test_greedy_matches_the_search_per_point_reference(triangle8):
         edges = [(names[i], names[rng.randrange(i)]) for i in range(1, n_v)]
         edges += [tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, n_v))]
         graphs.append(af.FiniteGraph(names, edges))
-    merges = 0
+    # per side of the cap (the table answers at or under it, searches
+    # above it): the views drawn, and the witnesses that needed merges
+    views, merges = {True: 0, False: 0}, {True: 0, False: 0}
     for g in graphs:
         points = sorted(rng.sample(g.vertices, min(len(g), 30)))
         space = af.MetricView(g, points)
+        small = len(space) <= EXACT_CAP
+        views[small] += 1
         for r in (2, 3, 4):
-            assert _block_partition(space, r) == _reference_greedy(space, r, 0)[:2]
+            assert _block_partition(_distances(space, r)) == _reference_greedy(space, r, 0)[:2]
             for n in (0, 1, 2):
                 res = af.greedy_witness(space, r, n)
                 net, blocks, families = _reference_greedy(space, r, n)
                 assert (res.net, res.blocks) == (tuple(net), tuple(blocks))
                 assert (None if res.witness is None else res.witness.families) == families
                 if families is not None and sum(map(len, families)) < len(blocks):
-                    merges += 1
-    assert merges >= 10
+                    merges[small] += 1
+    assert min(views.values()) >= 10 and min(merges.values()) >= 5, (views, merges)
+
+
+def _reference_measure(space, r, families):
+    """Each family's r-disjointness from one search per member checked
+    against every later member, and its widest member by searching."""
+    g, out = space.graph, []
+    for fam in families:
+        near = [g.distances_to_set(a, limit=r - 1) for a in fam]
+        disjoint = not any(v in near[i] for i in range(len(fam)) for b in fam[i + 1:] for v in b)
+        out.append((disjoint, max(g.diameter(m) for m in fam)) if fam else None)
+    return tuple(out)
+
+
+def test_measure_matches_the_pairwise_reference():
+    rng = random.Random(23)
+    outcomes = set()
+    for _ in range(200):
+        g = _random_connected_graph(rng, rng.randint(4, 30))
+        space = af.MetricView(g, rng.sample(g.vertices, rng.randint(2, len(g))))
+        families = tuple(tuple(frozenset(rng.sample(space.points, rng.randint(1, 2)))
+                               for _ in range(rng.randint(0, 4))) for _ in range(3))
+        r = rng.randint(1, 4)
+        measured = _measure(_distances(space, r), families)
+        assert measured == _reference_measure(space, r, families), (space.points, r, families)
+        outcomes |= {(len(space) <= EXACT_CAP, m[0]) for m in measured if m}
+    assert len(outcomes) == 4, outcomes
+
+
+def test_large_views_are_searched_without_the_pair_table(monkeypatch):
+    """Above the cap no witness routine asks for the view's all-pairs
+    table, so memory stays linear in the graph."""
+    def refuse(self):
+        raise AssertionError("pair table asked of a large view")
+    monkeypatch.setattr(af.MetricView, "point_rows", refuse)
+    space = view(ring_graph(3001))
+    res = af.greedy_witness(space, 3, 1)
+    assert res.ok and res.witness.violations() == [] and len(res.blocks) == 1000
+    assert band_witness(space, 3, 1).violations() == []
+    with pytest.raises(AssertionError, match="pair table"):
+        af.greedy_witness(view(ring_graph(EXACT_CAP)), 3, 1)
 
 
 # -- Lebesgue numbers from the complement table ----------------------------------
@@ -404,20 +464,29 @@ def test_complement_table_is_built_once_per_cover():
 
 
 def test_shipped_witnesses_measure_each_member_once(monkeypatch):
-    calls = []
-    diameter = af.FiniteGraph.diameter
-    monkeypatch.setattr(af.FiniteGraph, "diameter",
-                        lambda self, vs=None: calls.append(vs) or diameter(self, vs))
-    space = view(line_graph(12))
-    greedy = af.greedy_witness(space, 3, 1)
-    band = band_witness(space, 3, 1)
-    for w in (greedy.witness, band):
-        assert w.violations() == []
-        w.require_valid()
-    band_members = sum(len(fam) for fam in band.families)
-    members = sum(len(fam) for fam in greedy.witness.families) + band_members
-    assert len(calls) == members
-    # a witness built by hand is measured on its first check, then never again
-    fresh = af.WitnessFamilies(space, band.r, band.families, band.bound)
-    assert fresh.violations() == [] and fresh.violations() == []
-    assert len(calls) == members + band_members
+    measured, diameters = [], []
+    measure = covers._measure
+    monkeypatch.setattr(covers, "_measure",
+                        lambda dist, fams: measured.append(fams) or measure(dist, fams))
+    for kind in (covers._TableDistances, covers._SearchDistances):
+        diameter = kind.diameter
+        monkeypatch.setattr(kind, "diameter", lambda self, vs, diameter=diameter:
+                            diameters.append(vs) or diameter(self, vs))
+    # at the cap the table answers, above it the searches do
+    for size in (EXACT_CAP, 3 * EXACT_CAP):
+        measured.clear()
+        diameters.clear()
+        space = view(line_graph(size))
+        greedy = af.greedy_witness(space, 3, 1)
+        band = band_witness(space, 3, 1)
+        for w in (greedy.witness, band):
+            assert w.violations() == []
+            w.require_valid()
+        assert measured == [greedy.witness.families, band.families]
+        members = [m for w in (greedy.witness, band) for fam in w.families for m in fam]
+        assert diameters == members
+        # a witness built by hand is measured on its first check, then never again
+        fresh = af.WitnessFamilies(space, band.r, band.families, band.bound)
+        assert fresh.violations() == [] and fresh.violations() == []
+        assert measured == [greedy.witness.families, band.families, band.families]
+        assert len(diameters) == len(members) + sum(map(len, band.families))

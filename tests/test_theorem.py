@@ -23,7 +23,7 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
                                 verify_separation)
 
 from conftest import (build_doc, label_paths, path_ids, projection_map, reference_partition,
-                      reference_symmetry_map, remap_nodes)
+                      reference_symmetry_map, remap_nodes, torus_spec_doc)
 
 
 # -- parameters ------------------------------------------------------------------
@@ -352,6 +352,23 @@ def test_certificate_triangle(triangle8):
 def test_certificate_alternating(type2_6):
     cert = run_certificate(type2_6, ProofParameters(R=0, r=2, depth=6))
     assert_passing_cert(cert)
+
+
+@pytest.mark.parametrize("declared", [2, 0])
+def test_certificate_torus_factor(declared):
+    """The 8x8 torus glued to an edge.  Declared of asdim 2, it takes the
+    n = 2 paths: three families per block, found by searching blocks of
+    133 and 202 points; declared 0, it passes at bound 1."""
+    cert = run_certificate(build_doc(torus_spec_doc(8, 8, declared)),
+                           ProofParameters(R=0, r=4, depth=8))
+    bound = max(declared, 1)
+    assert_passing_cert(cert, bound)
+    assert cert.to_json_dict()["target_families"] == bound
+    blocks = cert.stage("uniform_asdim_blocks").data
+    assert blocks["families"] == bound + 1
+    assert {row["families"] for row in blocks["per_block"].values()} == {bound + 1}
+    sizes = {m["vertices"] for m in cert.stage("partition").data["members"].values()}
+    assert {133, 202} <= sizes
 
 
 def test_certificate_depth_must_match(chain20):

@@ -28,8 +28,10 @@ depth of ``chain_k2`` doubles its sum graph; two more levels of
 ``small_covers`` workload does, ``covers.exact_min_families`` and then
 ``covers.exact_min_bound`` at that family count, at r = 2 and 3, over a
 fixed seeded batch of random connected graphs of one size
-(``oracle_s``); ``answers`` is a sha256 of every answer, so checkouts
-that agree show the same digest.  ``doubling`` is a rung's certificate
+(``oracle_s``), and then ``covers.greedy_witness`` on the same views at
+the same scales, with the family count the oracle found (``greedy_s``);
+``answers`` and ``greedy_answers`` are sha256 digests of every oracle
+and greedy answer, so checkouts that agree show the same digests.  ``doubling`` is a rung's certificate
 (report, oracle) time over the previous rung's.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
@@ -192,9 +194,17 @@ def run_oracle_rung(name: str, vertices: int, count: int) -> dict:
             n = covers.exact_min_families(view, r)
             answers.append((r, n, covers.exact_min_bound(view, r, n)))
     t1 = time.perf_counter()
+    greedy = [covers.greedy_witness(view, r, n)
+              for view, (r, n, _) in zip((v for v in views for _ in (2, 3)), answers)]
+    t2 = time.perf_counter()
     text = json.dumps([(r, n, w.to_json_dict()) for r, n, w in answers])
-    return {"oracle_s": round(t1 - t0, 3), "peak_rss_mb": _peak_rss_mb(),
-            "answers": hashlib.sha256(text.encode()).hexdigest()}
+    greedy_text = json.dumps([(r, n, g.ok, g.colors_needed,
+                               None if g.witness is None else g.witness.to_json_dict())
+                              for (r, n, _), g in zip(answers, greedy)])
+    return {"oracle_s": round(t1 - t0, 3), "greedy_s": round(t2 - t1, 3),
+            "peak_rss_mb": _peak_rss_mb(),
+            "answers": hashlib.sha256(text.encode()).hexdigest(),
+            "greedy_answers": hashlib.sha256(greedy_text.encode()).hexdigest()}
 
 
 def sample(root: Path, rung: tuple) -> dict:
