@@ -9,15 +9,16 @@ Truncations are canonical: the root is ``t1`` and every other node is
 ``n<k>``, k its postorder index in the tree walk (children in sorted
 label order, then the node), zero-padded to one width per build, so two
 builds of the same input are byte-identical and sorted ids list the
-nodes in postorder.  The ids are names only and are never parsed:
-depths, distances, paths, balls and subtrees are read off the parent,
-child and depth records the build leaves behind, a vertex's copy off
-the sum graph's ``copies`` (see ``SumGraph``), and the tree's
-``table`` gives back each node's label path (``t1/a/x/b``, each
-component the label of the edge leaving the parent).  The cut happens
-at a fixed radius around the root, and downstream checks stay inside a
-safe core where the truncation is indistinguishable from the infinite
-object.
+nodes in postorder.  Node and vertex ids are names only, and no package
+code parses one: depths, distances, paths, balls and subtrees are read
+off the parent, child and depth records the build leaves behind, and
+the tree's ``table`` gives back each node's label path (``t1/a/x/b``,
+each component the label of the edge leaving the parent).  A vertex's
+copy is read off the sum graph's ``copies``, which the build lays out
+and a hand-built sum graph passes in (see ``SumGraph``).  The cut
+happens at a fixed radius around the root, and downstream checks stay
+inside a safe core where the truncation is indistinguishable from the
+infinite object.
 """
 
 from __future__ import annotations
@@ -125,23 +126,10 @@ class ConnectingTree:
         if u not in self.node_set:
             raise PreconditionError(f"unknown tree node {u!r}")
 
-    def edges(self):
-        """Parent-child pairs in sorted child order."""
-        for u in self.nodes:
-            p = self.parent.get(u)
-            if p is not None:
-                yield (p, u)
-
-    @cached_property
-    def _graph(self) -> FiniteGraph:
-        return FiniteGraph(self.nodes, self.edges())
-
     @cached_property
     def neighbour(self) -> dict[tuple[str, str], str]:
-        """(node, label) -> the node across the edge that label leaves by.  A label
-        used twice leads to the node's first edge in ``out_label``: the parent, then
-        the first child (the earliest entry is written last)."""
-        return {(u, k): w for (u, w), k in reversed(self.out_label.items())}
+        """(node, label) -> the node across the edge that label leaves by."""
+        return {(u, k): w for (u, w), k in self.out_label.items()}
 
     def return_label(self, u: str) -> str | None:
         """Label of the edge from u toward its parent."""
@@ -400,38 +388,28 @@ def copy_vertex(node: str, orig: str) -> str:
     return f"{node}:{orig}"
 
 
-def split_copy_vertex(vid: str) -> tuple[str, str]:
-    node, _, orig = vid.partition(":")
-    return node, orig
-
-
 class SumGraph:
     """Disjoint factor copies on the tree nodes plus bridging edges.
 
     ``copies`` lists each node's copy, the vertices of its own graph over
     the node, in the graph's order: in a built sum graph, position i of a
     copy holds the i-th vertex of its factor.  It is the one record of
-    the layout, which ``node_of`` reads.  ``build_sum_graph`` records the
-    copies as it lays them out; a sum graph built by hand derives them
-    on first use by splitting its vertex ids, and no other code does.
+    the layout, which ``node_of`` reads.  ``build_sum_graph`` passes in
+    the copies it lays out, and a sum graph built by hand passes in its
+    own; no reader parses a vertex id to find its node.
     """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
                  factors: tuple[FiniteGraph, FiniteGraph],
                  adhesions: tuple[AdhesionFamily, AdhesionFamily],
-                 bridges: tuple[tuple[str, str], ...]):
+                 bridges: tuple[tuple[str, str], ...],
+                 copies: dict[str, tuple[str, ...]]):
         self.graph = graph
         self.tree = tree
         self.factors = factors
         self.adhesions = adhesions
         self.bridges = bridges
-
-    @cached_property
-    def copies(self) -> dict[str, tuple[str, ...]]:
-        out: dict[str, list[str]] = {}
-        for v in self.graph.vertices:
-            out.setdefault(split_copy_vertex(v)[0], []).append(v)
-        return {u: tuple(vs) for u, vs in out.items()}
+        self.copies = copies
 
     @cached_property
     def node_of(self) -> Callable[[str], str]:
@@ -549,10 +527,8 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
                                            for a, b in sorted(rises)])
                             if rises else repeat(())))
     adjacency = dict(zip(vertices, map(rows.__getitem__, vertices)))
-    h = SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, factors, (adh1, adh2),
-                 tuple(chain.from_iterable(map(rises_of.__getitem__, nodes))))
-    h.copies = copies  # laid out here; a hand-built sum graph derives them on first use
-    return h
+    return SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, factors, (adh1, adh2),
+                    tuple(chain.from_iterable(map(rises_of.__getitem__, nodes))), copies)
 
 
 # -- contraction --------------------------------------------------------------
@@ -800,7 +776,6 @@ class BuildResult:
     reps1: tuple[str, ...]
     reps2: tuple[str, ...]
     rep_map1: dict[str, str]
-    rep_map2: dict[str, str]
 
     @cached_property
     def amalgam(self) -> AmalgamGraph:
@@ -845,5 +820,5 @@ def build(spec: AmalgamationSpec, depth: int | None = None) -> BuildResult:
         raise ConfigError("bonding atlas invalid: " + "; ".join(atlas_report.problems))
     h = build_sum_graph(spec.g1, spec.g2, spec.adh1, spec.adh2, spec.atlas, tree)
     reps1, rep_map1 = select_orbit_representatives(spec.adh1, spec.action1)
-    reps2, rep_map2 = select_orbit_representatives(spec.adh2, spec.action2)
-    return BuildResult(spec, tree, h, atlas_report, reps1, reps2, rep_map1, rep_map2)
+    reps2, _ = select_orbit_representatives(spec.adh2, spec.action2)
+    return BuildResult(spec, tree, h, atlas_report, reps1, reps2, rep_map1)

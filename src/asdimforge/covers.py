@@ -283,20 +283,22 @@ def _measured_witness(dist, families) -> WitnessFamilies:
 
 
 def _cluster(points: Iterable[str], dist) -> list[frozenset[str]]:
-    """Group points by the transitive closure of ambient distance < r."""
-    todo = sorted(points)
-    clusters: list[set[str]] = []
-    for v in todo:
-        near = dist.near((v,))
-        hits = [c for c in clusters if any(u in near for u in c)]
-        if not hits:
-            clusters.append({v})
-        else:
-            hits[0].add(v)
-            for extra in hits[1:]:
-                hits[0] |= extra
-                clusters.remove(extra)
-    return [frozenset(c) for c in clusters]
+    """Group points by the transitive closure of ambient distance < r, in no
+    set order: each point joins the clusters of the points placed before it
+    that lie near it, the smaller of two merged into the larger."""
+    cluster_of: dict[str, set[str]] = {}
+    for v in points:
+        mine = cluster_of[v] = {v}
+        for u in dist.near((v,)):
+            other = cluster_of.get(u)
+            if other is None or other is mine:
+                continue
+            if len(other) > len(mine):
+                mine, other = other, mine
+            mine |= other
+            for w in other:
+                cluster_of[w] = mine
+    return [frozenset(c) for c in {id(c): c for c in cluster_of.values()}.values()]
 
 
 def exact_min_bound(space: MetricView, r: int, n: int) -> WitnessFamilies:
@@ -410,8 +412,6 @@ class GreedyResult:
 
     ok: bool
     witness: WitnessFamilies | None
-    net: tuple[str, ...]
-    blocks: tuple[Member, ...]
     colors_needed: int
     detail: str = ""
 
@@ -458,8 +458,7 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
     cell diameter, and the reported bound is whatever actually shipped.
     With a single slot (n = 0) no repair is attempted: a collision
     between net cells is reported as failure together with the color
-    count first-fit wanted.  The result's ``net`` and ``blocks``
-    always describe the original unmerged partition.
+    count first-fit wanted.
     """
     if r <= 0 or n < 0:
         raise PreconditionError("need r > 0 and n >= 0")
@@ -495,9 +494,9 @@ def greedy_witness(space: MetricView, r: int, n: int) -> GreedyResult:
                 families[c].append(cells[a])
             fams = tuple(tuple(sorted(fam, key=sorted)) for fam in families)
             witness = _measured_witness(dist, fams).require_valid()
-            return GreedyResult(True, witness, tuple(net), tuple(blocks), needed)
+            return GreedyResult(True, witness, needed)
         if n == 0:
-            return GreedyResult(False, None, tuple(net), tuple(blocks), needed,
+            return GreedyResult(False, None, needed,
                                 detail=f"first-fit needed {needed} colors for {n + 1} slots")
         pos = {a: k for k, a in enumerate(order)}
         partners = [b for b in order if pos[b] < pos[blocked] and b in close[blocked]]

@@ -209,19 +209,9 @@ class FiniteGraph:
         edges = [e for e in self.edges if e[0] in members and e[1] in members]
         return FiniteGraph(verts, edges)
 
-    def components(self) -> tuple[frozenset[str], ...]:
-        seen: set[str] = set()
-        comps = []
-        for v in sorted(self.vertices):
-            if v in seen:
-                continue
-            comp = frozenset(self.distances_from(v))
-            seen |= comp
-            comps.append(comp)
-        return tuple(comps)
-
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        """One search from the first vertex settles every vertex (true with none)."""
+        return not self.vertices or len(self.distances_from(self.vertices[0])) == len(self)
 
     # -- serialization ----------------------------------------------------
 
@@ -282,7 +272,7 @@ def load_graph(doc: dict | str) -> FiniteGraph:
             raise GraphFormatError(f"duplicate edge {key}")
         seen.add(key)
     g = FiniteGraph(vertices, pairs)
-    if len(g) and not g.is_connected():
+    if not g.is_connected():
         raise GraphFormatError("graph document is disconnected")
     return g
 

@@ -92,17 +92,15 @@ def safe_vertices(h: SumGraph, params: ProofParameters) -> frozenset[str]:
 # -- strata and strips --------------------------------------------------------
 
 
-def strata(h: SumGraph, t: str, m: int) -> tuple[MetricView, MetricView]:
-    """Ambient views of the copies exactly / at most m tree-steps from t."""
+def strata(h: SumGraph, t: str, m: int) -> MetricView:
+    """Ambient view of the copies exactly m tree-steps from t."""
     h.tree.require_node(t)
     if m < 0:
         raise PreconditionError("stratum index must be nonnegative")
     at = h.tree.nodes_at(t, m)
     if not at:
         raise PreconditionError(f"stratum {m} around {t!r} lies beyond the truncation")
-    exact = MetricView(h.graph, sorted(h.vertices_over(at)))
-    within = MetricView(h.graph, sorted(h.vertices_over(h.tree.nodes_within(t, m))))
-    return exact, within
+    return MetricView(h.graph, sorted(h.vertices_over(at)))
 
 
 @dataclass(frozen=True)
@@ -154,7 +152,7 @@ def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
         raise PreconditionError("strip index must be at least 1")
     if r < 1:
         raise PreconditionError("strip radius must be positive")
-    exact, _ = strata(h, t, m)
+    exact = strata(h, t, m)
     below_nodes = h.tree.nodes_at(t, m - 1)
     below = sorted(h.vertices_over(below_nodes))
     H = h.graph
@@ -987,8 +985,8 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
 
 
 def tree_graph(tree: ConnectingTree) -> FiniteGraph:
-    """The connecting tree itself as a finite metric graph, built once per tree."""
-    return tree._graph
+    """The connecting tree itself as a finite metric graph."""
+    return FiniteGraph(tree.nodes, tree.parent.items())
 
 
 def stretched_edges(br: BuildResult) -> Iterator[tuple[str, str]]:

@@ -11,7 +11,7 @@ from collections import deque
 import pytest
 
 import asdimforge as af
-from asdimforge.amalgam import ROOT, SumGraph, copy_vertex, split_copy_vertex
+from asdimforge.amalgam import ROOT, SumGraph, copy_vertex
 from asdimforge.fixtures import (chain_spec_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
 from asdimforge.theorem import _extend, _image_label
@@ -66,6 +66,23 @@ def torus_spec_doc(m: int, depth: int, declared: int) -> dict:
                     "factor2": [{"x": "y", "y": "x"}]},
         "asdim": {"factor1": declared, "factor2": 0, "adhesion": 0},
     }
+
+
+def split_vertex_id(vid: str) -> tuple[str, str]:
+    """(node, factor vertex) of a sum-graph vertex id ``node:vertex``; node
+    ids hold no ``:``, factor vertex ids may."""
+    node, _, orig = vid.partition(":")
+    return node, orig
+
+
+def copies_by_id(graph: af.FiniteGraph) -> dict[str, tuple[str, ...]]:
+    """Each node's copy, read off the vertex ids in ``graph.vertices``
+    order: the layout a hand-built ``SumGraph`` passes in, and the
+    reference the build's ``copies`` must match."""
+    out: dict[str, list[str]] = {}
+    for v in graph.vertices:
+        out.setdefault(split_vertex_id(v)[0], []).append(v)
+    return {u: tuple(vs) for u, vs in out.items()}
 
 
 def build_doc(doc, depth=None) -> af.BuildResult:
@@ -133,6 +150,24 @@ def reference_exact_min_bound(space: af.MetricView, r: int, n: int):
 
     walk(1, place(pts[0], [[] for _ in range(n + 1)], 0)[0])
     return best_bound, best_families
+
+
+def reference_cluster(points, dist) -> list[frozenset[str]]:
+    """The transitive closure of distance < r as first written, for
+    ``covers._cluster`` to match up to order: each point, in sorted order,
+    scans every cluster built so far and merges those it comes near."""
+    clusters: list[set[str]] = []
+    for v in sorted(points):
+        near = dist.near((v,))
+        hits = [c for c in clusters if any(u in near for u in c)]
+        if not hits:
+            clusters.append({v})
+        else:
+            hits[0].add(v)
+            for extra in hits[1:]:
+                hits[0] |= extra
+                clusters.remove(extra)
+    return [frozenset(c) for c in clusters]
 
 
 def reference_exact_min_families(space: af.MetricView, r: int) -> int:
@@ -228,7 +263,7 @@ def reference_partition(br: af.BuildResult, base, maps) -> tuple[list, dict]:
         lo, hi = tree.preorder[sm.site], tree.subtree_end[sm.site]
 
         def inside(w):
-            return lo <= tree.preorder[split_copy_vertex(w)[0]] < hi
+            return lo <= tree.preorder[split_vertex_id(w)[0]] < hi
         image = {v: w for v in base.w_r.vertices
                  if (w := sm.vertex_map.get(v)) is not None and inside(w)}
         edges = tuple(sorted(tuple(sorted((image[a], image[b])))
@@ -293,15 +328,15 @@ def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.Conne
 def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False) -> SumGraph:
     """The sum graph with every copy edge and bridge written out as an id
     pair for the edge-list ``FiniteGraph`` to check, sort and index, and
-    the copies left for ``node_of`` to derive, for ``build_sum_graph``
-    to match field by field."""
+    the copies split off the ids, for ``build_sum_graph`` to match field
+    by field."""
     factors = (g1, g2)
     vertices = [copy_vertex(node, x) for node in tree.nodes
                 for x in factors[tree.node_side[node] - 1].vertices]
     edges = [(copy_vertex(node, x), copy_vertex(node, y)) for node in tree.nodes
              for x, y in factors[tree.node_side[node] - 1].edges]
     bridges = []
-    for u, v in tree.edges():
+    for v, u in sorted(tree.parent.items()):  # in sorted child order
         one, two = (u, v) if tree.node_side[u] == 1 else (v, u)
         k, l = tree.out_label[(one, two)], tree.out_label[(two, one)]
         if flip_orientations:
@@ -312,7 +347,7 @@ def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False
             bridges += [(copy_vertex(one, x), copy_vertex(two, m[x])) for x in sorted(adh1[k])]
     graph = af.FiniteGraph(vertices, edges + bridges)
     canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
-    return SumGraph(graph, tree, factors, (adh1, adh2), canon)
+    return SumGraph(graph, tree, factors, (adh1, adh2), canon, copies_by_id(graph))
 
 
 class _UnionFind:

@@ -10,15 +10,14 @@ from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
                                 BondingAtlas, SumGraph, build_connecting_tree,
                                 build_sum_graph, check_trivial, contract_to_amalgam,
                                 copy_vertex, identification_sizes,
-                                select_orbit_representatives,
-                                split_copy_vertex, validate_bonding_atlas)
+                                select_orbit_representatives, validate_bonding_atlas)
 from asdimforge.errors import ConfigError, GraphFormatError, PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
 from asdimforge.groups import GroupAction, compute_automorphisms
 
-from conftest import (build_doc, label_paths, line_graph, path_ids,
+from conftest import (build_doc, copies_by_id, label_paths, line_graph, path_ids,
                       reference_connecting_tree, reference_contract_to_amalgam,
-                      reference_sum_graph, ring_graph)
+                      reference_sum_graph, ring_graph, split_vertex_id)
 from test_theorem import _random_spec_doc
 
 
@@ -159,23 +158,10 @@ def test_tree_entry_and_return_labels():
 
 def test_tree_neighbour_by_label():
     for tree in (numbered_tree(3, 2, 4), numbered_tree(2, 2, 5, type2_J=["0"])):
-        for u, w in tree.edges():
+        for w, u in tree.parent.items():
             assert tree.neighbour[(u, tree.out_label[(u, w)])] == w
             assert tree.neighbour[(w, tree.out_label[(w, u)])] == u
         assert len(tree.neighbour) == 2 * (len(tree.nodes) - 1)
-    # a hand-built tree whose nodes use a label twice: the parent edge
-    # comes first, then the first child
-    nodes = ("n0", "n1", "n2", "t1")
-    parent = {"n0": "n1", "n1": "t1", "n2": "t1"}
-    children = {"t1": ("n1", "n2"), "n1": ("n0",), "n0": (), "n2": ()}
-    out_label = {("t1", "n1"): "0", ("t1", "n2"): "0", ("n1", "t1"): "0",
-                 ("n1", "n0"): "0", ("n0", "n1"): "0", ("n2", "t1"): "0"}
-    tree = af.ConnectingTree(("0",), ("0",), 2, nodes, {"t1": 1, "n1": 2, "n2": 2, "n0": 1},
-                             parent, children, out_label, {"t1": 0, "n1": 1, "n2": 1, "n0": 2},
-                             {"t1": 0, "n1": 1, "n0": 2, "n2": 3},
-                             {"t1": 4, "n1": 3, "n0": 3, "n2": 4}, None)
-    assert tree.neighbour == {("t1", "0"): "n1", ("n1", "0"): "t1", ("n0", "0"): "n1",
-                              ("n2", "0"): "t1"}
 
 
 def test_tree_rejects_bad_labels():
@@ -295,7 +281,7 @@ def test_adhesion_family_rejects_non_list_sets():
 def test_copy_vertex_round_trip():
     vid = copy_vertex("t1/0/1", "a")
     assert vid == "t1/0/1:a"
-    assert split_copy_vertex(vid) == ("t1/0/1", "a")
+    assert split_vertex_id(vid) == ("t1/0/1", "a")
 
 
 def test_chain_build_shapes(chain6):
@@ -406,7 +392,7 @@ def test_contraction_rejects_bridges_it_cannot_follow(chain6):
                     [*h.bridges, ("nowhere", last)]):
         with pytest.raises(PreconditionError):
             contract_to_amalgam(SumGraph(h.graph, h.tree, h.factors, h.adhesions,
-                                         tuple(bridges)))
+                                         tuple(bridges), copies_by_id(h.graph)))
 
 
 def test_orientation_flip_same_edges(chain6):

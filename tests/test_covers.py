@@ -7,12 +7,12 @@ import pytest
 
 import asdimforge as af
 from asdimforge import covers
-from asdimforge.covers import (EXACT_CAP, _block_partition, _distances, _measure,
+from asdimforge.covers import (EXACT_CAP, _block_partition, _cluster, _distances, _measure,
                                _TableDistances, band_witness, exact_min_bound,
                                exact_min_families)
 from asdimforge.errors import PreconditionError
 
-from conftest import (complete_graph, line_graph, reference_exact_min_bound,
+from conftest import (complete_graph, line_graph, reference_cluster, reference_exact_min_bound,
                       reference_exact_min_families, ring_graph)
 
 
@@ -221,13 +221,15 @@ def test_greedy_fails_gracefully():
 def test_greedy_merge_repair_on_odd_ring():
     # every maximal 2-net on a 7-ring has three cells in a mutual
     # conflict triangle, so success with two slots requires merging
-    res = af.greedy_witness(view(ring_graph(7)), 2, 1)
+    space = view(ring_graph(7))
+    res = af.greedy_witness(space, 2, 1)
     assert res.ok
     assert res.witness.violations() == []
     assert len(res.witness.families) == 2
-    assert len(res.net) == 3
+    net, blocks = _block_partition(_distances(space, 2))
+    assert len(net) == 3
     merged = {m for fam in res.witness.families for m in fam}
-    assert merged != set(res.blocks)
+    assert merged != set(blocks)
 
 
 def test_greedy_merge_repair_on_spider():
@@ -257,6 +259,29 @@ def test_band_witness_always_valid():
                 w = band_witness(view(g), r, n)
                 assert w.violations() == []
                 assert len(w.families) == n + 1
+
+
+def test_cluster_matches_the_quadratic_reference():
+    """Seeded views on both sides of the cap, and rings of 1,500 and 3,000
+    points: all of a view's points, and the alternate distance bands that
+    ``band_witness`` clusters, against the scan of every cluster so far."""
+    rng = random.Random(29)
+    cases = []
+    for _ in range(40):
+        g = _random_connected_graph(rng, rng.randint(6, 40))
+        space = af.MetricView(g, rng.sample(g.vertices, rng.randint(1, len(g))))
+        cases += [(space, r) for r in (1, 2, 3)]
+    cases += [(view(ring_graph(size)), 3) for size in (1500, 3000)]
+    sides = set()
+    for space, r in cases:
+        dist = _distances(space, r)
+        sides.add(len(space) <= EXACT_CAP)
+        level = space.graph.distances_from(space.points[0])
+        for points in (space.points, *({v for v in space.points if level[v] // r % 2 == b}
+                                        for b in (0, 1))):
+            got = sorted(map(sorted, _cluster(points, dist)))
+            assert got == sorted(map(sorted, reference_cluster(points, dist))), (space.points, r)
+    assert sides == {True, False}
 
 
 # -- transport ------------------------------------------------------------------
@@ -360,8 +385,7 @@ def test_greedy_matches_the_search_per_point_reference(triangle8):
             assert _block_partition(_distances(space, r)) == _reference_greedy(space, r, 0)[:2]
             for n in (0, 1, 2):
                 res = af.greedy_witness(space, r, n)
-                net, blocks, families = _reference_greedy(space, r, n)
-                assert (res.net, res.blocks) == (tuple(net), tuple(blocks))
+                _, blocks, families = _reference_greedy(space, r, n)
                 assert (None if res.witness is None else res.witness.families) == families
                 if families is not None and sum(map(len, families)) < len(blocks):
                     merges[small] += 1
@@ -402,7 +426,8 @@ def test_large_views_are_searched_without_the_pair_table(monkeypatch):
     monkeypatch.setattr(af.MetricView, "point_rows", refuse)
     space = view(ring_graph(3001))
     res = af.greedy_witness(space, 3, 1)
-    assert res.ok and res.witness.violations() == [] and len(res.blocks) == 1000
+    assert res.ok and res.witness.violations() == []
+    assert len(_block_partition(_distances(space, 3))[1]) == 1000
     assert band_witness(space, 3, 1).violations() == []
     with pytest.raises(AssertionError, match="pair table"):
         af.greedy_witness(view(ring_graph(EXACT_CAP)), 3, 1)

@@ -145,8 +145,11 @@ def test_diameter_and_components():
     assert g.diameter([]) == 0
     with pytest.raises(GraphFormatError):
         g.diameter(["zz"])
-    assert len(g.components()) == 2
     assert not g.is_connected()
+    # one search from the first vertex, in whatever order the vertices come
+    assert af.FiniteGraph([], []).is_connected()
+    assert af.FiniteGraph(["a"], []).is_connected()
+    assert af.FiniteGraph(["c", "a", "b"], [("a", "b"), ("b", "c")]).is_connected()
     path = line_graph(8)
     assert path.diameter(path.vertices) == 7
     # a subset is measured through the whole graph, not its induced part

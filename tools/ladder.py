@@ -32,7 +32,9 @@ fixed seeded batch of random connected graphs of one size
 the same scales, with the family count the oracle found (``greedy_s``);
 ``answers`` and ``greedy_answers`` are sha256 digests of every oracle
 and greedy answer, so checkouts that agree show the same digests.  ``doubling`` is a rung's certificate
-(report, oracle) time over the previous rung's.
+(report, oracle) time over the previous rung's.  Each checkout's entry
+also records ``src_lines``, the line count of its ``src/asdimforge/*.py``
+as ``wc -l`` gives it, so a change's size reads off the same file.
 
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
         --out BENCH_11.json
@@ -207,6 +209,11 @@ def run_oracle_rung(name: str, vertices: int, count: int) -> dict:
             "greedy_answers": hashlib.sha256(greedy_text.encode()).hexdigest()}
 
 
+def src_lines(root: Path) -> int:
+    """Newlines in the checkout's ``src/asdimforge/*.py``."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "asdimforge").glob("*.py"))
+
+
 def sample(root: Path, rung: tuple) -> dict:
     """Parent side: one rung in a fresh child importing ``root/src``."""
     out = subprocess.run(
@@ -282,9 +289,9 @@ def main(argv=None) -> int:
            "host": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
            "repeat": REPEAT,
-           "runs": {label: {"rungs": certificates[label], "report_rungs": reports[label],
-                            "oracle_rungs": oracles[label]}
-                    for label in roots}}
+           "runs": {label: {"src_lines": src_lines(root), "rungs": certificates[label],
+                            "report_rungs": reports[label], "oracle_rungs": oracles[label]}
+                    for label, root in roots.items()}}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
 
