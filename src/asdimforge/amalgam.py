@@ -24,7 +24,6 @@ infinite object.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
 from operator import add, itemgetter
@@ -33,6 +32,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import FiniteGraph, load_graph
 from .groups import GroupAction, compute_automorphisms, invert
+from .records import Record
 
 ROOT = "t1"
 
@@ -333,8 +333,7 @@ class BondingAtlas:
         return cls(entries)
 
 
-@dataclass(frozen=True)
-class AtlasReport:
+class AtlasReport(Record):
     ok: bool
     problems: tuple[str, ...]
 
@@ -761,8 +760,7 @@ class AmalgamationSpec:
         return cls.from_json_dict(doc)
 
 
-@dataclass(frozen=True)
-class BuildResult:
+class BuildResult(Record):
     """Everything one truncation build produces, ready for reporting.
 
     The contraction to the glued graph and its measurements are computed

@@ -15,13 +15,13 @@ vertex set counts as open.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
 from .errors import PreconditionError
 from .graphs import INF, MetricView, VertexMap
+from .records import Record
 
 Member = frozenset
 
@@ -194,8 +194,7 @@ def _distances(space: MetricView, r: int) -> _TableDistances | _SearchDistances:
 # -- layered witness families ---------------------------------------------
 
 
-@dataclass(frozen=True)
-class WitnessFamilies:
+class WitnessFamilies(Record):
     """n+1 families of r-disjoint, bound-limited sets covering the space."""
 
     space: MetricView
@@ -406,8 +405,7 @@ def _first_layering(close: list[int], far: list[list[int]], n: int,
 # -- greedy search -----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GreedyResult:
+class GreedyResult(Record):
     """Outcome of the block strategy; ``ok`` False means colors ran out."""
 
     ok: bool
@@ -539,8 +537,7 @@ def band_witness(space: MetricView, r: int, n: int) -> WitnessFamilies:
 # -- witness transport ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TransportedWitness:
+class TransportedWitness(Record):
     witness: WitnessFamilies
     r_out: int
     claimed_bound: Fraction

@@ -11,13 +11,13 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import or_
 from typing import Container, Iterable, Mapping, Sequence
 
 from .errors import GraphFormatError, PreconditionError
+from .records import Record
 
 INF = math.inf
 
@@ -173,19 +173,29 @@ class FiniteGraph:
 
         INF as soon as two of them are disconnected, 0 for fewer than
         two.  The search from each vertex stops once the vertices after
-        it in sorted order are settled.
+        it in sorted order, counted down by rank, are settled.
         """
         order = sorted(self.require_members(vertices))
+        rank = {v: i for i, v in enumerate(order)}
         worst = 0
-        for i in range(len(order) - 1):
-            later = order[i + 1:]
-            dv = self.distances_to_set((order[i],), until=later)
-            for u in later:
-                d = dv.get(u, INF)
-                if d > worst:
-                    if d is INF:
-                        return INF
-                    worst = d
+        for i, source in enumerate(order[:-1]):
+            pending = len(order) - 1 - i
+            dist = {source: 0}
+            queue = deque((source,))
+            while pending and queue:
+                v = queue.popleft()
+                dw = dist[v] + 1
+                for w in self.adjacency[v]:
+                    if w not in dist:
+                        dist[w] = dw
+                        queue.append(w)
+                        if rank.get(w, -1) > i:
+                            pending -= 1
+                            if not pending:
+                                break
+            if pending:
+                return INF
+            worst = max(worst, dw)  # the last one settled is the farthest
         return worst
 
     # -- subsets ----------------------------------------------------------
@@ -345,8 +355,7 @@ class MetricView:
 # -- vertex maps and distortion ------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexMap:
+class VertexMap(Record):
     """A map between metric views, given pointwise."""
 
     source: MetricView
@@ -440,8 +449,7 @@ def check_quasi_isometry(vm: VertexMap, gamma: Fraction | int, c: Fraction | int
                    for dt, (lo, hi) in _pair_bounds(vm).items())
 
 
-@dataclass(frozen=True)
-class QiFit:
+class QiFit(Record):
     """Result of fitting distortion constants over the gamma grid.
 
     ``table`` holds, for each grid stretch, the least additive constant

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-import tempfile
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -109,7 +108,8 @@ def write_json(path: str | Path, value) -> Path:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     text = dumps(value)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # less the umask, as open() gives
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
 from heapq import heappop, heappush
 from operator import add
 
@@ -23,13 +22,13 @@ from .covers import (Cover, band_witness, greedy_witness, lebesgue_number,
 from .errors import PreconditionError
 from .graphs import (GAMMA_GRID, INF, FiniteGraph, MetricView, QiFit,
                      fit_qi_constants, nearest_point_map)
+from .records import Record
 
 
 # -- parameters ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProofParameters:
+class ProofParameters(Record):
     """Radii driving one certificate run.
 
     ``R`` is the shell radius around the glued core, ``r`` the tree
@@ -103,8 +102,7 @@ def strata(h: SumGraph, t: str, m: int) -> MetricView:
     return MetricView(h.graph, sorted(h.vertices_over(at)))
 
 
-@dataclass(frozen=True)
-class LemmaStrip:
+class LemmaStrip(Record):
     """One stratum-to-stratum collapse check around a tree node."""
 
     site: str
@@ -188,8 +186,7 @@ def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
 # -- blocks -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Block:
+class Block(Record):
     """A named vertex set with its own edges (not always induced).
 
     ``edges`` lists them; a translate of the working block only counts
@@ -221,8 +218,7 @@ def _edges_inside(graph: FiniteGraph, members: frozenset[str]) -> tuple[tuple[st
     return tuple(sorted((a, b) for a in members for b in adjacency[a] if a < b and b in members))
 
 
-@dataclass(frozen=True)
-class BaseBlocks:
+class BaseBlocks(Record):
     """Core, shell, and the untranslated blocks around the root copy."""
 
     core: frozenset[str]
@@ -294,8 +290,7 @@ def base_blocks(walk: SymmetryWalk, params: ProofParameters) -> BaseBlocks:
 # -- symmetry transport -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymmetryMap:
+class SymmetryMap(Record):
     """A label-respecting partial isomorphism recentering the picture at a site.
 
     ``node_map`` sends tree nodes near the root to tree nodes near the
@@ -505,8 +500,7 @@ def _by_node(h: SumGraph, vids: Iterable[str]) -> dict[str, list[str]]:
     return out
 
 
-@dataclass(frozen=True)
-class PartitionData:
+class PartitionData(Record):
     """Translated blocks plus the shells where they are allowed to meet."""
 
     members: tuple[Block, ...]
@@ -575,8 +569,7 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
                          boundary_union == shell_union)
 
 
-@dataclass(frozen=True)
-class SeparationReport:
+class SeparationReport(Record):
     """Each live shell's distance to its nearest other shell.
 
     ``pairs`` holds one (site, nearest other site, distance) triple per
@@ -675,8 +668,7 @@ def theorem_bound(factor1_dim: int, factor2_dim: int, adhesion_dim: int) -> int:
 # -- certificate --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(Record):
     name: str
     verdict: bool
     data: dict
@@ -692,8 +684,7 @@ class Stage:
 CERTIFICATE_FORMAT = 3
 
 
-@dataclass(frozen=True)
-class TheoremCertificate:
+class TheoremCertificate(Record):
     """Fixed-order audit trail for one block-decomposition run."""
 
     name: str

@@ -1,7 +1,9 @@
 """The artifact writer against the standard library's encoder."""
 
 import json
+import os
 import random
+import stat
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
@@ -79,3 +81,21 @@ def test_dumps_rejects_what_the_standard_path_rejects():
             _reference(bad)
         with pytest.raises((TypeError, ValueError)):
             jsonio.dumps(bad)
+
+
+def test_write_json_gives_the_mode_open_gives_and_leaves_no_temp_file(tmp_path, monkeypatch):
+    old = os.umask(0o022)
+    try:
+        path = jsonio.write_json(tmp_path / "out" / "doc.json", {"a": [1, 2]})
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+        assert jsonio.read_json(path) == {"a": [1, 2]}
+
+        def fail(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="rename refused"):
+            jsonio.write_json(tmp_path / "out" / "other.json", {"b": 1})
+    finally:
+        os.umask(old)
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["doc.json"]

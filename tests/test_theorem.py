@@ -3,14 +3,13 @@
 import copy
 import random
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 import asdimforge as af
 from asdimforge import jsonio, theorem
-from asdimforge.amalgam import ROOT, AmalgamationSpec, SumGraph, copy_vertex
+from asdimforge.amalgam import ROOT, AmalgamationSpec, BuildResult, SumGraph, copy_vertex
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import (chain_spec_doc, next_stage_doc, triangle_spec_doc,
                                  type2_spec_doc)
@@ -862,7 +861,8 @@ def test_shared_walk_matches_an_action_that_breaks_an_edge():
     spec = copy.copy(br.spec)
     spec.action1 = af.GroupAction(br.spec.g1, [{"a": "a", "b": "b", "c": "d", "d": "c"},
                                                {"a": "b", "b": "a", "c": "d", "d": "c"}])
-    doctored = replace(br, spec=spec)
+    doctored = BuildResult(spec, br.tree, br.sum, br.atlas_report, br.reps1, br.reps2,
+                           br.rep_map1)
     params = ProofParameters(R=0, r=4, depth=12)
     sites = translation_sites(br.tree, params)
     for radius in (2, 3, 4):
@@ -880,8 +880,10 @@ def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     gone = next(e for e in h.bridges if h.node_of(e[0]) == site or h.node_of(e[1]) == site)
     H = h.graph
     doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone])
-    br2 = replace(br, sum=SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges,
-                                   copies_by_id(doctored)))
+    br2 = BuildResult(br.spec, br.tree,
+                      SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges,
+                               copies_by_id(doctored)),
+                      br.atlas_report, br.reps1, br.reps2, br.rep_map1)
     for radius in (10, 24):
         flags = _assert_maps_match_reference(br2, radius)
         assert not all(flags)

@@ -31,7 +31,12 @@ fixed seeded batch of random connected graphs of one size
 (``oracle_s``), and then ``covers.greedy_witness`` on the same views at
 the same scales, with the family count the oracle found (``greedy_s``);
 ``answers`` and ``greedy_answers`` are sha256 digests of every oracle
-and greedy answer, so checkouts that agree show the same digests.  ``doubling`` is a rung's certificate
+and greedy answer, so checkouts that agree show the same digests.  The
+import rung times ``import asdimforge.cli`` (``import_s``) in a bare
+interpreter, which has loaded nothing of its own before the clock starts
+beyond ``sys`` and ``time``; it counts the modules the import loads
+(``modules_loaded``) and times the whole child process, interpreter
+start-up included (``process_s``).  ``doubling`` is a rung's certificate
 (report, oracle) time over the previous rung's.  Each checkout's entry
 also records ``src_lines``, the line count of its ``src/asdimforge/*.py``
 as ``wc -l`` gives it, so a change's size reads off the same file.
@@ -74,6 +79,15 @@ REPORT_LADDER = (
 # (vertices, graphs) of the oracle ladder: batches of seeded random
 # connected graphs, each sized to take at least 0.2 s at commit 4e0eec5
 ORACLE_LADDER = ((8, 240), (10, 120), (12, 80))
+# what an import rung's child runs: the cold start of the command line
+IMPORT_PROBE = """\
+import sys, time
+before = len(sys.modules)
+start = time.perf_counter()
+import asdimforge.cli
+spent = time.perf_counter() - start
+print('{"import_s": %.5f, "modules_loaded": %d}' % (spent, len(sys.modules) - before))
+"""
 # samples per rung and checkout; a rung's times and RSS are their medians,
 # next to their ranges
 REPEAT = 5
@@ -216,11 +230,19 @@ def src_lines(root: Path) -> int:
 
 def sample(root: Path, rung: tuple) -> dict:
     """Parent side: one rung in a fresh child importing ``root/src``."""
+    import time
+
+    probe = rung[0] == "import"
+    start = time.perf_counter()
     out = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROBE] if probe else
         [sys.executable, __file__, "--rung", *map(str, rung)],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, check=True, timeout=600)
-    return json.loads(out.stdout)
+    got = json.loads(out.stdout)
+    if probe:
+        got["process_s"] = round(time.perf_counter() - start, 4)
+    return got
 
 
 def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict[str, list[dict]]:
@@ -233,7 +255,9 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
             for label, root in roots.items():
                 samples[label].append(sample(root, rung))
         for label, got in samples.items():
-            if rung[0] == "oracle":
+            if rung[0] == "import":
+                row = {"module": rung[1]}
+            elif rung[0] == "oracle":
                 row = {"build": rung[1], "vertices": rung[2], "graphs": rung[3]}
             else:
                 row = {"build": rung[1], "depth": rung[2]}
@@ -247,7 +271,7 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
                 else:
                     row[key] = value
             previous = rows[label][-1] if rows[label] else None
-            row["doubling"] = None if previous is None or previous["build"] != row["build"] \
+            row["doubling"] = None if previous is None or previous.get("build") != row.get("build") \
                 else round(row[seconds] / max(previous[seconds], 1e-3), 2)
             rows[label].append(row)
             print(label, rung[0], json.dumps(row), file=sys.stderr, flush=True)
@@ -276,6 +300,7 @@ def main(argv=None) -> int:
     for root in roots.values():
         subprocess.run([sys.executable, "-m", "compileall", "-q", str(root / "src")],
                        check=True, timeout=600)
+    imports = run_ladder(roots, [("import", "asdimforge.cli")], "import_s")
     certificates = run_ladder(roots, [("certificate", name, depth, R, r)
                                       for name, depths, R, r in LADDER
                                       for depth in depths], "certificate_s")
@@ -284,12 +309,13 @@ def main(argv=None) -> int:
                                  for depth in depths], "report_s")
     oracles = run_ladder(roots, [("oracle", "random_connected", vertices, count)
                                  for vertices, count in ORACLE_LADDER], "oracle_s")
-    doc = {"ladder": "run_certificate, build_report and the exact oracle per rung, "
-                     "each sample in a fresh process",
+    doc = {"ladder": "the import of asdimforge.cli, run_certificate, build_report and "
+                     "the exact oracle per rung, each sample in a fresh process",
            "host": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
            "repeat": REPEAT,
-           "runs": {label: {"src_lines": src_lines(root), "rungs": certificates[label],
+           "runs": {label: {"src_lines": src_lines(root), "import_rungs": imports[label],
+                            "rungs": certificates[label],
                             "report_rungs": reports[label], "oracle_rungs": oracles[label]}
                     for label, root in roots.items()}}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
