@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
-from itertools import accumulate, chain, repeat
-from operator import add, itemgetter
+from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, GraphFormatError, PreconditionError
@@ -58,6 +57,8 @@ class AdhesionFamily:
             members = graph.require_members(sets[k])
             if not members:
                 raise ConfigError(f"adhesion set {k!r} is empty")
+            if len(members) < len(sets[k]):
+                raise ConfigError(f"adhesion set {k!r} repeats a vertex")
             packed[k] = members
         self.sets = packed
 
@@ -67,14 +68,8 @@ class AdhesionFamily:
         except KeyError:
             raise ConfigError(f"unknown adhesion label {label!r}") from None
 
-    def __iter__(self):
-        return iter(self.labels)
-
     def __len__(self) -> int:
         return len(self.labels)
-
-    def to_json_dict(self) -> dict:
-        return {k: sorted(v) for k, v in sorted(self.sets.items())}
 
 
 # -- the connecting tree ----------------------------------------------------
@@ -391,11 +386,14 @@ class SumGraph:
     """Disjoint factor copies on the tree nodes plus bridging edges.
 
     ``copies`` lists each node's copy, the vertices of its own graph over
-    the node, in the graph's order: in a built sum graph, position i of a
-    copy holds the i-th vertex of its factor.  It is the one record of
-    the layout, which ``node_of`` reads.  ``build_sum_graph`` passes in
-    the copies it lays out, and a sum graph built by hand passes in its
-    own; no reader parses a vertex id to find its node.
+    the node, in the graph's order: in a built sum graph the copies run
+    in postorder, position i of a copy holds the i-th vertex of its
+    factor, and H lists its vertices copy after copy.  It is the one
+    record of the layout, which ``node_of`` reads.  ``build_sum_graph``
+    passes in the copies it lays out, and a sum graph built by hand
+    passes in its own; no reader parses a vertex id to find its node.
+    A built sum graph lists its ``bridges`` in sorted order, each from
+    a copy up to its parent's.
     """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
@@ -441,40 +439,37 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     reverse maps are mutually inverse the edge set must come out equal,
     and tests pin that down.
 
-    A node's copy and bridges hang only on its side and the label pairs
-    of its edges.  Nodes are grouped by that shape, each group's rows
-    and bridges are worked out once at its first node, as (slot,
-    position) pairs in id order, and then read off H's vertex list at
-    every member's copy offsets, one column per neighbour.  Postorder ids
-    put a node's children before it and its parent after it, and a copy
-    orders its ids by factor name, so every member of a group lists its
-    neighbours in the same order.  The ids are distinct (node ids hold no
-    ``:``) and no bridge is a loop, so the graph is taken from its
-    adjacency unchecked; a bridge end outside its factor raises
-    ``GraphFormatError``.
+    One pass over the nodes in postorder appends each copy's own rows,
+    then the bridges up to its parent at both ends; a bridge's ends are
+    worked out once per label pair, as copy positions.  Postorder ids put
+    a node's children before it and its parent after it, a copy's ids
+    sort as its factor's names do, and a bijective bonding map gives a
+    vertex at most one bridge per tree edge, so every row fills in id
+    order: the bridges down, the copy's own edges, the bridge up.  The
+    ids are distinct (node ids hold no ``:``) and no bridge is a loop, so
+    the graph is taken from its adjacency unchecked; a bridge end outside
+    its factor raises ``GraphFormatError``.
     """
     if sorted(adh1.labels) != sorted(tree.labels1) or sorted(adh2.labels) != sorted(tree.labels2):
         raise ConfigError("tree labels differ from adhesion labels")
     factors = (g1, g2)
-    nodes, side_of, parent, children = tree.nodes, tree.node_side, tree.parent, tree.children
-    vertices = tuple([u + ":" + x for u in nodes for x in factors[side_of[u] - 1].vertices])
-    starts = list(accumulate([len(factors[side_of[u] - 1]) for u in nodes], initial=0))
-    copies = dict(zip(nodes, map(vertices.__getitem__, map(slice, starts, starts[1:]))))
-    start = dict(zip(nodes, starts))
-    out_label = tree.out_label
-    # the (k, l) pair of the edge from each node up to its parent
-    up = {w: (out_label[w, p], out_label[p, w]) if side_of[w] == 1 else
-          (out_label[p, w], out_label[w, p]) for w, p in parent.items()}
-    groups: dict[tuple, list[str]] = {}
-    for u in nodes:
-        groups.setdefault((side_of[u], up.get(u), tuple([up[w] for w in children[u]])),
-                          []).append(u)
+    side_of, parent, out_label = tree.node_side, tree.parent, tree.out_label
     where = [{x: i for i, x in enumerate(g.vertices)} for g in factors]
+    # each factor's adjacency by position
+    near = [[[at[y] for y in g.adjacency[x]] for x in g.vertices] for g, at in zip(factors, where)]
+    copies = {u: tuple([u + ":" + x for x in factors[side_of[u] - 1].vertices])
+              for u in tree.nodes}
+    rows = {u: [[] for _ in vs] for u, vs in copies.items()}
     ends: dict[tuple[str, str], list[tuple[int, int]]] = {}
-
-    def bridge_ends(lower: str) -> list[tuple[int, int]]:
-        """(side-1, side-2) copy positions of the bridges from ``lower`` up."""
-        kl = up[lower]
+    bridges: list[tuple[str, str]] = []
+    for w, mine in copies.items():
+        own, mine_rows = side_of[w] - 1, rows[w]
+        for row, ns in zip(mine_rows, near[own]):
+            row += map(mine.__getitem__, ns)
+        p = parent.get(w)
+        if p is None:
+            continue
+        kl = (out_label[w, p], out_label[p, w]) if own == 0 else (out_label[p, w], out_label[w, p])
         if kl not in ends:
             k, l = kl
             if flip_orientations:
@@ -485,49 +480,22 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
                 named = [(x, m[x]) for x in sorted(adh1[k])]
             for x, y in named:
                 if x not in where[0] or y not in where[1]:
-                    one, two = sorted((lower, parent[lower]), key=side_of.__getitem__)
+                    one, two = (w, p) if own == 0 else (p, w)
                     a, b = copy_vertex(one, x), copy_vertex(two, y)
                     raise GraphFormatError("edge endpoint %r/%r not a vertex"
                                            % ((b, a) if flip_orientations else (a, b)))
             ends[kl] = [(where[0][x], where[1][y]) for x, y in named]
-        return ends[kl]
-
-    rows: dict[str, tuple[str, ...]] = {}
-    rises_of: dict[str, tuple] = {}
-    for (side, _, _), members in groups.items():
-        u = members[0]
-        # u's tree edges as (the node across, the edge's lower end)
-        links = ([(parent[u], u)] if u in parent else []) + [(w, w) for w in children[u]]
-        spot = {v: (s, j) for s, w in enumerate([u] + [w for w, _ in links])
-                for j, v in enumerate(copies[w])}
-        own, mine, g = side - 1, copies[u], factors[side - 1]
-        near = [[mine[where[own][y]] for y in g.adjacency[x]] for x in g.vertices]
-        rises = []
-        for w, lower in links:  # the parent first: its edge names a stray end
-            for e in bridge_ends(lower):
-                a, b = mine[e[own]], copies[w][e[1 - own]]
-                near[e[own]].append(b)
-                if lower == u:
-                    rises.append((a, b))
-        # per slot, each member's offset in H's vertex list: its own copy's,
-        # its parent's, then its children's
-        slots = [members] + ([list(map(parent.__getitem__, members))] if u in parent else [])
-        slots += (list(map(itemgetter(c), map(children.__getitem__, members)))
-                  for c in range(len(children[u])))
-        at = [list(map(start.__getitem__, slot)) for slot in slots]
-
-        def column(slot: int, j: int):
-            return map(vertices.__getitem__, map(add, at[slot], repeat(j)))
-
-        for i, row in enumerate(near):
-            rows.update(zip(column(0, i), zip(*[column(*spot[v]) for v in sorted(row)])
-                            if row else repeat(())))
-        rises_of.update(zip(members, zip(*[zip(column(*spot[a]), column(*spot[b]))
-                                           for a, b in sorted(rises)])
-                            if rises else repeat(())))
-    adjacency = dict(zip(vertices, map(rows.__getitem__, vertices)))
+        theirs, their_rows, rises = copies[p], rows[p], []
+        for e in ends[kl]:
+            a, b = e[own], e[1 - own]
+            mine_rows[a].append(theirs[b])
+            their_rows[b].append(mine[a])
+            rises.append((mine[a], theirs[b]))
+        bridges += sorted(rises)
+    vertices = tuple(chain.from_iterable(copies.values()))
+    adjacency = dict(zip(vertices, map(tuple, chain.from_iterable(rows.values()))))
     return SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, factors, (adh1, adh2),
-                    tuple(chain.from_iterable(map(rises_of.__getitem__, nodes))), copies)
+                    tuple(bridges), copies)
 
 
 # -- contraction --------------------------------------------------------------

@@ -42,12 +42,6 @@ class Family:
             packed.append(mset)
         self.members = tuple(packed)
 
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self):
-        return iter(self.members)
-
     def max_diameter(self) -> int | float:
         g = self.space.graph
         return max((g.diameter(m) for m in self.members), default=0)
@@ -72,9 +66,6 @@ class Family:
                 row[x] = dist[last] if last in outside else INF
             table.append(row)
         return tuple(table)
-
-    def to_json_dict(self) -> dict:
-        return {"members": [sorted(m) for m in self.members]}
 
 
 class Cover(Family):

@@ -82,9 +82,6 @@ class FiniteGraph:
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def __contains__(self, v: str) -> bool:
-        return v in self.vertex_set
-
     def same_as(self, other: "FiniteGraph") -> bool:
         return self.vertices == other.vertices and self.edges == other.edges
 
@@ -311,9 +308,6 @@ class MetricView:
     def __len__(self) -> int:
         return len(self.points)
 
-    def __contains__(self, v: str) -> bool:
-        return v in self.point_set
-
     def point_rows(self) -> list[list[int | float]]:
         """Per point, its hop count to every point, in ``points`` order (INF: none).
 
@@ -369,9 +363,6 @@ class VertexMap(Record):
         stray = [v for v in self.source.points if self.mapping[v] not in self.target.point_set]
         if stray:
             raise PreconditionError(f"image of {stray[0]!r} escapes the target view")
-
-    def __call__(self, v: str) -> str:
-        return self.mapping[v]
 
     def image(self, members: Iterable[str]) -> frozenset[str]:
         return frozenset(self.mapping[v] for v in members)
@@ -467,11 +458,6 @@ class QiFit(Record):
     @property
     def feasible(self) -> bool:
         return self.gamma is not None
-
-    def __iter__(self):
-        if not self.feasible:
-            raise PreconditionError("no feasible distortion constants to unpack")
-        return iter((self.gamma, self.c))
 
     @classmethod
     def from_maxima(cls, maxima: Sequence[tuple[int, int]] | None) -> "QiFit":

@@ -122,19 +122,6 @@ class LemmaStrip(Record):
             return False
         return self.min_separation > self.radius
 
-    def to_json_dict(self) -> dict:
-        return {
-            "site": self.site,
-            "index": self.index,
-            "radius": self.radius,
-            "strip_size": self.strip_size,
-            "below_empty": self.below_empty,
-            "fit": None if self.fit is None else self.fit.to_json_dict(),
-            "separations": [[u, v, d] for u, v, d in self.separations],
-            "min_separation": self.min_separation,
-            "ok": self.ok,
-        }
-
 
 def lemma_strip(h: SumGraph, t: str, m: int, r: int) -> LemmaStrip:
     """Check that stratum m collapses onto stratum m-1 with small distortion.
@@ -196,9 +183,6 @@ class Block(Record):
     name: str
     vertices: frozenset[str]
     edges: tuple[tuple[str, str], ...] | int
-
-    def __len__(self) -> int:
-        return len(self.vertices)
 
     @property
     def edge_count(self) -> int:
@@ -267,7 +251,7 @@ def base_blocks(walk: SymmetryWalk, params: ProofParameters) -> BaseBlocks:
         if tree.node_side[v] != 1:
             raise PreconditionError(
                 "fringe nodes must carry the first factor; is the block radius even?")
-        anchor, _ = walk.map_at(v).carry(core)
+        anchor = walk.map_at(v).carry(core)
         fringe |= H.ball(anchor, R) & frozenset(h.copy_vertices(v))
     u_vertices = frozenset(main) | fringe
     u_edges = _edges_inside(H, u_vertices)
@@ -307,17 +291,10 @@ class SymmetryMap(Record):
     injective: bool
     detail: str
 
-    def carry(self, vids: Iterable[str]) -> tuple[frozenset[str], int]:
-        """Image of a vertex set plus how many inputs fell off the domain."""
-        out = set()
-        missing = 0
-        for v in vids:
-            w = self.vertex_map.get(v)
-            if w is None:
-                missing += 1
-            else:
-                out.add(w)
-        return frozenset(out), missing
+    def carry(self, vids: Iterable[str]) -> frozenset[str]:
+        """Image of the part of a vertex set inside the domain."""
+        vertex_map = self.vertex_map
+        return frozenset(vertex_map[v] for v in vids if v in vertex_map)
 
 
 def _image_label(adh: AdhesionFamily, g: Mapping[str, str], k: str, u: str) -> str:
@@ -699,12 +676,6 @@ class TheoremCertificate(Record):
     def passed(self) -> bool:
         return self.verdict == "PASS"
 
-    def stage(self, name: str) -> Stage:
-        for st in self.stages:
-            if st.name == name:
-                return st
-        raise KeyError(name)
-
     def to_json_dict(self) -> dict:
         return {
             "format_version": CERTIFICATE_FORMAT,
@@ -912,7 +883,7 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
             if not shell_t:
                 continue
             for u in fattened:
-                img, _ = sm.carry(u)
+                img = sm.carry(u)
                 piece = img & shell_t
                 if piece:
                     v_members.add(piece)

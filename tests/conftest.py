@@ -269,7 +269,7 @@ def reference_partition(br: af.BuildResult, base, maps) -> tuple[list, dict]:
         edges = tuple(sorted(tuple(sorted((image[a], image[b])))
                              for a, b in base.w_r.edges if a in image and b in image))
         members.append(af.Block(f"W@{sm.site}", frozenset(image.values()), edges))
-        shells[sm.site] = frozenset(w for w in sm.carry(base.shell)[0] if inside(w))
+        shells[sm.site] = frozenset(w for w in sm.carry(base.shell) if inside(w))
     return members, shells
 
 

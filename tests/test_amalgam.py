@@ -488,22 +488,44 @@ def test_build_matches_the_edge_list_reference():
 
 @pytest.mark.parametrize("flip", [False, True])
 def test_sum_graph_rejects_a_bridge_off_the_factor(flip):
-    """An atlas doctored past validation, handed straight to the builder:
-    the stray bridge raises as the edge-list graph does."""
+    """Atlases doctored past validation, handed straight to the builder:
+    wherever the edge-list graph rejects a stray bridge, the build raises
+    the same message.  Each seeded spec has one atlas entry doctored, a
+    value sent off the factor or a key moved off its adhesion set; a map
+    the reference cannot apply (``KeyError``) is skipped."""
     spec = AmalgamationSpec.from_json_dict(triangle_spec_doc(3))
-    tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, 3)
     entries = {pair: dict(m) for pair, m in spec.atlas.entries.items()}
     if flip:
         entries[("x", "2")] = {"x": "5"}
     else:
         entries[("2", "x")] = {"2": "z"}
-    atlas = BondingAtlas(entries)
-    parts = (spec.g1, spec.g2, spec.adh1, spec.adh2, atlas, tree, flip)
-    with pytest.raises(GraphFormatError) as want:
-        reference_sum_graph(*parts)
-    with pytest.raises(GraphFormatError) as got:
-        build_sum_graph(*parts)
-    assert str(got.value) == str(want.value)
+    cases = [(spec, BondingAtlas(entries))]
+    rng = random.Random(7)
+    for i in range(255):
+        spec = AmalgamationSpec.from_json_dict(_random_build_doc(rng, alternating=i % 3 == 0))
+        entries = {pair: dict(m) for pair, m in spec.atlas.entries.items()}
+        m = entries[rng.choice(sorted(entries))]
+        x = rng.choice(sorted(m))
+        if rng.random() < 0.5:
+            m[x] = "stray"
+        else:
+            m["stray"] = m.pop(x)
+        cases.append((spec, BondingAtlas(entries)))
+    raised = 0
+    for spec, atlas in cases:
+        tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, spec.depth,
+                                     spec.type2_J)
+        parts = (spec.g1, spec.g2, spec.adh1, spec.adh2, atlas, tree, flip)
+        try:
+            reference_sum_graph(*parts)
+        except KeyError:
+            continue
+        except GraphFormatError as want:
+            with pytest.raises(GraphFormatError) as got:
+                build_sum_graph(*parts)
+            assert str(got.value) == str(want)
+            raised += 1
+    assert raised > 50
 
 
 def test_single_gluing_and_trivial_projection():

@@ -422,6 +422,15 @@ def test_aut_command(tmp_path, capsys):
         assert capsys.readouterr() == plain
 
 
+def test_build_rejects_a_repeated_adhesion_vertex(tmp_path, capsys):
+    doc = chain_spec_doc(8)
+    doc["adhesions"][0]["0"] = ["a", "a"]
+    assert cli.main(["build", "--spec", write_doc(tmp_path, "bad.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: adhesion set '0' repeats a vertex\n"
+
+
 def test_plain_text_edge_list_exits_2(tmp_path, capsys):
     edges = tmp_path / "edges.txt"
     edges.write_text("# comment\na b\nb c\n")

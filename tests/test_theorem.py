@@ -154,8 +154,8 @@ def test_symmetry_map_recenters(chain40):
     sm = build_symmetry_map(SymmetryWalk(chain40, 10), site)
     assert sm.node_map[ROOT] == site
     assert sm.edge_ok and sm.injective
-    carried, missing = sm.carry(frozenset({"t1:a", "t1:b"}))
-    assert missing == 0
+    carried = sm.carry(frozenset({"t1:a", "t1:b"}))
+    assert {sm.vertex_map["t1:a"], sm.vertex_map["t1:b"]} <= carried
     assert {chain40.sum.node_of(v) for v in carried} == {site}
     # Tree adjacency is preserved nodewise.
     for w, u in chain40.tree.parent.items():
@@ -281,8 +281,9 @@ def test_separation_equals_pairwise_set_distance(request, fixture, R, r):
     # the verdicts the old pair table gave
     lowest = min(table.values())
     cert = run_certificate(br, params)
-    data = cert.stage("separation").data
-    assert cert.stage("separation").verdict == (lowest > R) == data["beyond_shell_radius"]
+    stage = {s.name: s for s in cert.stages}
+    data = stage["separation"].data
+    assert stage["separation"].verdict == (lowest > R) == data["beyond_shell_radius"]
     assert data["at_least_triple_radius"] == (lowest >= 3 * R)
     assert data["min_distance"] == lowest
     assert cert.passed()
@@ -336,8 +337,9 @@ def assert_passing_cert(cert, expected_bound=1):
 def test_certificate_chain(chain20):
     cert = run_certificate(chain20, ProofParameters(R=2, r=10, depth=20))
     assert_passing_cert(cert)
-    assert cert.stage("separation").data["at_least_triple_radius"]
-    assert cert.stage("transported_cover").data["multiplicity"] <= cert.n
+    stage = {s.name: s for s in cert.stages}
+    assert stage["separation"].data["at_least_triple_radius"]
+    assert stage["transported_cover"].data["multiplicity"] <= cert.n
 
 
 def test_certificate_triangle(triangle8):
@@ -360,10 +362,11 @@ def test_certificate_torus_factor(declared):
     bound = max(declared, 1)
     assert_passing_cert(cert, bound)
     assert cert.to_json_dict()["target_families"] == bound
-    blocks = cert.stage("uniform_asdim_blocks").data
+    stage = {s.name: s for s in cert.stages}
+    blocks = stage["uniform_asdim_blocks"].data
     assert blocks["families"] == bound + 1
     assert {row["families"] for row in blocks["per_block"].values()} == {bound + 1}
-    sizes = {m["vertices"] for m in cert.stage("partition").data["members"].values()}
+    sizes = {m["vertices"] for m in stage["partition"].data["members"].values()}
     assert {133, 202} <= sizes
 
 
@@ -411,7 +414,7 @@ def test_block_rows_shared_by_shape_equal_fresh_witness_rows(make, depth, R, r):
     br = build_doc(make(depth))
     params = ProofParameters(R=R, r=r, depth=depth)
     cert = run_certificate(br, params)
-    rows = cert.stage("uniform_asdim_blocks").data["per_block"]
+    rows = {s.name: s for s in cert.stages}["uniform_asdim_blocks"].data["per_block"]
     H = br.sum.graph
     members = _partition(br, params).members
     assert list(rows) == [b.name for b in members]
@@ -471,7 +474,7 @@ def test_projection_fit_frozen_table(chain40):
         (Fraction(4), Fraction(1, 4)),
     )
     assert fit.best_within(2) == (Fraction(2), Fraction(1, 2))
-    gamma, c = fit
+    gamma, c = fit.gamma, fit.c
     assert (gamma, c) == (Fraction(4), Fraction(1, 4))
 
 

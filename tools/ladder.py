@@ -51,12 +51,15 @@ compiling stale or missing bytecode.  The checkouts take turns on every
 rung, ``REPEAT`` times, and the report keeps each timing's and RSS's
 median, with ``<key>_range`` holding the least and largest sample: a
 host whose speed drifts over the ladder moves every run alike, and the
-ranges show by how much.
+ranges show by how much.  Each child collects garbage just before its
+first timed step, so a collection that its imports set off does not
+land inside a timing.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import os
@@ -138,6 +141,7 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     theorem.block_shape = _timer(spent, "shapes_s", theorem.block_shape)
     theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
     theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
+    gc.collect()
     t0 = time.perf_counter()
     br = _build(name, depth, spent)
     t1 = time.perf_counter()
@@ -166,6 +170,7 @@ def run_report_rung(name: str, depth: int) -> dict:
     amalgam.contract_to_amalgam = _timer(spent, "contract_s", amalgam.contract_to_amalgam)
     cli.projection_report = _timer(spent, "check_s", cli.projection_report)
     cli.projection_fit = _timer(spent, "fit_s", cli.projection_fit)
+    gc.collect()
     t0 = time.perf_counter()
     br = _build(name, depth, spent)
     t1 = time.perf_counter()
@@ -204,6 +209,7 @@ def run_oracle_rung(name: str, vertices: int, count: int) -> dict:
     rng = random.Random(vertices)
     views = [graphs.MetricView(_random_connected_graph(rng, vertices)) for _ in range(count)]
     answers = []
+    gc.collect()
     t0 = time.perf_counter()
     for view in views:
         for r in (2, 3):
