@@ -4,8 +4,7 @@ covers, and certify block decompositions end to end."""
 from .amalgam import (AdhesionFamily, AmalgamGraph, AmalgamationSpec,
                       BondingAtlas, BuildResult, ConnectingTree, SumGraph,
                       build, build_connecting_tree, build_sum_graph,
-                      check_trivial, contract_to_amalgam,
-                      identification_sizes, select_orbit_representatives,
+                      contract_to_amalgam, select_orbit_representatives,
                       validate_bonding_atlas)
 from .covers import (Cover, Family, WitnessFamilies, band_witness,
                      exact_min_bound, exact_min_families, greedy_witness,

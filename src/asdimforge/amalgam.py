@@ -14,8 +14,10 @@ code parses one: depths, distances, paths, balls and subtrees are read
 off the parent, child and depth records the build leaves behind, and
 the tree's ``table`` gives back each node's label path (``t1/a/x/b``,
 each component the label of the edge leaving the parent).  A vertex's
-copy is read off the sum graph's ``copies``, which the build lays out
-and a hand-built sum graph passes in (see ``SumGraph``).  The cut
+copy, and a factor vertex's image in a copy, are read off the sum
+graph's ``copies``, which the build lays out and a hand-built sum graph
+passes in (see ``SumGraph``); the glued graph keeps only its projection
+and fibers (see ``AmalgamGraph``).  The cut
 happens at a fixed radius around the root, and downstream checks stay
 inside a safe core where the truncation is indistinguishable from the
 infinite object.
@@ -391,20 +393,18 @@ class SumGraph:
     factor, and H lists its vertices copy after copy.  It is the one
     record of the layout, which ``node_of`` reads.  ``build_sum_graph``
     passes in the copies it lays out, and a sum graph built by hand
-    passes in its own; no reader parses a vertex id to find its node.
-    A built sum graph lists its ``bridges`` in sorted order, each from
-    a copy up to its parent's.
+    passes in its own; no reader parses a vertex id to find its node,
+    or writes one: a factor vertex's image in a copy is the entry at its
+    position in the factor.  The factors and adhesion sets stay with the
+    spec.  A built sum graph lists its ``bridges`` in sorted order, each
+    from a copy up to its parent's.
     """
 
     def __init__(self, graph: FiniteGraph, tree: ConnectingTree,
-                 factors: tuple[FiniteGraph, FiniteGraph],
-                 adhesions: tuple[AdhesionFamily, AdhesionFamily],
                  bridges: tuple[tuple[str, str], ...],
                  copies: dict[str, tuple[str, ...]]):
         self.graph = graph
         self.tree = tree
-        self.factors = factors
-        self.adhesions = adhesions
         self.bridges = bridges
         self.copies = copies
 
@@ -416,11 +416,6 @@ class SumGraph:
     def copy_vertices(self, node: str) -> tuple[str, ...]:
         self.tree.require_node(node)
         return self.copies.get(node, ())
-
-    def adhesion_copy(self, node: str, label: str) -> frozenset[str]:
-        self.tree.require_node(node)
-        side = self.tree.node_side[node]
-        return frozenset(copy_vertex(node, x) for x in self.adhesions[side - 1][label])
 
     def vertices_over(self, nodes: Iterable[str]) -> frozenset[str]:
         copies = self.copies
@@ -494,34 +489,24 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
         bridges += sorted(rises)
     vertices = tuple(chain.from_iterable(copies.values()))
     adjacency = dict(zip(vertices, map(tuple, chain.from_iterable(rows.values()))))
-    return SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, factors, (adh1, adh2),
-                    tuple(bridges), copies)
+    return SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, tuple(bridges), copies)
 
 
 # -- contraction --------------------------------------------------------------
 
 
 class AmalgamGraph:
-    """The contraction of a sum graph along its bridging edges."""
+    """The contraction of a sum graph along its bridging edges.
 
-    def __init__(self, graph: FiniteGraph, sum_graph: SumGraph,
-                 projection: dict[str, str], fibers: dict[str, frozenset[str]]):
+    ``projection`` sends each sum-graph vertex to its glued vertex, and
+    ``fibers`` each glued vertex to the sum-graph vertices over it.
+    """
+
+    def __init__(self, graph: FiniteGraph, projection: dict[str, str],
+                 fibers: dict[str, frozenset[str]]):
         self.graph = graph
-        self.sum = sum_graph
         self.projection = projection
         self.fibers = fibers
-
-    def project(self, vid: str) -> str:
-        try:
-            return self.projection[vid]
-        except KeyError:
-            raise PreconditionError(f"unknown sum-graph vertex {vid!r}") from None
-
-    def fiber(self, amid: str) -> frozenset[str]:
-        try:
-            return self.fibers[amid]
-        except KeyError:
-            raise PreconditionError(f"unknown glued vertex {amid!r}") from None
 
 
 def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
@@ -553,20 +538,7 @@ def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
     amids, adjacency = tuple(sorted(fibers)), h.graph.adjacency
     rows = {amid: tuple(sorted({projection[w] for v in fibers[amid] for w in adjacency[v]}
                                - {amid})) for amid in amids}
-    return AmalgamGraph(FiniteGraph.from_adjacency(amids, rows), h, projection, fibers)
-
-
-def identification_sizes(a: AmalgamGraph) -> tuple[dict[str, int], int]:
-    """Per glued vertex, how many tree nodes its fiber spans (its size); plus the max."""
-    sizes = {amid: len(a.fiber(amid)) for amid in a.graph.vertices}
-    return sizes, max(sizes.values(), default=0)
-
-
-def check_trivial(a: AmalgamGraph) -> bool:
-    """True when one copy already surjects onto the glued graph."""
-    total = len(a.graph)
-    return any(len(copy) == total and len({a.project(v) for v in copy}) == total
-               for copy in a.sum.copies.values())
+    return AmalgamGraph(FiniteGraph.from_adjacency(amids, rows), projection, fibers)
 
 
 # -- action-respecting checks -------------------------------------------------
@@ -749,11 +721,15 @@ class BuildResult(Record):
 
     @cached_property
     def max_id_size(self) -> int:
-        return identification_sizes(self.amalgam)[1]
+        """How many copies the largest fiber meets (one vertex in each)."""
+        return max(map(len, self.amalgam.fibers.values()), default=0)
 
     @cached_property
     def trivial(self) -> bool:
-        return check_trivial(self.amalgam)
+        """True when one copy already surjects onto the glued graph."""
+        total, projection = len(self.amalgam.fibers), self.amalgam.projection
+        return any(len(copy) == total and len({projection[v] for v in copy}) == total
+                   for copy in self.sum.copies.values())
 
     def report_dict(self) -> dict:
         semi_ok, semi_why = self.tree.is_semiregular()

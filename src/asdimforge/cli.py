@@ -32,7 +32,7 @@ from .theorem import (ProofParameters, projection_fit, run_certificate,
 def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
@@ -44,9 +44,17 @@ def _spec_from_file(path: str) -> AmalgamationSpec:
     return AmalgamationSpec.from_json_str(_read_text(path))
 
 
+def _write(path, doc):
+    """``write_json``; a path it cannot write is an input error (exit 2)."""
+    try:
+        write_json(path, doc)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(doc, out: str | None):
     if out:
-        write_json(out, doc)
+        _write(out, doc)
     else:
         sys.stdout.write(dumps(doc))
 
@@ -142,7 +150,7 @@ def cmd_verify_theorem(args) -> int:
     br = build(spec, depth)
     cert = run_certificate(br, params)
     out = args.out or "cert.json"
-    write_json(out, cert.to_json_dict())
+    _write(out, cert.to_json_dict())
     for st in cert.stages:
         print(f"  {st.name}: {'ok' if st.verdict else 'FAIL'}")
     print(f"{cert.verdict} bound={cert.bound} -> {out}")
@@ -167,19 +175,20 @@ def cmd_iterate(args) -> int:
             raw = dict(raw)
             raw["factors"] = [renamed.to_json_dict()] + list(factors[1:])
         spec = AmalgamationSpec.from_json_dict(raw)
+        if "/" in spec.name or "\0" in spec.name:
+            raise ConfigError(f"stage {idx + 1} name {spec.name!r} may not contain '/' or NUL")
         br = build(spec, args.depth)
         report = build_report(br)
         report["stage"] = idx + 1
         ok = ok and report["projection"]["ok"] and report["atlas"]["ok"]
-        write_json(outdir / f"stage{idx + 1:02d}_{spec.name}.json", report)
+        _write(outdir / f"stage{idx + 1:02d}_{spec.name}.json", report)
         decl = spec.declared_asdim
         bound = max(bound, theorem_bound(decl.get("factor1", 0),
                                          decl.get("factor2", 0),
                                          decl.get("adhesion", 0)))
         names.append(spec.name)
         prev = br
-    write_json(outdir / "iterate_summary.json",
-               {"stages": names, "bound": bound})
+    _write(outdir / "iterate_summary.json", {"stages": names, "bound": bound})
     print(f"{'PASS' if ok else 'FAIL'} stages={len(names)} bound={bound} -> {outdir}")
     return 0 if ok else 1
 
@@ -230,7 +239,7 @@ def cmd_report(args) -> int:
     for r in rows:
         print("  ".join(str(r[f]).ljust(widths[f]) for f in _ROW_FIELDS).rstrip())
     if args.out:
-        write_json(args.out, {"rows": rows})
+        _write(args.out, {"rows": rows})
     return 0
 
 

@@ -132,3 +132,5 @@ def read_json(path: str | Path):
         raise ConfigError(f"missing file {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"corrupt JSON in {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc

@@ -236,10 +236,11 @@ def base_blocks(walk: SymmetryWalk, params: ProofParameters) -> BaseBlocks:
     R, r = params.R, params.r
     if walk.radius != r:
         raise PreconditionError("the symmetry walk must stop at the block radius")
-    pieces = [h.adhesion_copy(ROOT, k) for k in br.reps1]
-    if not pieces:
+    if not br.reps1:
         raise PreconditionError("no representative boundary copies at the root")
-    core = frozenset().union(*pieces)
+    # the root's copy holds the i-th vertex of factor 1 at position i
+    root, where = h.copies[ROOT], {x: i for i, x in enumerate(br.spec.g1.vertices)}
+    core = frozenset(root[where[x]] for k in br.reps1 for x in br.spec.adh1[k])
     # one search gives the shell (d = R), W0 (d <= R) and the main block
     reach = H.distances_to_set(core, limit=R)
     shell = frozenset(v for v, d in reach.items() if d == R)
@@ -357,7 +358,7 @@ class SymmetryWalk:
         """Position i of a side's copy -> the position its element image takes."""
         got = self.positions.get((side, e))
         if got is None:
-            factor = self.br.sum.factors[side - 1].vertices
+            factor = (self.br.spec.g1, self.br.spec.g2)[side - 1].vertices
             where = {x: i for i, x in enumerate(factor)}
             g = self.elements[side - 1][e]
             got = self.positions[side, e] = tuple([where[g[x]] for x in factor])

@@ -237,7 +237,7 @@ def reference_symmetry_map(br: af.BuildResult, t: str, radius: int):
             queue.append(w)
     vmap = {copy_vertex(u, x): copy_vertex(u_img, perm[u][x])
             for u, u_img in node_map.items()
-            for x in h.factors[side_of[u] - 1].vertices}
+            for x in (br.spec.g1, br.spec.g2)[side_of[u] - 1].vertices}
     injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
@@ -347,7 +347,7 @@ def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False
             bridges += [(copy_vertex(one, x), copy_vertex(two, m[x])) for x in sorted(adh1[k])]
     graph = af.FiniteGraph(vertices, edges + bridges)
     canon = tuple(sorted((a, b) if a <= b else (b, a) for a, b in bridges))
-    return SumGraph(graph, tree, factors, (adh1, adh2), canon, copies_by_id(graph))
+    return SumGraph(graph, tree, canon, copies_by_id(graph))
 
 
 class _UnionFind:
@@ -393,7 +393,20 @@ def reference_contract_to_amalgam(h: SumGraph) -> af.AmalgamGraph:
         if px != py:
             edges.add((px, py) if px <= py else (py, px))
     graph = af.FiniteGraph(sorted(packed), sorted(edges))
-    return af.AmalgamGraph(graph, h, projection, packed)
+    return af.AmalgamGraph(graph, projection, packed)
+
+
+def without_a_bridge_at(br: af.BuildResult, site: str) -> af.BuildResult:
+    """``br`` with one bridge at ``site``'s copy gone from H (the first in
+    ``bridges``); the bridge list and copies stay.  No accepted spec
+    builds such a sum graph: the site's symmetry map carries a root
+    edge onto the missing bridge."""
+    h = br.sum
+    gone = next(e for e in h.bridges if site in (h.node_of(e[0]), h.node_of(e[1])))
+    H = h.graph
+    doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone])
+    return af.BuildResult(br.spec, br.tree, SumGraph(doctored, br.tree, h.bridges, h.copies),
+                          br.atlas_report, br.reps1, br.reps2, br.rep_map1)
 
 
 def remap_nodes(monkeypatch, br: af.BuildResult, moves: dict[str, str]) -> None:

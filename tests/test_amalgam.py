@@ -8,8 +8,7 @@ import pytest
 import asdimforge as af
 from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
                                 BondingAtlas, SumGraph, build_connecting_tree,
-                                build_sum_graph, check_trivial, contract_to_amalgam,
-                                copy_vertex, identification_sizes,
+                                build_sum_graph, contract_to_amalgam, copy_vertex,
                                 select_orbit_representatives, validate_bonding_atlas)
 from asdimforge.errors import ConfigError, GraphFormatError, PreconditionError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
@@ -318,7 +317,6 @@ def test_type2_build_shapes(type2_6):
 def test_sum_graph_accessors(chain6):
     h = chain6.sum
     assert set(h.copy_vertices(ROOT)) == {"t1:a", "t1:b"}
-    assert h.adhesion_copy(ROOT, "0") == frozenset({"t1:a"})
     assert h.node_of("t1:a") == ROOT
     over = h.vertices_over([ROOT])
     assert over == frozenset({"t1:a", "t1:b"})
@@ -335,12 +333,12 @@ def test_projection_never_stretches(chain6):
 def test_amalgam_fibers(chain6):
     a = chain6.amalgam
     for amid in a.graph.vertices:
-        fiber = a.fiber(amid)
+        fiber = a.fibers[amid]
         assert fiber
-        assert {a.project(v) for v in fiber} == {amid}
+        assert {a.projection[v] for v in fiber} == {amid}
         assert {chain6.sum.node_of(v) for v in fiber} <= set(chain6.tree.nodes)
-    sizes, biggest = identification_sizes(a)
-    assert biggest == 2
+    sizes = {amid: len(a.fibers[amid]) for amid in a.graph.vertices}
+    assert chain6.max_id_size == 2
     assert set(sizes.values()) <= {1, 2}
     # Interior identifications glue exactly two copies.
     assert sum(1 for s in sizes.values() if s == 2) == 12
@@ -356,10 +354,10 @@ def _assert_contraction_matches_the_union_find(h: SumGraph) -> int:
     assert got.graph.edges == want.graph.edges
     assert list(got.graph.adjacency.items()) == list(want.graph.adjacency.items())
     # a fiber meets each copy at most once, so its size counts its nodes
-    sizes, biggest = identification_sizes(got)
+    sizes = {amid: len(fiber) for amid, fiber in got.fibers.items()}
     assert sizes == {amid: len({h.node_of(v) for v in fiber})
                      for amid, fiber in sorted(want.fibers.items())}
-    return biggest
+    return max(sizes.values(), default=0)
 
 
 def test_contraction_matches_the_union_find_reference():
@@ -391,8 +389,8 @@ def test_contraction_rejects_bridges_it_cannot_follow(chain6):
     for bridges in ([(b, a) for a, b in h.bridges], [*h.bridges, (low, last)],
                     [*h.bridges, ("nowhere", last)]):
         with pytest.raises(PreconditionError):
-            contract_to_amalgam(SumGraph(h.graph, h.tree, h.factors, h.adhesions,
-                                         tuple(bridges), copies_by_id(h.graph)))
+            contract_to_amalgam(SumGraph(h.graph, h.tree, tuple(bridges),
+                                         copies_by_id(h.graph)))
 
 
 def test_orientation_flip_same_edges(chain6):
@@ -483,7 +481,7 @@ def test_build_matches_the_edge_list_reference():
             got, want = build_sum_graph(*parts, flip), reference_sum_graph(*parts, flip)
             _assert_same_records(got.graph, want.graph,
                                  ("vertices", "vertex_set", "edges", "adjacency"))
-            _assert_same_records(got, want, ("factors", "adhesions", "bridges", "copies"))
+            _assert_same_records(got, want, ("bridges", "copies"))
 
 
 @pytest.mark.parametrize("flip", [False, True])
@@ -562,14 +560,14 @@ def test_star_center_fiber():
     br = build_doc(doc)
     assert len(br.tree.nodes) == 5
     assert len(br.sum.graph) == 6
-    center = br.amalgam.project("t1:c")
-    assert len(br.amalgam.fiber(center)) == 5
+    center = br.amalgam.projection["t1:c"]
+    assert len(br.amalgam.fibers[center]) == 5
     assert len(br.amalgam.graph) == 2
     assert br.trivial  # the root copy already covers both classes
 
 
 def test_check_trivial_false_on_growing_chain(chain6):
-    assert not check_trivial(chain6.amalgam)
+    assert not chain6.trivial
 
 
 # -- symmetry bookkeeping ---------------------------------------------------------

@@ -19,9 +19,9 @@ from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
                                  next_stage_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
 from asdimforge.graphs import INF, FiniteGraph
-from asdimforge.theorem import projection_fit
+from asdimforge.theorem import ProofParameters, projection_fit, translation_sites
 
-from conftest import build_doc, path_ids, projection_map, remap_nodes
+from conftest import build_doc, path_ids, projection_map, remap_nodes, without_a_bridge_at
 from test_graphs import _ref_fit
 
 
@@ -487,6 +487,70 @@ def test_verify_theorem_failure_exit(tmp_path, capsys):
     assert code == 3  # truncation too shallow for certificate grade
 
 
+def test_verify_theorem_exits_1_on_a_failed_certificate(tmp_path, monkeypatch, capsys):
+    """A build doctored to lose one bridge at a translation site: the
+    certificate runs to the end and fails, and ``verify-theorem`` writes
+    it, prints FAIL and exits 1."""
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(20))
+    built = cli.build
+
+    def doctored(spec, depth):
+        br = built(spec, depth)
+        sites = translation_sites(br.tree, ProofParameters(R=2, r=10, depth=depth))
+        return without_a_bridge_at(br, sites[1])
+    monkeypatch.setattr(cli, "build", doctored)
+    out = tmp_path / "cert.json"
+    assert cli.main(["verify-theorem", "--spec", spec, "--R", "2", "--r", "10",
+                     "--out", str(out)]) == 1
+    text = capsys.readouterr().out
+    assert "  symmetry_maps: FAIL" in text and f"FAIL bound=1 -> {out}" in text
+    assert json.loads(out.read_text())["verdict"] == "FAIL"
+
+
+def test_a_file_that_is_not_utf8_exits_2(tmp_path, capsys):
+    """``--spec`` files and the artifacts ``report`` reads."""
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b'\xff\xfe{"vertices": []}')
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    (artifacts / "bad.json").write_bytes(bad.read_bytes())
+    for argv in (["aut", "--spec", str(bad)], ["build", "--spec", str(bad)],
+                 ["iterate", "--spec", str(bad), "--out", str(tmp_path / "out")],
+                 ["report", str(artifacts)]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "bad.json" in captured.err and "utf-8" in captured.err
+    assert not (tmp_path / "out").exists()
+
+
+def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
+    """An ``--out`` that is a directory, or under a plain file: one
+    ``error:`` line naming the path, and no temporary file left."""
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(20))
+    graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
+    taken = tmp_path / "taken"
+    taken.mkdir()
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    cases = [(["verify-theorem", "--spec", spec, "--R", "2", "--r", "10", "--out", str(taken)],
+              taken),
+             (["build", "--spec", spec, "--out", str(plain / "x.json")], plain / "x.json"),
+             (["aut", "--spec", graph, "--out", str(taken)], taken),
+             (["iterate", "--spec", spec, "--depth", "6", "--out", str(plain)],
+              plain / "stage01_chain_k2.json"),
+             (["report", str(tmp_path), "--out", str(taken)], taken)]
+    for argv, path in cases:
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {path}: "), argv
+        assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "chain.json", "plain",
+                                                          "taken"]
+    assert not any(taken.iterdir()) and plain.read_text() == ""
+
+
 def test_verify_theorem_missing_file(tmp_path):
     assert cli.main(["verify-theorem", "--spec", str(tmp_path / "nope.json"),
                      "--r", "4"]) == 2
@@ -545,6 +609,19 @@ def test_iterate_requires_previous_placeholder(tmp_path):
         spec2 = write_doc(tmp_path, "stage2.json", bad_stage)
         assert cli.main(["iterate", "--spec", spec1, "--spec", spec2,
                          "--out", str(tmp_path / "x")]) == 2
+
+
+@pytest.mark.parametrize("name", ["x/../../escaped", "a\0b"])
+def test_iterate_rejects_a_stage_name_that_is_no_file_name(tmp_path, capsys, name):
+    """A stage's report is named after the stage, so a name holding '/'
+    could write outside ``--out`` and one holding NUL cannot be written."""
+    spec = write_doc(tmp_path, "stage1.json", {**chain_spec_doc(6), "name": name})
+    outdir = tmp_path / "art" / "inner"
+    assert cli.main(["iterate", "--spec", spec, "--out", str(outdir)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: stage 1 name {name!r} may not contain '/' or NUL\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["stage1.json"]
 
 
 def test_report_command(tmp_path, capsys):

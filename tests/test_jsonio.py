@@ -10,6 +10,7 @@ from fractions import Fraction
 import pytest
 
 from asdimforge import cli, jsonio, theorem
+from asdimforge.errors import ConfigError
 from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc
 
 from conftest import build_doc
@@ -99,3 +100,10 @@ def test_write_json_gives_the_mode_open_gives_and_leaves_no_temp_file(tmp_path, 
     finally:
         os.umask(old)
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["doc.json"]
+
+
+def test_read_json_rejects_a_file_that_is_not_utf8(tmp_path):
+    path = tmp_path / "doc.json"
+    path.write_bytes(b'\xff\xfe{"a": 1}')
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        jsonio.read_json(path)

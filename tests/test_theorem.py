@@ -1,9 +1,11 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
 import copy
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -22,7 +24,7 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
 
 from conftest import (build_doc, copies_by_id, label_paths, path_ids, projection_map,
                       reference_partition, reference_symmetry_map, remap_nodes,
-                      split_vertex_id, torus_spec_doc)
+                      split_vertex_id, torus_spec_doc, without_a_bridge_at)
 
 
 # -- parameters ------------------------------------------------------------------
@@ -370,6 +372,65 @@ def test_certificate_torus_factor(declared):
     assert {133, 202} <= sizes
 
 
+def test_ladder_torus_is_the_test_torus():
+    """``tools/ladder.py`` builds its torus rungs from its own copy of
+    ``torus_spec_doc``, declared of asdim 2."""
+    path = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
+    spec = importlib.util.spec_from_file_location("ladder", path)
+    ladder = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(ladder)
+    for m, depth in ((8, 12), (12, 12), (16, 12), (6, 3)):
+        assert ladder.torus_spec_doc(m, depth) == torus_spec_doc(m, depth, 2)
+
+
+def test_certificate_fails_on_a_build_missing_a_bridge():
+    """A build doctored past what any spec builds, one bridge at a site
+    gone from H: the run finishes, the site's map sends a root edge to
+    the missing bridge, and the verdict is FAIL."""
+    br = build_doc(chain_spec_doc(20))
+    params = ProofParameters(R=2, r=10, depth=20)
+    site = translation_sites(br.tree, params)[1]
+    cert = run_certificate(without_a_bridge_at(br, site), params)
+    assert cert.verdict == "FAIL" and not cert.passed()
+    assert [s.name for s in cert.stages if not s.verdict] == ["symmetry_maps"]
+    row = {s.name: s for s in cert.stages}["symmetry_maps"].data["per_site"][site]
+    assert not row["edge_ok"] and "maps to a non-edge" in row["detail"]
+
+
+def _search_distance(adjacency, x: str, y: str):
+    """d(x, y) by a plain breadth-first search from x; INF out of reach."""
+    seen, ring, d = {x}, {x}, 0
+    while y not in ring:
+        if not ring:
+            return af.INF
+        ring = {w for v in ring for w in adjacency[v]} - seen
+        seen |= ring
+        d += 1
+    return d
+
+
+def test_boundary_cover_by_distance_bands_rechecked_pair_by_pair():
+    """Spec 265 of the seeded random batch (seed 2026), certified at R=1,
+    r=6: its boundary cover takes the ``distance-bands`` fallback.  The
+    members cover the shell, and the multiplicity and largest member
+    diameter match a count over the member lists and a search per pair."""
+    rng = random.Random(2026)
+    doc = [_random_spec_doc(rng) for _ in range(266)][-1]
+    br = build_doc(doc, 12)
+    cert = run_certificate(br, ProofParameters(R=1, r=6, depth=12))
+    stage = {s.name: s for s in cert.stages}
+    data = stage["boundary_cover"].data
+    assert data["strategy"] == "distance-bands"
+    members = data["member_lists"]
+    assert len(members) == data["members"] == 3
+    assert len(set().union(*members)) == stage["base_blocks"].data["shell_size"]
+    assert data["multiplicity"] == max(Counter(v for m in members for v in m).values())
+    adjacency = br.sum.graph.adjacency
+    assert data["max_diameter"] == max(_search_distance(adjacency, x, y)
+                                       for m in members for x in m for y in m)
+    assert_passing_cert(cert)
+
+
 def test_certificate_depth_must_match(chain20):
     with pytest.raises(PreconditionError):
         run_certificate(chain20, ProofParameters(R=2, r=10, depth=22))
@@ -588,7 +649,7 @@ def test_copy_tables_match_a_node_of_scan(chain40, triangle8, type2_8):
     gone = H.vertices[5]
     doctored = af.FiniteGraph([v for v in reversed(H.vertices) if v != gone],
                               [e for e in H.edges if gone not in e])
-    hand = SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges, copies_by_id(doctored))
+    hand = SumGraph(doctored, h.tree, h.bridges, copies_by_id(doctored))
     _assert_copy_tables_match_a_scan(hand)
     assert len(hand.copy_vertices(h.node_of(gone))) == len(h.copy_vertices(h.node_of(gone))) - 1
 
@@ -724,7 +785,7 @@ def _reference_symmetry_map(br, t, radius=None):
             queue.append(w)
     vmap = {}
     for u, u_img in node_map.items():
-        for x in h.factors[tree.node_side[u] - 1].vertices:
+        for x in (br.spec.g1, br.spec.g2)[tree.node_side[u] - 1].vertices:
             vmap[copy_vertex(u, x)] = copy_vertex(u_img, elem[u][x])
     injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
@@ -877,16 +938,9 @@ def test_shared_walk_matches_an_action_that_breaks_an_edge():
 
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():
     br = build_doc(chain_spec_doc(24))
-    h = br.sum
     site = path_ids(br.tree)["t1/0/1/1/1/1/1/1/1/1/1"]
     # drop one bridge at the site: the root's bridges map onto it
-    gone = next(e for e in h.bridges if h.node_of(e[0]) == site or h.node_of(e[1]) == site)
-    H = h.graph
-    doctored = af.FiniteGraph(H.vertices, [e for e in H.edges if e != gone])
-    br2 = BuildResult(br.spec, br.tree,
-                      SumGraph(doctored, h.tree, h.factors, h.adhesions, h.bridges,
-                               copies_by_id(doctored)),
-                      br.atlas_report, br.reps1, br.reps2, br.rep_map1)
+    br2 = without_a_bridge_at(br, site)
     for radius in (10, 24):
         flags = _assert_maps_match_reference(br2, radius)
         assert not all(flags)

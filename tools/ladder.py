@@ -1,7 +1,8 @@
 """Depth ladders for the certificate engine and the ``build`` report,
 one fresh process per rung.
 
-Each certificate rung builds one shipped document at one depth and runs
+Each certificate rung builds one shipped document at one depth, or the
+m-by-m torus of ``torus_spec_doc`` (m = 8, 12, 16), and runs
 ``run_certificate`` on it, in a child process of its own, and reports
 the build and certificate wall times, the build's parts in the
 connecting tree (``tree_s``) and the sum graph (``sum_s``), which
@@ -69,10 +70,14 @@ import subprocess
 import sys
 from pathlib import Path
 
-# (document, depths, R, r) of the certificate ladder
+# (document, depths, R, r) of the certificate ladder; ``torus<m>_k2`` is
+# the m-by-m torus of ``torus_spec_doc``
 LADDER = (
     ("chain_k2", (200, 400, 800, 1600), 2, 10),
     ("c3_k2", (12, 14, 16, 18), 0, 4),
+    ("torus8_k2", (12,), 1, 6),
+    ("torus12_k2", (12,), 1, 6),
+    ("torus16_k2", (12,), 1, 6),
 )
 # (document, depths) of the build report ladder
 REPORT_LADDER = (
@@ -96,16 +101,52 @@ print('{"import_s": %.5f, "modules_loaded": %d}' % (spent, len(sys.modules) - be
 REPEAT = 5
 
 
+def torus_spec_doc(m: int, depth: int) -> dict:
+    """The m-by-m torus glued to an edge at (0,0) and at (m/2,m/2), with
+    the edge's labels kept apart from the torus's, and declared of asdim 2.
+
+    The torus acts by the shift by (m/2,m/2), the negation and the
+    transpose, the symmetries that keep the two glued corners as a pair;
+    the edge by its swap.  Not a shipped document.
+    """
+    h = m // 2
+
+    def at(i: int, j: int) -> str:
+        return f"t{i % m}_{j % m}"
+    cells = [(i, j) for i in range(m) for j in range(m)]
+    torus = {"vertices": [at(i, j) for i, j in cells],
+             "edges": [[at(i, j), at(i + di, j + dj)] for i, j in cells
+                       for di, dj in ((1, 0), (0, 1))]}
+    corners = {"0": at(0, 0), "1": at(h, h)}
+    return {
+        "name": f"torus{m}_k2",
+        "factors": [torus, {"vertices": ["x", "y"], "edges": [["x", "y"]]}],
+        "adhesions": [{k: [v] for k, v in corners.items()}, {"x": ["x"], "y": ["y"]}],
+        "atlas": [{"left": k, "right": l, "pairs": [[v, l]]}
+                  for k, v in corners.items() for l in ("x", "y")],
+        "tree": {"p1": 2, "p2": 2, "depth": depth},
+        "actions": {"mode": "generators",
+                    "factor1": [{at(i, j): at(i + h, j + h) for i, j in cells},
+                                {at(i, j): at(-i, -j) for i, j in cells},
+                                {at(i, j): at(j, i) for i, j in cells}],
+                    "factor2": [{"x": "y", "y": "x"}]},
+        "asdim": {"factor1": 2, "factor2": 0, "adhesion": 0},
+    }
+
+
 def _build(name: str, depth: int, spent: dict):
     """Build one rung, adding the tree's and the sum graph's build times to
     ``spent`` as ``tree_s`` and ``sum_s``."""
     from asdimforge import amalgam, fixtures
 
-    make = {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name]
+    if name.startswith("torus"):
+        doc = torus_spec_doc(int(name[len("torus"):-len("_k2")]), depth)
+    else:
+        doc = {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name](depth)
     # ``build`` reaches both through ``amalgam``'s own names
     amalgam.build_connecting_tree = _timer(spent, "tree_s", amalgam.build_connecting_tree)
     amalgam.build_sum_graph = _timer(spent, "sum_s", amalgam.build_sum_graph)
-    return amalgam.build(amalgam.AmalgamationSpec.from_json_dict(make(depth)))
+    return amalgam.build(amalgam.AmalgamationSpec.from_json_dict(doc))
 
 
 def _peak_rss_mb() -> float:
