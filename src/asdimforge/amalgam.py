@@ -454,7 +454,12 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     near = [[[at[y] for y in g.adjacency[x]] for x in g.vertices] for g, at in zip(factors, where)]
     copies = {u: tuple([u + ":" + x for x in factors[side_of[u] - 1].vertices])
               for u in tree.nodes}
-    rows = {u: [[] for _ in vs] for u, vs in copies.items()}
+    vertices = tuple(chain.from_iterable(copies.values()))
+    # one row per vertex of H, in H's order; a copy's rows are a slice of it
+    flat = [[] for _ in vertices]
+    rows, first = {}, 0
+    for u, vs in copies.items():
+        rows[u], first = flat[first:first + len(vs)], first + len(vs)
     ends: dict[tuple[str, str], list[tuple[int, int]]] = {}
     bridges: list[tuple[str, str]] = []
     for w, mine in copies.items():
@@ -487,8 +492,7 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
             their_rows[b].append(mine[a])
             rises.append((mine[a], theirs[b]))
         bridges += sorted(rises)
-    vertices = tuple(chain.from_iterable(copies.values()))
-    adjacency = dict(zip(vertices, map(tuple, chain.from_iterable(rows.values()))))
+    adjacency = dict(zip(vertices, map(tuple, flat)))
     return SumGraph(FiniteGraph.from_adjacency(vertices, adjacency), tree, tuple(bridges), copies)
 
 

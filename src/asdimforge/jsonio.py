@@ -71,7 +71,13 @@ def _write(value, newline: str, out: list[str]):
         lead = "[" + inner
         for item in value:
             out.append(lead)
-            _write(item, inner, out)
+            # the commonest items, written here rather than by a call each
+            if type(item) is str:
+                out.append(encode_basestring_ascii(item))
+            elif type(item) is int:
+                out.append(int.__repr__(item))
+            else:
+                _write(item, inner, out)
             lead = "," + inner
         out.append(newline + "]")
     elif kind is dict:
@@ -130,6 +136,8 @@ def read_json(path: str | Path):
             return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"missing file {path}") from exc
+    except OSError as exc:  # a directory, a file it may not read, ...
+        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"corrupt JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from heapq import heappop, heappush
+from itertools import chain
 from operator import add
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
@@ -433,8 +434,8 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
     side_of = tree.node_side
     for u, u_img in node_map.items():
         image = copies[u_img]
-        vmap.update(zip(copies[u], map(image.__getitem__,
-                                       walk.permutation(side_of[u], elem[u]))))
+        for v, i in zip(copies[u], walk.permutation(side_of[u], elem[u])):
+            vmap[v] = image[i]
     injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
     detail = f"mapped {len(node_map)} nodes, skipped {dropped} truncated subtrees"
@@ -532,10 +533,12 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     covered = frozenset().union(*(b.vertices for b in members))
     missing = safe - covered
     # two members overlap off the shells exactly when some vertex off the
-    # shells lies in both, so index those vertices by the members holding them
+    # shells lies in both, so index the vertices held twice by their holders
+    count = Counter(chain.from_iterable(b.vertices - shell_union for b in members))
+    twice = {v for v, k in count.items() if k > 1}
     holders: dict[str, list[int]] = {}
     for i, b in enumerate(members):
-        for v in b.vertices - shell_union:
+        for v in b.vertices & twice:
             holders.setdefault(v, []).append(i)
     clashes = sorted({(i, j) for held in holders.values() if len(held) > 1
                       for k, i in enumerate(held) for j in held[k + 1:]})
@@ -620,7 +623,10 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
         # its first neighbour one step nearer
         for v, d in dist.items():
             if d:
-                p = next(w for w in adjacency[v] if dist.get(w) == d - 1)
+                up = d - 1
+                for p in adjacency[v]:
+                    if dist.get(p) == up:
+                        break
                 cell[v], root[v] = cell[p], root[p]
         for u, v in H.edges:
             i, j = cell.get(u), cell.get(v)
@@ -735,16 +741,42 @@ def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
         matrices are equal, and by (a) so are the rows.
     """
     order = sorted(points)
-    reach = H.distances_to_set((order[-1],), until=points)
-    rho = max(reach.get(v, INF) for v in order)
-    if rho == INF:
-        return ("unreachable", tuple(order))
-    label = {v: i for i, v in enumerate(order)}
-    for v in H.distances_to_set(points, limit=rho):
-        label.setdefault(v, len(label))
     adjacency = H.adjacency
-    edges = sorted((i, j) for v, i in label.items()
-                   for w in adjacency[v] if (j := label.get(w, -1)) > i)
+    # rho: the level on which a walk from the greatest point settles the last point
+    seen, level, left, rho = {order[-1]}, [order[-1]], len(order) - 1, 0
+    while left:
+        if not level:
+            return ("unreachable", tuple(order))
+        below = []
+        for v in level:
+            for w in adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    below.append(w)
+        left -= len(points.intersection(below))
+        level, rho = below, rho + 1
+    # a walk from P to depth rho labels each vertex as it settles it, so
+    # labels grow with the level, and takes each edge at its lower end; it
+    # does not expand the last level, whose rows are scanned apart
+    label = {v: i for i, v in enumerate(order)}
+    edges = []
+    level = order
+    for _ in range(rho):
+        below = []
+        for v in level:
+            i = label[v]
+            for w in adjacency[v]:
+                j = label.get(w)
+                if j is None:
+                    j = label[w] = len(label)
+                    below.append(w)
+                if j > i:
+                    edges.append((i, j))
+        level = below
+    for v in level:
+        i = label[v]
+        edges += [(i, j) for w in adjacency[v] if (j := label.get(w, -1)) > i]
+    edges.sort()
     return (len(order), rho, tuple(edges))
 
 

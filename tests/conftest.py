@@ -396,6 +396,24 @@ def reference_contract_to_amalgam(h: SumGraph) -> af.AmalgamGraph:
     return af.AmalgamGraph(graph, projection, packed)
 
 
+def reference_block_shape(H: af.FiniteGraph, points: frozenset[str]) -> tuple:
+    """``theorem.block_shape``'s key by two generic searches: rho from the
+    greatest point's search until every point is settled, then the ball
+    B(P, rho) labeled points first and the rest in search order, and its
+    edges from a scan of every ball row."""
+    order = sorted(points)
+    reach = H.distances_to_set((order[-1],), until=points)
+    rho = max(reach.get(v, af.INF) for v in order)
+    if rho == af.INF:
+        return ("unreachable", tuple(order))
+    label = {v: i for i, v in enumerate(order)}
+    for v in H.distances_to_set(points, limit=rho):
+        label.setdefault(v, len(label))
+    edges = sorted((i, j) for v, i in label.items()
+                   for w in H.adjacency[v] if (j := label.get(w, -1)) > i)
+    return (len(order), rho, tuple(edges))
+
+
 def without_a_bridge_at(br: af.BuildResult, site: str) -> af.BuildResult:
     """``br`` with one bridge at ``site``'s copy gone from H (the first in
     ``bridges``); the bridge list and copies stay.  No accepted spec

@@ -660,6 +660,18 @@ def test_report_corrupt_artifact(tmp_path, capsys):
     assert "broken.json" in err
 
 
+def test_report_on_a_directory_named_json_exits_2(tmp_path, capsys):
+    """A directory whose name ends in ``.json`` is an input ``report``
+    cannot read: one ``error:`` line naming it, not an internal error."""
+    artifacts = tmp_path / "artifacts"
+    (artifacts / "x.json").mkdir(parents=True)
+    assert cli.main(["report", str(artifacts)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "x.json" in captured.err
+
+
 def test_report_reads_verdicts_only_from_documented_fields(tmp_path, capsys):
     artifacts = tmp_path / "artifacts"
     artifacts.mkdir()

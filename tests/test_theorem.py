@@ -23,8 +23,8 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
                                 verify_separation)
 
 from conftest import (build_doc, copies_by_id, label_paths, path_ids, projection_map,
-                      reference_partition, reference_symmetry_map, remap_nodes,
-                      split_vertex_id, torus_spec_doc, without_a_bridge_at)
+                      reference_block_shape, reference_partition, reference_symmetry_map,
+                      remap_nodes, split_vertex_id, torus_spec_doc, without_a_bridge_at)
 
 
 # -- parameters ------------------------------------------------------------------
@@ -324,6 +324,27 @@ def test_separation_matches_pair_table_on_random_graphs():
         _assert_matches_pair_table(H, shells)
 
 
+@pytest.mark.parametrize("lowest, pairs, closest", [
+    ("s1", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s1", 4)), ("a", "b")),
+    ("s2", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s2", 4)), ("a", "b")),
+    ("s3", (("s1", "s3", 4), ("s2", "s3", 4), ("s3", "s1", 4)), ("a", "c")),
+])
+def test_separation_tie_goes_to_the_lower_neighbour(lowest, pairs, closest):
+    """z is two steps from each of three shells, through one neighbour
+    per shell.  It joins the cell of its neighbour with the lowest id,
+    whatever the shell's rank and whichever neighbour the search reached
+    z from (the one toward s1, settled first)."""
+    shells = {"s1": frozenset("a"), "s2": frozenset("b"), "s3": frozenset("c")}
+    ranked = [lowest] + [s for s in sorted(shells) if s != lowest]
+    toward = {s: f"y{k}" for k, s in enumerate(ranked, 1)}
+    edges = [(v, toward[s]) for s in shells for v in (*shells[s], "z")]
+    H = af.FiniteGraph(["a", "b", "c", "y1", "y2", "y3", "z"], edges)
+    sep, table = _assert_matches_pair_table(H, shells)
+    assert set(table.values()) == {4}
+    assert sep.pairs == pairs
+    assert sep.closest_vertices == closest
+
+
 # -- certificates ------------------------------------------------------------------
 
 
@@ -520,6 +541,37 @@ def test_block_shape_of_a_disconnected_block_is_its_own():
     assert block_shape(g, one) != block_shape(g, two)
     # connected translates in one component do share a key
     assert block_shape(g, frozenset({"a0"})) == block_shape(g, frozenset({"b0"}))
+
+
+def test_block_shape_matches_the_two_search_key_on_random_graphs():
+    rng = random.Random(20261020)
+    seen = Counter()
+    for _ in range(400):
+        n = rng.randint(2, 40)
+        names = [f"v{i}" for i in rng.sample(range(100), n)]
+        edges = {tuple(sorted(rng.sample(names, 2))) for _ in range(rng.randint(0, 2 * n))}
+        H = af.FiniteGraph(names, edges)
+        x = rng.choice(names)
+        apart = [v for v in names if v not in H.distances_from(x)]
+        sets = [frozenset({x}), frozenset(rng.sample(names, rng.randint(2, n)))]
+        if apart:
+            sets.append(frozenset({x, rng.choice(apart)}))
+        for points in sets:
+            key = block_shape(H, points)
+            assert key == reference_block_shape(H, points), (H.edges, points)
+            seen["unreachable" if key[0] == "unreachable" else min(key[1], 3)] += 1
+    # single points, unreachable points and balls of every small radius
+    assert seen["unreachable"] >= 100 and all(seen[rho] >= 20 for rho in (0, 1, 2, 3)), seen
+
+
+@pytest.mark.parametrize("fixture, R, r", [("chain40", 2, 10), ("triangle8", 0, 4)])
+def test_block_shape_matches_the_two_search_key_on_members(request, fixture, R, r):
+    br = request.getfixturevalue(fixture)
+    members = _partition(br, ProofParameters(R=R, r=r, depth=br.tree.depth)).members
+    H = br.sum.graph
+    assert len(members) > 4
+    for b in members:
+        assert block_shape(H, b.vertices) == reference_block_shape(H, b.vertices), b.name
 
 
 # -- projection fit -----------------------------------------------------------------

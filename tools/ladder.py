@@ -11,9 +11,10 @@ serialise the certificate (``write_s``), the child's peak RSS (from
 ``resource``) and the size of what it writes.  It splits out the parts
 of the certificate's time spent in the symmetry maps (``maps_s``,
 ``theorem.build_symmetry_map``, the fringe maps of ``base_blocks``
-included), the block keys (``shapes_s``, ``theorem.block_shape``) and
-the partition (``partition_s``, ``theorem.assemble_partition``), and
-counts the greedy witnesses it runs (``greedy_runs``: one per block
+included), the block keys (``shapes_s``, ``theorem.block_shape``),
+the partition (``partition_s``, ``theorem.assemble_partition``) and
+the separation check (``separation_s``, ``theorem.verify_separation``),
+and counts the greedy witnesses it runs (``greedy_runs``: one per block
 shape, and one for the boundary cover); ``sha256`` digests the
 certificate's bytes, so checkouts that write the same certificate show
 the same digest.
@@ -174,13 +175,15 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
 
     from asdimforge import jsonio, theorem
 
-    spent = {"tree_s": 0.0, "sum_s": 0.0, "maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0}
+    spent = {"tree_s": 0.0, "sum_s": 0.0, "maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0,
+             "separation_s": 0.0}
     greedy = theorem.greedy_witness
     runs = []
-    # ``run_certificate`` reaches all four through ``theorem``'s own names
+    # ``run_certificate`` reaches all five through ``theorem``'s own names
     theorem.build_symmetry_map = _timer(spent, "maps_s", theorem.build_symmetry_map)
     theorem.block_shape = _timer(spent, "shapes_s", theorem.block_shape)
     theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
+    theorem.verify_separation = _timer(spent, "separation_s", theorem.verify_separation)
     theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
     gc.collect()
     t0 = time.perf_counter()
