@@ -80,8 +80,12 @@ class AdhesionFamily:
 class ConnectingTree:
     """A rooted, edge-labeled truncation of a semiregular bipartite tree.
 
-    ``node_side[u]`` is 1 or 2; ``out_label[(u, v)]`` is the label the
-    directed edge u->v consumes at u; ``level[u]`` is u's distance from
+    ``node_side[u]`` is 1 or 2.  Each edge's two labels are kept at its
+    lower end: ``up_label[w]`` is the label w uses toward its parent and
+    ``down_label[w]`` the one its parent uses toward w (the root has
+    neither); ``out_label[(u, v)]``, the label the directed edge u->v
+    consumes at u, is a view of the two, and ``across(u, k)`` the node
+    the label k leads to from u.  ``level[u]`` is u's distance from
     the root.  ``preorder[u]`` is u's index in the tree walk (the dict
     itself lists the nodes in that order) and
     ``subtree_end[u]`` the index just past its last descendant, so v
@@ -92,7 +96,7 @@ class ConnectingTree:
     """
 
     def __init__(self, labels1, labels2, depth, nodes, node_side, parent,
-                 children, out_label, level, preorder, subtree_end, type2_J):
+                 children, up_label, down_label, level, preorder, subtree_end, type2_J):
         self.labels1 = labels1
         self.labels2 = labels2
         self.depth = depth
@@ -100,13 +104,13 @@ class ConnectingTree:
         self.node_side = node_side
         self.parent = parent
         self.children = children
-        self.out_label = out_label
+        self.up_label = up_label
+        self.down_label = down_label
         self.level = level
         self.preorder = preorder
         self.subtree_end = subtree_end
         self.type2_J = type2_J
         self.node_set = frozenset(nodes)
-        self.frontier = frozenset(u for u in nodes if level[u] == depth)
 
     @property
     def p1(self) -> int:
@@ -124,16 +128,39 @@ class ConnectingTree:
             raise PreconditionError(f"unknown tree node {u!r}")
 
     @cached_property
-    def neighbour(self) -> dict[tuple[str, str], str]:
-        """(node, label) -> the node across the edge that label leaves by."""
-        return {(u, k): w for (u, w), k in self.out_label.items()}
+    def frontier(self) -> frozenset[str]:
+        """The nodes at the cut, on level ``depth``."""
+        level, depth = self.level, self.depth
+        return frozenset(u for u in self.nodes if level[u] == depth)
+
+    @cached_property
+    def out_label(self) -> dict[tuple[str, str], str]:
+        """(u, v) -> the label u uses toward v, both ways along every edge:
+        node by node in preorder, toward the parent first and then to each
+        child.  Made on first read from ``up_label`` and ``down_label``."""
+        parent, up, down = self.parent, self.up_label, self.down_label
+        out = {}
+        for u, kids in self.children.items():
+            if u in parent:
+                out[u, parent[u]] = up[u]
+            for w in kids:
+                out[u, w] = down[w]
+        return out
+
+    def across(self, u: str, k: str) -> str | None:
+        """The node across the edge that label k leaves u by; None when the
+        cut took that edge off, or u uses no label k."""
+        if self.up_label.get(u) == k:
+            return self.parent[u]
+        down = self.down_label
+        for w in self.children[u]:
+            if down[w] == k:
+                return w
+        return None
 
     def return_label(self, u: str) -> str | None:
         """Label of the edge from u toward its parent."""
-        p = self.parent.get(u)
-        if p is None:
-            return None
-        return self.out_label[(u, p)]
+        return self.up_label.get(u)
 
     def path(self, u: str, v: str) -> tuple[str, ...]:
         """Tree nodes from u to v, both endpoints included."""
@@ -186,8 +213,8 @@ class ConnectingTree:
         """The tree's shape plus its ``table``: one ``[parent row, label]``
         per node in preorder, the root first as ``[null, "t1"]``, from
         which every label path, and with the postorder every id, follows."""
-        preorder, parent, out_label = self.preorder, self.parent, self.out_label
-        table = [[None, ROOT] if u == ROOT else [preorder[parent[u]], out_label[(parent[u], u)]]
+        preorder, parent, down = self.preorder, self.parent, self.down_label
+        table = [[None, ROOT] if u == ROOT else [preorder[parent[u]], down[u]]
                  for u in preorder]
         return {
             "p1": self.p1, "p2": self.p2, "depth": self.depth, "table": table,
@@ -243,18 +270,20 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
         size[level] = 1 + (len(mine[level % 2]) - (level > 0)) * size[level + 1]
     total = size[0]
     name = f"n%0{len(str(max(total - 2, 0)))}d"
-    # level by level, each node's id, parent, labels and level, by preorder
-    # index: the i-th child of the node at index p sits at p + 1 + i * (its
-    # subtree size), and in postorder at that index less its level, plus
-    # its subtree size less one
-    ids, ups, labs, levels = [ROOT] * total, [-1] * total, [(None, *mine[0])] * total, [0] * total
+    # level by level, each node's id, labels, level and the label its parent
+    # sends it, by preorder index: the i-th child of the node at index p
+    # sits at p + 1 + i * (its subtree size), and in postorder at that index
+    # less its level, plus its subtree size less one
+    ids, labs, levels = [ROOT] * total, [(None, *mine[0])] * total, [0] * total
+    downs: list[str | None] = [None] * total
     ring = [0]
     for level in range(1, depth + 1):
         step, parity, shift = size[level], level % 2, size[level] - level - 1
         fresh = []
         for p in ring:
             for q, k in zip(range(p + 1, p + size[level - 1], step), labs[p][1:]):
-                ids[q], ups[q], labs[q], levels[q] = name % (q + shift), p, rule[parity, k], level
+                ids[q], labs[q], levels[q] = name % (q + shift), rule[parity, k], level
+                downs[q] = k
                 fresh.append(q)
         ring = fresh
     # every record lists the nodes in preorder, and a node's children, every
@@ -262,13 +291,11 @@ def build_connecting_tree(labels1: Sequence[str], labels2: Sequence[str], depth:
     kids = [tuple(ids[p + 1:p + size[lv]:size[lv + 1]]) for p, lv in enumerate(levels)]
     node_side = {ROOT: 1, **{w: 2 - lv % 2 for lv, ks in zip(levels, kids) for w in ks}}
     parent = {w: u for u, ks in zip(ids, kids) for w in ks}
-    # each node's edges in order, back toward its parent (none at the root)
-    # and then to its children, with as many of its labels
-    labs[0] = mine[0]
-    out_label = {(u, w): k for p, u, ks, labels in zip(ups, ids, kids, labs)
-                 for w, k in zip((ids[p], *ks) if p >= 0 else ks, labels)}
+    # below the root, a node's first label is its way back to its parent
+    up_label = {u: labels[0] for u, labels in zip(ids[1:], labs[1:])}
+    down_label = dict(zip(ids[1:], downs[1:]))
     return ConnectingTree(mine[0], mine[1], depth, tuple(sorted(ids)), node_side, parent,
-                          dict(zip(ids, kids)), out_label, dict(zip(ids, levels)),
+                          dict(zip(ids, kids)), up_label, down_label, dict(zip(ids, levels)),
                           dict(zip(ids, range(total))),
                           {u: p + size[lv] for p, u, lv in zip(range(total), ids, levels)}, J)
 
@@ -448,7 +475,8 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
     if sorted(adh1.labels) != sorted(tree.labels1) or sorted(adh2.labels) != sorted(tree.labels2):
         raise ConfigError("tree labels differ from adhesion labels")
     factors = (g1, g2)
-    side_of, parent, out_label = tree.node_side, tree.parent, tree.out_label
+    side_of, parent = tree.node_side, tree.parent
+    up_label, down_label = tree.up_label, tree.down_label
     where = [{x: i for i, x in enumerate(g.vertices)} for g in factors]
     # each factor's adjacency by position
     near = [[[at[y] for y in g.adjacency[x]] for x in g.vertices] for g, at in zip(factors, where)]
@@ -469,7 +497,7 @@ def build_sum_graph(g1: FiniteGraph, g2: FiniteGraph, adh1: AdhesionFamily,
         p = parent.get(w)
         if p is None:
             continue
-        kl = (out_label[w, p], out_label[p, w]) if own == 0 else (out_label[p, w], out_label[w, p])
+        kl = (up_label[w], down_label[w]) if own == 0 else (down_label[w], up_label[w])
         if kl not in ends:
             k, l = kl
             if flip_orientations:

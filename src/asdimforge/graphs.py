@@ -33,10 +33,11 @@ class FiniteGraph:
     """Immutable simple undirected graph.
 
     It keeps no search results: every search runs afresh and returns a
-    new dict holding exactly the vertices it settled.
+    new dict holding exactly the vertices it settled.  Its edge list is
+    derived from the rows, and listed on first read.
     """
 
-    __slots__ = ("vertices", "vertex_set", "edges", "adjacency")
+    __slots__ = ("vertices", "vertex_set", "adjacency", "_edges")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
         vs = tuple(str(v) for v in vertices)
@@ -74,8 +75,18 @@ class FiniteGraph:
         self.vertices = vertices
         self.vertex_set = frozenset(vertices)
         self.adjacency = adjacency
-        # sorted rows read in sorted vertex order give the edges in order
-        self.edges = tuple([(v, w) for v in sorted(vertices) for w in adjacency[v] if v < w])
+        self._edges = None
+
+    @property
+    def edges(self) -> tuple[tuple[str, str], ...]:
+        """Every edge once, as its ends in order, in sorted order."""
+        edges = self._edges
+        if edges is None:
+            # sorted rows read in sorted vertex order give the edges in order
+            adjacency = self.adjacency
+            edges = self._edges = tuple([(v, w) for v in sorted(self.vertices)
+                                         for w in adjacency[v] if v < w])
+        return edges
 
     # -- basic structure ------------------------------------------------
 

@@ -8,6 +8,7 @@ crash never leaves a half-written artifact.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -110,8 +111,14 @@ def _write(value, newline: str, out: list[str]):
 
 
 def write_json(path: str | Path, value) -> Path:
-    """Serialize atomically: temp file in the target directory, then rename."""
+    """Serialize atomically: temp file in the target directory, then rename.
+
+    A path with no file name (``.``, ``/``) names a directory, and raises
+    ``IsADirectoryError`` before anything is written.
+    """
     path = Path(path)
+    if not path.name:
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
     path.parent.mkdir(parents=True, exist_ok=True)
     text = dumps(value)
     tmp = path.with_name(f"{path.name}.{os.urandom(6).hex()}.tmp")

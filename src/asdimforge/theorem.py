@@ -318,11 +318,14 @@ class SymmetryWalk:
     (its nodes in walk order, each with its parent and the labels of the
     edge between them), its sorted edges in H, and the step tables are
     built once and shared by every site and fringe node.  A step depends
-    only on the current symmetry and the four labels involved, so the
-    tables hold (side, element index, k) -> k_img and (side, element
-    index, k, ell, k_img, ell_img) -> the next element index, each filled
-    on first use, and per (side, element index) the permutation of copy
-    positions the element induces.  ``map_at`` keeps each node's map, so
+    only on the current symmetry and the four labels involved, so each
+    program step keeps a table from its parent's element index to
+    (k_img, {ell_img: the next element index}), filled on first use
+    from two shared tables: (side, element index, k) -> k_img and
+    (side, element index, k, ell, k_img, ell_img) -> the next element
+    index.  Per side and element index it keeps the permutation of copy
+    positions the element induces, and per return label the element
+    that starts a site's walk.  ``map_at`` keeps each node's map, so
     ``base_blocks`` and the site loop build a node's map once.
     """
 
@@ -330,13 +333,15 @@ class SymmetryWalk:
         tree = br.tree
         self.br, self.radius = br, radius
         self.near = tree.nodes_within(ROOT, radius)
-        side_of, out_label, level = tree.node_side, tree.out_label, tree.level
-        # (w, its parent u, u's side, k = u's label for w, ell = w's for u),
-        # level by level as a breadth-first walk from the root meets them
-        self.program: list[tuple[str, str, int, str, str]] = []
+        side_of, up_label, down_label, level = (tree.node_side, tree.up_label,
+                                                tree.down_label, tree.level)
+        # (w, its parent u, u's side, k = u's label for w, ell = w's for u,
+        # the step's table), level by level as a breadth-first walk from
+        # the root meets them
+        self.program: list[tuple[str, str, int, str, str, dict]] = []
         ring = [ROOT]
         while ring and level[ring[0]] < radius:
-            steps = [(w, u, side_of[u], out_label[(u, w)], out_label[(w, u)])
+            steps = [(w, u, side_of[u], down_label[w], up_label[w], {})
                      for u in ring for w in tree.children[u]]
             self.program += steps
             ring = [w for w, *_ in steps]
@@ -344,7 +349,8 @@ class SymmetryWalk:
         self.elements = (br.spec.action1.elements, br.spec.action2.elements)
         self.image_label: dict[tuple, str] = {}
         self.next_step: dict[tuple, int] = {}
-        self.positions: dict[tuple[int, int], tuple[int, ...]] = {}
+        self.positions: tuple[dict[int, tuple[int, ...]], ...] = ({}, {})
+        self.roots: dict[str, int] = {}
         self.maps: dict[str, SymmetryMap] = {}
 
     def map_at(self, t: str) -> SymmetryMap:
@@ -355,14 +361,33 @@ class SymmetryWalk:
             sm = self.maps[t] = build_symmetry_map(self, t)
         return sm
 
+    def root_element(self, m_t: str) -> int:
+        """The first factor-1 symmetry carrying the representative boundary
+        set of label m_t onto the m_t set itself."""
+        e_root = self.roots.get(m_t)
+        if e_root is None:
+            br = self.br
+            rho = br.rep_map1.get(m_t)
+            if rho is None:
+                raise PreconditionError(f"no orbit representative recorded for label {m_t!r}")
+            adh1 = br.spec.adh1
+            target = adh1[m_t]
+            e_root = next((i for i, g in enumerate(self.elements[0])
+                           if frozenset(g[x] for x in adh1[rho]) == target), None)
+            if e_root is None:
+                raise PreconditionError(
+                    f"no factor symmetry carries the {rho!r} boundary set onto the {m_t!r} set")
+            self.roots[m_t] = e_root
+        return e_root
+
     def permutation(self, side: int, e: int) -> tuple[int, ...]:
         """Position i of a side's copy -> the position its element image takes."""
-        got = self.positions.get((side, e))
+        got = self.positions[side - 1].get(e)
         if got is None:
             factor = (self.br.spec.g1, self.br.spec.g2)[side - 1].vertices
             where = {x: i for i, x in enumerate(factor)}
             g = self.elements[side - 1][e]
-            got = self.positions[side, e] = tuple([where[g[x]] for x in factor])
+            got = self.positions[side - 1][e] = tuple([where[g[x]] for x in factor])
         return got
 
 
@@ -392,49 +417,53 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
         raise PreconditionError("translation sites must carry the first factor")
     elements = walk.elements
     adhesions = (br.spec.adh1, br.spec.adh2)
-    m_t = tree.return_label(t)
-    rho = br.rep_map1.get(m_t)
-    if rho is None:
-        raise PreconditionError(f"no orbit representative recorded for label {m_t!r}")
-    adh1 = adhesions[0]
-    target = adh1[m_t]
-    e_root = next((i for i, g in enumerate(elements[0])
-                   if frozenset(g[x] for x in adh1[rho]) == target), None)
-    if e_root is None:
-        raise PreconditionError(
-            f"no factor symmetry carries the {rho!r} boundary set onto the {m_t!r} set")
+    e_root = walk.root_element(tree.return_label(t))
     image_label, next_step = walk.image_label, walk.next_step
-    neighbour, out_label = tree.neighbour, tree.out_label
+    across, parent, up_label, down_label = (tree.across, tree.parent, tree.up_label,
+                                            tree.down_label)
     node_map: dict[str, str] = {ROOT: t}
     elem: dict[str, int] = {ROOT: e_root}
     dropped = 0
-    for w, u, side_u, k, ell in walk.program:
+    for w, u, side_u, k, ell, table in walk.program:
         u_img = node_map.get(u)
         if u_img is None:  # under a truncated subtree
             continue
-        key = (side_u, elem[u], k)
-        k_img = image_label.get(key)
-        if k_img is None:
-            k_img = image_label[key] = _image_label(
-                adhesions[side_u - 1], elements[side_u - 1][key[1]], k, u)
+        e_u = elem[u]
+        row = table.get(e_u)
+        if row is None:
+            key = (side_u, e_u, k)
+            k_img = image_label.get(key)
+            if k_img is None:
+                k_img = image_label[key] = _image_label(
+                    adhesions[side_u - 1], elements[side_u - 1][e_u], k, u)
+            row = table[e_u] = (k_img, {})
+        k_img, onward = row
         # the like-labeled edge at the image: up to its parent or down
-        w_img = neighbour.get((u_img, k_img))
+        w_img = across(u_img, k_img)
         if w_img is None:
             dropped += 1
             continue
-        step = key + (ell, k_img, out_label[(w_img, u_img)])
-        e_w = next_step.get(step)
+        ell_img = up_label[w_img] if parent.get(w_img) == u_img else down_label[u_img]
+        e_w = onward.get(ell_img)
         if e_w is None:
-            e_w = next_step[step] = _extend(br.spec, step, w)
+            step = (side_u, e_u, k, ell, k_img, ell_img)
+            e_w = next_step.get(step)
+            if e_w is None:
+                e_w = next_step[step] = _extend(br.spec, step, w)
+            onward[ell_img] = e_w
         node_map[w] = w_img
         elem[w] = e_w
     # copy vertex i over u goes to vertex g_u(i) over node_map[u], in walk
     # order, then copy order
     vmap: dict[str, str] = {}
-    side_of = tree.node_side
+    side_of, positions = tree.node_side, walk.positions
     for u, u_img in node_map.items():
+        side, e = side_of[u], elem[u]
+        perm = positions[side - 1].get(e)
+        if perm is None:
+            perm = walk.permutation(side, e)
         image = copies[u_img]
-        for v, i in zip(copies[u], walk.permutation(side_of[u], elem[u])):
+        for v, i in zip(copies[u], perm):
             vmap[v] = image[i]
     injective = len(set(vmap.values())) == len(vmap)
     edge_ok = True
@@ -628,11 +657,16 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
                     if dist.get(p) == up:
                         break
                 cell[v], root[v] = cell[p], root[p]
-        for u, v in H.edges:
-            i, j = cell.get(u), cell.get(v)
-            if i is not None and j is not None and i != j:
-                work["boundary_edges"] += 1
-                offer(dist[u] + 1 + dist[v], i, j, root[u], root[v])
+        # the settled rows in sorted order meet the edges between settled
+        # vertices as ``H.edges`` lists them, and a settled row's every
+        # neighbour is settled
+        for u in sorted(dist):
+            i = cell[u]
+            for v in adjacency[u]:
+                j = cell[v]
+                if j != i and u < v:
+                    work["boundary_edges"] += 1
+                    offer(dist[u] + 1 + dist[v], i, j, root[u], root[v])
     pairs = tuple((s, None, INF) if row is None else (s, live[row[1]], row[0])
                   for s, row in zip(live, best))
     if least is None:

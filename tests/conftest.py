@@ -14,7 +14,7 @@ import asdimforge as af
 from asdimforge.amalgam import ROOT, SumGraph, copy_vertex
 from asdimforge.fixtures import (chain_spec_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
-from asdimforge.theorem import _extend, _image_label
+from asdimforge.theorem import SeparationReport, _extend, _image_label
 
 
 def line_graph(n: int, prefix: str = "p") -> af.FiniteGraph:
@@ -276,7 +276,9 @@ def reference_partition(br: af.BuildResult, base, maps) -> tuple[list, dict]:
 def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.ConnectingTree:
     """The connecting tree as the explicit preorder stack walk built it,
     for ``build_connecting_tree`` to match record by record, dict
-    insertion order included.  Inputs are taken as valid."""
+    insertion order included.  The walk's own edge-keyed labels stand in
+    for the ``out_label`` view, so a comparison checks the view against
+    them.  Inputs are taken as valid."""
     J = None if type2_J is None else frozenset(type2_J)
     side_labels = {1: tuple(sorted(labels1)), 2: tuple(sorted(labels2))}
     size = {(1, depth): 1, (2, depth): 1}
@@ -287,6 +289,7 @@ def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.Conne
     width = len(str(max(total - 2, 0)))
     nodes, node_side = [ROOT], {ROOT: 1}
     parent, children, out_label, levels, preorder, subtree_end = {}, {}, {}, {}, {}, {}
+    up_label, down_label = {}, {}
     stack = [(ROOT, 1, 0, None, 0)]
     while stack:
         u, side, level, toward_parent, first = stack.pop()
@@ -303,6 +306,7 @@ def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.Conne
                 entry = out_label[(parent[u], u)]
                 back = sorted(frozenset(mine) - J if entry in J else J)[0]
             out_label[(u, toward_parent)] = back
+            up_label[u], down_label[u] = back, out_label[(parent[u], u)]
             free = tuple(k for k in mine if k != back)
         if level == depth:
             children[u] = ()
@@ -321,8 +325,11 @@ def reference_connecting_tree(labels1, labels2, depth, type2_J=None) -> af.Conne
         stack.extend((w, other, level + 1, u, first + i * step)
                      for i, w in reversed(list(enumerate(kids))))
     nodes.sort()
-    return af.ConnectingTree(side_labels[1], side_labels[2], depth, tuple(nodes), node_side,
-                             parent, children, out_label, levels, preorder, subtree_end, J)
+    tree = af.ConnectingTree(side_labels[1], side_labels[2], depth, tuple(nodes), node_side,
+                             parent, children, up_label, down_label, levels, preorder,
+                             subtree_end, J)
+    tree.out_label = out_label
+    return tree
 
 
 def reference_sum_graph(g1, g2, adh1, adh2, atlas, tree, flip_orientations=False) -> SumGraph:
@@ -412,6 +419,56 @@ def reference_block_shape(H: af.FiniteGraph, points: frozenset[str]) -> tuple:
     edges = sorted((i, j) for v, i in label.items()
                    for w in H.adjacency[v] if (j := label.get(w, -1)) > i)
     return (len(order), rho, tuple(edges))
+
+
+def reference_separation(H: af.FiniteGraph, shells) -> SeparationReport:
+    """``theorem.verify_separation`` as it scanned the whole of ``H.edges``
+    for edges between two cells, for the settled-row scan to match field
+    by field, ``work`` and the tie-breaks of ``closest_vertices``
+    included."""
+    sites = sorted(shells)
+    live = [s for s in sites if shells[s]]
+    empty = tuple(s for s in sites if not shells[s])
+    work = {"searches": 0, "vertices_settled": 0, "boundary_edges": 0}
+    best: list = [None] * len(live)
+    least = None
+
+    def offer(d, i, j, x, y):
+        nonlocal least
+        if i > j:
+            i, j, x, y = j, i, y, x
+        for a, b in ((i, j), (j, i)):
+            if best[a] is None or (d, b) < best[a]:
+                best[a] = (d, b)
+        if least is None or (d, i, j) < least[:3]:
+            least = (d, i, j, x, y)
+
+    if len(live) > 1:
+        cell, root = {}, {}
+        for i, s in enumerate(live):
+            for v in sorted(shells[s]):
+                if v in cell:
+                    offer(0, cell[v], i, v, v)
+                else:
+                    cell[v], root[v] = i, v
+        dist = H.distances_to_set(cell)
+        work["searches"] = 1
+        work["vertices_settled"] = len(dist)
+        for v, d in dist.items():
+            if d:
+                p = next(p for p in H.adjacency[v] if dist.get(p) == d - 1)
+                cell[v], root[v] = cell[p], root[p]
+        for u, v in H.edges:
+            i, j = cell.get(u), cell.get(v)
+            if i is not None and j is not None and i != j:
+                work["boundary_edges"] += 1
+                offer(dist[u] + 1 + dist[v], i, j, root[u], root[v])
+    pairs = tuple((s, None, af.INF) if row is None else (s, live[row[1]], row[0])
+                  for s, row in zip(live, best))
+    if least is None:
+        return SeparationReport(pairs, af.INF, None, None, empty, work)
+    d, i, j, x, y = least
+    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work)
 
 
 def without_a_bridge_at(br: af.BuildResult, site: str) -> af.BuildResult:

@@ -158,9 +158,14 @@ def test_tree_entry_and_return_labels():
 def test_tree_neighbour_by_label():
     for tree in (numbered_tree(3, 2, 4), numbered_tree(2, 2, 5, type2_J=["0"])):
         for w, u in tree.parent.items():
-            assert tree.neighbour[(u, tree.out_label[(u, w)])] == w
-            assert tree.neighbour[(w, tree.out_label[(w, u)])] == u
-        assert len(tree.neighbour) == 2 * (len(tree.nodes) - 1)
+            assert tree.across(u, tree.out_label[(u, w)]) == w
+            assert tree.across(w, tree.out_label[(w, u)]) == u
+        assert len(tree.out_label) == 2 * (len(tree.nodes) - 1)
+        # a frontier node's child labels lead off the truncation
+        for u in tree.frontier:
+            mine = tree.labels1 if tree.node_side[u] == 1 else tree.labels2
+            assert [tree.across(u, k) for k in mine if k != tree.up_label[u]] == \
+                [None] * (len(mine) - 1)
 
 
 def test_tree_rejects_bad_labels():
@@ -443,8 +448,8 @@ def _random_build_doc(rng, alternating: bool) -> dict:
 
 
 TREE_FIELDS = ("labels1", "labels2", "depth", "nodes", "node_side", "parent", "children",
-               "out_label", "level", "preorder", "subtree_end", "type2_J", "node_set",
-               "frontier")
+               "up_label", "down_label", "out_label", "level", "preorder", "subtree_end",
+               "type2_J", "node_set", "frontier")
 
 
 def _assert_same_records(got, want, fields):

@@ -551,6 +551,24 @@ def test_an_out_that_cannot_be_written_exits_2(tmp_path, capsys):
     assert not any(taken.iterdir()) and plain.read_text() == ""
 
 
+@pytest.mark.parametrize("out", [".", "/"])
+def test_an_out_with_no_file_name_exits_2(tmp_path, monkeypatch, capsys, out):
+    """``--out .`` or ``--out /`` names a directory: every command that
+    writes a file says so in one ``error:`` line and leaves nothing."""
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(20))
+    graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
+    monkeypatch.chdir(tmp_path)
+    for argv in (["build", "--spec", spec], ["witness", "--spec", graph, "--r", "3"],
+                 ["oracle", "--spec", graph, "--r", "3"], ["aut", "--spec", graph],
+                 ["verify-theorem", "--spec", spec, "--R", "2", "--r", "10"],
+                 ["report", str(tmp_path)]):
+        assert cli.main([*argv, "--out", out]) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out}: "), argv
+        assert captured.err.count("\n") == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "chain.json"]
+
+
 def test_verify_theorem_missing_file(tmp_path):
     assert cli.main(["verify-theorem", "--spec", str(tmp_path / "nope.json"),
                      "--r", "4"]) == 2

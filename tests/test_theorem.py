@@ -23,8 +23,9 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
                                 verify_separation)
 
 from conftest import (build_doc, copies_by_id, label_paths, path_ids, projection_map,
-                      reference_block_shape, reference_partition, reference_symmetry_map,
-                      remap_nodes, split_vertex_id, torus_spec_doc, without_a_bridge_at)
+                      reference_block_shape, reference_partition, reference_separation,
+                      reference_symmetry_map, remap_nodes, split_vertex_id, torus_spec_doc,
+                      without_a_bridge_at)
 
 
 # -- parameters ------------------------------------------------------------------
@@ -324,6 +325,39 @@ def test_separation_matches_pair_table_on_random_graphs():
         _assert_matches_pair_table(H, shells)
 
 
+SEPARATION_FIELDS = ("pairs", "min_distance", "closest_sites", "closest_vertices",
+                     "empty_sites", "work")
+
+
+def _assert_separation_matches_the_edge_scan(H, shells):
+    got, want = verify_separation(H, shells), reference_separation(H, shells)
+    for name in SEPARATION_FIELDS:
+        assert getattr(got, name) == getattr(want, name), (name, H.vertices, shells)
+
+
+def test_separation_matches_the_edge_scan_on_random_graphs():
+    """Vertex orders that are not sorted, disconnected graphs and shells
+    sharing vertices: the settled rows, scanned in sorted order, meet the
+    boundary edges as ``H.edges`` lists them, so even the witnesses of
+    tied distances agree; so does no scan in vertex or search order."""
+    rng = random.Random(20261020)
+    for _ in range(400):
+        n = rng.randint(2, 30)
+        names = rng.sample([f"v{i}" for i in range(n)], n)
+        edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 3 * n))}
+        H = af.FiniteGraph(names, edges)
+        shells = {f"s{k}": frozenset(rng.sample(names, rng.randint(0, min(6, n))))
+                  for k in range(rng.randint(0, 8))}
+        _assert_separation_matches_the_edge_scan(H, shells)
+
+
+@pytest.mark.parametrize("fixture, R, r", [("chain40", 2, 10), ("triangle8", 0, 4)])
+def test_separation_matches_the_edge_scan_on_partitions(request, fixture, R, r):
+    br = request.getfixturevalue(fixture)
+    shells = _partition(br, ProofParameters(R=R, r=r, depth=br.tree.depth)).shells
+    _assert_separation_matches_the_edge_scan(br.sum.graph, shells)
+
+
 @pytest.mark.parametrize("lowest, pairs, closest", [
     ("s1", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s1", 4)), ("a", "b")),
     ("s2", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s2", 4)), ("a", "b")),
@@ -450,6 +484,17 @@ def test_boundary_cover_by_distance_bands_rechecked_pair_by_pair():
     assert data["max_diameter"] == max(_search_distance(adjacency, x, y)
                                        for m in members for x in m for y in m)
     assert_passing_cert(cert)
+
+
+def test_certificate_lists_no_edges_and_no_edge_labels():
+    """A certificate run, its JSON included, reads H's rows and the tree's
+    per-node labels: it never lists H's edges or builds ``out_label``."""
+    br = build_doc(chain_spec_doc(40))
+    cert = run_certificate(br, ProofParameters(R=2, r=10, depth=40))
+    jsonio.dumps(cert.to_json_dict())
+    assert cert.passed()
+    assert br.sum.graph._edges is None
+    assert "out_label" not in vars(br.tree)
 
 
 def test_certificate_depth_must_match(chain20):

@@ -43,6 +43,17 @@ start-up included (``process_s``).  ``doubling`` is a rung's certificate
 also records ``src_lines``, the line count of its ``src/asdimforge/*.py``
 as ``wc -l`` gives it, so a change's size reads off the same file.
 
+Given two checkouts, each certificate and report rung also runs them
+side by side in one child process, which loads both checkouts'
+``src/asdimforge`` under distinct package names.  It alternates one op
+of each, the order flipping every pair, for ``PAIR_SECONDS`` and at
+least ``PAIR_LEAST`` pairs: after the spec is parsed, the build, then
+``run_certificate`` (or ``cli.build_report``), then ``jsonio.dumps``.
+The second checkout's row records ``pair_ratio``, the median of its op
+time over the first's, and ``pair_wins``, the pairs in which its op was
+faster, of ``pairs``.  The two ops of a pair meet the same host speed,
+so these resolve a change that the drift between fresh processes hides.
+
     python tools/ladder.py --run "parent=../parent-checkout" --run "change=." \\
         --out BENCH_11.json
 
@@ -100,6 +111,10 @@ print('{"import_s": %.5f, "modules_loaded": %d}' % (spent, len(sys.modules) - be
 # samples per rung and checkout; a rung's times and RSS are their medians,
 # next to their ranges
 REPEAT = 5
+# how long, and for at least how many pairs, two checkouts alternate on a
+# certificate or report rung in one process
+PAIR_SECONDS = 10
+PAIR_LEAST = 5
 
 
 def torus_spec_doc(m: int, depth: int) -> dict:
@@ -135,15 +150,19 @@ def torus_spec_doc(m: int, depth: int) -> dict:
     }
 
 
+def _spec_doc(fixtures, name: str, depth: int) -> dict:
+    """One rung's document, from a checkout's ``fixtures`` module."""
+    if name.startswith("torus"):
+        return torus_spec_doc(int(name[len("torus"):-len("_k2")]), depth)
+    return {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name](depth)
+
+
 def _build(name: str, depth: int, spent: dict):
     """Build one rung, adding the tree's and the sum graph's build times to
     ``spent`` as ``tree_s`` and ``sum_s``."""
     from asdimforge import amalgam, fixtures
 
-    if name.startswith("torus"):
-        doc = torus_spec_doc(int(name[len("torus"):-len("_k2")]), depth)
-    else:
-        doc = {"chain_k2": fixtures.chain_spec_doc, "c3_k2": fixtures.triangle_spec_doc}[name](depth)
+    doc = _spec_doc(fixtures, name, depth)
     # ``build`` reaches both through ``amalgam``'s own names
     amalgam.build_connecting_tree = _timer(spent, "tree_s", amalgam.build_connecting_tree)
     amalgam.build_sum_graph = _timer(spent, "sum_s", amalgam.build_sum_graph)
@@ -200,6 +219,58 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
             "peak_rss_mb": _peak_rss_mb(),
             "certificate_bytes": len(text.encode()), "verdict": cert.verdict,
             "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _load_checkout(root: Path, package: str):
+    """``root/src/asdimforge`` imported as the package ``package``, with the
+    modules a certificate or report op reads."""
+    import importlib
+    import importlib.util
+
+    init = root / "src" / "asdimforge" / "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        package, init, submodule_search_locations=[str(init.parent)])
+    module = sys.modules[package] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    for part in ("amalgam", "cli", "fixtures", "jsonio", "theorem"):
+        importlib.import_module(f"{package}.{part}")
+    return module
+
+
+def run_pairs(kind: str, name: str, depth: int, *radii_and_roots: str) -> dict:
+    """Child side: one certificate or report rung's op of two checkouts,
+    alternated in this process."""
+    import time
+
+    *radii, base, change = radii_and_roots
+    packages = [_load_checkout(Path(root), f"checkout{i}")
+                for i, root in enumerate((base, change))]
+
+    def op(af) -> float:
+        spec = af.amalgam.AmalgamationSpec.from_json_dict(_spec_doc(af.fixtures, name, depth))
+        if kind == "certificate":
+            R, r = map(int, radii)
+            params = af.theorem.ProofParameters(R=R, r=r, depth=depth)
+
+            def finish(br):
+                return af.theorem.run_certificate(br, params).to_json_dict()
+        else:
+            finish = af.cli.build_report
+        gc.collect()
+        start = time.perf_counter()
+        af.jsonio.dumps(finish(af.amalgam.build(spec)))
+        return time.perf_counter() - start
+
+    ratios: list[float] = []
+    deadline = time.perf_counter() + PAIR_SECONDS
+    while len(ratios) < PAIR_LEAST or time.perf_counter() < deadline:
+        if len(ratios) % 2:
+            after, before = op(packages[1]), op(packages[0])
+        else:
+            before, after = op(packages[0]), op(packages[1])
+        ratios.append(after / before)
+    return {"pair_ratio": round(statistics.median(ratios), 4),
+            "pair_wins": sum(x < 1 for x in ratios), "pairs": len(ratios)}
 
 
 def run_report_rung(name: str, depth: int) -> dict:
@@ -295,6 +366,16 @@ def sample(root: Path, rung: tuple) -> dict:
     return got
 
 
+def sample_pairs(roots: dict[str, Path], rung: tuple) -> dict:
+    """Parent side: a certificate or report rung's two checkouts alternated
+    in one child."""
+    out = subprocess.run(
+        [sys.executable, __file__, "--rung", "pairs", *map(str, rung),
+         *map(str, roots.values())],
+        capture_output=True, text=True, check=True, timeout=600)
+    return json.loads(out.stdout)
+
+
 def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict[str, list[dict]]:
     """Every rung ``(kind, document, depth, ...)`` on every checkout in turn;
     ``seconds`` names the timing that ``doubling`` compares."""
@@ -304,6 +385,8 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
         for _ in range(REPEAT):
             for label, root in roots.items():
                 samples[label].append(sample(root, rung))
+        paired = sample_pairs(roots, rung) \
+            if rung[0] in ("certificate", "report") and len(roots) == 2 else {}
         for label, got in samples.items():
             if rung[0] == "import":
                 row = {"module": rung[1]}
@@ -320,6 +403,8 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
                     row[f"{key}_range"] = [min(values), max(values)]
                 else:
                     row[key] = value
+            if label == list(roots)[-1]:
+                row.update(paired)
             previous = rows[label][-1] if rows[label] else None
             row["doubling"] = None if previous is None or previous.get("build") != row.get("build") \
                 else round(row[seconds] / max(previous[seconds], 1e-3), 2)
@@ -330,6 +415,10 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:2] == ["--rung", "pairs"]:  # a certificate or report rung, then two roots
+        kind, name, depth, *rest = argv[2:]
+        print(json.dumps(run_pairs(kind, name, int(depth), *rest)))
+        return 0
     if argv[:1] == ["--rung"]:  # a child: one rung, printed as JSON
         kind, name, *numbers = argv[1:]
         run = {"certificate": run_rung, "report": run_report_rung,
