@@ -158,10 +158,6 @@ class ConnectingTree:
                 return w
         return None
 
-    def return_label(self, u: str) -> str | None:
-        """Label of the edge from u toward its parent."""
-        return self.up_label.get(u)
-
     def path(self, u: str, v: str) -> tuple[str, ...]:
         """Tree nodes from u to v, both endpoints included."""
         self.require_node(u)
@@ -193,11 +189,15 @@ class ConnectingTree:
         return tuple(sorted(u for u, d in self._ball(center, radius).items() if d == radius))
 
     def is_semiregular(self) -> tuple[bool, str]:
+        parent, up, down, children = self.parent, self.up_label, self.down_label, self.children
         for u in self.nodes:
             if u in self.frontier:
                 continue
             want = self.labels1 if self.node_side[u] == 1 else self.labels2
-            got = sorted(self.out_label[(u, w)] for w in self._incident(u))
+            got = [down[w] for w in children.get(u, ())]
+            if u in parent:
+                got.append(up[u])
+            got.sort()
             if got != sorted(want):
                 return False, f"node {u!r} uses labels {got}, wanted each of {sorted(want)} once"
         return True, ""
@@ -773,7 +773,7 @@ class BuildResult(Record):
             "sum_vertices": len(self.sum.graph),
             "bridges": len(self.sum.bridges),
             "amalgam_vertices": len(self.amalgam.graph),
-            "amalgam_edges": len(self.amalgam.graph.edges),
+            "amalgam_edges": sum(map(len, self.amalgam.graph.adjacency.values())) // 2,
             "identification_max": self.max_id_size,
             "trivial": self.trivial,
             "orbit_representatives": {"factor1": list(self.reps1),

@@ -318,15 +318,15 @@ class SymmetryWalk:
     (its nodes in walk order, each with its parent and the labels of the
     edge between them), its sorted edges in H, and the step tables are
     built once and shared by every site and fringe node.  A step depends
-    only on the current symmetry and the four labels involved, so each
-    program step keeps a table from its parent's element index to
-    (k_img, {ell_img: the next element index}), filled on first use
-    from two shared tables: (side, element index, k) -> k_img and
-    (side, element index, k, ell, k_img, ell_img) -> the next element
-    index.  Per side and element index it keeps the permutation of copy
-    positions the element induces, and per return label the element
-    that starts a site's walk.  ``map_at`` keeps each node's map, so
-    ``base_blocks`` and the site loop build a node's map once.
+    only on the current symmetry and the labels involved, so program
+    steps with the same label triple (u's side, k, ell) share one table
+    from the parent's element index to (k_img, {ell_img: the next element
+    index}), each entry filled on first use by ``_image_label`` and
+    ``_extend``.  Per side and element index the walk keeps the
+    permutation of copy positions the element induces, and per return
+    label the element that starts a site's walk.  ``map_at`` keeps each
+    node's map, so ``base_blocks`` and the site loop build a node's map
+    once.
     """
 
     def __init__(self, br: BuildResult, radius: int):
@@ -336,19 +336,18 @@ class SymmetryWalk:
         side_of, up_label, down_label, level = (tree.node_side, tree.up_label,
                                                 tree.down_label, tree.level)
         # (w, its parent u, u's side, k = u's label for w, ell = w's for u,
-        # the step's table), level by level as a breadth-first walk from
-        # the root meets them
+        # the table of the triple (side, k, ell)), level by level as a
+        # breadth-first walk from the root meets them
         self.program: list[tuple[str, str, int, str, str, dict]] = []
+        tables: dict[tuple[int, str, str], dict] = {}
         ring = [ROOT]
         while ring and level[ring[0]] < radius:
-            steps = [(w, u, side_of[u], down_label[w], up_label[w], {})
+            steps = [(w, u, side_of[u], down_label[w], up_label[w])
                      for u in ring for w in tree.children[u]]
-            self.program += steps
+            self.program += [(*step, tables.setdefault(step[2:], {})) for step in steps]
             ring = [w for w, *_ in steps]
         self.edges = _edges_inside(br.sum.graph, br.sum.vertices_over(self.near))
         self.elements = (br.spec.action1.elements, br.spec.action2.elements)
-        self.image_label: dict[tuple, str] = {}
-        self.next_step: dict[tuple, int] = {}
         self.positions: tuple[dict[int, tuple[int, ...]], ...] = ({}, {})
         self.roots: dict[str, int] = {}
         self.maps: dict[str, SymmetryMap] = {}
@@ -404,7 +403,7 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
     support the translation and the builder raises.  The map, and its
     edge and injectivity checks, cover the nodes of level at most the
     radius.  Every step, and each copy's image, is read off the walk's
-    shared tables (see ``SymmetryWalk``).
+    tables (see ``SymmetryWalk``).
     """
     br = walk.br
     tree, h = br.tree, br.sum
@@ -417,8 +416,7 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
         raise PreconditionError("translation sites must carry the first factor")
     elements = walk.elements
     adhesions = (br.spec.adh1, br.spec.adh2)
-    e_root = walk.root_element(tree.return_label(t))
-    image_label, next_step = walk.image_label, walk.next_step
+    e_root = walk.root_element(tree.up_label[t])
     across, parent, up_label, down_label = (tree.across, tree.parent, tree.up_label,
                                             tree.down_label)
     node_map: dict[str, str] = {ROOT: t}
@@ -431,12 +429,8 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
         e_u = elem[u]
         row = table.get(e_u)
         if row is None:
-            key = (side_u, e_u, k)
-            k_img = image_label.get(key)
-            if k_img is None:
-                k_img = image_label[key] = _image_label(
-                    adhesions[side_u - 1], elements[side_u - 1][e_u], k, u)
-            row = table[e_u] = (k_img, {})
+            row = table[e_u] = (_image_label(adhesions[side_u - 1],
+                                             elements[side_u - 1][e_u], k, u), {})
         k_img, onward = row
         # the like-labeled edge at the image: up to its parent or down
         w_img = across(u_img, k_img)
@@ -446,11 +440,7 @@ def build_symmetry_map(walk: SymmetryWalk, t: str) -> SymmetryMap:
         ell_img = up_label[w_img] if parent.get(w_img) == u_img else down_label[u_img]
         e_w = onward.get(ell_img)
         if e_w is None:
-            step = (side_u, e_u, k, ell, k_img, ell_img)
-            e_w = next_step.get(step)
-            if e_w is None:
-                e_w = next_step[step] = _extend(br.spec, step, w)
-            onward[ell_img] = e_w
+            e_w = onward[ell_img] = _extend(br.spec, (side_u, e_u, k, ell, k_img, ell_img), w)
         node_map[w] = w_img
         elem[w] = e_w
     # copy vertex i over u goes to vertex g_u(i) over node_map[u], in walk
@@ -657,16 +647,12 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
                     if dist.get(p) == up:
                         break
                 cell[v], root[v] = cell[p], root[p]
-        # the settled rows in sorted order meet the edges between settled
-        # vertices as ``H.edges`` lists them, and a settled row's every
-        # neighbour is settled
-        for u in sorted(dist):
-            i = cell[u]
-            for v in adjacency[u]:
-                j = cell[v]
-                if j != i and u < v:
-                    work["boundary_edges"] += 1
-                    offer(dist[u] + 1 + dist[v], i, j, root[u], root[v])
+        # a settled row's every neighbour is settled, and the boundary
+        # edges, sorted, come in the order ``H.edges`` lists them
+        bounds = [(u, v) for u in dist for v in adjacency[u] if u < v and cell[v] != cell[u]]
+        work["boundary_edges"] = len(bounds)
+        for u, v in sorted(bounds):
+            offer(dist[u] + 1 + dist[v], cell[u], cell[v], root[u], root[v])
     pairs = tuple((s, None, INF) if row is None else (s, live[row[1]], row[0])
                   for s, row in zip(live, best))
     if least is None:
@@ -1075,11 +1061,11 @@ def _copy_shapes(br: BuildResult) -> tuple[list[tuple], list[list[int]]] | None:
     child's j-th up-portal).
     """
     H, tree, copies = br.sum.graph, br.tree, br.sum.copies
-    nid = {u: k for k, u in enumerate(tree.preorder)}
-    kids = [[nid[w] for w in tree.children[u]] for u in tree.preorder]
-    parent = [nid.get(tree.parent.get(u), -1) for u in tree.preorder]
-    sizes = [len(copies.get(u, ())) for u in tree.preorder]
-    where = {v: (nid[u], i) for u, copy in copies.items() for i, v in enumerate(copy)}
+    preorder = tree.preorder
+    kids = [[preorder[w] for w in tree.children[u]] for u in preorder]
+    parent = [preorder.get(tree.parent.get(u), -1) for u in preorder]
+    sizes = [len(copies.get(u, ())) for u in preorder]
+    where = {v: (preorder[u], i) for u, copy in copies.items() for i, v in enumerate(copy)}
     edges, ups, down = ([[] for _ in sizes] for _ in range(3))
     for v, (k, i) in where.items():
         for w in H.adjacency[v]:

@@ -6,7 +6,9 @@ the same objects, which also exercises result reuse.
 
 from __future__ import annotations
 
+import importlib.util
 from collections import deque
+from pathlib import Path
 
 import pytest
 
@@ -33,39 +35,13 @@ def complete_graph(n: int, prefix: str = "k") -> af.FiniteGraph:
                                   for i in range(n) for j in range(i + 1, n)])
 
 
-def torus_spec_doc(m: int, depth: int, declared: int) -> dict:
-    """The m-by-m torus glued to an edge at (0,0) and at (m/2,m/2), with
-    the edge's labels kept apart from the torus's.
-
-    The torus acts by the shift by (m/2,m/2), the negation and the
-    transpose, the symmetries that keep the two glued corners as a pair
-    (translations alone are rejected); the edge by its swap.  The torus
-    is declared of asdim ``declared``.  Kept out of ``fixtures.emit_all``,
-    so the shipped documents do not change.
-    """
-    h = m // 2
-
-    def at(i: int, j: int) -> str:
-        return f"t{i % m}_{j % m}"
-    cells = [(i, j) for i in range(m) for j in range(m)]
-    torus = {"vertices": [at(i, j) for i, j in cells],
-             "edges": [[at(i, j), at(i + di, j + dj)] for i, j in cells
-                       for di, dj in ((1, 0), (0, 1))]}
-    corners = {"0": at(0, 0), "1": at(h, h)}
-    return {
-        "name": f"torus{m}_k2",
-        "factors": [torus, {"vertices": ["x", "y"], "edges": [["x", "y"]]}],
-        "adhesions": [{k: [v] for k, v in corners.items()}, {"x": ["x"], "y": ["y"]}],
-        "atlas": [{"left": k, "right": l, "pairs": [[v, l]]}
-                  for k, v in corners.items() for l in ("x", "y")],
-        "tree": {"p1": 2, "p2": 2, "depth": depth},
-        "actions": {"mode": "generators",
-                    "factor1": [{at(i, j): at(i + h, j + h) for i, j in cells},
-                                {at(i, j): at(-i, -j) for i, j in cells},
-                                {at(i, j): at(j, i) for i, j in cells}],
-                    "factor2": [{"x": "y", "y": "x"}]},
-        "asdim": {"factor1": declared, "factor2": 0, "adhesion": 0},
-    }
+# the m-by-m torus glued to an edge, declared of asdim 2: the suite's torus
+# is the one the ladder's torus rungs build
+_ladder_spec = importlib.util.spec_from_file_location(
+    "ladder", Path(__file__).resolve().parents[1] / "tools" / "ladder.py")
+_ladder = importlib.util.module_from_spec(_ladder_spec)
+_ladder_spec.loader.exec_module(_ladder)
+torus_spec_doc = _ladder.torus_spec_doc
 
 
 def split_vertex_id(vid: str) -> tuple[str, str]:
@@ -195,7 +171,7 @@ def reference_symmetry_map(br: af.BuildResult, t: str, radius: int):
         near = tree.nodes_within(ROOT, radius)
         vmap = {v: v for u in near for v in h.copy_vertices(u)}
         return {u: u for u in near}, vmap, True, True, "identity"
-    m_t = tree.return_label(t)
+    m_t = tree.up_label[t]
     rho = br.rep_map1[m_t]
     adh1 = adhesions[0]
     e_root = next(i for i, g in enumerate(elements[0])

@@ -6,7 +6,7 @@ import random
 import pytest
 
 import asdimforge as af
-from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec,
+from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, ConnectingTree,
                                 BondingAtlas, SumGraph, build_connecting_tree,
                                 build_sum_graph, contract_to_amalgam, copy_vertex,
                                 select_orbit_representatives, validate_bonding_atlas)
@@ -143,13 +143,32 @@ def test_tree_kernel_matches_label_path_reference(tree):
             assert path == tree.path(v, u)[::-1]
 
 
+def test_tree_semiregularity_names_the_first_bad_node():
+    """A hand-built tree whose labels go wrong at two nodes: n06 hands a
+    child a label it already uses, and n11 sends one back to its parent
+    that its child has.  The check reads each node's labels in ``nodes``
+    order, names n06, and names n11 once n06 is mended."""
+    t = build_connecting_tree(["0", "1", "2"], ["0", "1"], 3)
+
+    def relabelled(up: dict, down: dict) -> ConnectingTree:
+        return ConnectingTree(t.labels1, t.labels2, t.depth, t.nodes, t.node_side, t.parent,
+                              t.children, {**t.up_label, **up}, {**t.down_label, **down},
+                              t.level, t.preorder, t.subtree_end, t.type2_J)
+    assert t.is_semiregular() == (True, "")
+    assert relabelled({"n11": "1"}, {"n05": "1"}).is_semiregular() == (
+        False, "node 'n06' uses labels ['0', '1', '1'], wanted each of ['0', '1', '2'] once")
+    assert relabelled({"n11": "1"}, {}).is_semiregular() == (
+        False, "node 'n11' uses labels ['1', '1'], wanted each of ['0', '1'] once")
+    assert "out_label" not in vars(t)
+
+
 def test_tree_entry_and_return_labels():
     t = numbered_tree(3, 2, 2)
     child = path_ids(t)[ROOT + "/0"]
-    assert t.return_label(ROOT) is None
+    assert ROOT not in t.up_label
     assert t.out_label[(ROOT, child)] == "0"
     # The return direction takes the least label still free.
-    assert t.return_label(child) in ("x", "y", "0", "1")
+    assert t.up_label[child] in ("x", "y", "0", "1")
     grand = t.children[child][0]
     assert t.node_depth(grand) == 2
     assert t.parent[grand] == child

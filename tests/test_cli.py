@@ -358,6 +358,18 @@ def test_build_report_bytes_are_pinned(tmp_path, make, depth, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_build_report_builds_no_edge_labels():
+    """The report lists each node's labels from the tree's per-node records
+    and counts the glued graph's edges from its rows: it builds neither
+    the edge-keyed ``out_label`` view nor the glued graph's edge list."""
+    br = build_doc(chain_spec_doc(40))
+    report = cli.build_report(br)
+    assert report["tree_semiregular"] == {"ok": True, "detail": ""}
+    assert "out_label" not in vars(br.tree)
+    assert br.amalgam.graph._edges is None
+    assert report["amalgam_edges"] == len(br.amalgam.graph.edges)
+
+
 def test_build_depth_override(tmp_path, capsys):
     spec = write_doc(tmp_path, "chain.json", chain_spec_doc(8))
     assert cli.main(["build", "--spec", spec, "--depth", "4"]) == 0

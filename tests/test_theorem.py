@@ -1,11 +1,10 @@
 """Block construction, symmetry transport, and the certificate pipeline."""
 
 import copy
-import importlib.util
+import hashlib
 import random
 from collections import Counter
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -414,8 +413,9 @@ def test_certificate_torus_factor(declared):
     """The 8x8 torus glued to an edge.  Declared of asdim 2, it takes the
     n = 2 paths: three families per block, found by searching blocks of
     133 and 202 points; declared 0, it passes at bound 1."""
-    cert = run_certificate(build_doc(torus_spec_doc(8, 8, declared)),
-                           ProofParameters(R=0, r=4, depth=8))
+    doc = torus_spec_doc(8, 8)
+    doc["asdim"]["factor1"] = declared
+    cert = run_certificate(build_doc(doc), ProofParameters(R=0, r=4, depth=8))
     bound = max(declared, 1)
     assert_passing_cert(cert, bound)
     assert cert.to_json_dict()["target_families"] == bound
@@ -425,17 +425,6 @@ def test_certificate_torus_factor(declared):
     assert {row["families"] for row in blocks["per_block"].values()} == {bound + 1}
     sizes = {m["vertices"] for m in stage["partition"].data["members"].values()}
     assert {133, 202} <= sizes
-
-
-def test_ladder_torus_is_the_test_torus():
-    """``tools/ladder.py`` builds its torus rungs from its own copy of
-    ``torus_spec_doc``, declared of asdim 2."""
-    path = Path(__file__).resolve().parents[1] / "tools" / "ladder.py"
-    spec = importlib.util.spec_from_file_location("ladder", path)
-    ladder = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(ladder)
-    for m, depth in ((8, 12), (12, 12), (16, 12), (6, 3)):
-        assert ladder.torus_spec_doc(m, depth) == torus_spec_doc(m, depth, 2)
 
 
 def test_certificate_fails_on_a_build_missing_a_bridge():
@@ -851,7 +840,7 @@ def _reference_symmetry_map(br, t, radius=None):
     path, node = label_paths(tree), path_ids(tree)
     actions = (br.spec.action1, br.spec.action2)
     adhesions = (br.spec.adh1, br.spec.adh2)
-    m_t = tree.return_label(t)
+    m_t = tree.up_label[t]
     adh1 = adhesions[0]
     g_root = next(g for g in actions[0]
                   if frozenset(g[x] for x in adh1[br.rep_map1[m_t]]) == adh1[m_t])
@@ -865,7 +854,7 @@ def _reference_symmetry_map(br, t, radius=None):
             k, ell = tree.out_label[(u, w)], tree.out_label[(w, u)]
             image_set = frozenset(g_u[x] for x in adh_u[k])
             k_img = next(lab for lab in adh_u.labels if adh_u[lab] == image_set)
-            if tree.return_label(u_img) == k_img:
+            if tree.up_label.get(u_img) == k_img:
                 w_img = tree.parent[u_img]
             elif f"{path[u_img]}/{k_img}" in node:
                 w_img = node[f"{path[u_img]}/{k_img}"]
@@ -1031,6 +1020,38 @@ def test_shared_walk_matches_an_action_that_breaks_an_edge():
         assert all(not sm.edge_ok and "maps to a non-edge" in sm.detail
                    for sm in maps if sm.site != ROOT)
     assert len(sites) > 3
+
+
+# sha256 of the certificates: sharing the walk's step tables must not move a byte
+@pytest.mark.parametrize("make, depth, r, digest", [
+    (triangle_spec_doc, 14, 4, "7d5760e031e11519c9e0e078ddfa59d06ce50f9a03a26549ad10b27941580037"),
+    (type2_spec_doc, 8, 2, "57b827669e025185ecdf419f56bc48c3f057345b9f0e7935604df77ccc76e55c"),
+], ids=["c3_k2-14", "type2_k2-8"])
+def test_walk_works_out_each_step_once(monkeypatch, make, depth, r, digest):
+    """Over one certificate run, every site and fringe node included, each
+    image label and each bonding extension is worked out once: steps
+    with the same label triple share a table.  On a built tree a step's
+    ell follows from its side and k, so once per (side, element, k) is
+    once per (side, element, k, ell)."""
+    br = build_doc(make(depth))
+    elements = (br.spec.action1.elements, br.spec.action2.elements)
+    labels, steps = Counter(), Counter()
+    image_label, extend = theorem._image_label, theorem._extend
+
+    def counted_image_label(adh, g, k, u):
+        side = br.tree.node_side[u]
+        labels[side, next(i for i, e in enumerate(elements[side - 1]) if e is g), k] += 1
+        return image_label(adh, g, k, u)
+
+    def counted_extend(spec, step, w):
+        steps[step] += 1
+        return extend(spec, step, w)
+    monkeypatch.setattr(theorem, "_image_label", counted_image_label)
+    monkeypatch.setattr(theorem, "_extend", counted_extend)
+    cert = run_certificate(br, ProofParameters(R=0, r=r, depth=depth))
+    assert labels and steps
+    assert max(labels.values()) == 1 and max(steps.values()) == 1
+    assert hashlib.sha256(jsonio.dumps(cert.to_json_dict()).encode()).hexdigest() == digest
 
 
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():

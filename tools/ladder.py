@@ -47,7 +47,8 @@ Given two checkouts, each certificate and report rung also runs them
 side by side in one child process, which loads both checkouts'
 ``src/asdimforge`` under distinct package names.  It alternates one op
 of each, the order flipping every pair, for ``PAIR_SECONDS`` and at
-least ``PAIR_LEAST`` pairs: after the spec is parsed, the build, then
+least ``PAIR_LEAST`` (ten) pairs, so a slow rung still has ten ratios
+to take the median of: after the spec is parsed, the build, then
 ``run_certificate`` (or ``cli.build_report``), then ``jsonio.dumps``.
 The second checkout's row records ``pair_ratio``, the median of its op
 time over the first's, and ``pair_wins``, the pairs in which its op was
@@ -114,7 +115,7 @@ REPEAT = 5
 # how long, and for at least how many pairs, two checkouts alternate on a
 # certificate or report rung in one process
 PAIR_SECONDS = 10
-PAIR_LEAST = 5
+PAIR_LEAST = 10
 
 
 def torus_spec_doc(m: int, depth: int) -> dict:
