@@ -716,7 +716,8 @@ class AmalgamationSpec:
             if not set(declared) <= allowed:
                 raise ConfigError(f"asdim declarations limited to {sorted(allowed)}")
             for k, v in declared.items():
-                _require_int(v, f"asdim {k!r}")
+                if _require_int(v, f"asdim {k!r}") < 0:
+                    raise ConfigError(f"asdim {k!r} must be nonnegative, not {v!r}")
             declared = dict(declared)
         return cls(name, g1, g2, adh1, adh2, atlas, depth, type2_J,
                    action1, action2, declared)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 from itertools import islice
 from pathlib import Path
@@ -21,7 +22,7 @@ from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
 from .graphs import FiniteGraph, MetricView, load_graph, relabel_sorted
 from .groups import compute_automorphisms
-from .jsonio import dumps, read_json, write_json
+from .jsonio import dump, read_json, write_json
 from .theorem import (ProofParameters, projection_fit, run_certificate,
                       stretched_edges, theorem_bound)
 
@@ -56,7 +57,7 @@ def _emit(doc, out: str | None):
     if out:
         _write(out, doc)
     else:
-        sys.stdout.write(dumps(doc))
+        dump(doc, sys.stdout)
 
 
 # -- shared measurements -------------------------------------------------------
@@ -304,7 +305,21 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         # looked up per call, so a handler replaced after import is the one run
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:  # stdout is the only pipe the program writes
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # what stdout still buffers goes to the null device at exit, not
+        # to the closed pipe, which would print a second error
+        try:
+            stdout = sys.stdout.fileno()
+        except OSError:  # stdout is no file, as under a test's capture
+            return 2
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stdout)
+        os.close(null)
+        return 2
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -581,6 +581,64 @@ def test_an_out_with_no_file_name_exits_2(tmp_path, monkeypatch, capsys, out):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c7.json", "chain.json"]
 
 
+def _cli_process(argv, stdout):
+    env = dict(os.environ, PYTHONPATH=str(Path(asdimforge.__file__).resolve().parents[1]))
+    return subprocess.Popen([sys.executable, "-m", "asdimforge.cli", *argv], stdout=stdout,
+                            stderr=subprocess.PIPE, text=True, env=env)
+
+
+def test_a_closed_stdout_exits_2(tmp_path, monkeypatch, capsys):
+    """A reader that closes the pipe early, as ``| head -c 20`` does, leaves
+    stdout unwritable: one ``error:`` line, no traceback, and nothing
+    reported at interpreter exit."""
+    closed_line = "error: cannot write stdout: [Errno 32] Broken pipe\n"
+    # a report of about 0.3 MB, far more than a pipe holds unread
+    spec = write_doc(tmp_path, "chain.json", chain_spec_doc(3200))
+    proc = _cli_process(["build", "--spec", spec], subprocess.PIPE)
+    assert len(proc.stdout.read(20)) == 20
+    proc.stdout.close()
+    assert proc.stderr.read() == closed_line
+    assert proc.wait(timeout=60) == 2
+    # a pipe whose reader is gone before the command starts: the document
+    # to stdout, and the summary line after an ``--out`` write
+    graph = write_doc(tmp_path, "c7.json", cycle_graph_doc(7))
+    small = write_doc(tmp_path, "small.json", chain_spec_doc(8))
+    out = tmp_path / "build.json"
+    for argv in (["aut", "--spec", graph], ["build", "--spec", small, "--out", str(out)]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _cli_process(argv, write_end)
+        finally:
+            os.close(write_end)
+        assert proc.stderr.read() == closed_line, argv
+        assert proc.wait(timeout=60) == 2, argv
+        proc.stderr.close()
+    assert json.loads(out.read_text())["sum_vertices"] == 34
+
+    # in process, where stdout is a capture with no file descriptor
+    def closed(args):
+        raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(cli, "cmd_aut", closed)
+    assert cli.main(["aut", "--spec", graph]) == 2
+    assert capsys.readouterr().err == closed_line
+
+
+def test_a_negative_declared_asdim_exits_2(tmp_path, capsys):
+    """Every command that reads a spec rejects it, naming the key."""
+    doc = chain_spec_doc(8)
+    doc["asdim"] = {"factor1": 0, "adhesion": -1}
+    spec = write_doc(tmp_path, "bad.json", doc)
+    for argv in (["build", "--spec", spec],
+                 ["verify-theorem", "--spec", spec, "--r", "4"],
+                 ["iterate", "--spec", spec, "--out", str(tmp_path / "out")]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: asdim 'adhesion' must be nonnegative, not -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_theorem_missing_file(tmp_path):
     assert cli.main(["verify-theorem", "--spec", str(tmp_path / "nope.json"),
                      "--r", "4"]) == 2

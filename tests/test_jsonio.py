@@ -4,6 +4,7 @@ import json
 import os
 import random
 import stat
+import tracemalloc
 from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
@@ -69,11 +70,72 @@ def test_dumps_matches_the_standard_encoder_on_random_values():
 @pytest.mark.parametrize("make, depth, R, r", [(chain_spec_doc, 40, 2, 10),
                                                (triangle_spec_doc, 8, 0, 4)],
                          ids=["chain_k2-40", "c3_k2-8"])
-def test_dumps_matches_the_standard_encoder_on_artifacts(make, depth, R, r):
+def test_dumps_matches_the_standard_encoder_on_artifacts(tmp_path, make, depth, R, r):
     br = build_doc(make(depth))
     cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
     for doc in (cert, cert.to_json_dict(), cli.build_report(br)):
-        assert jsonio.dumps(doc) == _reference(doc)
+        text = jsonio.dumps(doc)
+        assert text == _reference(doc)
+        # the streamed file holds the same bytes
+        assert jsonio.write_json(tmp_path / "doc.json", doc).read_bytes() == text.encode()
+
+
+class Chunks(list):
+    """A text file that keeps each write apart."""
+    write = list.append
+
+
+def _several_chunks() -> dict:
+    """A document of about five chunks: a flat list longer than one chunk,
+    then lists of objects nested three deep."""
+    long_list = list(range(2 * jsonio.CHUNK_PIECES))
+    nested = [{"id": f"n{i}", "rows": [[i, None], {"x": Fraction(i, 3), "y": [True]}]}
+              for i in range(jsonio.CHUNK_PIECES // 8)]
+    return {"long": long_list, "nested": nested, "tail": {"a": {"b": {"c": []}}}}
+
+
+def test_write_json_streams_the_bytes_dumps_gives(tmp_path):
+    doc = _several_chunks()
+    text = jsonio.dumps(doc)
+    assert text == _reference(doc)
+    chunks = Chunks()
+    jsonio.dump(doc, chunks)
+    assert "".join(chunks) == text and len(chunks) >= 4
+    assert jsonio.write_json(tmp_path / "doc.json", doc).read_bytes() == text.encode()
+
+
+def test_write_json_that_fails_midway_leaves_the_target_alone(tmp_path):
+    """A value that fails after the first chunk is written raises what
+    ``dumps`` raises, leaves no temporary file, and leaves the file it was
+    to replace as it was."""
+    doc = _several_chunks()
+    doc["tail"]["a"]["b"]["c"] = [object()]
+    with pytest.raises(TypeError) as expected:
+        jsonio.dumps(doc)
+    target = jsonio.write_json(tmp_path / "doc.json", {"kept": [1, 2]})
+    before = target.read_bytes()
+    with pytest.raises(TypeError) as got:
+        jsonio.write_json(target, doc)
+    assert str(got.value) == str(expected.value) == "cannot serialize object"
+    assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+    assert target.read_bytes() == before
+
+
+def test_write_json_memory_does_not_grow_with_the_artifact(tmp_path):
+    """The writer holds a bounded run of pieces, not the text: its traced
+    peak on a certificate ten times longer stays under twice as high."""
+    peaks = []
+    for depth in (40, 400):
+        br = build_doc(chain_spec_doc(depth))
+        cert = theorem.run_certificate(br, theorem.ProofParameters(R=2, r=10, depth=depth))
+        doc = cert.to_json_dict()
+        tracemalloc.start()
+        try:
+            jsonio.write_json(tmp_path / "cert.json", doc)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 2 * peaks[0], peaks
 
 
 def test_dumps_rejects_what_the_standard_path_rejects():

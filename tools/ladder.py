@@ -6,9 +6,10 @@ m-by-m torus of ``torus_spec_doc`` (m = 8, 12, 16), and runs
 ``run_certificate`` on it, in a child process of its own, and reports
 the build and certificate wall times, the build's parts in the
 connecting tree (``tree_s``) and the sum graph (``sum_s``), which
-report rungs split out too, the time ``jsonio.dumps`` takes to
-serialise the certificate (``write_s``), the child's peak RSS (from
-``resource``) and the size of what it writes.  It splits out the parts
+report rungs split out too, the time ``jsonio.write_json`` takes to
+write the certificate to a file in a temporary directory, as the CLI
+writes it (``write_s``), the child's peak RSS (from ``resource``) and
+the size of that file.  It splits out the parts
 of the certificate's time spent in the symmetry maps (``maps_s``,
 ``theorem.build_symmetry_map``, the fringe maps of ``base_blocks``
 included), the block keys (``shapes_s``, ``theorem.block_shape``),
@@ -16,14 +17,15 @@ the partition (``partition_s``, ``theorem.assemble_partition``) and
 the separation check (``separation_s``, ``theorem.verify_separation``),
 and counts the greedy witnesses it runs (``greedy_runs``: one per block
 shape, and one for the boundary cover); ``sha256`` digests the
-certificate's bytes, so checkouts that write the same certificate show
+certificate file's bytes, so checkouts that write the same certificate show
 the same digest.
 Each report rung does the same with ``cli.build_report``, the projection
 check and distortion fit that ``build`` writes, and splits out the parts
 of its time spent in the contraction to the glued graph (``contract_s``,
 ``amalgam.contract_to_amalgam``), in the check (``check_s``,
 ``cli.projection_report``) and in the fit (``fit_s``,
-``theorem.projection_fit``); ``sha256`` digests the report's bytes.
+``theorem.projection_fit``), and writes the report to a file the same
+way; ``sha256`` digests that file's bytes.
 Doubling the
 depth of ``chain_k2`` doubles its sum graph; two more levels of
 ``c3_k2`` do the same.  Each oracle rung runs the exact oracle as the
@@ -49,7 +51,8 @@ side by side in one child process, which loads both checkouts'
 of each, the order flipping every pair, for ``PAIR_SECONDS`` and at
 least ``PAIR_LEAST`` (ten) pairs, so a slow rung still has ten ratios
 to take the median of: after the spec is parsed, the build, then
-``run_certificate`` (or ``cli.build_report``), then ``jsonio.dumps``.
+``run_certificate`` (or ``cli.build_report``), then ``jsonio.write_json``
+into a temporary directory.
 The second checkout's row records ``pair_ratio``, the median of its op
 time over the first's, and ``pair_wins``, the pairs in which its op was
 faster, of ``pairs``.  The two ops of a pair meet the same host speed,
@@ -81,6 +84,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 # (document, depths, R, r) of the certificate ladder; ``torus<m>_k2`` is
@@ -189,6 +193,24 @@ def _timer(spent: dict, key: str, step):
     return run
 
 
+def _write_artifact(jsonio, doc) -> tuple[float, float, int, str]:
+    """Write ``doc`` as the CLI writes an artifact, with ``jsonio.write_json``
+    to a file in a new temporary directory.  Returns the clock when the
+    write ends, the peak RSS then, and the file's size and sha256, read a
+    block at a time so that reading it back adds nothing to the peak."""
+    import time
+
+    with tempfile.TemporaryDirectory() as where:
+        path = jsonio.write_json(Path(where) / "artifact.json", doc)
+        end = time.perf_counter()
+        peak = _peak_rss_mb()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:
+            while block := fh.read(1 << 16):
+                digest.update(block)
+        return end, peak, path.stat().st_size, digest.hexdigest()
+
+
 def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     """Child side: build, certify and measure one rung in this process."""
     import time
@@ -211,15 +233,13 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     t1 = time.perf_counter()
     cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
     t2 = time.perf_counter()
-    text = jsonio.dumps(cert.to_json_dict())
-    t3 = time.perf_counter()
+    t3, peak, size, digest = _write_artifact(jsonio, cert.to_json_dict())
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
             "certificate_s": round(t2 - t1, 3),
             **{key: round(value, 4) for key, value in spent.items()},
             "greedy_runs": len(runs), "write_s": round(t3 - t2, 3),
-            "peak_rss_mb": _peak_rss_mb(),
-            "certificate_bytes": len(text.encode()), "verdict": cert.verdict,
-            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+            "peak_rss_mb": peak, "certificate_bytes": size, "verdict": cert.verdict,
+            "sha256": digest}
 
 
 def _load_checkout(root: Path, package: str):
@@ -246,6 +266,8 @@ def run_pairs(kind: str, name: str, depth: int, *radii_and_roots: str) -> dict:
     *radii, base, change = radii_and_roots
     packages = [_load_checkout(Path(root), f"checkout{i}")
                 for i, root in enumerate((base, change))]
+    where = tempfile.TemporaryDirectory()
+    target = Path(where.name) / "op.json"
 
     def op(af) -> float:
         spec = af.amalgam.AmalgamationSpec.from_json_dict(_spec_doc(af.fixtures, name, depth))
@@ -259,7 +281,7 @@ def run_pairs(kind: str, name: str, depth: int, *radii_and_roots: str) -> dict:
             finish = af.cli.build_report
         gc.collect()
         start = time.perf_counter()
-        af.jsonio.dumps(finish(af.amalgam.build(spec)))
+        af.jsonio.write_json(target, finish(af.amalgam.build(spec)))
         return time.perf_counter() - start
 
     ratios: list[float] = []
@@ -270,6 +292,7 @@ def run_pairs(kind: str, name: str, depth: int, *radii_and_roots: str) -> dict:
         else:
             before, after = op(packages[0]), op(packages[1])
         ratios.append(after / before)
+    where.cleanup()
     return {"pair_ratio": round(statistics.median(ratios), 4),
             "pair_wins": sum(x < 1 for x in ratios), "pairs": len(ratios)}
 
@@ -292,17 +315,15 @@ def run_report_rung(name: str, depth: int) -> dict:
     t1 = time.perf_counter()
     report = cli.build_report(br)
     t2 = time.perf_counter()
-    text = jsonio.dumps(report)
-    t3 = time.perf_counter()
+    t3, peak, size, digest = _write_artifact(jsonio, report)
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
             "tree_s": round(spent["tree_s"], 4), "sum_s": round(spent["sum_s"], 4),
             "report_s": round(t2 - t1, 3), "contract_s": round(spent["contract_s"], 3),
             "check_s": round(spent["check_s"], 3),
             "fit_s": round(spent["fit_s"], 3), "write_s": round(t3 - t2, 3),
-            "peak_rss_mb": _peak_rss_mb(),
-            "report_bytes": len(text.encode()), "verdict": "PASS" if ok else "FAIL",
-            "sha256": hashlib.sha256(text.encode()).hexdigest()}
+            "peak_rss_mb": peak, "report_bytes": size, "verdict": "PASS" if ok else "FAIL",
+            "sha256": digest}
 
 
 def _random_connected_graph(rng, size: int):
