@@ -25,14 +25,13 @@ infinite object.
 
 from __future__ import annotations
 
-import json
 from functools import cached_property
 from itertools import chain
 from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, GraphFormatError, PreconditionError
 from .graphs import FiniteGraph, load_graph
-from .groups import GroupAction, compute_automorphisms, invert
+from .groups import GroupAction, compute_automorphisms, invert, is_automorphism
 from .records import Record
 
 ROOT = "t1"
@@ -576,6 +575,16 @@ def contract_to_amalgam(h: SumGraph) -> AmalgamGraph:
 # -- action-respecting checks -------------------------------------------------
 
 
+def _check_keeps_family(adhesions: AdhesionFamily, perms: Iterable[Mapping[str, str]]):
+    """Raise unless each permutation maps each adhesion set into the family."""
+    all_sets = set(adhesions.sets.values())
+    for p in perms:
+        for k in adhesions.labels:
+            if frozenset(p[v] for v in adhesions.sets[k]) not in all_sets:
+                raise PreconditionError(
+                    f"group element moves the {k!r} set off the adhesion family")
+
+
 def select_orbit_representatives(adhesions: AdhesionFamily,
                                  action: GroupAction) -> tuple[tuple[str, ...], dict[str, str]]:
     """One least-label representative per orbit of boundary sets.
@@ -586,20 +595,13 @@ def select_orbit_representatives(adhesions: AdhesionFamily,
     """
     if action.graph is not adhesions.graph and action.graph.vertices != adhesions.graph.vertices:
         raise PreconditionError("action and adhesion family live on different graphs")
-    set_of = {k: adhesions[k] for k in adhesions.labels}
-    all_sets = set(set_of.values())
-    for p in action.elements:
-        for k in adhesions.labels:
-            img = frozenset(p[v] for v in set_of[k])
-            if img not in all_sets:
-                raise PreconditionError(
-                    f"group element moves the {k!r} set off the adhesion family")
+    _check_keeps_family(adhesions, action.elements)
     rep_of: dict[str, str] = {}
     for k in adhesions.labels:
         if k in rep_of:
             continue
-        orbit_sets = action.set_orbit(set_of[k])
-        orbit_labels = sorted(l for l in adhesions.labels if set_of[l] in orbit_sets)
+        orbit_sets = action.set_orbit(adhesions.sets[k])
+        orbit_labels = sorted(l for l in adhesions.labels if adhesions.sets[l] in orbit_sets)
         rep = orbit_labels[0]
         for l in orbit_labels:
             rep_of[l] = rep
@@ -616,7 +618,10 @@ def _require_int(value, what: str) -> int:
     return value
 
 
-def _generators(doc: Mapping, key: str) -> list[dict[str, str]]:
+def _generated(doc: Mapping, key: str, adhesions: AdhesionFamily) -> GroupAction:
+    """The group that ``actions.<key>`` generates on the family's graph.
+    A group keeps a finite family of sets iff its generators do, so they
+    are checked before the group, |G|·|V| in memory, is closed."""
     gens = doc.get(key, [])
     if not isinstance(gens, list) or not all(
             isinstance(g, Mapping) and all(isinstance(x, str) and isinstance(y, str)
@@ -624,11 +629,16 @@ def _generators(doc: Mapping, key: str) -> list[dict[str, str]]:
             for g in gens):
         raise ConfigError(
             f"actions.{key} must be a list of vertex-to-vertex objects, not {gens!r}")
-    return [dict(g) for g in gens]
+    for p in gens:  # a map that is no automorphism is reported as such first
+        if not is_automorphism(adhesions.graph, p):
+            raise PreconditionError("generator is not an automorphism")
+    _check_keeps_family(adhesions, gens)
+    return GroupAction.from_generators(adhesions.graph, gens)
 
 
-def _parse_actions(doc: Mapping, g1: FiniteGraph, g2: FiniteGraph,
+def _parse_actions(doc: Mapping, adh1: AdhesionFamily, adh2: AdhesionFamily,
                    same_factor: bool) -> tuple[GroupAction, GroupAction]:
+    g1, g2 = adh1.graph, adh2.graph
     mode = doc.get("mode", "generators")
     if mode == "full":
         a1 = compute_automorphisms(g1)
@@ -639,10 +649,10 @@ def _parse_actions(doc: Mapping, g1: FiniteGraph, g2: FiniteGraph,
         a2 = a1 if same_factor else GroupAction.trivial(g2)
         return a1, a2
     if mode == "generators":
-        a1 = GroupAction.from_generators(g1, _generators(doc, "factor1"))
+        a1 = _generated(doc, "factor1", adh1)
         if same_factor and "factor2" not in doc:
             return a1, a1
-        a2 = GroupAction.from_generators(g2, _generators(doc, "factor2"))
+        a2 = _generated(doc, "factor2", adh2)
         return a1, a2
     raise ConfigError(f"unknown actions mode {mode!r}")
 
@@ -666,6 +676,8 @@ class AmalgamationSpec:
 
     @classmethod
     def from_json_dict(cls, doc: Mapping) -> "AmalgamationSpec":
+        if not isinstance(doc, Mapping):
+            raise ConfigError("amalgamation document must be a JSON object")
         try:
             name = doc.get("name", "unnamed")
             factor_docs = doc["factors"]
@@ -707,7 +719,7 @@ class AmalgamationSpec:
         actions = doc.get("actions", {"mode": "full"})
         if not isinstance(actions, Mapping):
             raise ConfigError("actions must be an object")
-        action1, action2 = _parse_actions(actions, g1, g2, same_factor)
+        action1, action2 = _parse_actions(actions, adh1, adh2, same_factor)
         declared = doc.get("asdim")
         if declared is not None:
             if not isinstance(declared, Mapping):
@@ -721,16 +733,6 @@ class AmalgamationSpec:
             declared = dict(declared)
         return cls(name, g1, g2, adh1, adh2, atlas, depth, type2_J,
                    action1, action2, declared)
-
-    @classmethod
-    def from_json_str(cls, text: str) -> "AmalgamationSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"bad JSON: {exc}") from exc
-        if not isinstance(doc, dict):
-            raise ConfigError("amalgamation document must be a JSON object")
-        return cls.from_json_dict(doc)
 
 
 class BuildResult(Record):

@@ -20,44 +20,22 @@ from pathlib import Path
 from .amalgam import AmalgamationSpec, BuildResult, build
 from .covers import exact_min_bound, greedy_witness
 from .errors import ConfigError, PreconditionError
-from .graphs import FiniteGraph, MetricView, load_graph, relabel_sorted
+from .graphs import MetricView, load_graph, relabel_sorted
 from .groups import compute_automorphisms
 from .jsonio import dump, read_json, write_json
 from .theorem import (ProofParameters, projection_fit, run_certificate,
                       stretched_edges, theorem_bound)
 
 
-# -- input loading ------------------------------------------------------------
-
-
-def _read_text(path: str) -> str:
+def _emit(doc, out: str | Path | None):
+    """``doc`` to the file ``out`` by ``write_json``, or to stdout with no
+    ``out``; a path it cannot write is an input error (exit 2)."""
+    if not out:
+        return dump(doc, sys.stdout)
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigError(f"cannot read {path}: {exc}") from exc
-
-
-def _graph_from_file(path: str) -> FiniteGraph:
-    return load_graph(_read_text(path))
-
-
-def _spec_from_file(path: str) -> AmalgamationSpec:
-    return AmalgamationSpec.from_json_str(_read_text(path))
-
-
-def _write(path, doc):
-    """``write_json``; a path it cannot write is an input error (exit 2)."""
-    try:
-        write_json(path, doc)
+        write_json(out, doc)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc}") from exc
-
-
-def _emit(doc, out: str | None):
-    if out:
-        _write(out, doc)
-    else:
-        dump(doc, sys.stdout)
+        raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
 # -- shared measurements -------------------------------------------------------
@@ -96,7 +74,7 @@ def _witness_doc(w, valid: bool) -> dict:
 
 
 def cmd_build(args) -> int:
-    spec = _spec_from_file(args.spec)
+    spec = AmalgamationSpec.from_json_dict(read_json(args.spec))
     br = build(spec, args.depth)
     report = build_report(br)
     _emit(report, args.out)
@@ -108,7 +86,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    g = _graph_from_file(args.spec)
+    g = load_graph(read_json(args.spec))
     res = greedy_witness(MetricView(g), args.r, args.n)
     if not res.ok:
         print(f"FAIL witness: {res.detail}")
@@ -123,7 +101,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = _graph_from_file(args.spec)
+    g = load_graph(read_json(args.spec))
     w = exact_min_bound(MetricView(g), args.r, args.n)
     problems = w.violations()
     _emit(_witness_doc(w, not problems), args.out)
@@ -133,7 +111,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    g = _graph_from_file(args.spec)
+    g = load_graph(read_json(args.spec))
     action = compute_automorphisms(g)
     orbits = action.orbits()
     doc = {"order": len(action),
@@ -145,13 +123,13 @@ def cmd_aut(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    spec = _spec_from_file(args.spec)
+    spec = AmalgamationSpec.from_json_dict(read_json(args.spec))
     depth = spec.depth if args.depth is None else args.depth
     params = ProofParameters(R=args.R, r=args.r, depth=depth)
     br = build(spec, depth)
     cert = run_certificate(br, params)
     out = args.out or "cert.json"
-    _write(out, cert.to_json_dict())
+    _emit(cert.to_json_dict(), out)
     for st in cert.stages:
         print(f"  {st.name}: {'ok' if st.verdict else 'FAIL'}")
     print(f"{cert.verdict} bound={cert.bound} -> {out}")
@@ -182,14 +160,14 @@ def cmd_iterate(args) -> int:
         report = build_report(br)
         report["stage"] = idx + 1
         ok = ok and report["projection"]["ok"] and report["atlas"]["ok"]
-        _write(outdir / f"stage{idx + 1:02d}_{spec.name}.json", report)
+        _emit(report, outdir / f"stage{idx + 1:02d}_{spec.name}.json")
         decl = spec.declared_asdim
         bound = max(bound, theorem_bound(decl.get("factor1", 0),
                                          decl.get("factor2", 0),
                                          decl.get("adhesion", 0)))
         names.append(spec.name)
         prev = br
-    _write(outdir / "iterate_summary.json", {"stages": names, "bound": bound})
+    _emit({"stages": names, "bound": bound}, outdir / "iterate_summary.json")
     print(f"{'PASS' if ok else 'FAIL'} stages={len(names)} bound={bound} -> {outdir}")
     return 0 if ok else 1
 
@@ -240,7 +218,7 @@ def cmd_report(args) -> int:
     for r in rows:
         print("  ".join(str(r[f]).ljust(widths[f]) for f in _ROW_FIELDS).rstrip())
     if args.out:
-        _write(args.out, {"rows": rows})
+        _emit({"rows": rows}, args.out)
     return 0
 
 

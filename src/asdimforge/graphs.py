@@ -8,7 +8,6 @@ hop counts; unreachable pairs and distances to the empty set are
 
 from __future__ import annotations
 
-import json
 import math
 from collections import deque
 from fractions import Fraction
@@ -251,18 +250,13 @@ def relabel_sorted(graph: FiniteGraph) -> tuple[FiniteGraph, dict[str, str]]:
     return renamed, names
 
 
-def load_graph(doc: dict | str) -> FiniteGraph:
-    """Read a graph document and insist on connectivity.
+def load_graph(doc) -> FiniteGraph:
+    """Read a parsed graph document and insist on connectivity.
 
     Accepts only the JSON object form
-    ``{"vertices": [...], "edges": [[a, b], ...]}``, as a dict or a JSON
-    string.  Keys other than those two are ignored.
+    ``{"vertices": [...], "edges": [[a, b], ...]}``.  Keys other than
+    those two are ignored.
     """
-    if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError as exc:
-            raise GraphFormatError(f"bad JSON graph document: {exc}") from exc
     if not isinstance(doc, dict):
         raise GraphFormatError("graph document must be a JSON object")
     try:

@@ -1,13 +1,11 @@
-"""Deterministic JSON emission shared by the CLI and the certificate engine.
+"""The one module that knows the JSON format.
 
-Values that JSON cannot carry natively are stringified the same way
-everywhere: exact rationals as "p/q", infinities as "inf"/"-inf".
-One writer makes the text: ``dumps`` joins it into a string, and
-``dump`` streams it to a file, ``CHUNK_PIECES`` pieces at a time, so
-the writer holds a bounded run of pieces rather than the artifact.
-``write_json`` streams to a temporary sibling and renames it into place,
-so a crash never leaves a half-written artifact; the CLI streams a
-document to stdout the same way.
+``read_json`` parses every input document and accepts standard JSON
+(RFC 8259) only: no ``NaN`` or ``Infinity``, no repeated object name.
+``dump`` writes every artifact from plain JSON values, streaming the text
+``CHUNK_PIECES`` pieces at a time; ``write_json`` streams to a temporary
+sibling and renames it into place, so a crash never leaves a
+half-written artifact.
 """
 
 from __future__ import annotations
@@ -16,61 +14,25 @@ import errno
 import json
 import math
 import os
-from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import ConfigError
 
-
-def to_jsonable(value):
-    """Recursively rewrite a value into plain JSON-safe types."""
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, float):
-        if math.isinf(value):
-            return "inf" if value > 0 else "-inf"
-        if value == int(value):
-            return int(value)
-        return value
-    if isinstance(value, dict):
-        return {str(k): to_jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [to_jsonable(v) for v in value]
-    if isinstance(value, (set, frozenset)):
-        return [to_jsonable(v) for v in sorted(value)]
-    if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
-        return value
-    if hasattr(value, "to_json_dict"):
-        return to_jsonable(value.to_json_dict())
-    raise TypeError(f"cannot serialize {type(value).__name__}")
-
-
-# how many pieces ``_write`` piles up before a streaming write hands them to
-# the file.  A certificate's pieces average about 10 bytes, so a chunk is
-# about 10 KB: few enough writes that streaming costs a few percent of the
-# writer's time, and about 0.1 MB of memory at any artifact size, where
-# joining the whole text took 7-8 times the artifact's size.
+# how many pieces ``_write`` piles up before it hands them to the file.  A
+# certificate's pieces average about 10 bytes, so a chunk is about 10 KB:
+# few enough writes that streaming costs a few percent of the writer's
+# time, and about 0.1 MB of memory at any artifact size, where joining the
+# whole text took 7-8 times the artifact's size.
 CHUNK_PIECES = 1024
 
 
-def dumps(value) -> str:
-    """``value`` as JSON with sorted keys and two-space indents, plus a newline.
-
-    The text is ``json.dumps(to_jsonable(value), sort_keys=True,
-    indent=2)``'s, written in one pass that converts as it goes: the
-    standard encoder writes indented JSON in pure Python through nested
-    generators, which made it a third of a certificate run.
-    """
-    out: list[str] = []
-    _write(value, "\n", out, None)
-    out.append("\n")
-    return "".join(out)
-
-
 def dump(value, fh) -> None:
-    """Write ``dumps(value)``'s text to the text file ``fh``, a chunk at a
-    time, so the text is never held whole."""
+    """Write ``value`` to the text file ``fh`` as ``json.dumps(value,
+    sort_keys=True, indent=2)`` writes it, plus a newline, a chunk at a
+    time.  The standard encoder writes indented JSON in pure Python
+    through nested generators, which made it a third of a certificate run.
+    """
     def flush(out: list[str]):
         fh.write("".join(out))
         out.clear()
@@ -83,9 +45,11 @@ def dump(value, fh) -> None:
 
 def _write(value, newline: str, out: list[str], sink):
     """Append the JSON of ``value`` to ``out``; ``newline`` opens a line at
-    the current indent.  With a ``sink``, each list or object that ends with
-    more than ``CHUNK_PIECES`` pieces in ``out`` hands ``out`` to it, and
-    the sink empties it."""
+    the current indent.  Each list or object that ends with more than
+    ``CHUNK_PIECES`` pieces in ``out`` hands ``out`` to ``sink``, which
+    empties it.  A float is written as "inf"/"-inf" if infinite and as an
+    int if integral; a value that is no str, int, bool, None, list, tuple,
+    dict with str keys or float, NaN included, raises ``TypeError``."""
     kind = type(value)
     if kind is str:
         out.append(encode_basestring_ascii(value))
@@ -108,37 +72,32 @@ def _write(value, newline: str, out: list[str], sink):
                 _write(item, inner, out, sink)
             lead = "," + inner
         out.append(newline + "]")
-        if sink is not None and len(out) > CHUNK_PIECES:
+        if len(out) > CHUNK_PIECES:
             sink(out)
     elif kind is dict:
         if not value:
             out.append("{}")
             return
-        named = {str(k): v for k, v in value.items()}
         inner = newline + "  "
         lead = "{" + inner
-        for key in sorted(named):
+        # a key that is no str fails to sort or to encode, with a TypeError
+        for key in sorted(value):
             out.append(lead + encode_basestring_ascii(key) + ": ")
-            _write(named[key], inner, out, sink)
+            _write(value[key], inner, out, sink)
             lead = "," + inner
         out.append(newline + "}")
-        if sink is not None and len(out) > CHUNK_PIECES:
+        if len(out) > CHUNK_PIECES:
             sink(out)
     elif value is None:
         out.append("null")
     elif kind is bool:
         out.append("true" if value else "false")
+    elif kind is float and math.isfinite(value):
+        out.append(int.__repr__(int(value)) if value.is_integer() else float.__repr__(value))
+    elif kind is float and math.isinf(value):
+        out.append('"inf"' if value > 0 else '"-inf"')
     else:
-        # everything else as ``to_jsonable`` rewrites it, subclasses included
-        plain = to_jsonable(value)
-        if isinstance(plain, str):
-            out.append(encode_basestring_ascii(plain))
-        elif isinstance(plain, float):
-            out.append(float.__repr__(plain))
-        elif isinstance(plain, int) and not isinstance(plain, bool):
-            out.append(int.__repr__(plain))
-        else:  # a plain dict or list, a bool or None
-            _write(plain, newline, out, sink)
+        raise TypeError(f"cannot serialize {kind.__name__}")
 
 
 def write_json(path: str | Path, value) -> Path:
@@ -166,16 +125,31 @@ def write_json(path: str | Path, value) -> Path:
     return path
 
 
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not standard JSON")
+
+
+def _unique_names(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        name = next(k for i, (k, _) in enumerate(pairs) if k in dict(pairs[:i]))
+        raise ValueError(f"repeated object name {name!r}")
+    return obj
+
+
 def read_json(path: str | Path):
+    """The standard JSON document in the UTF-8 file ``path``; anything
+    else raises ``ConfigError`` naming the file."""
     path = Path(path)
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, parse_constant=_no_constant,
+                             object_pairs_hook=_unique_names)
     except FileNotFoundError as exc:
         raise ConfigError(f"missing file {path}") from exc
     except OSError as exc:  # a directory, a file it may not read, ...
         raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"corrupt JSON in {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except (ValueError, RecursionError) as exc:  # bad syntax, NaN, a repeated name, deep nests
+        raise ConfigError(f"corrupt JSON in {path}: {exc}") from exc

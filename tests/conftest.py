@@ -7,12 +7,14 @@ the same objects, which also exercises result reuse.
 from __future__ import annotations
 
 import importlib.util
+import io
 from collections import deque
 from pathlib import Path
 
 import pytest
 
 import asdimforge as af
+from asdimforge import jsonio
 from asdimforge.amalgam import ROOT, SumGraph, copy_vertex
 from asdimforge.fixtures import (chain_spec_doc, path_graph_doc,
                                  triangle_spec_doc, type2_spec_doc)
@@ -59,6 +61,13 @@ def copies_by_id(graph: af.FiniteGraph) -> dict[str, tuple[str, ...]]:
     for v in graph.vertices:
         out.setdefault(split_vertex_id(v)[0], []).append(v)
     return {u: tuple(vs) for u, vs in out.items()}
+
+
+def dumps(value) -> str:
+    """The text ``jsonio.dump`` writes for ``value``, as one string."""
+    out = io.StringIO()
+    jsonio.dump(value, out)
+    return out.getvalue()
 
 
 def build_doc(doc, depth=None) -> af.BuildResult:

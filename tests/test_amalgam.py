@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,8 @@ from asdimforge.amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, Connecti
                                 build_sum_graph, contract_to_amalgam, copy_vertex,
                                 select_orbit_representatives, validate_bonding_atlas)
 from asdimforge.errors import ConfigError, GraphFormatError, PreconditionError
-from asdimforge.fixtures import chain_spec_doc, triangle_spec_doc, type2_spec_doc
+from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc, triangle_spec_doc,
+                                 type2_spec_doc)
 from asdimforge.groups import GroupAction, compute_automorphisms
 
 from conftest import (build_doc, copies_by_id, label_paths, line_graph, path_ids,
@@ -654,10 +656,61 @@ def test_spec_document_errors():
         AmalgamationSpec.from_json_dict(broken(asdim={"factor9": 1}))
     with pytest.raises(ConfigError):
         AmalgamationSpec.from_json_dict({"name": "x"})
-    with pytest.raises(ConfigError):
-        AmalgamationSpec.from_json_str("{not json")
-    with pytest.raises(ConfigError):
-        AmalgamationSpec.from_json_str("[1, 2]")
+    # a parsed document that is no object; text that is no JSON at all is
+    # read_json's to reject (tests/test_cli.py, test_a_document_that_is_no_object_exits_2)
+    for doc in ([1, 2], "{not json", None):
+        with pytest.raises(ConfigError, match="must be a JSON object"):
+            AmalgamationSpec.from_json_dict(doc)
+
+
+def rotating_cycle_doc(n: int) -> dict:
+    """A cycle of n vertices glued at one vertex to an edge, with the
+    rotation as factor 1's generator: the rotation moves the one adhesion
+    set off the family, so the document is rejected."""
+    names = cycle_graph_doc(n)["vertices"]
+    return {"name": f"cycle{n}_rotation",
+            "factors": [cycle_graph_doc(n), {"vertices": ["x", "y"], "edges": [["x", "y"]]}],
+            "adhesions": [{"0": ["c0"]}, {"x": ["x"], "y": ["y"]}],
+            "atlas": [{"left": "0", "right": l, "pairs": [["c0", l]]} for l in ("x", "y")],
+            "tree": {"p1": 1, "p2": 2, "depth": 4},
+            "actions": {"mode": "generators",
+                        "factor1": [{names[i]: names[(i + 1) % n] for i in range(n)}],
+                        "factor2": [{"x": "y", "y": "x"}]}}
+
+
+def test_generators_are_checked_against_the_family_before_the_closure(monkeypatch):
+    """A generator that moves an adhesion set off the family is rejected
+    while the spec is parsed, before the group is closed: at n=500 the
+    closure alone has a traced peak of 16.4 MB."""
+    doc = rotating_cycle_doc(500)
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError,
+                           match="moves the '0' set off the adhesion family"):
+            AmalgamationSpec.from_json_dict(doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16.4e6 / 4, peak
+
+    def no_closure(*args):
+        raise AssertionError("the group was closed")
+    monkeypatch.setattr(GroupAction, "from_generators", no_closure)
+    with pytest.raises(PreconditionError, match="off the adhesion family"):
+        AmalgamationSpec.from_json_dict(rotating_cycle_doc(6))
+
+
+def test_a_generator_that_is_no_automorphism_is_reported_first():
+    """Even when it also moves a set off the family, and when it is a
+    partial map, which the family check could not read."""
+    names = cycle_graph_doc(6)["vertices"]
+    for gen in ({**{v: v for v in names}, "c0": "c2", "c2": "c0"},  # moves c0 off too
+                {"c0": "c1"},
+                {"c0": "c1", "c1": "c0"}):
+        doc = rotating_cycle_doc(6)
+        doc["actions"]["factor1"] = [gen]
+        with pytest.raises(PreconditionError, match="generator is not an automorphism"):
+            AmalgamationSpec.from_json_dict(doc)
 
 
 def test_build_rejects_invalid_atlas():

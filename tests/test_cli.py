@@ -21,7 +21,7 @@ from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc,
 from asdimforge.graphs import INF, FiniteGraph
 from asdimforge.theorem import ProofParameters, projection_fit, translation_sites
 
-from conftest import build_doc, path_ids, projection_map, remap_nodes, without_a_bridge_at
+from conftest import build_doc, dumps, path_ids, projection_map, remap_nodes, without_a_bridge_at
 from test_graphs import _ref_fit
 
 
@@ -423,7 +423,7 @@ def test_aut_command(tmp_path, capsys):
     assert doc["order"] == 14
     # without --out the document goes to stdout, as for build and witness
     assert cli.main(["aut", "--spec", graph]) == 0
-    assert capsys.readouterr().out == jsonio.dumps(doc) + "order=14 orbits=1\n"
+    assert capsys.readouterr().out == dumps(doc) + "order=14 orbits=1\n"
     # an ``annotations`` key is not part of a graph document, whatever it holds
     edge = {"vertices": ["a", "b"], "edges": [["a", "b"]]}
     assert cli.main(["aut", "--spec", write_doc(tmp_path, "edge.json", edge)]) == 0
@@ -452,6 +452,60 @@ def test_plain_text_edge_list_exits_2(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def _one_error_line_naming(capsys, text: str):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert text in captured.err
+
+
+def test_a_document_that_is_no_object_exits_2(tmp_path, capsys):
+    """A spec or graph file must hold one JSON object; text that is no
+    JSON is reported with the file's name."""
+    for text, says in (("[1, 2]", "must be a JSON object"), ('"c0"', "must be a JSON object"),
+                       ("{not json", "corrupt JSON in")):
+        path = tmp_path / "doc.json"
+        path.write_text(text)
+        for argv in (["build", "--spec", str(path)], ["aut", "--spec", str(path)],
+                     ["witness", "--spec", str(path), "--r", "2"]):
+            assert cli.main(argv) == 2, argv
+            _one_error_line_naming(capsys, says)
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_a_non_standard_constant_exits_2(tmp_path, capsys, constant):
+    """Standard JSON has no NaN or Infinity: a witness artifact holding
+    one as its bound, or a spec holding one, is not read."""
+    artifacts = tmp_path / "artifacts"
+    artifacts.mkdir()
+    (artifacts / "w.json").write_text(
+        '{"D": %s, "families": [], "valid": true}' % constant)
+    for out in ([], ["--out", str(tmp_path / "t.json")]):
+        assert cli.main(["report", str(artifacts), *out]) == 2
+        _one_error_line_naming(capsys, "w.json")
+    assert not (tmp_path / "t.json").exists()
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(chain_spec_doc(4)).replace('"depth": 4', f'"depth": {constant}'))
+    assert cli.main(["build", "--spec", str(spec)]) == 2
+    _one_error_line_naming(capsys, "spec.json")
+
+
+def test_a_repeated_object_name_exits_2(tmp_path, capsys):
+    """An object names each member once: a spec that gives ``depth``
+    twice is rejected, not built at whichever value comes last."""
+    text = json.dumps(chain_spec_doc(40))
+    assert text.count('"depth": 40') == 1
+    spec = tmp_path / "spec.json"
+    spec.write_text(text.replace('"depth": 40', '"depth": 40, "depth": 4'))
+    assert cli.main(["build", "--spec", str(spec), "--out", str(tmp_path / "r.json")]) == 2
+    _one_error_line_naming(capsys, "spec.json")
+    assert not (tmp_path / "r.json").exists()
+    graph = tmp_path / "graph.json"
+    graph.write_text('{"vertices": ["a", "b"], "edges": [["a", "b"]], "edges": []}')
+    assert cli.main(["aut", "--spec", str(graph)]) == 2
+    _one_error_line_naming(capsys, "graph.json")
 
 
 def test_verify_theorem_command(tmp_path, capsys):

@@ -158,19 +158,20 @@ def test_diameter_and_components():
 
 
 def test_load_graph_forms_and_errors():
-    g = af.load_graph('{"vertices": ["a", "b"], "edges": [["a", "b"]]}')
+    g = af.load_graph({"vertices": ["a", "b"], "edges": [["a", "b"]]})
     assert g.same_as(af.FiniteGraph(["a", "b"], [("a", "b")]))
     with pytest.raises(GraphFormatError):
-        af.load_graph('{"vertices": ["a", "b"], "edges": []}')  # disconnected
+        af.load_graph({"vertices": ["a", "b"], "edges": []})  # disconnected
     with pytest.raises(GraphFormatError):
-        af.load_graph('{"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]}')
+        af.load_graph({"vertices": ["a", "b"], "edges": [["a", "b"], ["b", "a"]]})
     with pytest.raises(GraphFormatError):
-        af.load_graph('{"vertices": ["a"]}')
-    with pytest.raises(GraphFormatError):
-        af.load_graph("not { json and not edges")
-    # plain-text edge lists are not a graph document form
-    with pytest.raises(GraphFormatError):
-        af.load_graph("# comment\na b\nb c\n")
+        af.load_graph({"vertices": ["a"]})
+    # it reads a parsed document only: text, JSON or an edge list, is no
+    # object (the CLI's exit-2 tests read such files through read_json)
+    for text in ('{"vertices": ["a", "b"], "edges": [["a", "b"]]}',
+                 "not { json and not edges", "# comment\na b\nb c\n"):
+        with pytest.raises(GraphFormatError, match="must be a JSON object"):
+            af.load_graph(text)
     # a string or an object where a list belongs is rejected, not iterated
     for doc in ({"vertices": "ab", "edges": [["a", "b"]]},
                 {"vertices": ["a", "b"], "edges": "ab"},
@@ -181,7 +182,7 @@ def test_load_graph_forms_and_errors():
     # ids are strings: a number is rejected, not read as its decimal string
     for doc in ({"vertices": ["a", 1], "edges": [["a", "1"]]},
                 {"vertices": ["a", "b"], "edges": [["a", 0]]},
-                '{"vertices": [0, 1], "edges": [[0, 1]]}',
+                {"vertices": [0, 1], "edges": [[0, 1]]},
                 {"vertices": ["a", None], "edges": [["a", None]]}):
         with pytest.raises(GraphFormatError, match="must be"):
             af.load_graph(doc)

@@ -12,7 +12,10 @@ standard library's ``ast`` only.  The roots are:
 
 From there every name that reached code loads, as a bare name or as an
 attribute, reaches every definition of that name, whatever its module or
-class; a reached function's body reaches on.  Dunder methods are reached
+class; a reached function's body reaches on.  An attribute read off a
+module that an ``import`` statement binds from outside the package
+(``json.dumps``, ``os.path.join``) names that module's definition, and
+reaches none of the package's.  Dunder methods are reached
 with their class.  The test asserts that every top-level function and
 class, and every other method, is reached: an API that nothing calls
 fails here, and a test alone does not count as a caller.
@@ -41,15 +44,28 @@ def _is_dunder(name: str) -> bool:
     return name.startswith("__") and name.endswith("__")
 
 
-def _loaded_names(nodes) -> set[str]:
-    """Bare names and attribute names that the code loads."""
+def foreign_modules(tree: ast.AST) -> set[str]:
+    """The names that ``import`` statements bind to modules from outside
+    the package."""
+    return {alias.asname or alias.name.split(".")[0]
+            for sub in ast.walk(tree) if isinstance(sub, ast.Import)
+            for alias in sub.names if alias.name.split(".")[0] != "asdimforge"}
+
+
+def _loaded_names(nodes, foreign: set[str]) -> set[str]:
+    """Bare names and attribute names that the code loads, less the
+    attributes read off a ``foreign`` module name."""
     out: set[str] = set()
     for node in nodes:
         for sub in ast.walk(node):
             if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
                 out.add(sub.id)
             elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
-                out.add(sub.attr)
+                root = sub.value
+                while isinstance(root, ast.Attribute):
+                    root = root.value
+                if not (isinstance(root, ast.Name) and root.id in foreign):
+                    out.add(sub.attr)
     return out
 
 
@@ -78,6 +94,7 @@ class _Definition(NamedTuple):
     label: str
     name: str
     body: list  # nodes whose loaded names the definition reaches
+    foreign: set[str]  # its module's names for modules outside the package
 
 
 def scan_package():
@@ -86,33 +103,35 @@ def scan_package():
     roots: set[str] = set()
     for path in sorted(PACKAGE.glob("*.py")):
         module = path.stem
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        foreign = foreign_modules(tree)
+        for stmt in tree.body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             if isinstance(stmt, FUNCTIONS):
-                roots |= _loaded_names(_header(stmt))
+                roots |= _loaded_names(_header(stmt), foreign)
                 definitions.append(_Definition(f"{module}.{stmt.name}", stmt.name,
-                                               stmt.body + [stmt.args]))
+                                               stmt.body + [stmt.args], foreign))
                 if stmt.name.startswith("cmd_"):
                     roots.add(stmt.name)
             elif isinstance(stmt, ast.ClassDef):
-                roots |= _loaded_names(_header(stmt))
+                roots |= _loaded_names(_header(stmt), foreign)
                 class_body = []
                 for item in stmt.body:
                     if isinstance(item, FUNCTIONS):
-                        roots |= _loaded_names(_header(item))
+                        roots |= _loaded_names(_header(item), foreign)
                         if _is_dunder(item.name):
                             class_body += item.body + [item.args]
                         else:
                             definitions.append(_Definition(
                                 f"{module}.{stmt.name}.{item.name}", item.name,
-                                item.body + [item.args]))
+                                item.body + [item.args], foreign))
                     else:
-                        roots |= _loaded_names([item])
+                        roots |= _loaded_names([item], foreign)
                 definitions.append(_Definition(f"{module}.{stmt.name}", stmt.name,
-                                               class_body))
+                                               class_body, foreign))
             else:
-                roots |= _loaded_names([stmt])
+                roots |= _loaded_names([stmt], foreign)
     return definitions, roots
 
 
@@ -120,7 +139,7 @@ def external_roots() -> set[str]:
     names: set[str] = set()
     for path in EXTERNAL_ROOTS:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        names |= _loaded_names([tree]) | _spelled_names(tree)
+        names |= _loaded_names([tree], foreign_modules(tree)) | _spelled_names(tree)
     return names
 
 
@@ -134,7 +153,7 @@ def unreached() -> list[str]:
             break
         for d in hits:
             pending.remove(d)
-            reached |= _loaded_names(d.body)
+            reached |= _loaded_names(d.body, d.foreign)
     return sorted(d.label for d in pending)
 
 
@@ -147,6 +166,18 @@ def test_scan_sees_the_package_and_its_roots():
     assert not any(_is_dunder(label.rsplit(".", 1)[1]) for label in labels)
     assert "main" in roots  # cli's ``__main__`` guard
     assert {"run_certificate", "FiniteGraph", "distances_from"} <= external_roots()
+
+
+def test_attributes_of_foreign_modules_reach_nothing():
+    tree = ast.parse("import json\nimport os.path\nimport importlib.util as iu\n"
+                     "import asdimforge as af\nfrom asdimforge import jsonio\n"
+                     "json.dumps(x)\nos.path.join(a)\niu.find_spec(b)\n"
+                     "af.jsonio.dump(v)\njsonio.write_json(p)\njson.loads(s).get(k)\n")
+    foreign = foreign_modules(tree)
+    assert foreign == {"json", "os", "iu"}
+    names = _loaded_names([tree], foreign)
+    assert {"dump", "write_json", "get", "jsonio", "json"} <= names
+    assert not {"dumps", "loads", "path", "join", "find_spec"} & names
 
 
 def test_every_definition_is_reached():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 import asdimforge as af
-from asdimforge import jsonio, theorem
+from asdimforge import theorem
 from asdimforge.amalgam import ROOT, AmalgamationSpec, BuildResult, SumGraph, copy_vertex
 from asdimforge.errors import PreconditionError
 from asdimforge.fixtures import (chain_spec_doc, next_stage_doc, triangle_spec_doc,
@@ -21,7 +21,7 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
                                 theorem_bound, translation_sites, tree_graph,
                                 verify_separation)
 
-from conftest import (build_doc, copies_by_id, label_paths, path_ids, projection_map,
+from conftest import (build_doc, copies_by_id, dumps, label_paths, path_ids, projection_map,
                       reference_block_shape, reference_partition, reference_separation,
                       reference_symmetry_map, remap_nodes, split_vertex_id, torus_spec_doc,
                       without_a_bridge_at)
@@ -480,7 +480,7 @@ def test_certificate_lists_no_edges_and_no_edge_labels():
     per-node labels: it never lists H's edges or builds ``out_label``."""
     br = build_doc(chain_spec_doc(40))
     cert = run_certificate(br, ProofParameters(R=2, r=10, depth=40))
-    jsonio.dumps(cert.to_json_dict())
+    dumps(cert.to_json_dict())
     assert cert.passed()
     assert br.sum.graph._edges is None
     assert "out_label" not in vars(br.tree)
@@ -502,7 +502,7 @@ def test_certificate_serialization_is_deterministic():
     for doc in docs:
         br = af.build(AmalgamationSpec.from_json_dict(doc))
         cert = run_certificate(br, ProofParameters(R=2, r=10, depth=20))
-        texts.append(jsonio.dumps(cert.to_json_dict()))
+        texts.append(dumps(cert.to_json_dict()))
     assert texts[0] == texts[1]
     assert '"verdict": "PASS"' in texts[0]
 
@@ -1051,7 +1051,7 @@ def test_walk_works_out_each_step_once(monkeypatch, make, depth, r, digest):
     cert = run_certificate(br, ProofParameters(R=0, r=r, depth=depth))
     assert labels and steps
     assert max(labels.values()) == 1 and max(steps.values()) == 1
-    assert hashlib.sha256(jsonio.dumps(cert.to_json_dict()).encode()).hexdigest() == digest
+    assert hashlib.sha256(dumps(cert.to_json_dict()).encode()).hexdigest() == digest
 
 
 def test_symmetry_map_reports_a_missing_bridge_like_the_whole_walk():

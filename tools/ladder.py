@@ -102,8 +102,9 @@ REPORT_LADDER = (
     ("c3_k2", (10, 12, 14, 16, 18, 20)),
 )
 # (vertices, graphs) of the oracle ladder: batches of seeded random
-# connected graphs, each sized to take at least 0.2 s at commit 4e0eec5
-ORACLE_LADDER = ((8, 240), (10, 120), (12, 80))
+# connected graphs, each sized to take at least 0.2 s (0.44-0.56 s on a
+# 2-CPU VM at commit eddb63c)
+ORACLE_LADDER = ((8, 1200), (10, 800), (12, 640))
 # what an import rung's child runs: the cold start of the command line
 IMPORT_PROBE = """\
 import sys, time
