@@ -38,6 +38,18 @@ def _emit(doc, out: str | Path | None):
         raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
+def _read(path, parse, stage: int | None = None, doc=None):
+    """``parse`` of the document in the file ``path``, or of ``doc`` when
+    the caller has read it; a ``ConfigError`` that ``parse`` raises is
+    raised again naming the file, and in ``iterate`` the stage."""
+    doc = read_json(path) if doc is None else doc
+    try:
+        return parse(doc)
+    except ConfigError as exc:
+        where = path if stage is None else f"stage {stage} ({path})"
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
 # -- shared measurements -------------------------------------------------------
 
 
@@ -74,7 +86,7 @@ def _witness_doc(w, valid: bool) -> dict:
 
 
 def cmd_build(args) -> int:
-    spec = AmalgamationSpec.from_json_dict(read_json(args.spec))
+    spec = _read(args.spec, AmalgamationSpec.from_json_dict)
     br = build(spec, args.depth)
     report = build_report(br)
     _emit(report, args.out)
@@ -86,7 +98,7 @@ def cmd_build(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    g = load_graph(read_json(args.spec))
+    g = _read(args.spec, load_graph)
     res = greedy_witness(MetricView(g), args.r, args.n)
     if not res.ok:
         print(f"FAIL witness: {res.detail}")
@@ -101,7 +113,7 @@ def cmd_witness(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    g = load_graph(read_json(args.spec))
+    g = _read(args.spec, load_graph)
     w = exact_min_bound(MetricView(g), args.r, args.n)
     problems = w.violations()
     _emit(_witness_doc(w, not problems), args.out)
@@ -111,7 +123,7 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_aut(args) -> int:
-    g = load_graph(read_json(args.spec))
+    g = _read(args.spec, load_graph)
     action = compute_automorphisms(g)
     orbits = action.orbits()
     doc = {"order": len(action),
@@ -123,7 +135,7 @@ def cmd_aut(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    spec = AmalgamationSpec.from_json_dict(read_json(args.spec))
+    spec = _read(args.spec, AmalgamationSpec.from_json_dict)
     depth = spec.depth if args.depth is None else args.depth
     params = ProofParameters(R=args.R, r=args.r, depth=depth)
     br = build(spec, depth)
@@ -153,7 +165,7 @@ def cmd_iterate(args) -> int:
             renamed, _ = relabel_sorted(prev.amalgam.graph)
             raw = dict(raw)
             raw["factors"] = [renamed.to_json_dict()] + list(factors[1:])
-        spec = AmalgamationSpec.from_json_dict(raw)
+        spec = _read(path, AmalgamationSpec.from_json_dict, idx + 1, raw)
         if "/" in spec.name or "\0" in spec.name:
             raise ConfigError(f"stage {idx + 1} name {spec.name!r} may not contain '/' or NUL")
         br = build(spec, args.depth)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping
 from heapq import heappop, heappush
-from itertools import chain
-from operator import add
+from itertools import chain, islice
+from operator import add, getitem, itemgetter, lt
 
 from .amalgam import (ROOT, AdhesionFamily, AmalgamationSpec, BuildResult,
                       ConnectingTree, SumGraph)
@@ -499,9 +499,15 @@ def _by_node(h: SumGraph, vids: Iterable[str]) -> dict[str, list[str]]:
 
 
 class PartitionData(Record):
-    """Translated blocks plus the shells where they are allowed to meet."""
+    """Translated blocks plus the shells where they are allowed to meet.
+
+    ``kept`` maps each site, in the order its member follows W0 in
+    ``members``, to the nodes of the root ball whose images its member
+    keeps.
+    """
 
     members: tuple[Block, ...]
+    kept: Mapping[str, frozenset[str]]
     shells: Mapping[str, frozenset[str]]
     shell_union: frozenset[str]
     safe: frozenset[str]
@@ -536,12 +542,14 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     # edges are counted once per pair of nodes
     edges_between = Counter((h.node_of(a), h.node_of(b)) for a, b in base.w_r.edges)
     members = [base.w0]
+    kept_by_site: dict[str, frozenset[str]] = {}
     shells: dict[str, frozenset[str]] = {}
     for sm in maps:
         # the image keeps what lands in the site's subtree, a preorder run
         lo, hi = preorder[sm.site], tree.subtree_end[sm.site]
         node_map, vmap = sm.node_map, sm.vertex_map
-        kept = {u for u, u_img in node_map.items() if lo <= preorder[u_img] < hi}
+        kept = kept_by_site[sm.site] = frozenset(
+            u for u, u_img in node_map.items() if lo <= preorder[u_img] < hi)
         image = frozenset(vmap[v] for u in kept.intersection(block_over) for v in block_over[u])
         edges = sum(n for (a, b), n in edges_between.items() if a in kept and b in kept)
         members.append(Block(f"W@{sm.site}", image, edges))
@@ -564,7 +572,7 @@ def assemble_partition(br: BuildResult, params: ProofParameters,
     faults = [(members[i].name, members[j].name) for i, j in clashes]
     boundary_union = frozenset().union(
         *(H.boundary(s) for s in shells.values() if s)) if shells else frozenset()
-    return PartitionData(tuple(members), shells, shell_union, safe,
+    return PartitionData(tuple(members), kept_by_site, shells, shell_union, safe,
                          missing, tuple(faults),
                          boundary_union == shell_union)
 
@@ -752,10 +760,14 @@ def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
         H-distance matrix in sorted-id order;
     (b) every two points x, y of P are at most 2 rho apart, through the
         greatest point p, and each vertex of a shortest x-y path is
-        within rho of x or of y, so the path stays inside B(P, rho); any
-        point of P would do, and the greatest is taken because postorder
-        names a site's own copy last, so p sits at the block's centre
-        and rho is about half the eccentricity of a deepest leaf;
+        within rho of x or of y, so the path stays inside B(P, rho).  Any
+        point of P would do, and the key keeps the greatest, which need
+        not sit at the block's centre: postorder names a node after its
+        descendants, so p lies over the node of P nearest the site.  At
+        ``chain_k2`` d=400 (R=2, r=10) each site's member spans the ten
+        levels below the site and p lies one level down, so in 78 of the
+        79 members rho is 18 where the least eccentricity over P is 10,
+        and in 76 of them B(P, rho) has 56 vertices against 40;
     (c) equal keys give an isomorphism of the two induced ball
         subgraphs that keeps the point order, so by (b) the distance
         matrices are equal, and by (a) so are the rows.
@@ -798,6 +810,171 @@ def block_shape(H: FiniteGraph, points: frozenset[str]) -> tuple:
         edges += [(i, j) for w in adjacency[v] if (j := label.get(w, -1)) > i]
     edges.sort()
     return (len(order), rho, tuple(edges))
+
+
+def block_keys(br: BuildResult, part: PartitionData,
+               r: int) -> tuple[list[int | None], list[tuple]]:
+    """Each member's shape number (None for an empty block) and each
+    number's ``block_shape`` key, with one ball walk per distinct site
+    neighbourhood, not one per member.  Members share a number exactly
+    when their keys are equal, and only the distinct keys are kept.
+
+    A walked key with radius rho, at a site deeper than D = r + rho, is
+    filed under the member's kept node set and the site's signature at D
+    (``_site_signature``): the labels that the site and its D - 1
+    nearest ancestors are sent by, and its distance to the cut, capped
+    at D + 1.  A later member with the same kept set, whose site is
+    deeper than D and has the same signature there, takes the key
+    without a walk, once ``_is_built_layout`` has found H laid out as
+    ``build`` lays it out, premise (b); H laid out otherwise keeps one
+    walk per member.  Premise (a) is the tree's, which every stage
+    reads as ``build_connecting_tree`` lays it out.  The key is the one
+    ``block_shape`` gives, not merely an equivalent one:
+
+    (a) below the root, a node's up label and its children's labels, in
+        order, hang on its side and the label it is sent by, and the cut
+        leaves no child on level ``depth``.  So the signature fixes the
+        labelled tree within D of the site: the ancestors by the chain,
+        their other subtrees by the rule, the cut by the distance, and
+        the root lies beyond D.  Sending one site's ball to the other's
+        node by node along label paths (phi) keeps labels, sides,
+        children's order and, as two ball nodes compare at their lowest
+        common ancestor, which lies on their path through the site,
+        postorder;
+    (b) H is laid out by position: a copy's edges come from its factor,
+        a bridge's ends from the atlas entry of its edge's label pair,
+        each row lists its ends in id order, and ids order the vertices
+        by node in postorder, then by name within a copy.  So psi,
+        sending position i over u to position i over phi(u), keeps id
+        order on the ball, and every row over nodes within D - 1;
+    (c) the symmetry walk to level r <= D reads nothing but these labels
+        and positions, so the two sites' maps differ by psi, and two
+        members with the same kept set are P and psi(P);
+    (d) P lies over nodes within r of its site, so the vertices that
+        ``block_shape``'s searches expand, within rho - 1 of P or of its
+        greatest point, lie over nodes within D - 1.  psi carries both
+        searches step by step, the greatest point to the greatest point,
+        and the last level's edges inside the ball, so rho, the labels
+        and the edges agree.
+    """
+    H, tree = br.sum.graph, br.tree
+    level = tree.level
+    # kept set -> D -> signature -> shape number
+    memo: dict[frozenset[str], dict[int, dict[tuple, int]]] = {}
+    numbers: dict[tuple, int] = {}
+    built = None  # whether ``_is_built_layout`` holds, asked on the first hit
+    shapes: list[int | None] = []
+    for b, (site, kept) in zip(part.members, [(None, None), *part.kept.items()]):
+        if not b.vertices:
+            shapes.append(None)
+            continue
+        shape = None
+        if site is not None and built is not False:
+            for D, filed in memo.get(kept, {}).items():
+                if level[site] > D:
+                    shape = filed.get(_site_signature(tree, site, D))
+                    if shape is not None:
+                        break
+            if shape is not None and built is None:
+                built = _is_built_layout(br)
+                if not built:
+                    shape = None
+        if shape is None:
+            key = block_shape(H, b.vertices)
+            shape = numbers.setdefault(key, len(numbers))
+            rho = None if key[0] == "unreachable" else key[1]
+            # a key seen before dies here, not during the next walk: held
+            # that long it costs the collector about 1% of a c3_k2 run
+            del key
+            if site is not None and built is not False and rho is not None \
+                    and level[site] > r + rho:
+                D = r + rho
+                memo.setdefault(kept, {}).setdefault(D, {})[_site_signature(tree, site, D)] = shape
+        shapes.append(shape)
+    return shapes, list(numbers)
+
+
+def _site_signature(tree: ConnectingTree, t: str, D: int) -> tuple:
+    """t's distance to the cut, capped at D + 1, and the labels that t and
+    its D - 1 nearest ancestors are sent by; t lies deeper than D."""
+    parent, down = tree.parent, tree.down_label
+    labels, u = [], t
+    for _ in range(D):
+        labels.append(down[u])
+        u = parent[u]
+    return (min(tree.depth - tree.level[t], D + 1), *labels)
+
+
+def _is_built_layout(br: BuildResult) -> bool:
+    """Whether H is exactly the sum graph that the spec lays out on the
+    tree, premise (b) of ``block_keys``.
+
+    H lists the copies in postorder (``tree.nodes``), each of its
+    factor's size, and has no other vertex.  Its ids rise over the
+    copies in postorder, and within a copy in its factor's name order.
+    The row of position i over a node is exactly the bridges down
+    (children in order), the factor's edges by position and the bridge
+    up, each bridge's ends read from the atlas entry of its edge's label
+    pair.  Nodes of one side whose own and children's label pairs agree
+    have one row template, so each entry of it is checked over all of
+    them at once.
+    """
+    spec, tree, copies, H = br.spec, br.tree, br.sum.copies, br.sum.graph
+    side, parent, children = tree.node_side, tree.parent, tree.children
+    up, down, nodes = tree.up_label, tree.down_label, tree.nodes
+    factors = (spec.g1, spec.g2)
+    sizes = [len(g.vertices) for g in factors]
+    by_name = [sorted(range(len(g.vertices)), key=g.vertices.__getitem__) for g in factors]
+    laid, sides = list(map(copies.get, nodes)), [side[u] - 1 for u in nodes]
+    if None in laid or list(map(len, laid)) != [sizes[s] for s in sides] \
+            or H.vertices != tuple(chain.from_iterable(laid)):
+        return False
+    # each copy's greatest id lies below the next copy's least
+    least = map(getitem, laid, [by_name[s][0] for s in sides])
+    greatest = list(map(getitem, laid, [by_name[s][-1] for s in sides]))
+    if not all(map(lt, greatest, islice(least, 1, None))):
+        return False
+    where = [{x: i for i, x in enumerate(g.vertices)} for g in factors]
+    near = [[[at[y] for y in g.adjacency[x]] for x in g.vertices] for g, at in zip(factors, where)]
+
+    def bridges(s: int, pair: tuple[str, str]) -> dict[int, int]:
+        """Position over a node of side s + 1 -> its bridge's end over the
+        parent, pair being the edge's labels (the node's, the parent's)."""
+        k, l = pair if s == 0 else pair[::-1]
+        ends = [(where[0][x], where[1][y]) for x, y in spec.atlas.map_for(k, l).items()]
+        return dict(ends if s == 0 else [(b, a) for a, b in ends])
+
+    alike: dict[tuple, list[str]] = {}
+    for u, s in zip(nodes, sides):
+        alike.setdefault((s, up.get(u), down.get(u),
+                          *[(up[w], down[w]) for w in children[u]]), []).append(u)
+    adjacency = H.adjacency
+    for (s, k, l, *below), group in alike.items():
+        # the copies around each node of the group: per child, the node's
+        # own, the parent's
+        around = [[copies[children[u][c]] for u in group] for c in range(len(below))]
+        own = len(below)
+        around.append(list(map(copies.__getitem__, group)))
+        for i, j in zip(by_name[s], by_name[s][1:]):
+            if not all(map(lt, map(itemgetter(i), around[own]), map(itemgetter(j), around[own]))):
+                return False
+        downs = [{b: a for a, b in bridges(1 - s, pair).items()} for pair in below]
+        rise = {}
+        if k is not None:
+            around.append([copies[parent[u]] for u in group])
+            rise = bridges(s, (k, l))
+        for i in range(sizes[s]):
+            template = [(c, m[i]) for c, m in enumerate(downs) if i in m]
+            template += [(own, j) for j in near[s][i]]
+            if i in rise:
+                template.append((own + 1, rise[i]))
+            rows = list(map(adjacency.__getitem__, map(itemgetter(i), around[own])))
+            if set(map(len, rows)) != {len(template)}:
+                return False
+            for e, (c, j) in enumerate(template):
+                if list(map(itemgetter(e), rows)) != list(map(itemgetter(j), around[c])):
+                    return False
+    return True
 
 
 def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertificate:
@@ -868,23 +1045,23 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     }))
 
     # translates of one block shape share a row, so each shape is
-    # certified once (see block_shape)
+    # certified once (see block_shape and block_keys)
     uniform_rows = {}
-    by_shape: dict[tuple, dict] = {}
+    by_shape: dict[int, dict] = {}
     uniform_ok = True
     common_bound: int | float = 0
-    for b in part.members:
-        if not b.vertices:
+    shapes, _ = block_keys(br, part, r)
+    for b, shape in zip(part.members, shapes):
+        if shape is None:
             uniform_rows[b.name] = {"strategy": "none", "valid": False,
                                     "detail": "empty block"}
             uniform_ok = False
             continue
-        key = block_shape(H, b.vertices)
-        row = by_shape.get(key)
+        row = by_shape.get(shape)
         if row is None:
             w, strategy = _witness_for(b.view(H), r, n)
             problems = w.violations()
-            row = by_shape[key] = {"strategy": strategy, "bound": w.bound,
+            row = by_shape[shape] = {"strategy": strategy, "bound": w.bound,
                                    "families": len(w.families),
                                    "valid": not problems and len(w.families) == n + 1}
             if problems:

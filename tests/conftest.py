@@ -37,13 +37,15 @@ def complete_graph(n: int, prefix: str = "k") -> af.FiniteGraph:
                                   for i in range(n) for j in range(i + 1, n)])
 
 
-# the m-by-m torus glued to an edge, declared of asdim 2: the suite's torus
-# is the one the ladder's torus rungs build
+# the m-by-m torus glued to an edge, declared of asdim 2, and the seeded
+# random specs and batch: the suite's are the ones the ladder builds
 _ladder_spec = importlib.util.spec_from_file_location(
     "ladder", Path(__file__).resolve().parents[1] / "tools" / "ladder.py")
 _ladder = importlib.util.module_from_spec(_ladder_spec)
 _ladder_spec.loader.exec_module(_ladder)
 torus_spec_doc = _ladder.torus_spec_doc
+random_spec_doc = _ladder.random_spec_doc
+CORPUS, run_corpus = _ladder.CORPUS, _ladder.run_corpus
 
 
 def split_vertex_id(vid: str) -> tuple[str, str]:

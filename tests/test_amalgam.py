@@ -17,9 +17,9 @@ from asdimforge.fixtures import (chain_spec_doc, cycle_graph_doc, triangle_spec_
 from asdimforge.groups import GroupAction, compute_automorphisms
 
 from conftest import (build_doc, copies_by_id, label_paths, line_graph, path_ids,
-                      reference_connecting_tree, reference_contract_to_amalgam,
-                      reference_sum_graph, ring_graph, split_vertex_id)
-from test_theorem import _random_spec_doc
+                      random_spec_doc, reference_connecting_tree,
+                      reference_contract_to_amalgam, reference_sum_graph, ring_graph,
+                      split_vertex_id)
 
 
 # -- connecting trees ----------------------------------------------------------
@@ -395,7 +395,7 @@ def test_contraction_matches_the_union_find_reference():
     for doc in docs:
         _assert_contraction_matches_the_union_find(build_doc(doc).sum)
     rng = random.Random(2026)
-    randoms = [_random_spec_doc(rng) for _ in range(120)]
+    randoms = [random_spec_doc(rng) for _ in range(120)]
     for doc in [triangle_spec_doc(6), *randoms[:10]]:
         spec = AmalgamationSpec.from_json_dict(doc)
         tree = build_connecting_tree(spec.adh1.labels, spec.adh2.labels, 4)

@@ -437,10 +437,11 @@ def test_aut_command(tmp_path, capsys):
 def test_build_rejects_a_repeated_adhesion_vertex(tmp_path, capsys):
     doc = chain_spec_doc(8)
     doc["adhesions"][0]["0"] = ["a", "a"]
-    assert cli.main(["build", "--spec", write_doc(tmp_path, "bad.json", doc)]) == 2
+    bad = write_doc(tmp_path, "bad.json", doc)
+    assert cli.main(["build", "--spec", bad]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: adhesion set '0' repeats a vertex\n"
+    assert captured.err == f"error: {bad}: adhesion set '0' repeats a vertex\n"
 
 
 def test_plain_text_edge_list_exits_2(tmp_path, capsys):
@@ -683,14 +684,43 @@ def test_a_negative_declared_asdim_exits_2(tmp_path, capsys):
     doc = chain_spec_doc(8)
     doc["asdim"] = {"factor1": 0, "adhesion": -1}
     spec = write_doc(tmp_path, "bad.json", doc)
-    for argv in (["build", "--spec", spec],
-                 ["verify-theorem", "--spec", spec, "--r", "4"],
-                 ["iterate", "--spec", spec, "--out", str(tmp_path / "out")]):
+    for argv, where in ((["build", "--spec", spec], spec),
+                        (["verify-theorem", "--spec", spec, "--r", "4"], spec),
+                        (["iterate", "--spec", spec, "--out", str(tmp_path / "out")],
+                         f"stage 1 ({spec})")):
         assert cli.main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: asdim 'adhesion' must be nonnegative, not -1\n"
+        assert captured.err == f"error: {where}: asdim 'adhesion' must be nonnegative, not -1\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_a_malformed_document_is_named_by_its_file(tmp_path, capsys):
+    """A structural error names the file it is in, and in ``iterate`` the
+    stage too: one ``error:`` line, exit 2, nothing written."""
+    first = chain_spec_doc(6)
+    good = write_doc(tmp_path, "good.json", first)
+    bad = write_doc(tmp_path, "bad.json", {**first, "tree": {**first["tree"], "p1": "x"}})
+    says = "tree.p1 must be an integer, not 'x'"
+    stage2 = next_stage_doc(build_doc(first), depth=4)
+    later = write_doc(tmp_path, "later.json", {**stage2, "tree": {**stage2["tree"], "p1": "x"}})
+    out = tmp_path / "out"
+    for argv, where in ((["build", "--spec", bad], bad),
+                        (["verify-theorem", "--spec", bad, "--r", "4"], bad),
+                        (["iterate", "--spec", bad, "--out", str(out)], f"stage 1 ({bad})"),
+                        (["iterate", "--spec", good, "--spec", later, "--out", str(out)],
+                         f"stage 2 ({later})")):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {where}: {says}\n", argv
+    assert not any(p.name.startswith("stage02") for p in out.glob("*"))
+    graph = write_doc(tmp_path, "graph.json", {"vertices": ["a", "b"], "edges": [["a", "c"]]})
+    for argv in (["witness", "--spec", graph, "--r", "2"], ["oracle", "--spec", graph, "--r", "2"],
+                 ["aut", "--spec", graph]):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {graph}: edge endpoint 'a'/'c' not a vertex\n", argv
 
 
 def test_verify_theorem_missing_file(tmp_path):

@@ -21,9 +21,10 @@ from asdimforge.theorem import (ProofParameters, SymmetryWalk, _witness_for,
                                 theorem_bound, translation_sites, tree_graph,
                                 verify_separation)
 
-from conftest import (build_doc, copies_by_id, dumps, label_paths, path_ids, projection_map,
-                      reference_block_shape, reference_partition, reference_separation,
-                      reference_symmetry_map, remap_nodes, split_vertex_id, torus_spec_doc,
+from conftest import (CORPUS, build_doc, copies_by_id, dumps, label_paths, path_ids,
+                      projection_map, random_spec_doc, reference_block_shape,
+                      reference_partition, reference_separation, reference_symmetry_map,
+                      remap_nodes, run_corpus, split_vertex_id, torus_spec_doc,
                       without_a_bridge_at)
 
 
@@ -459,7 +460,7 @@ def test_boundary_cover_by_distance_bands_rechecked_pair_by_pair():
     members cover the shell, and the multiplicity and largest member
     diameter match a count over the member lists and a search per pair."""
     rng = random.Random(2026)
-    doc = [_random_spec_doc(rng) for _ in range(266)][-1]
+    doc = [random_spec_doc(rng) for _ in range(266)][-1]
     br = build_doc(doc, 12)
     cert = run_certificate(br, ProofParameters(R=1, r=6, depth=12))
     stage = {s.name: s for s in cert.stages}
@@ -608,6 +609,132 @@ def test_block_shape_matches_the_two_search_key_on_members(request, fixture, R, 
         assert block_shape(H, b.vertices) == reference_block_shape(H, b.vertices), b.name
 
 
+# -- block keys by site neighbourhood -------------------------------------------------
+
+
+def _listed_backwards(doc: dict) -> dict:
+    """``doc`` with each factor's vertices listed in reverse, so a copy's
+    positions run against its ids' order."""
+    return {**doc, "factors": [{**f, "vertices": f["vertices"][::-1]} for f in doc["factors"]]}
+
+
+# (document, depth, R, r, whether the memo serves some member)
+MEMO_CASES = [*[(chain_spec_doc(d), d, 2, 10, True) for d in (200, 400, 800, 1600)],
+              (_listed_backwards(chain_spec_doc(400)), 400, 2, 10, True),
+              *[(triangle_spec_doc(d), d, 0, 4, False) for d in (12, 14, 16, 18)],
+              (_listed_backwards(triangle_spec_doc(14)), 14, 0, 4, False),
+              (type2_spec_doc(8), 8, 0, 2, False)]
+MEMO_IDS = [*[f"chain_k2-{d}" for d in (200, 400, 800, 1600)], "chain_k2-400-backwards",
+            *[f"c3_k2-{d}" for d in (12, 14, 16, 18)], "c3_k2-14-backwards", "type2_k2-8"]
+
+
+def _counted(monkeypatch, name: str) -> list:
+    """The calls ``theorem.<name>`` gets from now on, by their arguments."""
+    calls, step = [], getattr(theorem, name)
+    monkeypatch.setattr(theorem, name, lambda *args: calls.append(args) or step(*args))
+    return calls
+
+
+def _walk_every_member(br, part, r):
+    """``block_keys`` as one ``block_shape`` walk per member."""
+    numbers: dict = {}
+    shapes = [numbers.setdefault(block_shape(br.sum.graph, b.vertices), len(numbers))
+              if b.vertices else None for b in part.members]
+    return shapes, list(numbers)
+
+
+def _assert_keys_are_walked_keys(br, part, r):
+    """``block_keys`` gives every member ``block_shape``'s own key."""
+    shapes, keys = theorem.block_keys(br, part, r)
+    assert len(shapes) == len(part.members) and len(set(keys)) == len(keys)
+    for b, shape in zip(part.members, shapes):
+        assert (shape is None) == (not b.vertices), b.name
+        if shape is not None:
+            assert keys[shape] == block_shape(br.sum.graph, b.vertices), b.name
+
+
+@pytest.mark.parametrize("doc, depth, R, r, memo", MEMO_CASES, ids=MEMO_IDS)
+def test_block_keys_are_the_walked_keys(monkeypatch, doc, depth, R, r, memo):
+    """On the certificate rungs and ``type2_k2``, and with factors listed
+    out of name order: a member that takes a filed key has the key its
+    own walk gives.  ``chain_k2`` walks at most ten balls at every depth
+    and asks for the layout check once; no ``c3_k2`` or ``type2_k2`` site
+    lies deeper than r + rho, so there every member walks and the check
+    never runs."""
+    br = build_doc(doc)
+    assert theorem._is_built_layout(br)
+    part = _partition(br, ProofParameters(R=R, r=r, depth=depth))
+    walks, checks = _counted(monkeypatch, "block_shape"), _counted(monkeypatch, "_is_built_layout")
+    _assert_keys_are_walked_keys(br, part, r)
+    filled = sum(bool(b.vertices) for b in part.members)
+    if memo:
+        assert len(walks) <= 10 < filled and len(checks) == 1
+    else:
+        assert len(walks) == filled and not checks
+
+
+def test_block_keys_are_the_walked_keys_on_random_two_label_specs(monkeypatch):
+    """Seeded random specs with two labels a side, so their trees are paths
+    deep enough for the memo, and boundary sets of up to three vertices,
+    built at depth 60 and keyed at R=1, r=6."""
+    rng = random.Random(20261021)
+    walks = _counted(monkeypatch, "block_shape")
+    specs = members = 0
+    while specs < 30:
+        doc = random_spec_doc(rng)
+        if (doc["tree"]["p1"], doc["tree"]["p2"]) != (2, 2):
+            continue
+        br = build_doc(doc, 60)
+        try:
+            part = _partition(br, ProofParameters(R=1, r=6, depth=60))
+        except PreconditionError:
+            continue
+        assert theorem._is_built_layout(br)
+        _assert_keys_are_walked_keys(br, part, 6)
+        specs += 1
+        members += sum(bool(b.vertices) for b in part.members)
+    assert len(walks) < members / 2, (len(walks), members)
+
+
+def _deep_doctored(monkeypatch, how: str):
+    """``chain_k2`` d=400 with H doctored at the site 200 levels down, deep
+    inside the memo's reach (r + rho = 28), and the doctored member's
+    number among the members."""
+    br = build_doc(chain_spec_doc(400))
+    params = ProofParameters(R=2, r=10, depth=400)
+    sites = translation_sites(br.tree, params)
+    site = next(t for t in sites if br.tree.level[t] == 200)
+    if how == "bridge":
+        br = without_a_bridge_at(br, site)
+    else:  # the copies of the site and of its child swap nodes
+        remap_nodes(monkeypatch, br, {site: br.tree.children[site][0],
+                                      br.tree.children[site][0]: site})
+    return br, params, 1 + sites.index(site)
+
+
+@pytest.mark.parametrize("how", ["bridge", "remap"])
+def test_a_doctored_build_walks_every_member(monkeypatch, how):
+    """A build no spec gives, doctored inside a member's ball at a site the
+    memo would serve: the layout check fails, every member walks, and the
+    certificate's bytes are those of a run with one walk per member.  With
+    the check skipped, the memo would hand the doctored member another
+    member's key."""
+    br, params, doctored = _deep_doctored(monkeypatch, how)
+    assert theorem._is_built_layout(br) is False
+    part = _partition(br, params)
+    shapes, keys = theorem.block_keys(br, part, params.r)
+    monkeypatch.setattr(theorem, "_is_built_layout", lambda br: True)
+    trusted, trusted_keys = theorem.block_keys(br, part, params.r)
+    assert trusted_keys[trusted[doctored]] != keys[shapes[doctored]]
+    monkeypatch.undo()
+    br, params, _ = _deep_doctored(monkeypatch, how)
+    walks = _counted(monkeypatch, "block_shape")
+    text = dumps(run_certificate(br, params).to_json_dict())
+    assert len(walks) == sum(bool(b.vertices) for b in part.members)
+    monkeypatch.setattr(theorem, "block_keys", _walk_every_member)
+    assert dumps(run_certificate(br, params).to_json_dict()) == text
+
+
 # -- projection fit -----------------------------------------------------------------
 
 
@@ -632,31 +759,19 @@ def test_projection_fit_margin_errors(chain20):
         projection_fit(chain20, margin=21)
 
 
-def _random_spec_doc(rng) -> dict:
-    """Two random connected factors glued along random equal-size boundary
-    sets: sets of two or three vertices give paths that leave a copy and
-    come back through a neighbouring one."""
-    def factor(n, extra, prefix):
-        names = [f"{prefix}{i}" for i in range(n)]
-        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
-        for _ in range(extra if n > 1 else 0):
-            x, y = rng.sample(names, 2)
-            if (y, x) not in edges:
-                edges.add((x, y))
-        return {"vertices": names, "edges": [list(e) for e in sorted(edges)]}
-
-    k = rng.randint(1, 3)
-    g1 = factor(rng.randint(k, 8), rng.randint(0, 4), "a")
-    g2 = factor(rng.randint(k, 6), rng.randint(0, 3), "b")
-    adh1 = {str(i): rng.sample(g1["vertices"], k) for i in range(rng.randint(1, 3))}
-    adh2 = {chr(ord("x") + i): rng.sample(g2["vertices"], k)
-            for i in range(rng.randint(1, 3))}
-    atlas = [{"left": l1, "right": l2,
-              "pairs": [list(xy) for xy in zip(xs, rng.sample(ys, k))]}
-             for l1, xs in adh1.items() for l2, ys in adh2.items()]
-    return {"name": "random", "factors": [g1, g2], "adhesions": [adh1, adh2],
-            "atlas": atlas, "actions": {"mode": "trivial"},
-            "tree": {"p1": len(adh1), "p2": len(adh2), "depth": rng.randint(0, 4)}}
+def test_the_seeded_random_batch_is_pinned():
+    """The ladder's corpus rung, run here: 300 ``random_spec_doc`` specs
+    (seed 2026), each built at depth 12 and certified at R=1, r=6.  The
+    class counts, the FAIL indices and one sha256 over the 177
+    certificates' bytes are pinned; a change that moves any of them
+    records the new figures and the reason."""
+    assert CORPUS == (2026, 300, 12, 1, 6)
+    got = run_corpus(*CORPUS)
+    assert not got["errors"]
+    assert {k: got[k] for k in ("pass", "fail", "precondition", "other")} == \
+        {"pass": 171, "fail": 6, "precondition": 123, "other": 0}
+    assert got["fail_indices"] == [103, 144, 223, 225, 239, 257]
+    assert got["sha256"] == "e6abcd2cafbfd011aa7da23e2035cea04a400875b2c39b7e9fff1c28a3895472"
 
 
 def _shortcut_spec_doc() -> dict:
@@ -697,7 +812,7 @@ def test_equal_block_keys_give_equal_distance_matrices_on_random_specs():
     rng = random.Random(20261019)
     shared = 0
     for _ in range(40):
-        doc = _random_spec_doc(rng)
+        doc = random_spec_doc(rng)
         br = build_doc(doc, max(doc["tree"]["depth"], 2))
         H, tree = br.sum.graph, br.tree
         by_key: dict = {}
@@ -726,7 +841,7 @@ def _assert_copy_tables_match_a_scan(h: SumGraph):
 
 def test_copy_tables_match_a_node_of_scan(chain40, triangle8, type2_8):
     rng = random.Random(20261020)
-    randoms = [build_doc(_random_spec_doc(rng)) for _ in range(20)]
+    randoms = [build_doc(random_spec_doc(rng)) for _ in range(20)]
     for br in [chain40, triangle8, type2_8, *randoms]:
         _assert_copy_tables_match_a_scan(br.sum)
     # a hand-built sum graph: one vertex gone and the rest listed backwards
@@ -746,7 +861,7 @@ def test_projection_fit_matches_pair_walk():
     builds += [build_doc(triangle_spec_doc(d)) for d in range(11)]
     builds += [build_doc(type2_spec_doc(d)) for d in range(2, 9)]
     builds += [_stage2_build(), build_doc(_shortcut_spec_doc())]
-    builds += [build_doc(_random_spec_doc(rng)) for _ in range(40)]
+    builds += [build_doc(random_spec_doc(rng)) for _ in range(40)]
     for br in builds:
         for margin in range(min(4, br.tree.depth) + 1):
             want = af.fit_qi_constants(projection_map(br, margin))

@@ -12,11 +12,13 @@ writes it (``write_s``), the child's peak RSS (from ``resource``) and
 the size of that file.  It splits out the parts
 of the certificate's time spent in the symmetry maps (``maps_s``,
 ``theorem.build_symmetry_map``, the fringe maps of ``base_blocks``
-included), the block keys (``shapes_s``, ``theorem.block_shape``),
-the partition (``partition_s``, ``theorem.assemble_partition``) and
-the separation check (``separation_s``, ``theorem.verify_separation``),
-and counts the greedy witnesses it runs (``greedy_runs``: one per block
-shape, and one for the boundary cover); ``sha256`` digests the
+included), the block keys (``shapes_s``, the whole of
+``theorem.block_keys``, its memo included), the partition
+(``partition_s``, ``theorem.assemble_partition``) and the separation
+check (``separation_s``, ``theorem.verify_separation``), and counts the
+greedy witnesses it runs (``greedy_runs``: one per block shape, and one
+for the boundary cover) and the ball walks of the key step
+(``shape_walks``, the ``theorem.block_shape`` calls); ``sha256`` digests the
 certificate file's bytes, so checkouts that write the same certificate show
 the same digest.
 Each report rung does the same with ``cli.build_report``, the projection
@@ -40,7 +42,10 @@ import rung times ``import asdimforge.cli`` (``import_s``) in a bare
 interpreter, which has loaded nothing of its own before the clock starts
 beyond ``sys`` and ``time``; it counts the modules the import loads
 (``modules_loaded``) and times the whole child process, interpreter
-start-up included (``process_s``).  ``doubling`` is a rung's certificate
+start-up included (``process_s``).  The corpus rung certifies the seeded
+random batch of ``random_spec_doc`` specs (``CORPUS``) and records its
+class counts, its FAIL indices and one sha256 over every certificate
+(``run_corpus``), and its time (``corpus_s``).  ``doubling`` is a rung's certificate
 (report, oracle) time over the previous rung's.  Each checkout's entry
 also records ``src_lines``, the line count of its ``src/asdimforge/*.py``
 as ``wc -l`` gives it, so a change's size reads off the same file.
@@ -114,6 +119,9 @@ import asdimforge.cli
 spent = time.perf_counter() - start
 print('{"import_s": %.5f, "modules_loaded": %d}' % (spent, len(sys.modules) - before))
 """
+# (seed, specs, depth, R, r) of the seeded random batch: ``random_spec_doc``
+# specs, each built at the depth and certified at (R, r)
+CORPUS = (2026, 300, 12, 1, 6)
 # samples per rung and checkout; a rung's times and RSS are their medians,
 # next to their ranges
 REPEAT = 5
@@ -154,6 +162,78 @@ def torus_spec_doc(m: int, depth: int) -> dict:
                     "factor2": [{"x": "y", "y": "x"}]},
         "asdim": {"factor1": 2, "factor2": 0, "adhesion": 0},
     }
+
+
+def random_spec_doc(rng) -> dict:
+    """Two random connected factors glued along random equal-size boundary
+    sets: sets of two or three vertices give paths that leave a copy and
+    come back through a neighbouring one.  Not a shipped document."""
+    def factor(n, extra, prefix):
+        names = [f"{prefix}{i}" for i in range(n)]
+        edges = {(names[rng.randrange(i)], names[i]) for i in range(1, n)}
+        for _ in range(extra if n > 1 else 0):
+            x, y = rng.sample(names, 2)
+            if (y, x) not in edges:
+                edges.add((x, y))
+        return {"vertices": names, "edges": [list(e) for e in sorted(edges)]}
+
+    k = rng.randint(1, 3)
+    g1 = factor(rng.randint(k, 8), rng.randint(0, 4), "a")
+    g2 = factor(rng.randint(k, 6), rng.randint(0, 3), "b")
+    adh1 = {str(i): rng.sample(g1["vertices"], k) for i in range(rng.randint(1, 3))}
+    adh2 = {chr(ord("x") + i): rng.sample(g2["vertices"], k)
+            for i in range(rng.randint(1, 3))}
+    atlas = [{"left": l1, "right": l2,
+              "pairs": [list(xy) for xy in zip(xs, rng.sample(ys, k))]}
+             for l1, xs in adh1.items() for l2, ys in adh2.items()]
+    return {"name": "random", "factors": [g1, g2], "adhesions": [adh1, adh2],
+            "atlas": atlas, "actions": {"mode": "trivial"},
+            "tree": {"p1": len(adh1), "p2": len(adh2), "depth": rng.randint(0, 4)}}
+
+
+def run_corpus(seed: int, count: int, depth: int, R: int, r: int) -> dict:
+    """Child side: the seeded random batch, each spec built at ``depth`` and
+    certified at (R, r) in this process.
+
+    Each spec ends in one class: ``pass`` or ``fail`` (the verdict),
+    ``precondition`` (a ``PreconditionError`` on the way) or ``other``
+    (any other exception, named in ``errors``).  ``fail_indices`` lists
+    the FAILs by index in the batch, and ``sha256`` digests every
+    certificate's bytes, as ``jsonio.dump`` writes them, in batch order
+    (``corpus_s`` times it all).
+    """
+    import io
+    import random
+    import time
+
+    from asdimforge import amalgam, jsonio, theorem
+    from asdimforge.errors import PreconditionError
+
+    rng = random.Random(seed)
+    docs = [random_spec_doc(rng) for _ in range(count)]
+    classes = dict.fromkeys(("pass", "fail", "precondition", "other"), 0)
+    failed, errors, digest = [], [], hashlib.sha256()
+    gc.collect()
+    start = time.perf_counter()
+    for i, doc in enumerate(docs):
+        try:
+            br = amalgam.build(amalgam.AmalgamationSpec.from_json_dict(doc), depth)
+            cert = theorem.run_certificate(br, theorem.ProofParameters(R=R, r=r, depth=depth))
+        except PreconditionError:
+            classes["precondition"] += 1
+            continue
+        except Exception as exc:  # named, so a batch that breaks shows where
+            classes["other"] += 1
+            errors.append(f"{i}: {type(exc).__name__}: {exc}")
+            continue
+        text = io.StringIO()
+        jsonio.dump(cert.to_json_dict(), text)
+        digest.update(text.getvalue().encode())
+        classes["pass" if cert.passed() else "fail"] += 1
+        if not cert.passed():
+            failed.append(i)
+    return {"corpus_s": round(time.perf_counter() - start, 3), **classes,
+            "fail_indices": failed, "errors": errors, "sha256": digest.hexdigest()}
 
 
 def _spec_doc(fixtures, name: str, depth: int) -> dict:
@@ -220,11 +300,15 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
 
     spent = {"tree_s": 0.0, "sum_s": 0.0, "maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0,
              "separation_s": 0.0}
-    greedy = theorem.greedy_witness
-    runs = []
-    # ``run_certificate`` reaches all five through ``theorem``'s own names
+    greedy, shape = theorem.greedy_witness, theorem.block_shape
+    runs, walks = [], []
+    # ``run_certificate`` reaches all of these through ``theorem``'s own
+    # names; the key step is ``block_keys``, or in a checkout that predates
+    # it the ``block_shape`` calls themselves
+    theorem.block_shape = lambda *args: walks.append(args) or shape(*args)
+    keys = "block_keys" if hasattr(theorem, "block_keys") else "block_shape"
+    setattr(theorem, keys, _timer(spent, "shapes_s", getattr(theorem, keys)))
     theorem.build_symmetry_map = _timer(spent, "maps_s", theorem.build_symmetry_map)
-    theorem.block_shape = _timer(spent, "shapes_s", theorem.block_shape)
     theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
     theorem.verify_separation = _timer(spent, "separation_s", theorem.verify_separation)
     theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
@@ -238,7 +322,7 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     return {"sum_vertices": len(br.sum.graph), "build_s": round(t1 - t0, 3),
             "certificate_s": round(t2 - t1, 3),
             **{key: round(value, 4) for key, value in spent.items()},
-            "greedy_runs": len(runs), "write_s": round(t3 - t2, 3),
+            "greedy_runs": len(runs), "shape_walks": len(walks), "write_s": round(t3 - t2, 3),
             "peak_rss_mb": peak, "certificate_bytes": size, "verdict": cert.verdict,
             "sha256": digest}
 
@@ -415,6 +499,8 @@ def run_ladder(roots: dict[str, Path], rungs: list[tuple], seconds: str) -> dict
                 row = {"module": rung[1]}
             elif rung[0] == "oracle":
                 row = {"build": rung[1], "vertices": rung[2], "graphs": rung[3]}
+            elif rung[0] == "corpus":
+                row = dict(zip(("seed", "specs", "depth", "R", "r"), rung[1:]))
             else:
                 row = {"build": rung[1], "depth": rung[2]}
             if rung[0] == "certificate":
@@ -441,6 +527,9 @@ def main(argv=None) -> int:
     if argv[:2] == ["--rung", "pairs"]:  # a certificate or report rung, then two roots
         kind, name, depth, *rest = argv[2:]
         print(json.dumps(run_pairs(kind, name, int(depth), *rest)))
+        return 0
+    if argv[:2] == ["--rung", "corpus"]:  # the seeded random batch
+        print(json.dumps(run_corpus(*map(int, argv[2:]))))
         return 0
     if argv[:1] == ["--rung"]:  # a child: one rung, printed as JSON
         kind, name, *numbers = argv[1:]
@@ -471,14 +560,17 @@ def main(argv=None) -> int:
                                  for depth in depths], "report_s")
     oracles = run_ladder(roots, [("oracle", "random_connected", vertices, count)
                                  for vertices, count in ORACLE_LADDER], "oracle_s")
-    doc = {"ladder": "the import of asdimforge.cli, run_certificate, build_report and "
-                     "the exact oracle per rung, each sample in a fresh process",
+    corpus = run_ladder(roots, [("corpus", *CORPUS)], "corpus_s")
+    doc = {"ladder": "the import of asdimforge.cli, run_certificate, build_report, "
+                     "the exact oracle per rung and the seeded random batch, each sample "
+                     "in a fresh process",
            "host": {"python": platform.python_version(), "machine": platform.machine(),
                     "cpus": os.cpu_count()},
            "repeat": REPEAT,
            "runs": {label: {"src_lines": src_lines(root), "import_rungs": imports[label],
                             "rungs": certificates[label],
-                            "report_rungs": reports[label], "oracle_rungs": oracles[label]}
+                            "report_rungs": reports[label], "oracle_rungs": oracles[label],
+                            "corpus": corpus[label][0]}
                     for label, root in roots.items()}}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n")
     return 0
