@@ -14,6 +14,7 @@ import argparse
 import functools
 import os
 import sys
+from contextlib import contextmanager
 from itertools import islice
 from pathlib import Path
 
@@ -38,16 +39,23 @@ def _emit(doc, out: str | Path | None):
         raise ConfigError(f"cannot write {out}: {exc}") from exc
 
 
-def _read(path, parse, stage: int | None = None, doc=None):
-    """``parse`` of the document in the file ``path``, or of ``doc`` when
-    the caller has read it; a ``ConfigError`` that ``parse`` raises is
-    raised again naming the file, and in ``iterate`` the stage."""
-    doc = read_json(path) if doc is None else doc
+@contextmanager
+def _blame(path, stage: int | None = None):
+    """A ``ConfigError`` raised inside is raised again naming the file
+    ``path``, and in ``iterate`` the stage."""
     try:
-        return parse(doc)
+        yield
     except ConfigError as exc:
         where = path if stage is None else f"stage {stage} ({path})"
         raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _read(path, parse, stage: int | None = None, doc=None):
+    """``parse`` of the document in the file ``path``, or of ``doc`` when
+    the caller has read it, its errors naming the file (``_blame``)."""
+    doc = read_json(path) if doc is None else doc
+    with _blame(path, stage):
+        return parse(doc)
 
 
 # -- shared measurements -------------------------------------------------------
@@ -87,7 +95,9 @@ def _witness_doc(w, valid: bool) -> dict:
 
 def cmd_build(args) -> int:
     spec = _read(args.spec, AmalgamationSpec.from_json_dict)
-    br = build(spec, args.depth)
+    # the atlas and the bridges are checked as the spec is built
+    with _blame(args.spec):
+        br = build(spec, args.depth)
     report = build_report(br)
     _emit(report, args.out)
     ok = report["projection"]["ok"] and report["atlas"]["ok"]
@@ -138,7 +148,8 @@ def cmd_verify_theorem(args) -> int:
     spec = _read(args.spec, AmalgamationSpec.from_json_dict)
     depth = spec.depth if args.depth is None else args.depth
     params = ProofParameters(R=args.R, r=args.r, depth=depth)
-    br = build(spec, depth)
+    with _blame(args.spec):
+        br = build(spec, depth)
     cert = run_certificate(br, params)
     out = args.out or "cert.json"
     _emit(cert.to_json_dict(), out)
@@ -168,7 +179,8 @@ def cmd_iterate(args) -> int:
         spec = _read(path, AmalgamationSpec.from_json_dict, idx + 1, raw)
         if "/" in spec.name or "\0" in spec.name:
             raise ConfigError(f"stage {idx + 1} name {spec.name!r} may not contain '/' or NUL")
-        br = build(spec, args.depth)
+        with _blame(path, idx + 1):
+            br = build(spec, args.depth)
         report = build_report(br)
         report["stage"] = idx + 1
         ok = ok and report["projection"]["ok"] and report["atlas"]["ok"]

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import PreconditionError
 from .graphs import INF, MetricView, VertexMap
@@ -49,9 +49,20 @@ class Family:
     @cached_property
     def complement_reach(self) -> tuple[dict[str, int | float] | None, ...]:
         """Per member m, d(x, P minus m) for each point x of m; None when
-        m is the whole space.  Each x runs one search, which ends as soon
-        as it settles a point outside m, the last one it settled; if that
-        last point is not outside m, the search found none."""
+        m is the whole space."""
+        return self._reach({})
+
+    def take_nearest(self, nearest: Mapping[str, int | float]) -> None:
+        """Fill ``complement_reach`` from ``nearest``, which maps points x
+        of the space P to d(x, P minus x): that is the whole row of a
+        single-point member {x}, so no search runs for it."""
+        self.complement_reach = self._reach(nearest)
+
+    def _reach(self, nearest: Mapping[str, int | float]) -> tuple:
+        """``complement_reach``, where a point x of m that ``nearest`` does
+        not answer for runs one search, which ends as soon as it settles
+        a point outside m, the last one it settled; if that last point is
+        not outside m, the search found none."""
         g, points = self.space.graph, self.space.point_set
         table = []
         for m in self.members:
@@ -59,6 +70,11 @@ class Family:
             if not outside:
                 table.append(None)
                 continue
+            if len(m) == 1:
+                x, = m
+                if x in nearest:
+                    table.append({x: nearest[x]})
+                    continue
             row = {}
             for x in m:
                 dist = g.distances_to_set((x,), stop_at=outside)

@@ -586,6 +586,9 @@ class SeparationReport(Record):
     ``closest_sites`` and ``closest_vertices`` witness ``min_distance``
     (both None when it is INF): d(x, y) equals it for the vertex pair,
     with x on the first site's shell and y on the second's.
+    ``nearest_other`` maps each point x of the shells' union P to
+    d(x, P minus x), INF when x is alone in its component; it is empty
+    when fewer than two shells are live, as no search runs then.
     """
 
     pairs: tuple[tuple[str, str | None, int | float], ...]
@@ -594,6 +597,7 @@ class SeparationReport(Record):
     closest_vertices: tuple[str, str] | None
     empty_sites: tuple[str, ...]
     work: dict
+    nearest_other: Mapping[str, int | float]
 
     def all_beyond(self, bound: int) -> bool:
         return self.min_distance > bound
@@ -612,6 +616,16 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
     is exact: on a shortest path from a to its nearest shell, the first
     edge leaving a's cell already attains it.  Shells sharing a vertex
     are at distance 0; the search sees that as it places its seeds.
+
+    The same holds point by point.  Each vertex v also takes the shell
+    point it was reached from, root(v), with d(v, root(v)) = d(v, P),
+    P the union of the shells.  An edge (u, w) with root(u) = x and
+    root(w) = z != x bounds d(x, P minus x) by d(u, P) + 1 + d(w, P),
+    through u and w to z.  On a shortest path from x to its nearest
+    other point y, the first edge (u, w) whose w has a root other than
+    x attains it: d(u, P) <= d(u, x) and d(w, P) <= d(w, y).  So the
+    least bound over the edges leaving x's cell is d(x, P minus x),
+    and INF when none leaves it.
     """
     sites = sorted(shells)
     live = [s for s in sites if shells[s]]
@@ -633,6 +647,7 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
         if least is None or (d, i, j) < least[:3]:
             least = (d, i, j, x, y)
 
+    nearest: dict[str, int | float] = {}
     if len(live) > 1:
         cell: dict[str, int] = {}
         root: dict[str, str] = {}
@@ -642,6 +657,7 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
                     offer(0, cell[v], i, v, v)
                 else:
                     cell[v], root[v] = i, v
+        nearest = dict.fromkeys(root, INF)
         dist = H.distances_to_set(cell)
         work["searches"] = 1
         work["vertices_settled"] = len(dist)
@@ -655,18 +671,28 @@ def verify_separation(H: FiniteGraph, shells: Mapping[str, frozenset[str]]) -> S
                     if dist.get(p) == up:
                         break
                 cell[v], root[v] = cell[p], root[p]
-        # a settled row's every neighbour is settled, and the boundary
-        # edges, sorted, come in the order ``H.edges`` lists them
-        bounds = [(u, v) for u in dist for v in adjacency[u] if u < v and cell[v] != cell[u]]
+        # a settled row's every neighbour is settled; each edge between
+        # two points' cells is met from both ends, and those between two
+        # shells' cells, sorted, come in the order ``H.edges`` lists them
+        bounds = []
+        for u, du in dist.items():
+            x, i = root[u], cell[u]
+            for v in adjacency[u]:
+                if root[v] != x:
+                    d = du + 1 + dist[v]
+                    if d < nearest[x]:
+                        nearest[x] = d
+                    if u < v and cell[v] != i:
+                        bounds.append((u, v))
         work["boundary_edges"] = len(bounds)
         for u, v in sorted(bounds):
             offer(dist[u] + 1 + dist[v], cell[u], cell[v], root[u], root[v])
     pairs = tuple((s, None, INF) if row is None else (s, live[row[1]], row[0])
                   for s, row in zip(live, best))
     if least is None:
-        return SeparationReport(pairs, INF, None, None, empty, work)
+        return SeparationReport(pairs, INF, None, None, empty, work, nearest)
     d, i, j, x, y = least
-    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work)
+    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work, nearest)
 
 
 def theorem_bound(factor1_dim: int, factor2_dim: int, adhesion_dim: int) -> int:
@@ -915,9 +941,11 @@ def _is_built_layout(br: BuildResult) -> bool:
     The row of position i over a node is exactly the bridges down
     (children in order), the factor's edges by position and the bridge
     up, each bridge's ends read from the atlas entry of its edge's label
-    pair.  Nodes of one side whose own and children's label pairs agree
-    have one row template, so each entry of it is checked over all of
-    them at once.
+    pair.  Nodes alike in side, the label they are sent by and whether
+    they lie on the cut have, by premise (a), the up label and the
+    children's label pairs of the first of them, so one row template
+    serves them all, and each entry of it is checked over all of them at
+    once.
     """
     spec, tree, copies, H = br.spec, br.tree, br.sum.copies, br.sum.graph
     side, parent, children = tree.node_side, tree.parent, tree.children
@@ -945,11 +973,13 @@ def _is_built_layout(br: BuildResult) -> bool:
         return dict(ends if s == 0 else [(b, a) for a, b in ends])
 
     alike: dict[tuple, list[str]] = {}
+    level, depth = tree.level, tree.depth
     for u, s in zip(nodes, sides):
-        alike.setdefault((s, up.get(u), down.get(u),
-                          *[(up[w], down[w]) for w in children[u]]), []).append(u)
+        alike.setdefault((s, down.get(u), level[u] == depth), []).append(u)
     adjacency = H.adjacency
-    for (s, k, l, *below), group in alike.items():
+    for (s, l, _), group in alike.items():
+        k = up.get(group[0])
+        below = [(up[w], down[w]) for w in children[group[0]]]
         # the copies around each node of the group: per child, the node's
         # own, the parent's
         around = [[copies[children[u][c]] for u in group] for c in range(len(below))]
@@ -1152,6 +1182,9 @@ def run_certificate(br: BuildResult, params: ProofParameters) -> TheoremCertific
     leb_data: dict = {"detail": "no transported cover"}
     leb_paper: int | float | None = None
     if z_cover is not None:
+        # the cover's points are the shells' union, the separation search's
+        # seeds, so a single-point member's row is that search's answer
+        z_cover.take_nearest(sep.nearest_other)
         leb_paper = lebesgue_number(z_cover, "paper")
         leb_standard = lebesgue_number(z_cover, "standard")
         leb_ok = leb_paper > R and leb_standard > R

@@ -412,13 +412,14 @@ def reference_separation(H: af.FiniteGraph, shells) -> SeparationReport:
     """``theorem.verify_separation`` as it scanned the whole of ``H.edges``
     for edges between two cells, for the settled-row scan to match field
     by field, ``work`` and the tie-breaks of ``closest_vertices``
-    included."""
+    included; ``nearest_other`` is read off one full search per point."""
     sites = sorted(shells)
     live = [s for s in sites if shells[s]]
     empty = tuple(s for s in sites if not shells[s])
     work = {"searches": 0, "vertices_settled": 0, "boundary_edges": 0}
     best: list = [None] * len(live)
     least = None
+    nearest = {}
 
     def offer(d, i, j, x, y):
         nonlocal least
@@ -438,6 +439,10 @@ def reference_separation(H: af.FiniteGraph, shells) -> SeparationReport:
                     offer(0, cell[v], i, v, v)
                 else:
                     cell[v], root[v] = i, v
+        points = set(cell)
+        for x in points:
+            reach = H.distances_from(x)
+            nearest[x] = min((reach[y] for y in points - {x} if y in reach), default=af.INF)
         dist = H.distances_to_set(cell)
         work["searches"] = 1
         work["vertices_settled"] = len(dist)
@@ -453,9 +458,9 @@ def reference_separation(H: af.FiniteGraph, shells) -> SeparationReport:
     pairs = tuple((s, None, af.INF) if row is None else (s, live[row[1]], row[0])
                   for s, row in zip(live, best))
     if least is None:
-        return SeparationReport(pairs, af.INF, None, None, empty, work)
+        return SeparationReport(pairs, af.INF, None, None, empty, work, nearest)
     d, i, j, x, y = least
-    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work)
+    return SeparationReport(pairs, d, (live[i], live[j]), (x, y), empty, work, nearest)
 
 
 def without_a_bridge_at(br: af.BuildResult, site: str) -> af.BuildResult:

@@ -723,6 +723,34 @@ def test_a_malformed_document_is_named_by_its_file(tmp_path, capsys):
         assert captured.err == f"error: {graph}: edge endpoint 'a'/'c' not a vertex\n", argv
 
 
+def test_an_invalid_atlas_is_named_by_its_file(tmp_path, capsys):
+    """The atlas is checked as the spec is built, after it is parsed; its
+    error names the file too, and in ``iterate`` the stage: one
+    ``error:`` line, exit 2, nothing written."""
+    first = chain_spec_doc(6)
+    good = write_doc(tmp_path, "good.json", first)
+    bad = write_doc(tmp_path, "bad.json", {**first, "atlas": first["atlas"][:1]})
+    stage2 = next_stage_doc(build_doc(first), depth=4)
+    later = write_doc(tmp_path, "later.json", {**stage2, "atlas": stage2["atlas"][:1]})
+    says = "bonding atlas invalid: missing bonding map between '0' and '1'; " \
+           "missing bonding map between '1' and '0'; missing bonding map between '1' and '1'"
+    says2 = "bonding atlas invalid: missing bonding map between '0' and 'y'; " \
+            "missing bonding map between '1' and 'x'; missing bonding map between '1' and 'y'"
+    out = tmp_path / "out"
+    for argv, where, what in ((["build", "--spec", bad], bad, says),
+                              (["verify-theorem", "--spec", bad, "--r", "4",
+                                "--out", str(tmp_path / "cert.json")], bad, says),
+                              (["iterate", "--spec", bad, "--out", str(out)],
+                               f"stage 1 ({bad})", says),
+                              (["iterate", "--spec", good, "--spec", later, "--out", str(out)],
+                               f"stage 2 ({later})", says2)):
+        assert cli.main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {where}: {what}\n", argv
+    assert not (tmp_path / "cert.json").exists()
+    assert [p.name for p in out.glob("*")] == ["stage01_chain_k2.json"]
+
+
 def test_verify_theorem_missing_file(tmp_path):
     assert cli.main(["verify-theorem", "--spec", str(tmp_path / "nope.json"),
                      "--r", "4"]) == 2

@@ -358,6 +358,113 @@ def test_separation_matches_the_edge_scan_on_partitions(request, fixture, R, r):
     _assert_separation_matches_the_edge_scan(br.sum.graph, shells)
 
 
+# -- the transported cover's complement table from the separation search --------
+
+
+def _assert_table_is_the_searched_one(H, shells, members=None):
+    """``nearest_other`` holds d(x, P minus x) at each point x of the
+    shells' union P, as one stop-at search from x finds it, or nothing
+    when fewer than two shells are live; a cover of P (its single points
+    by default) that takes it has the table its own searches give."""
+    sep = verify_separation(H, shells)
+    P = frozenset().union(*shells.values())
+    view = af.MetricView(H, sorted(P))
+    if sum(map(bool, shells.values())) < 2:
+        assert sep.nearest_other == {}
+    else:
+        assert sep.nearest_other.keys() == P
+        for x in P:
+            row = af.Family(view, [[x]]).complement_reach[0]
+            assert sep.nearest_other[x] == (af.INF if row is None else row[x]), x
+    members = [[x] for x in sorted(P)] if members is None else members
+    searched = af.Cover(view, members).complement_reach
+    cover = af.Cover(view, members)
+    cover.take_nearest(sep.nearest_other)
+    assert cover.complement_reach == searched
+    return sep
+
+
+def test_complement_table_on_hand_made_shells():
+    path = af.FiniteGraph("abcdef", [("a", "b"), ("b", "c"), ("c", "d"), ("d", "e"), ("e", "f")])
+    # a member of two points searches; the single points read the table
+    sep = _assert_table_is_the_searched_one(
+        path, {"s1": frozenset("ab"), "s2": frozenset("e")}, [["a", "b"], ["a"], ["e"]])
+    assert sep.nearest_other == {"a": 1, "b": 1, "e": 3}
+    # two shells sharing a vertex
+    sep = _assert_table_is_the_searched_one(path, {"s1": frozenset("ab"), "s2": frozenset("bd")})
+    assert sep.nearest_other == {"a": 1, "b": 1, "d": 2}
+    sep = _assert_table_is_the_searched_one(path, {"s1": frozenset("c"), "s2": frozenset("c")})
+    assert sep.nearest_other == {"c": af.INF}
+    # a point with no other point in its component
+    split = af.FiniteGraph("abcxy", [("a", "b"), ("b", "c"), ("x", "y")])
+    sep = _assert_table_is_the_searched_one(
+        split, {"s1": frozenset("a"), "s2": frozenset("c"), "s3": frozenset("y")})
+    assert sep.nearest_other == {"a": 2, "c": 2, "y": af.INF}
+    # a single live shell runs no search, and its cover searches
+    sep = _assert_table_is_the_searched_one(path, {"s1": frozenset("af"), "s2": frozenset()})
+    assert sep.work["searches"] == 0
+
+
+def test_complement_table_on_random_graphs():
+    """Unsorted vertex orders, disconnected graphs, shells sharing
+    vertices, and random covers of P mixing single points with larger
+    members."""
+    rng = random.Random(20261022)
+    for _ in range(300):
+        n = rng.randint(2, 20)
+        names = rng.sample([f"v{i}" for i in range(n)], n)
+        edges = {tuple(rng.sample(names, 2)) for _ in range(rng.randint(0, 2 * n))}
+        H = af.FiniteGraph(names, edges)
+        shells = {f"s{k}": frozenset(rng.sample(names, rng.randint(0, min(4, n))))
+                  for k in range(rng.randint(0, 6))}
+        P = sorted(frozenset().union(*shells.values()))
+        members = [[x] for x in P if rng.random() < 0.5]
+        members += [rng.sample(P, rng.randint(1, len(P))) for _ in range(len(P) and 3)]
+        covered = {x for m in members for x in m}
+        members += [[x] for x in P if x not in covered]
+        _assert_table_is_the_searched_one(H, shells, members)
+
+
+# (document, depth, R, r, stop-at searches of the certificate's complement tables)
+TABLE_CASES = [(chain_spec_doc(40), 40, 2, 10, 2), (chain_spec_doc(400), 400, 2, 10, 2),
+               (triangle_spec_doc(8), 8, 0, 4, 0), (triangle_spec_doc(14), 14, 0, 4, 0),
+               (type2_spec_doc(8), 8, 0, 4, 0), (torus_spec_doc(8, 12), 12, 1, 6, 13)]
+TABLE_IDS = ["chain_k2-40", "chain_k2-400", "c3_k2-8", "c3_k2-14", "type2_k2-8", "torus8_k2-12"]
+
+
+@pytest.mark.parametrize("doc, depth, R, r, searches", TABLE_CASES, ids=TABLE_IDS)
+def test_complement_table_on_certificates(monkeypatch, doc, depth, R, r, searches):
+    """The transported cover's table, its single points read from the
+    separation search, is the one its own searches give, and the two
+    Lebesgue numbers are those of that table.  The certificate's
+    complement tables, the boundary cover's included, run two stop-at
+    searches at ``chain_k2`` (80 at d=400 with one per point) and none at
+    ``c3_k2`` (31 at d=14), and separation still one search."""
+    br = build_doc(doc, depth)
+    params = ProofParameters(R=R, r=r, depth=depth)
+    stop_at = []
+    search = af.FiniteGraph.distances_to_set
+
+    def counted(self, targets, *args, **kwargs):
+        if kwargs.get("stop_at") is not None:
+            stop_at.append(targets)
+        return search(self, targets, *args, **kwargs)
+
+    monkeypatch.setattr(af.FiniteGraph, "distances_to_set", counted)
+    cert = run_certificate(br, params)
+    assert len(stop_at) == searches
+    monkeypatch.undo()
+    stage = {st.name: st.data for st in cert.stages}
+    assert stage["separation"]["work"]["searches"] == 1
+    part = _partition(br, params)
+    members = stage["transported_cover"]["member_lists"]
+    sep = _assert_table_is_the_searched_one(br.sum.graph, part.shells, members)
+    assert sep.nearest_other.keys() == part.shell_union
+    searched = af.Cover(af.MetricView(br.sum.graph, sorted(part.shell_union)), members)
+    assert stage["lebesgue"]["paper"] == af.lebesgue_number(searched, "paper")
+    assert stage["lebesgue"]["standard"] == af.lebesgue_number(searched, "standard")
+
+
 @pytest.mark.parametrize("lowest, pairs, closest", [
     ("s1", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s1", 4)), ("a", "b")),
     ("s2", (("s1", "s2", 4), ("s2", "s1", 4), ("s3", "s2", 4)), ("a", "b")),

@@ -14,8 +14,11 @@ of the certificate's time spent in the symmetry maps (``maps_s``,
 ``theorem.build_symmetry_map``, the fringe maps of ``base_blocks``
 included), the block keys (``shapes_s``, the whole of
 ``theorem.block_keys``, its memo included), the partition
-(``partition_s``, ``theorem.assemble_partition``) and the separation
-check (``separation_s``, ``theorem.verify_separation``), and counts the
+(``partition_s``, ``theorem.assemble_partition``), the separation
+check (``separation_s``, ``theorem.verify_separation``) and the Lebesgue
+numbers of the boundary and transported covers (``lebesgue_s``,
+``covers.lebesgue_number`` and ``Cover.take_nearest``, so their
+complement tables are in it wherever they are filled), and counts the
 greedy witnesses it runs (``greedy_runs``: one per block shape, and one
 for the boundary cover) and the ball walks of the key step
 (``shape_walks``, the ``theorem.block_shape`` calls); ``sha256`` digests the
@@ -299,7 +302,7 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     from asdimforge import jsonio, theorem
 
     spent = {"tree_s": 0.0, "sum_s": 0.0, "maps_s": 0.0, "shapes_s": 0.0, "partition_s": 0.0,
-             "separation_s": 0.0}
+             "separation_s": 0.0, "lebesgue_s": 0.0}
     greedy, shape = theorem.greedy_witness, theorem.block_shape
     runs, walks = [], []
     # ``run_certificate`` reaches all of these through ``theorem``'s own
@@ -311,6 +314,11 @@ def run_rung(name: str, depth: int, R: int, r: int) -> dict:
     theorem.build_symmetry_map = _timer(spent, "maps_s", theorem.build_symmetry_map)
     theorem.assemble_partition = _timer(spent, "partition_s", theorem.assemble_partition)
     theorem.verify_separation = _timer(spent, "separation_s", theorem.verify_separation)
+    # a cover fills its complement table in ``Cover.take_nearest`` or, in a
+    # checkout that predates it, in its first ``lebesgue_number``
+    theorem.lebesgue_number = _timer(spent, "lebesgue_s", theorem.lebesgue_number)
+    if hasattr(theorem.Cover, "take_nearest"):
+        theorem.Cover.take_nearest = _timer(spent, "lebesgue_s", theorem.Cover.take_nearest)
     theorem.greedy_witness = lambda *args: runs.append(args) or greedy(*args)
     gc.collect()
     t0 = time.perf_counter()
